@@ -193,6 +193,22 @@ def t_polynomial(theta, l: int) -> Poly:
     return Poly(p)
 
 
+def t_values(theta, points) -> np.ndarray:
+    """``t_l(q)`` for every point q and pole index l, shape (len(points), len(theta)).
+
+    Evaluated as the product of the factors ``(theta_i * q - 1)``, i != l,
+    rather than by expanding each ``t_polynomial`` and running Horner.
+    """
+    theta = np.asarray(theta, dtype=complex)
+    if np.any(theta == 0):
+        raise InvalidInputError("pole locations must be nonzero")
+    S = len(theta)
+    factors = np.multiply.outer(np.asarray(points, dtype=complex), theta) - 1.0
+    factors = np.repeat(factors[:, None, :], S, axis=1)
+    factors[:, np.arange(S), np.arange(S)] = 1.0
+    return factors.prod(axis=2)
+
+
 def forward_polys(theta, g, n: int) -> tuple[Poly, Poly, Poly]:
     """Numerator parts and denominator of the rational form of the signal.
 
@@ -306,38 +322,53 @@ def laurent_from_products(u_hat: Poly, u_tilde: Poly, v: Poly):
 # root pairing and Laurent square root
 # ----------------------------------------------------------------------------
 
+def relative_gaps(values, targets) -> np.ndarray:
+    """``gaps[i, j] = |values[i] - targets[j]| / max(1, |targets[j]|)``.
+
+    Moduli come from ``np.hypot``, which rounds exactly like ``abs`` of a
+    numpy complex scalar, so the gaps equal the per-element scalar form bit
+    for bit and greedy choices between near-ties do not move.
+    """
+    values = np.asarray(values, dtype=complex)
+    targets = np.asarray(targets, dtype=complex)
+    diff = values[:, None] - targets[None, :]
+    scale = np.maximum(1.0, np.hypot(targets.real, targets.imag))
+    return np.hypot(diff.real, diff.imag) / scale[None, :]
+
+
 def pair_conjugate_reciprocal(roots, tol: float | None = None):
     """Partition `roots` into conjugate-reciprocal pairs ``(r, 1/conj(r))``.
 
     Cross pairs are preferred; a root within `tol` of the unit circle may
     close itself. Returns a list of ``(a, b)`` tuples with ``b`` approximately
     ``1/conj(a)``; unpairable leftovers raise.
+
+    Pairs are taken greedily: each step takes the smallest remaining gap
+    ``|roots[j] - 1/conj(roots[i])|`` (first in (i, j) row-major order on
+    ties) and stops at the first one above `tol`.
     """
     if tol is None:
         tol = load_tolerances().pair_tol
     roots = [complex(r) for r in roots]
     k = len(roots)
+    r = np.array(roots, dtype=complex)
+    # gap[i, j] measures roots[j] against the partner target of roots[i]
+    gap = relative_gaps(r, 1.0 / np.conj(r)).T
+    self_gap = np.diagonal(gap).copy()
+    gap[np.isnan(gap)] = np.inf
+    np.fill_diagonal(gap, np.inf)
     unused = set(range(k))
     pairs: list[tuple[complex, complex]] = []
-    while len(unused) >= 2:
-        best = None
-        best_d = np.inf
-        for i in unused:
-            target = 1.0 / np.conj(roots[i])
-            for j in unused:
-                if i == j:
-                    continue
-                d = abs(roots[j] - target) / max(1.0, abs(target))
-                if d < best_d:
-                    best_d, best = d, (i, j)
-        if best is None or best_d > tol:
+    for _ in range(k // 2):
+        i, j = (int(v) for v in np.unravel_index(np.argmin(gap), gap.shape))
+        if np.isinf(gap[i, j]) or gap[i, j] > tol:
             break
-        i, j = best
         pairs.append((roots[i], roots[j]))
         unused -= {i, j}
+        gap[[i, j], :] = np.inf
+        gap[:, [i, j]] = np.inf
     for i in sorted(unused):
-        target = 1.0 / np.conj(roots[i])
-        if abs(roots[i] - target) / max(1.0, abs(target)) > tol:
+        if self_gap[i] > tol:
             raise PairingFailureError(
                 f"root {roots[i]:.6g} has no conjugate-reciprocal partner"
             )

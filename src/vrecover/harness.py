@@ -371,12 +371,24 @@ def _greedy_match(truth: np.ndarray, found: np.ndarray):
     return worst, perm
 
 
-def _phase_aligned_err(candidate: np.ndarray, truth: np.ndarray) -> float:
-    ip = np.vdot(candidate, truth)
-    if abs(ip) > 0:
-        candidate = candidate * (ip / abs(ip))
+def _phase_aligned_errs(candidates: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """Max relative gap of each row of a (K, S) stack to `truth`, after the
+    global phase that best aligns the row with it.
+
+    ``np.vecdot`` conjugates its first argument like ``np.vdot`` and
+    ``np.hypot`` rounds like ``abs`` of a complex scalar, so each error equals
+    the one-candidate-at-a-time computation bit for bit.
+    """
+    ip = np.vecdot(candidates, truth)
+    mod = np.hypot(ip.real, ip.imag)
+    rot = np.ones_like(ip)
+    rot[mod > 0] = ip[mod > 0] / mod[mod > 0]
     scale = max(float(np.max(np.abs(truth))), 1e-300)
-    return float(np.max(np.abs(candidate - truth)) / scale)
+    return np.max(np.abs(candidates * rot[:, None] - truth), axis=1) / scale
+
+
+def _phase_aligned_err(candidate: np.ndarray, truth: np.ndarray) -> float:
+    return float(_phase_aligned_errs(np.asarray(candidate)[None], truth)[0])
 
 
 @dataclass
@@ -511,15 +523,15 @@ def run_trial(payload: dict, tol: Tolerances | None = None) -> TrialRecord:
             expected = 2 if res.branch == BRANCH_DUAL else 2 ** max(res.S - 1, 0)
             count_ok = count == expected
             if perm is not None:
-                aligned = [np.asarray(c, dtype=complex)[perm] for c in res.candidates]
-                errs = [_phase_aligned_err(c, g_true) for c in aligned]
-                g_err = float(min(errs)) if errs else np.inf
+                aligned = np.array(res.candidates, dtype=complex).reshape(count, len(perm))
+                errs = _phase_aligned_errs(aligned[:, perm], g_true)
+                g_err = float(np.min(errs)) if count else np.inf
                 if mode == "r5":
                     ok = (
                         res.selected is not None
-                        and errs[res.selected] <= SUCCESS_TOL
+                        and bool(errs[res.selected] <= SUCCESS_TOL)
                     )
-                    g_err = errs[res.selected] if res.selected is not None else g_err
+                    g_err = float(errs[res.selected]) if res.selected is not None else g_err
                 else:
                     ok = g_err <= SUCCESS_TOL
                 success = theta_err <= SUCCESS_TOL and count_ok and ok

@@ -29,7 +29,9 @@ from .cpoly import (
     pair_conjugate_reciprocal,
     poly_eval,
     poly_roots,
+    relative_gaps,
     t_polynomial,
+    t_values,
 )
 from .errors import (
     AmbiguousDisambiguationError,
@@ -265,64 +267,97 @@ def magnitudes_general(theta, L: LaurentPoly, tol: Tolerances | None = None) -> 
 # candidate enumeration
 # ----------------------------------------------------------------------------
 
-def _normalize_candidate(g_raw: np.ndarray, rows: np.ndarray, y: np.ndarray,
-                         tol: Tolerances) -> np.ndarray:
-    """Scale a direction so |rows @ g|^2 fits y, then canonicalize the phase."""
-    pred = np.abs(rows @ g_raw) ** 2
-    denom = float(pred @ pred)
-    if not np.isfinite(denom) or denom <= 0:
-        raise DegenerateInstanceError("candidate direction predicts zero measurements")
-    alpha2 = float(y @ pred) / denom
-    if alpha2 <= 0:
-        raise DegenerateInstanceError("candidate scale came out nonpositive")
-    g = g_raw * np.sqrt(alpha2)
-    defect = float(np.max(np.abs(alpha2 * pred - y)))
-    if defect > tol.forward_tol * max(float(np.max(y)), 1e-300):
-        raise InconsistentSolutionError(
-            f"candidate fails the forward check by {defect:.3e}"
-        )
-    mags = np.abs(g)
-    k0 = int(np.argmax(mags > 1e-12 * max(float(np.max(mags)), 1e-300)))
-    return g * np.exp(-1j * np.angle(g[k0]))
+def _selection_nulls(M: np.ndarray, tol: Tolerances):
+    """Null directions and rank flags of a (K, S-1, S) stack of selection systems.
+
+    One full SVD of the stack gives both: the singular values for the rank
+    test and, for a full-rank system, its null direction conj(Vh[-1]).
+    """
+    _, sig, Vh = np.linalg.svd(M)
+    deficient = sig[:, -1] <= tol.rank_rel_tol * sig[:, 0] * max(M.shape[1:])
+    return np.conj(Vh[:, -1]), deficient
 
 
-def _dedup_and_sort(cands: list[np.ndarray], tol: Tolerances) -> list[np.ndarray]:
-    kept: list[np.ndarray] = []
-    for c in cands:
-        scale = max(1.0, float(np.max(np.abs(c))))
-        if not any(
-            len(c) == len(d) and np.max(np.abs(c - d)) <= tol.dedup_tol * scale
-            for d in kept
-        ):
-            kept.append(c)
-    kept.sort(key=lambda c: tuple((float(v.real), float(v.imag)) for v in c))
-    return kept
+def _normalize_candidates(G: np.ndarray, rows: np.ndarray, y: np.ndarray,
+                          tol: Tolerances, deficient: np.ndarray | None = None) -> np.ndarray:
+    """Scale each row of G so |rows @ g|^2 fits y, then canonicalize its phase.
+
+    The first nonnegligible entry of each candidate is made exactly real
+    positive. When rows fail, the first failing row raises, with the error of
+    the first check it fails; a row flagged in `deficient` fails before its
+    own checks run.
+    """
+    with np.errstate(all="ignore"):
+        pred = np.abs(G @ rows.T) ** 2
+        denom = np.sum(pred * pred, axis=1)
+        alpha2 = (pred @ y) / denom
+        defect = np.max(np.abs(alpha2[:, None] * pred - y), axis=1)
+    zero = ~np.isfinite(denom) | (denom <= 0)
+    nonpositive = ~zero & (alpha2 <= 0)
+    bound = tol.forward_tol * max(float(np.max(y)), 1e-300)
+    inconsistent = ~zero & ~nonpositive & (defect > bound)
+    if deficient is None:
+        deficient = np.zeros(len(G), dtype=bool)
+    failed = deficient | zero | nonpositive | inconsistent
+    if np.any(failed):
+        k = int(np.argmax(failed))
+        if deficient[k]:
+            raise DegenerateInstanceError("selection system rank-deficient")
+        if zero[k]:
+            raise DegenerateInstanceError("candidate direction predicts zero measurements")
+        if nonpositive[k]:
+            raise DegenerateInstanceError("candidate scale came out nonpositive")
+        raise InconsistentSolutionError(f"candidate fails the forward check by {defect[k]:.3e}")
+    G = G * np.sqrt(alpha2)[:, None]
+    mags = np.abs(G)
+    floor = 1e-12 * np.maximum(np.max(mags, axis=1, keepdims=True), 1e-300)
+    idx = np.arange(len(G))
+    lead = np.argmax(mags > floor, axis=1)
+    G = G * np.exp(-1j * np.angle(G[idx, lead]))[:, None]
+    G[idx, lead] = mags[idx, lead]
+    return G
+
+
+def _dedup_and_sort(cands: np.ndarray, tol: Tolerances) -> list[np.ndarray]:
+    """Distinct rows of a (K, S) candidate stack, in canonical order.
+
+    A candidate is dropped when every entry lies within
+    dedup_tol * max(1, max|c|) of an earlier kept one. The kept ones are
+    sorted lexicographically on (re c_0, im c_0, re c_1, ...) rounded to a grid
+    of dedup_tol times their largest modulus, so rounding noise far below the
+    dedup tolerance cannot reorder them.
+    """
+    scale = tol.dedup_tol * np.maximum(1.0, np.max(np.abs(cands), axis=1))
+    kept = np.empty_like(cands)
+    count = 0
+    for c, eps in zip(cands, scale):
+        if count == 0 or np.abs(kept[:count] - c).max(axis=1).min() > eps:
+            kept[count] = c
+            count += 1
+    kept = kept[:count]
+    grid = np.round(kept / (tol.dedup_tol * max(1.0, float(np.max(np.abs(kept))))))
+    keys = [part for col in grid.T for part in (col.real, col.imag)]
+    return list(kept[np.lexsort(keys[::-1])])
 
 
 def _enumerate_from_pairs(theta: np.ndarray, pairs, row_weight: np.ndarray,
                           rows: np.ndarray, y: np.ndarray, tol: Tolerances):
-    """One candidate per selection of a representative from each root pair."""
+    """One candidate per selection of a representative from each root pair.
+
+    Selections run in itertools.product order over the pairs. Every weighted
+    t_l value is computed once per pair root; each selection system is a
+    fancy-indexed slice of that table, and all of them are solved together.
+    """
     S = len(theta)
-    t_polys = [t_polynomial(theta, l) for l in range(S)]
-    cands = []
-    for selection in itertools.product(*pairs) if pairs else [()]:
-        if S == 1:
-            g_raw = np.ones(1, dtype=complex)
-        else:
-            M = np.array(
-                [
-                    [poly_eval(t_polys[l], q) * row_weight[l] for l in range(S)]
-                    for q in selection
-                ],
-                dtype=complex,
-            )
-            sig = np.linalg.svd(M, compute_uv=False)
-            if sig[-1] <= tol.rank_rel_tol * sig[0] * max(M.shape):
-                raise DegenerateInstanceError("selection system rank-deficient")
-            _, _, Vh = np.linalg.svd(M)
-            g_raw = np.conj(Vh[-1])
-        cands.append(_normalize_candidate(g_raw, rows, y, tol))
-    return _dedup_and_sort(cands, tol)
+    roots = np.array(pairs, dtype=complex).reshape(S - 1, 2)
+    # built for S == 1 too: t_values rejects a pole at zero
+    table = t_values(theta, roots.ravel()).reshape(S - 1, 2, S) * row_weight
+    if S == 1:
+        G, deficient = np.ones((1, 1), dtype=complex), None
+    else:
+        picks = np.array(list(itertools.product((0, 1), repeat=S - 1)))
+        G, deficient = _selection_nulls(table[np.arange(S - 1), picks], tol)
+    return _dedup_and_sort(_normalize_candidates(G, rows, y, tol, deficient), tol)
 
 
 def enumerate_candidates_harmonic(theta, q_block: LaurentPoly, gamma: float, n: int,
@@ -452,38 +487,30 @@ def split_and_enumerate_general(L: LaurentPoly, L_tilde: LaurentPoly, theta, n: 
             f"matched {len(matched)} roots between the split and the cross term, "
             f"expected {S - 1}"
         )
-    t_polys = [t_polynomial(theta, l) for l in range(S)]
-    M = np.array(
-        [[poly_eval(t_polys[l], q) for l in range(S)] for q in matched], dtype=complex
-    )
-    sig = np.linalg.svd(M, compute_uv=False)
-    if sig[S - 2] <= tol.rank_rel_tol * sig[0] * max(M.shape):
-        raise DegenerateInstanceError("selection system rank-deficient")
-    _, _, Vh = np.linalg.svd(M)
-    g_a = _normalize_candidate(np.conj(Vh[-1]), rows, y, tol)
-    g_b = _normalize_candidate(dual_transform(g_a, theta, n), rows, y, tol)
-    cands = _dedup_and_sort([g_a, g_b], tol)
+    G, deficient = _selection_nulls(t_values(theta, matched)[None], tol)
+    g_a = _normalize_candidates(G, rows, y, tol, deficient)[0]
+    g_b = _normalize_candidates(dual_transform(g_a, theta, n)[None], rows, y, tol)[0]
+    cands = _dedup_and_sort(np.stack([g_a, g_b]), tol)
     return cands, BRANCH_DUAL
 
 
 def _match_roots(pool: list, targets: list, tol: Tolerances) -> list:
-    """Greedy mutual matching; returns the pool values of matched pairs."""
+    """Greedy mutual matching; returns the pool values of matched pairs.
+
+    Each step takes the smallest remaining gap |pool_i - target_j| relative
+    to max(1, |target_j|), first in (i, j) row-major order on ties, and stops
+    at the first one above pair_tol.
+    """
+    gap = relative_gaps(pool, targets)
+    gap[np.isnan(gap)] = np.inf
     matched = []
-    pool = list(pool)
-    targets = list(targets)
-    while pool and targets:
-        best = None
-        best_d = np.inf
-        for i, pv in enumerate(pool):
-            for j, tv in enumerate(targets):
-                d = abs(pv - tv) / max(1.0, abs(tv))
-                if d < best_d:
-                    best_d, best = d, (i, j)
-        if best is None or best_d > tol.pair_tol:
+    for _ in range(min(gap.shape)):
+        i, j = (int(v) for v in np.unravel_index(np.argmin(gap), gap.shape))
+        if np.isinf(gap[i, j]) or gap[i, j] > tol.pair_tol:
             break
-        i, j = best
-        matched.append(pool.pop(i))
-        targets.pop(j)
+        matched.append(pool[i])
+        gap[i, :] = np.inf
+        gap[:, j] = np.inf
     return matched
 
 

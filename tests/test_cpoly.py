@@ -23,6 +23,7 @@ from vrecover.cpoly import (
     poly_roots,
     resultant,
     t_polynomial,
+    t_values,
 )
 from vrecover.errors import InvalidInputError, NotASquareError, PairingFailureError
 
@@ -338,6 +339,66 @@ def test_pair_conjugate_reciprocal_random():
         assert len(pairs) == k
         for a, b in pairs:
             assert abs(b - 1.0 / np.conj(a)) <= 1e-6 * max(1.0, abs(b))
+
+
+def test_pair_conjugate_reciprocal_matches_pairwise_scan():
+    """The greedy order, ties and cut-off of a full rescan on every step."""
+    def scan(roots, tol):
+        roots = [complex(r) for r in roots]
+        unused = set(range(len(roots)))
+        pairs = []
+        while len(unused) >= 2:
+            best, best_d = None, np.inf
+            for i in sorted(unused):
+                target = 1.0 / np.conj(roots[i])
+                for j in sorted(unused):
+                    d = abs(roots[j] - target) / max(1.0, abs(target))
+                    if i != j and d < best_d:
+                        best_d, best = d, (i, j)
+            if best is None or best_d > tol:
+                break
+            pairs.append((roots[best[0]], roots[best[1]]))
+            unused -= set(best)
+        for i in sorted(unused):
+            target = 1.0 / np.conj(roots[i])
+            if abs(roots[i] - target) / max(1.0, abs(target)) > tol:
+                return PairingFailureError
+            pairs.append((roots[i], roots[i]))
+        return pairs
+
+    rng = np.random.default_rng(53)
+    for trial in range(300):
+        k = int(rng.integers(0, 7))
+        inside = rng.uniform(0.3, 1.2, k) * np.exp(1j * rng.uniform(0, 2 * np.pi, k))
+        roots = np.concatenate([inside, 1.0 / np.conj(inside)])
+        roots = roots + 1e-5 * rng.standard_normal(len(roots)) * (trial % 2)
+        if trial % 5 == 0 and len(roots) > 2:
+            roots[2] = roots[1]
+        roots = roots[: len(roots) - trial % 3]
+        rng.shuffle(roots)
+        tol = (1e-6, 1e-4, 1e-2)[trial % 3]
+        want = scan(roots, tol)
+        if want is PairingFailureError:
+            with pytest.raises(PairingFailureError):
+                pair_conjugate_reciprocal(roots, tol)
+        else:
+            assert pair_conjugate_reciprocal(roots, tol) == want
+
+
+def test_t_values_match_horner():
+    rng = np.random.default_rng(59)
+    theta = np.exp(1j * rng.uniform(0, 2 * np.pi, 6))
+    points = rng.uniform(0.2, 3.0, 9) * np.exp(1j * rng.uniform(0, 2 * np.pi, 9))
+    table = t_values(theta, points)
+    assert table.shape == (9, 6)
+    for p, q in enumerate(points):
+        for l in range(6):
+            want = poly_eval(t_polynomial(theta, l), q)
+            assert abs(table[p, l] - want) <= 1e-12 * max(1.0, abs(want))
+    assert t_values([2.0], points).shape == (9, 1)
+    assert np.all(t_values([2.0], points) == 1.0)
+    with pytest.raises(InvalidInputError):
+        t_values([1.0, 0.0], points)
 
 
 def test_laurent_sqrt_constant():

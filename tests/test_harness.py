@@ -14,6 +14,7 @@ from vrecover.harness import (
     CSV_HEADER,
     ExperimentConfig,
     TrialRecord,
+    _phase_aligned_errs,
     _redraw_extra_row,
     check_payload_consistency,
     derive_seed,
@@ -409,3 +410,23 @@ def test_cli_montecarlo_table(tmp_path):
 
     # wall-clock column aside, reruns reproduce the table exactly
     assert strip_runtime(out_a) == strip_runtime(out_b)
+
+
+def test_phase_aligned_errs_match_one_at_a_time():
+    def one(candidate, truth):
+        ip = np.vdot(candidate, truth)
+        if abs(ip) > 0:
+            candidate = candidate * (ip / abs(ip))
+        scale = max(float(np.max(np.abs(truth))), 1e-300)
+        return float(np.max(np.abs(candidate - truth)) / scale)
+
+    rng = np.random.default_rng(83)
+    for S in range(1, 9):
+        truth = rng.standard_normal(S) + 1j * rng.standard_normal(S)
+        K = 2 ** (S - 1) + 1
+        phases = np.exp(1j * rng.uniform(0, 2 * np.pi, (K, 1)))
+        stack = truth * phases + 1e-9 * (
+            rng.standard_normal((K, S)) + 1j * rng.standard_normal((K, S))
+        )
+        stack[-1] = 0.0
+        assert np.array_equal(_phase_aligned_errs(stack, truth), [one(c, truth) for c in stack])

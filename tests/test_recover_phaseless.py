@@ -5,9 +5,20 @@ import itertools
 import numpy as np
 import pytest
 
-from vrecover.cpoly import LaurentPoly, laurent_eval
+from vrecover.config import load_tolerances
+from vrecover.cpoly import (
+    LaurentPoly,
+    laurent_eval,
+    laurent_to_poly,
+    pair_conjugate_reciprocal,
+    poly_eval,
+    poly_roots,
+    t_polynomial,
+)
 from vrecover.errors import (
     AmbiguousDisambiguationError,
+    DegenerateInstanceError,
+    InconsistentSolutionError,
     InvalidInputError,
     RecoveryFailureError,
     VRecoverError,
@@ -25,6 +36,8 @@ from vrecover.recover_phaseless import (
     BRANCH_DUAL,
     BRANCH_HARMONIC,
     PhaselessInstance,
+    _dedup_and_sort,
+    _enumerate_from_pairs,
     disambiguate,
     dual_transform,
     enumerate_candidates_harmonic,
@@ -178,6 +191,123 @@ def test_enumerate_harmonic_counts():
         # one of them is the planted signal up to global phase
         order = np.lexsort((np.abs(theta), np.angle(theta)))
         assert min(phase_aligned_gap(c, g[order]) for c in cands) <= 1e-6
+
+
+def reference_enumerate(theta, pairs, row_weight, rows, y, tol):
+    """One selection at a time: Horner-evaluated t_l, one SVD, scale, dedup."""
+    S = len(theta)
+    t_polys = [t_polynomial(theta, l) for l in range(S)]
+    kept = []
+    for selection in itertools.product(*pairs) if pairs else [()]:
+        if S == 1:
+            g = np.ones(1, dtype=complex)
+        else:
+            M = np.array(
+                [[poly_eval(t_polys[l], q) * row_weight[l] for l in range(S)]
+                 for q in selection],
+                dtype=complex,
+            )
+            _, sig, Vh = np.linalg.svd(M)
+            if sig[-1] <= tol.rank_rel_tol * sig[0] * max(M.shape):
+                raise DegenerateInstanceError("selection system rank-deficient")
+            g = np.conj(Vh[-1])
+        pred = np.abs(rows @ g) ** 2
+        denom = float(pred @ pred)
+        if not np.isfinite(denom) or denom <= 0:
+            raise DegenerateInstanceError("candidate direction predicts zero measurements")
+        alpha2 = float(y @ pred) / denom
+        if alpha2 <= 0:
+            raise DegenerateInstanceError("candidate scale came out nonpositive")
+        g = g * np.sqrt(alpha2)
+        defect = float(np.max(np.abs(alpha2 * pred - y)))
+        if defect > tol.forward_tol * max(float(np.max(y)), 1e-300):
+            raise InconsistentSolutionError(f"candidate fails the forward check by {defect:.3e}")
+        mags = np.abs(g)
+        k0 = int(np.argmax(mags > 1e-12 * float(np.max(mags))))
+        g = g * np.exp(-1j * np.angle(g[k0]))
+        scale = max(1.0, float(np.max(np.abs(g))))
+        if not any(np.max(np.abs(g - d)) <= tol.dedup_tol * scale for d in kept):
+            kept.append(g)
+    return kept
+
+
+def harmonic_enumeration_inputs(rng, s, gamma=0.7):
+    """Inputs of the harmonic enumeration, (theta, pairs, row_weight, rows, y),
+    for random instances whose support stage succeeds."""
+    n = 4 * s - 1
+    z = shifted_harmonics(n, n, gamma)
+    while True:
+        theta = draw_theta_dft(rng, n, s)
+        y = forward_phaseless(theta, draw_g(rng, s), z.array(), n)
+        try:
+            got, w, S = recover_support_harmonic(PhaselessInstance(n, s, y, z))
+        except VRecoverError:
+            continue
+        pairs = []
+        if S > 1:
+            p, _ = laurent_to_poly(LaurentPoly(w[2 * S + 1 : 4 * S][::-1], -(S - 1)))
+            pairs = pair_conjugate_reciprocal(poly_roots(p, 1e-8), 1e-6)
+        if len(pairs) == S - 1:
+            rows = vandermonde(z, n).T @ vandermonde(got, n)
+            yield got, pairs, np.exp(1j * gamma) * got**n - 1.0, rows, y
+
+
+def test_enumeration_matches_reference_loop():
+    """Same candidate set, or the same error, as one selection at a time."""
+    tol = load_tolerances()
+    rng = np.random.default_rng(4001)
+    for s in range(1, 9):
+        solved = 0
+        for args in itertools.islice(harmonic_enumeration_inputs(rng, s), 4):
+            try:
+                ref = reference_enumerate(*args, tol)
+            except VRecoverError as exc:
+                with pytest.raises(type(exc)) as got_err:
+                    _enumerate_from_pairs(*args, tol)
+                assert str(got_err.value) == str(exc)
+                continue
+            got = _enumerate_from_pairs(*args, tol)
+            assert len(got) == len(ref)
+            for c in got:
+                gap = min(np.max(np.abs(c - d)) for d in ref)
+                assert gap <= 1e-12 * max(1.0, np.max(np.abs(c)))
+            solved += 1
+        assert solved, f"no solvable s={s} instance"
+
+
+def test_enumeration_failures_match_reference_loop():
+    tol = load_tolerances()
+    rng = np.random.default_rng(4003)
+    theta, pairs, weight, rows, y = next(harmonic_enumeration_inputs(rng, 4))
+    # two equal picked roots: the first selection already has two equal rows
+    twin = [pairs[0], pairs[0]] + pairs[2:]
+    with pytest.raises(DegenerateInstanceError, match="rank-deficient"):
+        reference_enumerate(theta, twin, weight, rows, y, tol)
+    with pytest.raises(DegenerateInstanceError, match="rank-deficient"):
+        _enumerate_from_pairs(theta, twin, weight, rows, y, tol)
+    # one perturbed measurement: no selection fits the data any more
+    y_bad = y.copy()
+    y_bad[3] *= 1.01
+    with pytest.raises(InconsistentSolutionError) as ref_err:
+        reference_enumerate(theta, pairs, weight, rows, y_bad, tol)
+    with pytest.raises(InconsistentSolutionError) as got_err:
+        _enumerate_from_pairs(theta, pairs, weight, rows, y_bad, tol)
+    assert str(got_err.value) == str(ref_err.value)
+
+
+def test_candidate_order_ignores_rounding_noise():
+    tol = load_tolerances()
+    rng = np.random.default_rng(4007)
+    cands = np.array(_enumerate_from_pairs(*next(harmonic_enumeration_inputs(rng, 6)), tol))
+    # every candidate has a real lead entry of one common modulus, so the
+    # order rests on the later entries alone
+    assert np.all(cands[:, 0].imag == 0)
+    assert np.ptp(cands[:, 0].real) <= 1e-12 * np.max(np.abs(cands))
+    for _ in range(5):
+        noise = rng.standard_normal(cands.shape) + 1j * rng.standard_normal(cands.shape)
+        shuffled = rng.permutation(len(cands))
+        moved = np.array(_dedup_and_sort(cands[shuffled] + 1e-13 * noise[shuffled], tol))
+        assert np.max(np.abs(moved - cands)) <= 1e-12
 
 
 def test_candidate_magnitude_consensus():
