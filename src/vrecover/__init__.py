@@ -60,7 +60,6 @@ from .structmat import (
     null_space,
     pinv_solve,
     shifted_harmonics,
-    three_group_samples,
     vandermonde,
 )
 

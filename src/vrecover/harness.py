@@ -444,9 +444,9 @@ def _redraw_extra_row(payload: dict, attempt: int) -> dict:
     return fresh
 
 
-def _recover_with_redraw(payload: dict, recover, tol: Tolerances, notes: list):
-    """Run a disambiguating recovery, redrawing the extra row when ambiguous."""
-    inst = instance_from_payload(payload)
+def _recover_with_redraw(inst, payload: dict, recover, tol: Tolerances, notes: list):
+    """Run a disambiguating recovery of `inst`, the instance of `payload`,
+    redrawing the extra row when ambiguous."""
     for attempt in range(4):
         try:
             return recover(inst, tol)
@@ -504,7 +504,7 @@ def run_trial(payload: dict, tol: Tolerances | None = None) -> TrialRecord:
             x_true = unpairs(payload["x"])
             nz = np.flatnonzero(np.abs(x_true) > 0)
             x_canon = x_true * np.exp(-1j * np.angle(x_true[nz[0]]))
-            x = _recover_with_redraw(payload, recover_r3, tol, notes)
+            x = _recover_with_redraw(inst, payload, recover_r3, tol, notes)
             supp_true = set(nz.tolist())
             supp = set(np.flatnonzero(np.abs(x) > 1e-12).tolist())
             S = len(supp)
@@ -514,7 +514,7 @@ def run_trial(payload: dict, tol: Tolerances | None = None) -> TrialRecord:
             )
             success = supp == supp_true and g_err <= SUCCESS_TOL
         else:
-            res = _recover_with_redraw(payload, recover_r5, tol, notes)
+            res = _recover_with_redraw(inst, payload, recover_r5, tol, notes)
             S = res.S
             branch = res.branch
             count = len(res.candidates)

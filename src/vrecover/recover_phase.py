@@ -101,11 +101,15 @@ def _descend(builder, s_max: int, tol: Tolerances):
     direction survives we accept it and attach a conditioning warning.  The
     accepted vector is refined in extended precision because its raw
     accuracy degrades with the same conditioning that confused the count.
+
+    Each built matrix is factorised once: the rank decision, the tightened
+    recount and the refinement's pseudo-inverse all read the same SVD. The
+    thresholds and the gap warning come from `tol`.
     """
     diagnostics = []
     for s_try in range(s_max, 0, -1):
         matrix = builder(s_try)
-        ns = null_space(matrix, tol.rank_rel_tol)
+        ns = null_space(matrix, tol.rank_rel_tol, tol.gap_ratio)
         entry = {
             "s": s_try,
             "dimension": ns.dimension,
@@ -114,15 +118,17 @@ def _descend(builder, s_max: int, tol: Tolerances):
         }
         diagnostics.append(entry)
         if ns.dimension == 1:
-            return s_try, refine_null_vector(matrix, ns.basis[:, 0]), diagnostics
+            w = refine_null_vector(matrix, ns.basis[:, 0], factors=ns.factors)
+            return s_try, w, diagnostics
         if ns.dimension >= 2:
-            tight = null_space(matrix, tol.rank_rel_tol * 1e-4)
+            tight = ns.recount(tol.rank_rel_tol * 1e-4)
             if tight.dimension == 1:
                 entry["dimension"] = 1
                 entry["warnings"].append(
                     "conditioning-warning: null dimension resolved at tightened threshold"
                 )
-                return s_try, refine_null_vector(matrix, tight.basis[:, 0]), diagnostics
+                w = refine_null_vector(matrix, tight.basis[:, 0], factors=ns.factors)
+                return s_try, w, diagnostics
         if ns.dimension == 0:
             raise RecoveryFailureError(
                 f"null space dimension 0 at s={s_try}: data inconsistent with the model"

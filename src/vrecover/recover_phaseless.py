@@ -27,10 +27,8 @@ from .cpoly import (
     laurent_sqrt,
     laurent_to_poly,
     pair_conjugate_reciprocal,
-    poly_eval,
     poly_roots,
     relative_gaps,
-    t_polynomial,
     t_values,
 )
 from .errors import (
@@ -46,7 +44,7 @@ from .errors import (
     NumericalFailureError,
     PairingFailureError,
 )
-from .recover_phase import _canonical_order, _descend
+from .recover_phase import _canonical_order, _descend, _min_pairwise
 from .structmat import SampleSet, build_G, build_Gtilde, vandermonde
 
 BRANCH_HARMONIC = "Harmonic2pow"
@@ -236,15 +234,13 @@ def magnitudes_harmonic(theta, q_block: LaurentPoly, gamma: float, n: int,
     if tol is None:
         tol = load_tolerances()
     theta = np.asarray(theta, dtype=complex)
+    points = np.conj(theta)
+    denom = np.diagonal(t_values(theta, points)) * (np.exp(1j * gamma) * theta**n - 1.0)
     out = []
     for k in range(len(theta)):
-        point = np.conj(theta[k])
-        denom = poly_eval(t_polynomial(theta, k), point) * (
-            np.exp(1j * gamma) * theta[k] ** n - 1.0
-        )
-        if abs(denom) < 1e-12:
+        if abs(denom[k]) < 1e-12:
             raise DegenerateSupportError("magnitude denominator vanished")
-        out.append(float(laurent_eval(q_block, point).real) / abs(denom) ** 2)
+        out.append(float(laurent_eval(q_block, points[k]).real) / abs(denom[k]) ** 2)
     return _positivity_check(out, tol)
 
 
@@ -253,13 +249,13 @@ def magnitudes_general(theta, L: LaurentPoly, tol: Tolerances | None = None) -> 
     if tol is None:
         tol = load_tolerances()
     theta = np.asarray(theta, dtype=complex)
+    points = np.conj(theta)
+    t_val = np.diagonal(t_values(theta, points))
     out = []
     for k in range(len(theta)):
-        point = np.conj(theta[k])
-        t_val = poly_eval(t_polynomial(theta, k), point)
-        if abs(t_val) < 1e-12:
+        if abs(t_val[k]) < 1e-12:
             raise DegenerateSupportError("magnitude denominator vanished")
-        out.append(float(laurent_eval(L, point).real) / (2.0 * abs(t_val) ** 2))
+        out.append(float(laurent_eval(L, points[k]).real) / (2.0 * abs(t_val[k]) ** 2))
     return _positivity_check(out, tol)
 
 
@@ -655,11 +651,3 @@ def recover_r3(inst: PhaselessInstance, tol: Tolerances | None = None) -> np.nda
     if np.max(np.abs(predicted - y)) > tol.forward_tol * float(np.max(y)):
         raise InconsistentSolutionError("snapped solution fails the forward check")
     return x
-
-
-def _min_pairwise(values: np.ndarray) -> float:
-    best = np.inf
-    for i in range(len(values)):
-        for j in range(i):
-            best = min(best, abs(values[i] - values[j]))
-    return float(best)

@@ -86,28 +86,6 @@ def shifted_harmonics(n: int, m: int, gamma: float) -> SampleSet:
     return SampleSet(z, mode=HARMONIC, gamma=gamma, n=n)
 
 
-def three_group_samples(n: int, s: int, gamma: float, omega: float, phi: float) -> SampleSet:
-    """Three stacked shifted-harmonic groups of sizes 4s-1, 2s-1, 2s-1.
-
-    The rotation angles must be pairwise compatible: e^{i*omega} != e^{i*gamma},
-    e^{i*phi} != e^{i*gamma}, and the printed cross condition below. Returns an
-    Arbitrary-mode sample set (the groups have different nth powers).
-    """
-    eg, eo, ep = np.exp(1j * gamma), np.exp(1j * omega), np.exp(1j * phi)
-    if abs(eo - eg) < 1e-9 or abs(ep - eg) < 1e-9:
-        raise InvalidInputError("group rotations collide with gamma")
-    if abs((ep - eg) * (np.conj(eo) - np.conj(eg)) - (np.conj(ep) - np.conj(eg))) < 1e-9:
-        raise InvalidInputError("third-group cross condition violated")
-    if n < 4 * s - 1:
-        raise InvalidInputError("need n >= 4s-1 for the leading group")
-    parts = [
-        shifted_harmonics(n, 4 * s - 1, gamma).array(),
-        shifted_harmonics(n, 2 * s - 1, omega).array(),
-        shifted_harmonics(n, 2 * s - 1, phi).array(),
-    ]
-    return SampleSet(np.concatenate(parts), mode=ARBITRARY)
-
-
 # ----------------------------------------------------------------------------
 # system matrices
 # ----------------------------------------------------------------------------
@@ -236,67 +214,123 @@ def build_Gtilde(z, y, s: int) -> np.ndarray:
 # ----------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class SVDFactors:
+    """One full SVD of a matrix of `shape`: M = u[:, :k] diag(s) vh[:k], k = len(s)."""
+
+    u: np.ndarray
+    s: np.ndarray
+    vh: np.ndarray
+    shape: tuple[int, int]
+
+    def pinv_apply(self, r: np.ndarray, rcond: float) -> np.ndarray:
+        """pinv(M) @ r as V_r diag(1/s_r) U_r^H r over the s_r > rcond * s_max.
+
+        Keeps the same directions as ``np.linalg.pinv(M, rcond)`` without
+        forming the pseudo-inverse or factorising M again.
+        """
+        # s is sorted descending, so the kept directions are a prefix
+        k = int(np.count_nonzero(self.s > rcond * self.s[0]))
+        return self.vh[:k].conj().T @ ((self.u[:, :k].conj().T @ r) / self.s[:k])
+
+
+def svd_factors(M: np.ndarray) -> SVDFactors:
+    """Full SVD of M (u and vh square), kept for reuse."""
+    M = np.asarray(M, dtype=complex)
+    u, sv, vh = np.linalg.svd(M)
+    return SVDFactors(u, sv, vh, M.shape)
+
+
+@dataclass(frozen=True)
 class NullSpaceResult:
     dimension: int
     basis: np.ndarray  # columns are orthonormal null vectors, shape (cols, dimension)
     singular_values: np.ndarray
     warnings: tuple[str, ...] = field(default=())
+    # the factorisation the decision was read from; recount() and
+    # refine_null_vector() reuse it instead of running another SVD
+    factors: SVDFactors | None = field(default=None, repr=False)
+    gap_ratio: float | None = None
+
+    def recount(self, rank_rel_tol: float) -> "NullSpaceResult":
+        """The rank decision at another threshold, from the stored factors.
+
+        Equal, bit for bit, to ``null_space(M, rank_rel_tol, gap_ratio)`` on
+        the matrix these factors came from.
+        """
+        return _rank_decision(self.factors, rank_rel_tol, self.gap_ratio)
 
 
-def null_space(M: np.ndarray, rank_rel_tol: float | None = None) -> NullSpaceResult:
-    """Right null space of M with an auditable rank decision.
-
-    A singular value counts as zero when it is at most
-    ``rank_rel_tol * sigma_max * max(rows, cols)``. When the kept/discarded
-    gap is narrower than the configured ratio, a conditioning warning is
-    attached instead of failing.
-    """
-    cfg = load_tolerances()
-    if rank_rel_tol is None:
-        rank_rel_tol = cfg.rank_rel_tol
-    M = np.asarray(M, dtype=complex)
-    if M.size == 0:
-        raise InvalidInputError("null_space of an empty matrix")
-    _, sv, vh = np.linalg.svd(M)
-    ncols = M.shape[1]
+def _rank_decision(factors: SVDFactors, rank_rel_tol: float, gap_ratio: float) -> NullSpaceResult:
+    sv, ncols = factors.s, factors.shape[1]
     sv_full = np.concatenate([sv, np.zeros(ncols - len(sv))]) if ncols > len(sv) else sv
     smax = sv_full[0] if len(sv_full) else 0.0
-    threshold = rank_rel_tol * smax * max(M.shape)
+    threshold = rank_rel_tol * smax * max(factors.shape)
     dimension = int(np.sum(sv_full <= threshold))
     rank = ncols - dimension
     warnings: list[str] = []
     if 0 < rank < ncols:
         kept = sv_full[rank - 1]
         discarded = sv_full[rank]
-        if discarded > 0 and kept / discarded < cfg.gap_ratio:
+        if discarded > 0 and kept / discarded < gap_ratio:
             warnings.append(
                 f"conditioning-warning: singular value gap {kept / discarded:.2e} "
-                f"below {cfg.gap_ratio:.0e} at rank {rank}"
+                f"below {gap_ratio:.0e} at rank {rank}"
             )
-        elif discarded == 0 and kept <= threshold * cfg.gap_ratio:
+        elif discarded == 0 and kept <= threshold * gap_ratio:
             warnings.append("conditioning-warning: rank decision near threshold")
-    basis = vh[rank:].conj().T if dimension else np.zeros((ncols, 0), dtype=complex)
-    return NullSpaceResult(dimension, basis, sv_full, tuple(warnings))
+    basis = (
+        factors.vh[rank:].conj().T if dimension else np.zeros((ncols, 0), dtype=complex)
+    )
+    return NullSpaceResult(dimension, basis, sv_full, tuple(warnings), factors, gap_ratio)
 
 
-def refine_null_vector(M: np.ndarray, w: np.ndarray, steps: int = 2) -> np.ndarray:
+def null_space(M: np.ndarray, rank_rel_tol: float | None = None,
+               gap_ratio: float | None = None) -> NullSpaceResult:
+    """Right null space of M with an auditable rank decision.
+
+    A singular value counts as zero when it is at most
+    ``rank_rel_tol * sigma_max * max(rows, cols)``. When the kept/discarded
+    gap is narrower than `gap_ratio`, a conditioning warning is attached
+    instead of failing. Either bound left as None comes from
+    ``load_tolerances()``.
+
+    This is the one SVD of M: the result carries its factors, so a recount
+    at another threshold (``recount``) and the pseudo-inverse of the
+    refinement (``refine_null_vector(..., factors=...)``) need no other.
+    """
+    if rank_rel_tol is None or gap_ratio is None:
+        cfg = load_tolerances()
+        rank_rel_tol = cfg.rank_rel_tol if rank_rel_tol is None else rank_rel_tol
+        gap_ratio = cfg.gap_ratio if gap_ratio is None else gap_ratio
+    M = np.asarray(M, dtype=complex)
+    if M.size == 0:
+        raise InvalidInputError("null_space of an empty matrix")
+    return _rank_decision(svd_factors(M), rank_rel_tol, gap_ratio)
+
+
+def refine_null_vector(M: np.ndarray, w: np.ndarray, steps: int = 2,
+                       factors: SVDFactors | None = None) -> np.ndarray:
     """Iteratively refine an approximate null vector of M.
 
     The SVD delivers the null vector with error about eps * smax / snext,
     which degrades badly when the smallest nonzero singular value is tiny.
     Computing the residual in extended precision and projecting it back
-    through the pseudo-inverse removes the dominant error term.
+    through the pseudo-inverse removes the dominant error term. The
+    pseudo-inverse is applied from `factors`, the SVD of M that the null
+    space came from (``NullSpaceResult.factors``); without them M is
+    factorised here.
     """
     M = np.asarray(M, dtype=complex)
     w = np.asarray(w, dtype=complex)
-    # keep directions down to the tightened rank threshold; anything below
-    # is treated as null and must not be "corrected"
-    pinv = np.linalg.pinv(M, rcond=1e-12)
+    if factors is None:
+        factors = svd_factors(M)
     Mq = M.astype(np.clongdouble)
     wq = w.astype(np.clongdouble)
     for _ in range(steps):
         residual = np.asarray(Mq @ wq, dtype=np.clongdouble)
-        delta = pinv @ residual.astype(complex)
+        # keep directions down to the tightened rank threshold; anything
+        # below is treated as null and must not be "corrected"
+        delta = factors.pinv_apply(residual.astype(complex), rcond=1e-12)
         wq = wq - delta.astype(np.clongdouble)
         norm = np.linalg.norm(wq.astype(complex))
         if norm == 0:

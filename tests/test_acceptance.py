@@ -97,7 +97,9 @@ def phaseless_trials(mode, sample_mode, s, trials, master_seed):
         notes: list = []
         try:
             if mode == "r5":
-                res = _recover_with_redraw(payload, recover_r5, tol, notes)
+                res = _recover_with_redraw(
+                    instance_from_payload(payload), payload, recover_r5, tol, notes
+                )
             else:
                 res = recover_r5(instance_from_payload(payload), tol)
         except VRecoverError as exc:

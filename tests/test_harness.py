@@ -227,6 +227,22 @@ def test_run_campaign_and_write_csv(tmp_path):
     assert all("," not in r.warnings for r in records)
 
 
+def test_campaign_tolerances_reach_the_rank_decision(monkeypatch):
+    # a gap_ratio set in the campaign config must act like the same value
+    # set through the environment
+    monkeypatch.delenv("VRECOVER_TOL_OVERRIDES", raising=False)
+    base = config_dict(s_list=[4], m_rule="4s", trials=5, master_seed=1,
+                       sample_mode="arbitrary")
+    plain, _ = run_campaign(ExperimentConfig.from_dict(base))
+    config = ExperimentConfig.from_dict(dict(base, tolerances={"gap_ratio": 1e30}))
+    records, _ = run_campaign(config)
+    assert not any("singular value gap" in r.warnings for r in plain)
+    assert all("singular value gap" in r.warnings for r in records)
+    monkeypatch.setenv("VRECOVER_TOL_OVERRIDES", json.dumps({"gap_ratio": 1e30}))
+    from_env, _ = run_campaign(ExperimentConfig.from_dict(base))
+    assert [r.warnings for r in from_env] == [r.warnings for r in records]
+
+
 def test_redraw_extra_row_keeps_truth():
     config = ExperimentConfig.from_dict(
         config_dict(mode="r5", s_list=[2], n_rule="4s-1", m_rule="8s-3",

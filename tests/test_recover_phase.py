@@ -1,8 +1,10 @@
 """Phase-aware recovery: the descending null-space search and grid decoding."""
 
 import numpy as np
+import numpy.linalg._linalg as np_linalg_impl
 import pytest
 
+from vrecover.config import Tolerances
 from vrecover.errors import (
     DegenerateSupportError,
     InvalidInputError,
@@ -11,12 +13,15 @@ from vrecover.errors import (
 from vrecover.oracle import brute_force_cs, draw_g, draw_theta_disk, forward_phase
 from vrecover.recover_phase import (
     PhaseInstance,
+    _descend,
     recover_g,
     recover_r1,
     recover_r2,
 )
 from vrecover.structmat import (
     SampleSet,
+    build_A,
+    build_B,
     pinv_solve,
     shifted_harmonics,
     vandermonde,
@@ -244,3 +249,68 @@ def test_recover_r2_requires_grid():
     z = shifted_harmonics(4, 4, 0.0)
     with pytest.raises(InvalidInputError):
         recover_r2(PhaseInstance(4, 1, np.ones(4), z))
+
+
+def _count_svds(monkeypatch):
+    """Count every SVD numpy runs, also those inside pinv or matrix_rank."""
+    calls = []
+    original = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    # pinv and friends call the implementation module's binding
+    monkeypatch.setattr(np_linalg_impl, "svd", counted)
+    return calls
+
+
+def _counting_builder(build):
+    built = []
+
+    def builder(s):
+        built.append(s)
+        return build(s)
+
+    return builder, built
+
+
+def test_descend_factorises_each_matrix_once(monkeypatch):
+    rng = np.random.default_rng(367)
+    tol = Tolerances()
+    # descent: a harmonic instance of sparsity 1 searched from s_max = 3
+    z = shifted_harmonics(6, 6, 0.4)
+    y = forward_phase([1.7], [2.0], z.array(), 6)
+    harmonic = lambda s: build_B(z, y, s)
+    # one step: arbitrary samples at the true sparsity
+    theta, g = draw_theta_disk(rng, 3), draw_g(rng, 3)
+    za = SampleSet(tuple(disk_points(rng, 9)))
+    ya = forward_phase(theta, g, za.array(), 7)
+    arbitrary = lambda s: build_A(za, ya, 7, s)
+    # a count of two that the tightened recount resolves to one
+    U = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))[0]
+    V = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))[0]
+    M = (U * [1.0, 0.5, 0.1, 1e-3, 1e-11]) @ np.conj(V[:, :5].T)
+    tight = lambda s: M
+    for build, s_max, S_want, steps in ((harmonic, 3, 1, 3), (arbitrary, 3, 3, 1),
+                                        (tight, 1, 1, 1)):
+        calls = _count_svds(monkeypatch)
+        builder, built = _counting_builder(build)
+        S, w, diags = _descend(builder, s_max, tol)
+        monkeypatch.undo()
+        assert S == S_want and len(built) == steps
+        assert len(calls) == len(built)
+        assert np.linalg.norm(build(S) @ w) <= 1e-9 * np.linalg.norm(build(S))
+    assert "resolved at tightened threshold" in diags[-1]["warnings"][-1]
+
+
+def test_descend_reads_gap_ratio_from_tolerances(monkeypatch):
+    monkeypatch.delenv("VRECOVER_TOL_OVERRIDES", raising=False)
+    z = SampleSet(tuple(disk_points(np.random.default_rng(373), 9)))
+    y = forward_phase([0.8j, 1.3], [1.0, -2.0], z.array(), 4)
+    builder = lambda s: build_A(z, y, 4, s)
+    _, _, quiet = _descend(builder, 2, Tolerances())
+    _, _, loud = _descend(builder, 2, Tolerances(gap_ratio=1e30))
+    assert not any("singular value gap" in w for w in quiet[-1]["warnings"])
+    assert any("singular value gap" in w for w in loud[-1]["warnings"])

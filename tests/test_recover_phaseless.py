@@ -8,6 +8,8 @@ import pytest
 from vrecover.config import load_tolerances
 from vrecover.cpoly import (
     LaurentPoly,
+    laurent_add,
+    laurent_conj,
     laurent_eval,
     laurent_to_poly,
     pair_conjugate_reciprocal,
@@ -168,6 +170,30 @@ def test_magnitudes_uniform_weights():
     q = LaurentPoly(w[2 * S + 1 : 4 * S][::-1], -(S - 1))
     profile = np.array(magnitudes_harmonic(got, q, gamma, n))
     assert np.max(np.abs(profile - profile[0])) <= 1e-6 * profile[0]
+
+
+def test_magnitudes_match_horner_form():
+    """The t_values profiles equal the per-k Horner evaluation within 1e-12."""
+    rng = np.random.default_rng(423)
+    for s in (1, 3, 6, 8):
+        n = 4 * s - 1
+        gamma = float(rng.uniform(0.2, 2 * np.pi - 0.2))
+        theta = draw_theta_circle(rng, s)
+        q = LaurentPoly(rng.normal(size=2 * s - 1) + 1j * rng.normal(size=2 * s - 1), -(s - 1))
+        L = laurent_add(q, laurent_conj(q))
+        L = laurent_add(L, LaurentPoly([10.0 * s], 0))
+        t_horner = np.array([poly_eval(t_polynomial(theta, k), np.conj(theta[k]))
+                             for k in range(s)])
+        twist = np.exp(1j * gamma) * theta**n - 1.0
+        old_h = [laurent_eval(L, np.conj(th)).real / abs(t * w) ** 2
+                 for th, t, w in zip(theta, t_horner, twist)]
+        old_g = [laurent_eval(L, np.conj(th)).real / (2.0 * abs(t) ** 2)
+                 for th, t in zip(theta, t_horner)]
+        tol = load_tolerances()
+        new_h = magnitudes_harmonic(theta, L, gamma, n, tol)
+        new_g = magnitudes_general(theta, L, tol)
+        assert np.max(np.abs(np.subtract(new_h, old_h))) <= 1e-12 * max(np.abs(old_h))
+        assert np.max(np.abs(np.subtract(new_g, old_g))) <= 1e-12 * max(np.abs(old_g))
 
 
 def test_enumerate_harmonic_counts():

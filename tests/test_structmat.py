@@ -16,6 +16,7 @@ from vrecover.structmat import (
     pinv_solve,
     refine_null_vector,
     shifted_harmonics,
+    svd_factors,
     vandermonde,
 )
 
@@ -310,6 +311,98 @@ def test_refine_null_vector_improves_accuracy():
     w = refine_null_vector(M, w0)
     assert np.linalg.norm(M @ w) <= np.linalg.norm(M @ w0) + 1e-15
     assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
+
+
+def _with_singular_values(rng, rows, cols, sv):
+    """A complex rows x cols matrix with the given singular values."""
+    def unitary(k):
+        return np.linalg.qr(rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k)))[0]
+
+    S = np.zeros((rows, cols))
+    S[np.arange(len(sv)), np.arange(len(sv))] = sv
+    return unitary(rows) @ S @ np.conj(unitary(cols).T)
+
+
+# square, tall, and the 45x46 shape of the widest phaseless system
+_SHAPES = [(8, 8), (12, 9), (45, 46)]
+
+
+def _graded(rng, rows, cols, decades, null=True):
+    sv = np.logspace(0, -decades, min(rows, cols))
+    if null and rows >= cols:
+        sv[-1] = 0.0
+    return _with_singular_values(rng, rows, cols, sv)
+
+
+def test_recount_matches_fresh_null_space():
+    rng = np.random.default_rng(113)
+    cases = [_graded(rng, r, c, d) for r, c in _SHAPES for d in (6, 9, 11)]
+    # a wide system whose count changes at the tightened threshold
+    cases.append(_with_singular_values(rng, 5, 6, [1.0, 0.5, 0.1, 1e-3, 1e-11]))
+    cases.append(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    for M in cases:
+        for gap_ratio in (1e3, 1e30):
+            ns = null_space(M, 1e-8, gap_ratio)
+            for tighter in (1e-8, 1e-12, 1e-15):
+                got = ns.recount(tighter)
+                want = null_space(M, tighter, gap_ratio)
+                assert got.dimension == want.dimension
+                assert np.array_equal(got.basis, want.basis)
+                assert np.array_equal(got.singular_values, want.singular_values)
+                assert got.warnings == want.warnings
+    # the case built for it does change its count
+    ns = null_space(cases[-2], 1e-8)
+    assert (ns.dimension, ns.recount(1e-12).dimension) == (2, 1)
+
+
+def test_null_space_gap_ratio_argument():
+    M = np.diag([1.0, 1e-5, 1e-12])
+    assert not null_space(M, 1e-8).warnings
+    assert any("singular value gap" in w for w in null_space(M, 1e-8, 1e30).warnings)
+
+
+def _refine_with_pinv(M, w, steps=2):
+    """Reference refinement through an explicit np.linalg.pinv."""
+    pinv = np.linalg.pinv(M, rcond=1e-12)
+    Mq = M.astype(np.clongdouble)
+    wq = w.astype(np.clongdouble)
+    for _ in range(steps):
+        residual = np.asarray(Mq @ wq, dtype=np.clongdouble)
+        wq = wq - (pinv @ residual.astype(complex)).astype(np.clongdouble)
+        wq = wq / np.linalg.norm(wq.astype(complex))
+    return wq.astype(complex)
+
+
+def test_refine_from_factors_matches_pinv_reference():
+    # up to a condition number of 1e8 the refined vector agrees with the
+    # pinv route; beyond that two separate SVDs of M pick the smallest
+    # singular directions differently by more than 1e-14, and both routes
+    # end at the rounding floor of the residual
+    rng = np.random.default_rng(127)
+    for rows, cols in _SHAPES:
+        for decades in (4, 6, 8):
+            for _ in range(5):
+                M = _graded(rng, rows, cols, decades)
+                ns = null_space(M, 10.0 ** (-decades - 3))
+                w0 = ns.basis[:, 0]
+                got = refine_null_vector(M, w0, factors=ns.factors)
+                assert np.max(np.abs(got - _refine_with_pinv(M, w0))) <= 1e-14
+                assert np.max(np.abs(refine_null_vector(M, w0) - got)) <= 1e-14
+
+
+def test_pinv_apply_matches_numpy_pinv():
+    rng = np.random.default_rng(131)
+    for rows, cols in _SHAPES + [(9, 12)]:
+        k = min(rows, cols)
+        sv = np.logspace(0, -11, k)
+        # straddle the 1e-12 cutoff: one direction kept, one dropped
+        sv[-2:] = [3e-12, 3e-13]
+        for M in (_graded(rng, rows, cols, 11, null=False),
+                  _with_singular_values(rng, rows, cols, sv)):
+            r = rng.normal(size=rows) + 1j * rng.normal(size=rows)
+            want = np.linalg.pinv(M, rcond=1e-12) @ r
+            got = svd_factors(M).pinv_apply(r, rcond=1e-12)
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
 def test_pinv_solve_basics():
