@@ -1,9 +1,12 @@
 """Numerical tolerances, centralized and overridable.
 
 The environment variable ``VRECOVER_TOL_OVERRIDES`` may hold a JSON object
-whose keys are field names of :class:`Tolerances`; it is read each time
-:func:`load_tolerances` is called, so experiments can corrupt a single knob
-(for example ``{"rank_rel_tol": 1.0}``) and observe the self-test fail.
+whose keys are field names of :class:`Tolerances`, so experiments can
+corrupt a single knob (for example ``{"rank_rel_tol": 1.0}``) and observe
+the self-test fail. :func:`load_tolerances` reads it; only the entry points
+call that (each CLI command and campaign once, and ``recover_r*`` or
+``run_trial`` when called without a ``Tolerances``). Everything below them
+is handed its bounds and never reads the environment.
 """
 
 import dataclasses

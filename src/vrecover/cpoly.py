@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Tolerances, load_tolerances
 from .errors import (
     InvalidInputError,
     NotASquareError,
@@ -131,14 +130,12 @@ def poly_from_roots(roots, leading: complex = 1.0) -> Poly:
     return Poly(p)
 
 
-def poly_roots(p: Poly, tol_root: float | None = None) -> np.ndarray:
+def poly_roots(p: Poly, tol_root: float) -> np.ndarray:
     """All complex roots of `p` via eigenvalues of the companion matrix.
 
     The residual of every returned root is certified against
     ``tol_root * max|coeffs| * max(1, |root|)**degree``.
     """
-    if tol_root is None:
-        tol_root = load_tolerances().tol_root
     if p.is_zero():
         raise InvalidInputError("roots of the zero polynomial are undefined")
     if p.degree() == 0:
@@ -336,7 +333,7 @@ def relative_gaps(values, targets) -> np.ndarray:
     return np.hypot(diff.real, diff.imag) / scale[None, :]
 
 
-def pair_conjugate_reciprocal(roots, tol: float | None = None):
+def pair_conjugate_reciprocal(roots, tol: float):
     """Partition `roots` into conjugate-reciprocal pairs ``(r, 1/conj(r))``.
 
     Cross pairs are preferred; a root within `tol` of the unit circle may
@@ -347,8 +344,6 @@ def pair_conjugate_reciprocal(roots, tol: float | None = None):
     ``|roots[j] - 1/conj(roots[i])|`` (first in (i, j) row-major order on
     ties) and stops at the first one above `tol`.
     """
-    if tol is None:
-        tol = load_tolerances().pair_tol
     roots = [complex(r) for r in roots]
     k = len(roots)
     r = np.array(roots, dtype=complex)
@@ -376,15 +371,42 @@ def pair_conjugate_reciprocal(roots, tol: float | None = None):
     return pairs
 
 
-def laurent_sqrt(D: LaurentPoly, tol: float | None = None) -> LaurentPoly:
+def halve_doubled_roots(roots, radius: float, error: type[Exception],
+                        odd_message: str, gap_message: str) -> list:
+    """The midpoint of each pair of nearly equal `roots`.
+
+    Roots are taken from the end of the list, each with its nearest remaining
+    root; distances are relative to ``max(1, |r|)``. A partner counts when it
+    is within `radius`, or within 5% of the distance to the next-nearest
+    root. A root left alone raises ``error(odd_message)``, a partner too far
+    away ``error(gap_message.format(gap=...))``.
+    """
+    roots = list(roots)
+    halved = []
+    while roots:
+        r = roots.pop()
+        if not roots:
+            raise error(odd_message)
+        dists = [abs(r - other) / max(1.0, abs(r)) for other in roots]
+        jmin = int(np.argmin(dists))
+        # the partner of a noise-split double root is still far closer
+        # than any root from another cluster
+        rest = [d for k, d in enumerate(dists) if k != jmin]
+        allow = max(radius, 0.05 * min(rest)) if rest else radius
+        if dists[jmin] > allow:
+            raise error(gap_message.format(gap=dists[jmin]))
+        halved.append((r + roots.pop(jmin)) / 2.0)
+    return halved
+
+
+def laurent_sqrt(D: LaurentPoly, tol: float, tol_root: float) -> LaurentPoly:
     """A Laurent polynomial M with ``M * M == D``, Hermitian on the circle.
 
     Works by halving the multiplicity of every root cluster of D; clusters
-    that cannot be halved mean D is not a perfect square.
+    that cannot be halved mean D is not a perfect square. `tol` bounds the
+    relative reconstruction defect and its square root is the clustering
+    radius; `tol_root` certifies the roots of D.
     """
-    cfg = load_tolerances()
-    if tol is None:
-        tol = cfg.tol_root
     if D.is_zero():
         return LaurentPoly([], 0)
     p, shift = laurent_to_poly(D)
@@ -394,23 +416,10 @@ def laurent_sqrt(D: LaurentPoly, tol: float | None = None) -> LaurentPoly:
     if p.degree() == 0:
         m = LaurentPoly([lead], shift // 2)
     else:
-        roots = list(poly_roots(p, cfg.tol_root))
-        cluster_tol = np.sqrt(tol)
-        halved = []
-        while roots:
-            r = roots.pop()
-            if not roots:
-                raise NotASquareError("odd-multiplicity root cluster")
-            dists = [abs(r - other) / max(1.0, abs(r)) for other in roots]
-            jmin = int(np.argmin(dists))
-            # the partner of a noise-split double root is still far closer
-            # than any root from another cluster
-            rest = [d for k, d in enumerate(dists) if k != jmin]
-            allow = max(cluster_tol, 0.05 * min(rest)) if rest else cluster_tol
-            if dists[jmin] > allow:
-                raise NotASquareError("odd-multiplicity root cluster")
-            partner = roots.pop(jmin)
-            halved.append((r + partner) / 2.0)
+        halved = halve_doubled_roots(
+            poly_roots(p, tol_root), np.sqrt(tol), NotASquareError,
+            "odd-multiplicity root cluster", "odd-multiplicity root cluster",
+        )
         m = laurent_from_poly(poly_from_roots(halved, leading=lead), shift // 2)
     # the true square root is Hermitian up to sign, so symmetrizing only
     # removes numerical noise

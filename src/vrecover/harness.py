@@ -630,15 +630,6 @@ def _outcome_dict(mode: str, payload: dict, tol: Tolerances) -> dict:
             magnitude_profile=[float(abs(v) ** 2) for v in res.g],
             candidates=[pairs(res.g)], selected=0, warnings=list(res.warnings),
         )
-    elif mode == "r2":
-        x = recover_r2(inst, tol)
-        supp = np.flatnonzero(np.abs(x) > 1e-12)
-        out.update(
-            S=int(len(supp)), support=[int(k) for k in supp],
-            theta=pairs(np.array(inst.grid)[supp]), x=pairs(x),
-            magnitude_profile=[float(abs(x[k]) ** 2) for k in supp],
-            candidates=[pairs(x[supp])], selected=0, warnings=[],
-        )
     elif mode in ("r4", "r5"):
         res = recover_r5(inst, tol)
         out.update(
@@ -648,7 +639,7 @@ def _outcome_dict(mode: str, payload: dict, tol: Tolerances) -> dict:
             selected=res.selected, warnings=list(res.warnings),
         )
     else:
-        x = recover_r3(inst, tol)
+        x = (recover_r2 if mode == "r2" else recover_r3)(inst, tol)
         supp = np.flatnonzero(np.abs(x) > 1e-12)
         out.update(
             S=int(len(supp)), support=[int(k) for k in supp],
@@ -699,7 +690,7 @@ def cmd_montecarlo(config_path: str, out_path: str) -> int:
 # self-test
 # ----------------------------------------------------------------------------
 
-def _selftest_checks():
+def _selftest_checks(tol: Tolerances):
     from .cpoly import LaurentPoly, laurent_sqrt
     from .structmat import build_A, build_B, null_space
 
@@ -715,19 +706,19 @@ def _selftest_checks():
     def check_phase_worked_example():
         z = shifted_harmonics(2, 2, 0.0)
         inst = PhaseInstance(2, 1, [9.0, -3.0], z)
-        res = recover_r1(inst)
+        res = recover_r1(inst, tol)
         assert np.allclose(res.theta, [2.0], atol=1e-9), res.theta
         assert np.allclose(res.g, [3.0], atol=1e-9), res.g
 
     def check_null_space_dims():
-        one = null_space(np.array([[1.0, 1.0]]))
-        full = null_space(np.eye(2))
+        one = null_space(np.array([[1.0, 1.0]]), tol.rank_rel_tol, tol.gap_ratio)
+        full = null_space(np.eye(2), tol.rank_rel_tol, tol.gap_ratio)
         assert one.dimension == 1, one.dimension
         assert full.dimension == 0, full.dimension
         assert np.allclose(np.abs(one.basis[:, 0]), np.sqrt(0.5))
 
     def check_laurent_sqrt():
-        m = laurent_sqrt(LaurentPoly([9.0], 0))
+        m = laurent_sqrt(LaurentPoly([9.0], 0), tol.tol_root, tol.tol_root)
         assert m.min_degree == 0 and np.allclose(m.array(), [3.0])
 
     def check_forward_routes():
@@ -752,7 +743,7 @@ def _selftest_checks():
         z = shifted_harmonics(n, n, gamma)
         y = forward_phaseless(theta, g, z, n)
         inst = PhaselessInstance(n, 2, y, z)
-        res = recover_r5(inst)
+        res = recover_r5(inst, tol)
         assert res.branch == BRANCH_HARMONIC and len(res.candidates) == 2, res.branch
         errs = [
             _phase_aligned_err(np.array(c), g[np.argsort(np.angle(theta))])
@@ -768,7 +759,7 @@ def _selftest_checks():
         z = _draw_circle_samples(rng, 13)
         y = forward_phaseless(theta, g, z, n)
         inst = PhaselessInstance(n, 2, y, z)
-        res = recover_r5(inst)
+        res = recover_r5(inst, tol)
         assert res.branch == BRANCH_DUAL and len(res.candidates) == 2, res.branch
         from .recover_phaseless import dual_transform
 
@@ -789,7 +780,7 @@ def _selftest_checks():
         inst = PhaselessInstance(
             n, 1, y, z, extra_row=(a, float(abs(np.dot(a, x)) ** 2)), grid=grid
         )
-        got = recover_r3(inst)
+        got = recover_r3(inst, tol)
         assert np.flatnonzero(np.abs(got) > 1e-9).tolist() == [3], got
         assert abs(abs(got[3]) - 2.0) <= 1e-8
         assert abs(got[3].imag) <= 1e-9 and got[3].real > 0
@@ -804,7 +795,7 @@ def _selftest_checks():
         z = shifted_harmonics(n, 3, gamma)
         y = forward_phase(grid[support], g, z, n)
         inst = PhaseInstance(n, s, y, z, grid)
-        x = recover_r2(inst)
+        x = recover_r2(inst, tol)
         A = vandermonde(z, n).T @ vandermonde(grid, n)
         x_oracle = oracle.brute_force_cs(y, A, s)
         assert np.allclose(x, x_oracle, atol=1e-8), (x, x_oracle)
@@ -825,7 +816,7 @@ def _selftest_checks():
 
 def cmd_selftest() -> int:
     failures = []
-    for name, check in _selftest_checks():
+    for name, check in _selftest_checks(load_tolerances()):
         try:
             check()
         except Exception as exc:

@@ -161,7 +161,7 @@ def _extract_blocks(inst: PhaseInstance, tol: Tolerances):
 
 
 def recover_g(theta, q_block: Poly, gamma_or_general, z, y, n: int,
-              tol: Tolerances | None = None) -> np.ndarray:
+              tol: Tolerances) -> np.ndarray:
     """Closed-form weights from the recovered numerator block.
 
     For shifted-harmonic samples the block is q = e^{i*gamma} u_hat + u_tilde
@@ -175,8 +175,6 @@ def recover_g(theta, q_block: Poly, gamma_or_general, z, y, n: int,
     (0/0); the weights still exist, so that case drops to the least-squares
     solve of the forward system at the recovered poles.
     """
-    if tol is None:
-        tol = load_tolerances()
     theta = np.asarray(theta, dtype=complex)
     y = np.asarray(y, dtype=complex)
     S = len(theta)
@@ -192,7 +190,8 @@ def recover_g(theta, q_block: Poly, gamma_or_general, z, y, n: int,
         else:
             twist = np.exp(1j * float(gamma_or_general)) * theta[k] ** n - 1.0
             if abs(twist) < 1e-9 * max(1.0, abs(theta[k]) ** n):
-                g_ls, _ = pinv_solve(vandermonde(z, n).T @ vandermonde(theta, n), y)
+                A = vandermonde(z, n).T @ vandermonde(theta, n)
+                g_ls, _ = pinv_solve(A, y, tol.rank_rel_tol)
                 return g_ls
             g_hat[k] = num / (t_val * twist)
     predicted = vandermonde(z, n).T @ vandermonde(theta, n) @ g_hat
@@ -238,7 +237,7 @@ def recover_r2(inst: PhaseInstance, tol: Tolerances | None = None) -> np.ndarray
         raise InvalidInputError("grid length must equal the model order n")
     if np.any(np.abs(grid) < 1e-12):
         raise InvalidInputError("grid points must be nonzero")
-    _require_distinct(grid, what="grid points")
+    _require_distinct(grid, "grid points are not distinct")
     if inst.samples.is_harmonic:
         # the harmonic support argument needs every admissible pole power to
         # miss the sample rotation
@@ -251,19 +250,10 @@ def recover_r2(inst: PhaseInstance, tol: Tolerances | None = None) -> np.ndarray
         return x
     S, roots, num_poly, tag, _ = _extract_blocks(inst, tol)
     recips = 1.0 / grid
-    snap_tol = 0.5 * _min_pairwise(recips)
-    support = []
-    for r in roots:
-        dists = np.abs(r - recips)
-        k = int(np.argmin(dists))
-        if dists[k] > snap_tol:
-            raise AmbiguousSupportError(
-                f"root {r:.6g} is {dists[k]:.3e} from the nearest grid reciprocal"
-            )
-        support.append(k)
-    if len(set(support)) != len(support):
-        raise GridCollisionError("two roots snapped to the same grid point")
-    support = np.array(sorted(support))
+    support = np.sort(_snap_to_grid(
+        roots, recips, 0.5 * _min_pairwise(recips),
+        what="root", near="grid reciprocal", slot="grid point",
+    ))
     theta = grid[support]
     g = recover_g(theta, num_poly, tag, inst.samples, y, inst.n, tol)
     x[support] = g
@@ -273,11 +263,32 @@ def recover_r2(inst: PhaseInstance, tol: Tolerances | None = None) -> np.ndarray
     return x
 
 
-def _require_distinct(values: np.ndarray, what: str = "recovered poles"):
+def _require_distinct(values: np.ndarray, message: str = "recovered poles are not distinct"):
     for i in range(len(values)):
         for j in range(i):
             if abs(values[i] - values[j]) < 1e-9 * max(1.0, abs(values[i])):
-                raise DegenerateSupportError(f"{what} are not distinct")
+                raise DegenerateSupportError(message)
+
+
+def _snap_to_grid(points, targets: np.ndarray, snap_tol: float,
+                  what: str, near: str, slot: str) -> np.ndarray:
+    """Index of the nearest target for each point, in the order of `points`.
+
+    A point farther than `snap_tol` from every target, or two points on the
+    same target, means the support does not sit on the grid.
+    """
+    index = []
+    for p in points:
+        dists = np.abs(p - targets)
+        k = int(np.argmin(dists))
+        if dists[k] > snap_tol:
+            raise AmbiguousSupportError(
+                f"{what} {p:.6g} is {dists[k]:.3e} from the nearest {near}"
+            )
+        index.append(k)
+    if len(set(index)) != len(index):
+        raise GridCollisionError(f"two {what}s snapped to the same {slot}")
+    return np.array(index)
 
 
 def _min_pairwise(values: np.ndarray) -> float:

@@ -18,6 +18,7 @@ import numpy as np
 from .config import Tolerances, load_tolerances
 from .cpoly import (
     LaurentPoly,
+    halve_doubled_roots,
     hermitian_defect,
     laurent_add,
     laurent_conj,
@@ -33,10 +34,8 @@ from .cpoly import (
 )
 from .errors import (
     AmbiguousDisambiguationError,
-    AmbiguousSupportError,
     DegenerateInstanceError,
     DegenerateSupportError,
-    GridCollisionError,
     InconsistentSolutionError,
     InvalidInputError,
     MatchingFailureError,
@@ -44,7 +43,13 @@ from .errors import (
     NumericalFailureError,
     PairingFailureError,
 )
-from .recover_phase import _canonical_order, _descend, _min_pairwise
+from .recover_phase import (
+    _canonical_order,
+    _descend,
+    _min_pairwise,
+    _require_distinct,
+    _snap_to_grid,
+)
 from .structmat import SampleSet, build_G, build_Gtilde, vandermonde
 
 BRANCH_HARMONIC = "Harmonic2pow"
@@ -149,32 +154,17 @@ def _symmetrized(block: LaurentPoly, name: str, tol: Tolerances) -> LaurentPoly:
 def _theta_from_lhat(lhat: LaurentPoly, tol: Tolerances) -> np.ndarray:
     """Support from the |v|^2 block: roots come in doubled conjugate points."""
     p, _ = laurent_to_poly(lhat)
-    roots = list(poly_roots(p, tol.tol_root))
-    means = []
-    while roots:
-        r = roots.pop()
-        if not roots:
-            raise ModelMismatchError("|v|^2 block has an odd root count")
-        dists = [abs(r - other) / max(1.0, abs(r)) for other in roots]
-        jmin = int(np.argmin(dists))
-        # a doubled root split by coefficient noise must still sit much
-        # closer to its partner than to any other cluster
-        rest = [d for k, d in enumerate(dists) if k != jmin]
-        allow = max(tol.cluster_tol, 0.05 * min(rest)) if rest else tol.cluster_tol
-        if dists[jmin] > allow:
-            raise ModelMismatchError(
-                f"|v|^2 roots do not form doubled pairs (gap {dists[jmin]:.3e})"
-            )
-        means.append((r + roots.pop(jmin)) / 2.0)
+    means = halve_doubled_roots(
+        poly_roots(p, tol.tol_root), tol.cluster_tol, ModelMismatchError,
+        "|v|^2 block has an odd root count",
+        "|v|^2 roots do not form doubled pairs (gap {gap:.3e})",
+    )
     theta = np.conj(np.array(means))
     off = np.max(np.abs(np.abs(theta) - 1.0))
     if off > 1e-3:
         raise ModelMismatchError(f"recovered support leaves the unit circle by {off:.3e}")
     theta = theta / np.abs(theta)
-    for i in range(len(theta)):
-        for j in range(i):
-            if abs(theta[i] - theta[j]) < 1e-9:
-                raise DegenerateSupportError("recovered support points collide")
+    _require_distinct(theta, "recovered support points collide")
     return theta[_canonical_order(theta)]
 
 
@@ -203,10 +193,8 @@ def _descending(block: LaurentPoly, half_span: int) -> np.ndarray:
     return out
 
 
-def recover_support_harmonic(inst: PhaselessInstance, tol: Tolerances | None = None):
+def recover_support_harmonic(inst: PhaselessInstance, tol: Tolerances):
     """Support recovery for shifted-harmonic samples: (theta, null vector, S)."""
-    if tol is None:
-        tol = load_tolerances()
     theta, w_sym, S, _ = _support_harmonic(inst, tol)
     return theta, w_sym, S
 
@@ -225,14 +213,12 @@ def _positivity_check(values: list[float], tol: Tolerances) -> tuple[float, ...]
 
 
 def magnitudes_harmonic(theta, q_block: LaurentPoly, gamma: float, n: int,
-                        tol: Tolerances | None = None) -> tuple[float, ...]:
+                        tol: Tolerances) -> tuple[float, ...]:
     """Squared magnitudes c*|g_k|^2, known up to one positive scalar c.
 
     Evaluates the combined numerator block at conj(theta_k) and divides by
     |t_k(conj(theta_k)) * (e^{i*gamma} theta_k^n - 1)|^2.
     """
-    if tol is None:
-        tol = load_tolerances()
     theta = np.asarray(theta, dtype=complex)
     points = np.conj(theta)
     denom = np.diagonal(t_values(theta, points)) * (np.exp(1j * gamma) * theta**n - 1.0)
@@ -244,10 +230,8 @@ def magnitudes_harmonic(theta, q_block: LaurentPoly, gamma: float, n: int,
     return _positivity_check(out, tol)
 
 
-def magnitudes_general(theta, L: LaurentPoly, tol: Tolerances | None = None) -> tuple[float, ...]:
+def magnitudes_general(theta, L: LaurentPoly, tol: Tolerances) -> tuple[float, ...]:
     """Squared magnitudes from the |u_hat|^2 + |u_tilde|^2 block: L(conj th)/2|t_k|^2."""
-    if tol is None:
-        tol = load_tolerances()
     theta = np.asarray(theta, dtype=complex)
     points = np.conj(theta)
     t_val = np.diagonal(t_values(theta, points))
@@ -336,6 +320,17 @@ def _dedup_and_sort(cands: np.ndarray, tol: Tolerances) -> list[np.ndarray]:
     return list(kept[np.lexsort(keys[::-1])])
 
 
+def _root_pairs(block: LaurentPoly, S: int, tol: Tolerances) -> list:
+    """The S-1 conjugate-reciprocal root pairs of a numerator block (none for S=1)."""
+    if S == 1:
+        return []
+    p, _ = laurent_to_poly(block)
+    pairs = pair_conjugate_reciprocal(poly_roots(p, tol.tol_root), tol.pair_tol)
+    if len(pairs) != S - 1:
+        raise PairingFailureError(f"expected {S - 1} root pairs, found {len(pairs)}")
+    return pairs
+
+
 def _enumerate_from_pairs(theta: np.ndarray, pairs, row_weight: np.ndarray,
                           rows: np.ndarray, y: np.ndarray, tol: Tolerances):
     """One candidate per selection of a representative from each root pair.
@@ -357,15 +352,13 @@ def _enumerate_from_pairs(theta: np.ndarray, pairs, row_weight: np.ndarray,
 
 
 def enumerate_candidates_harmonic(theta, q_block: LaurentPoly, gamma: float, n: int,
-                                  z, y, tol: Tolerances | None = None):
+                                  z, y, tol: Tolerances):
     """All 2^(S-1) coefficient vectors consistent with harmonic phaseless data.
 
     The roots of the combined numerator block pair as (r, 1/conj(r)); each
     choice of one representative per pair pins S-1 linear conditions on g,
     whose null direction (scaled and phase-canonicalized) is one candidate.
     """
-    if tol is None:
-        tol = load_tolerances()
     theta = np.asarray(theta, dtype=complex)
     y = np.asarray(y, dtype=float)
     S = len(theta)
@@ -373,16 +366,7 @@ def enumerate_candidates_harmonic(theta, q_block: LaurentPoly, gamma: float, n: 
     row_weight = np.exp(1j * gamma) * theta**n - 1.0
     if np.any(np.abs(row_weight) < 1e-12):
         raise DegenerateInstanceError("a support power collides with the rotation")
-    if S == 1:
-        pairs = []
-    else:
-        p, _ = laurent_to_poly(q_block)
-        roots = poly_roots(p, tol.tol_root)
-        pairs = pair_conjugate_reciprocal(roots, tol.pair_tol)
-        if len(pairs) != S - 1:
-            raise PairingFailureError(
-                f"expected {S - 1} root pairs, found {len(pairs)}"
-            )
+    pairs = _root_pairs(q_block, S, tol)
     return _enumerate_from_pairs(theta, pairs, row_weight, rows, y, tol)
 
 
@@ -425,16 +409,14 @@ def _general_stage(inst: PhaselessInstance, tol: Tolerances):
     return theta, L, L_tilde, lhat, S, diagnostics
 
 
-def recover_general(inst: PhaselessInstance, tol: Tolerances | None = None):
+def recover_general(inst: PhaselessInstance, tol: Tolerances):
     """Support and squared-modulus blocks from general circle samples."""
-    if tol is None:
-        tol = load_tolerances()
     theta, L, L_tilde, L_hat, S, _ = _general_stage(inst, tol)
     return theta, L, L_tilde, L_hat, S
 
 
 def split_and_enumerate_general(L: LaurentPoly, L_tilde: LaurentPoly, theta, n: int,
-                                z, y, tol: Tolerances | None = None):
+                                z, y, tol: Tolerances):
     """Candidate set from the squared-modulus blocks of the general pipeline.
 
     When the discriminant L^2 - 4|L_tilde|^2 is nonzero the numerator halves
@@ -444,34 +426,22 @@ def split_and_enumerate_general(L: LaurentPoly, L_tilde: LaurentPoly, theta, n: 
     all support powers coincide and the solution set is the harmonic-style
     2^(S-1) family built from root pairs of L.
     """
-    if tol is None:
-        tol = load_tolerances()
     theta = np.asarray(theta, dtype=complex)
     y = np.asarray(y, dtype=float)
     S = len(theta)
     rows = vandermonde(z, n).T @ vandermonde(theta, n)
-    unit_weight = np.ones(S, dtype=complex)
     L2 = laurent_mul(L, L)
     K = laurent_mul(L_tilde, laurent_conj(L_tilde))
     disc = laurent_add(L2, laurent_scale(K, -4.0))
     l2_norm = float(np.linalg.norm(L2.array())) if not L2.is_zero() else 0.0
     disc_norm = float(np.linalg.norm(disc.array())) if not disc.is_zero() else 0.0
     if disc_norm <= tol.degeneracy_tol * l2_norm:
-        if S == 1:
-            pairs = []
-        else:
-            p, _ = laurent_to_poly(L)
-            roots = poly_roots(p, tol.tol_root)
-            pairs = pair_conjugate_reciprocal(roots, tol.pair_tol)
-            if len(pairs) != S - 1:
-                raise PairingFailureError(
-                    f"expected {S - 1} root pairs, found {len(pairs)}"
-                )
-        cands = _enumerate_from_pairs(theta, pairs, unit_weight, rows, y, tol)
+        pairs = _root_pairs(L, S, tol)
+        cands = _enumerate_from_pairs(theta, pairs, np.ones(S, dtype=complex), rows, y, tol)
         return cands, BRANCH_DEGENERATE
     if L_tilde.is_zero():
         raise MatchingFailureError("cross term vanished on a non-degenerate instance")
-    M_sqrt = laurent_sqrt(disc, tol.pair_tol)
+    M_sqrt = laurent_sqrt(disc, tol.pair_tol, tol.tol_root)
     Q = laurent_scale(laurent_add(L, M_sqrt), 0.5)
     q_poly, _ = laurent_to_poly(Q)
     q_roots = poly_roots(q_poly, tol.tol_root)
@@ -558,7 +528,7 @@ def recover_r5(inst: PhaselessInstance, tol: Tolerances | None = None) -> Phasel
     )
 
 
-def disambiguate(candidates, a, y_m: float, theta, tol: Tolerances | None = None) -> int:
+def disambiguate(candidates, a, y_m: float, theta, tol: Tolerances) -> int:
     """Index of the candidate matching one extra squared-modulus measurement.
 
     `a` of length S applies to the coefficients directly; any other length is
@@ -566,8 +536,6 @@ def disambiguate(candidates, a, y_m: float, theta, tol: Tolerances | None = None
     through the support. The winner must fit within tol and the runner-up
     must miss by at least 10x tol, otherwise the measurement was unlucky.
     """
-    if tol is None:
-        tol = load_tolerances()
     if not len(candidates):
         raise InvalidInputError("no candidates to disambiguate")
     if len(candidates) == 1:
@@ -629,19 +597,10 @@ def recover_r3(inst: PhaselessInstance, tol: Tolerances | None = None) -> np.nda
         return x
     base = PhaselessInstance(inst.n, inst.s_max, inst.y, inst.samples, None, inst.grid)
     res = recover_r5(base, tol)
-    snap_tol = 0.5 * sep
-    support = []
-    for th in res.theta:
-        dists = np.abs(th - grid)
-        k = int(np.argmin(dists))
-        if dists[k] > snap_tol:
-            raise AmbiguousSupportError(
-                f"support point {th:.6g} is {dists[k]:.3e} from the nearest grid point"
-            )
-        support.append(k)
-    if len(set(support)) != len(support):
-        raise GridCollisionError("two support points snapped to the same grid index")
-    support = np.array(support)
+    support = _snap_to_grid(
+        res.theta, grid, 0.5 * sep,
+        what="support point", near="grid point", slot="grid index",
+    )
     selected = disambiguate(res.candidates, a[support], y_m, grid[support], tol)
     x[support] = np.asarray(res.candidates[selected], dtype=complex)
     mags = np.abs(x[support])

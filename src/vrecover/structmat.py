@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import load_tolerances
 from .errors import InvalidInputError, RankDeficiencyError
 
 HARMONIC = "ShiftedHarmonic"
@@ -284,24 +283,18 @@ def _rank_decision(factors: SVDFactors, rank_rel_tol: float, gap_ratio: float) -
     return NullSpaceResult(dimension, basis, sv_full, tuple(warnings), factors, gap_ratio)
 
 
-def null_space(M: np.ndarray, rank_rel_tol: float | None = None,
-               gap_ratio: float | None = None) -> NullSpaceResult:
+def null_space(M: np.ndarray, rank_rel_tol: float, gap_ratio: float) -> NullSpaceResult:
     """Right null space of M with an auditable rank decision.
 
     A singular value counts as zero when it is at most
     ``rank_rel_tol * sigma_max * max(rows, cols)``. When the kept/discarded
     gap is narrower than `gap_ratio`, a conditioning warning is attached
-    instead of failing. Either bound left as None comes from
-    ``load_tolerances()``.
+    instead of failing.
 
     This is the one SVD of M: the result carries its factors, so a recount
     at another threshold (``recount``) and the pseudo-inverse of the
     refinement (``refine_null_vector(..., factors=...)``) need no other.
     """
-    if rank_rel_tol is None or gap_ratio is None:
-        cfg = load_tolerances()
-        rank_rel_tol = cfg.rank_rel_tol if rank_rel_tol is None else rank_rel_tol
-        gap_ratio = cfg.gap_ratio if gap_ratio is None else gap_ratio
     M = np.asarray(M, dtype=complex)
     if M.size == 0:
         raise InvalidInputError("null_space of an empty matrix")
@@ -339,15 +332,18 @@ def refine_null_vector(M: np.ndarray, w: np.ndarray, steps: int = 2,
     return wq.astype(complex)
 
 
-def pinv_solve(M: np.ndarray, y) -> tuple[np.ndarray, float]:
-    """Least-squares solve requiring full column rank; returns (x, residual)."""
-    cfg = load_tolerances()
+def pinv_solve(M: np.ndarray, y, rank_rel_tol: float) -> tuple[np.ndarray, float]:
+    """Least-squares solve requiring full column rank; returns (x, residual).
+
+    Full rank means the smallest singular value exceeds
+    ``rank_rel_tol * sigma_max * max(rows, cols)``.
+    """
     M = np.asarray(M, dtype=complex)
     y = np.asarray(y, dtype=complex)
     if M.ndim != 2 or M.shape[0] != len(y):
         raise InvalidInputError("pinv_solve dimension mismatch")
     sv = np.linalg.svd(M, compute_uv=False)
-    if len(sv) < M.shape[1] or sv[-1] <= cfg.rank_rel_tol * sv[0] * max(M.shape):
+    if len(sv) < M.shape[1] or sv[-1] <= rank_rel_tol * sv[0] * max(M.shape):
         raise RankDeficiencyError("matrix does not have full column rank")
     x, *_ = np.linalg.lstsq(M, y, rcond=None)
     residual = float(np.linalg.norm(M @ x - y))

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from vrecover.config import Tolerances
 from vrecover.cpoly import (
     LaurentPoly,
     Poly,
     forward_polys,
+    halve_doubled_roots,
     hermitian_defect,
     laurent_add,
     laurent_conj,
@@ -25,7 +27,14 @@ from vrecover.cpoly import (
     t_polynomial,
     t_values,
 )
-from vrecover.errors import InvalidInputError, NotASquareError, PairingFailureError
+from vrecover.errors import (
+    InvalidInputError,
+    ModelMismatchError,
+    NotASquareError,
+    PairingFailureError,
+)
+
+TOL_ROOT = Tolerances().tol_root
 
 
 def test_poly_eval_basics():
@@ -43,17 +52,17 @@ def test_poly_degree_and_trim():
 
 
 def test_poly_roots_small():
-    assert np.allclose(poly_roots(Poly([-1, 1])), [1.0])
-    r = sorted(poly_roots(Poly([1, 0, 1])), key=lambda v: v.imag)
+    assert np.allclose(poly_roots(Poly([-1, 1]), TOL_ROOT), [1.0])
+    r = sorted(poly_roots(Poly([1, 0, 1]), TOL_ROOT), key=lambda v: v.imag)
     assert np.allclose(r, [-1j, 1j])
-    assert np.allclose(sorted(poly_roots(Poly([2, -3, 1])).real), [1.0, 2.0])
+    assert np.allclose(sorted(poly_roots(Poly([2, -3, 1]), TOL_ROOT).real), [1.0, 2.0])
 
 
 def test_poly_roots_rejects_degenerate():
     with pytest.raises(InvalidInputError):
-        poly_roots(Poly([5.0]))
+        poly_roots(Poly([5.0]), TOL_ROOT)
     with pytest.raises(InvalidInputError):
-        poly_roots(Poly([]))
+        poly_roots(Poly([]), TOL_ROOT)
 
 
 def test_poly_roots_residual_bound():
@@ -64,7 +73,7 @@ def test_poly_roots_residual_bound():
         coeffs = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
         p = Poly(coeffs)
         scale = np.max(np.abs(coeffs))
-        for r in poly_roots(p):
+        for r in poly_roots(p, TOL_ROOT):
             bound = 1e-8 * scale * max(1.0, abs(r)) ** p.degree()
             assert abs(poly_eval(p, r)) <= bound
 
@@ -87,7 +96,7 @@ def test_roots_round_trip():
         if abs(lead) < 0.2:
             lead = 1.0
         p = poly_from_roots(roots, lead)
-        q = poly_from_roots(sorted(poly_roots(p), key=lambda v: (v.real, v.imag)), lead)
+        q = poly_from_roots(sorted(poly_roots(p, TOL_ROOT), key=lambda v: (v.real, v.imag)), lead)
         a, b = p.array(), q.array()
         assert np.max(np.abs(a - b)) <= 1e-8 * np.max(np.abs(a))
 
@@ -193,7 +202,7 @@ def test_forward_polys_u_tilde_roots_simple():
         theta = np.exp(1j * rng.uniform(0, 2 * np.pi, s))
         g = rng.normal(size=s) + 1j * rng.normal(size=s)
         _, u_tilde, _ = forward_polys(theta, g, 4 * s - 1)
-        roots = poly_roots(u_tilde)
+        roots = poly_roots(u_tilde, TOL_ROOT)
         for i in range(len(roots)):
             for j in range(i):
                 assert abs(roots[i] - roots[j]) > 1e-6
@@ -272,7 +281,7 @@ def test_lhat_roots_are_doubled_conjugates():
         u_hat, u_tilde, v = forward_polys(theta, g, 4 * s - 1)
         _, _, L_hat = laurent_from_products(u_hat, u_tilde, v)
         p, _ = laurent_to_poly(L_hat)
-        roots = poly_roots(p)
+        roots = poly_roots(p, TOL_ROOT)
         expected = np.conj(np.repeat(theta, 2))
         used = np.zeros(len(roots), dtype=bool)
         for e in expected:
@@ -287,7 +296,7 @@ def test_laurent_to_poly():
     p, shift = laurent_to_poly(L)
     assert shift == -1
     assert np.allclose(p.array(), [-2.0, 5.0, -2.0])
-    assert np.allclose(sorted(np.real(poly_roots(p))), [0.5, 2.0])
+    assert np.allclose(sorted(np.real(poly_roots(p, TOL_ROOT))), [0.5, 2.0])
 
     p2, shift2 = laurent_to_poly(LaurentPoly([3.0], 0))
     assert shift2 == 0 and np.allclose(p2.array(), [3.0])
@@ -402,13 +411,13 @@ def test_t_values_match_horner():
 
 
 def test_laurent_sqrt_constant():
-    m = laurent_sqrt(LaurentPoly([9.0], 0), 1e-8)
+    m = laurent_sqrt(LaurentPoly([9.0], 0), 1e-8, TOL_ROOT)
     assert m.min_degree == 0
     assert np.allclose(m.array(), [3.0])
 
 
 def test_laurent_sqrt_zero():
-    assert laurent_sqrt(LaurentPoly([], 0), 1e-8).is_zero()
+    assert laurent_sqrt(LaurentPoly([], 0), 1e-8, TOL_ROOT).is_zero()
 
 
 def test_laurent_sqrt_sign_convention():
@@ -426,7 +435,7 @@ def test_laurent_sqrt_sign_convention():
             laurent_mul(L, L),
             laurent_scale(laurent_mul(K, LaurentPoly([4.0], 0)), -1.0),
         )
-        m = laurent_sqrt(disc, 1e-8)
+        m = laurent_sqrt(disc, 1e-8, TOL_ROOT)
         at_one = laurent_eval(m, 1.0)
         assert abs(at_one.imag) <= 1e-7 * max(1.0, abs(at_one))
         assert at_one.real >= -1e-7
@@ -444,13 +453,26 @@ def test_laurent_sqrt_from_split_discriminant():
         L, L_tilde, _ = laurent_from_products(u_hat, u_tilde, v)
         K = laurent_mul(L_tilde, laurent_conj(L_tilde))
         disc = laurent_add(laurent_mul(L, L), laurent_scale(laurent_mul(K, LaurentPoly([4.0], 0)), -1.0))
-        m = laurent_sqrt(disc, 1e-8)
+        m = laurent_sqrt(disc, 1e-8, TOL_ROOT)
         sq = laurent_mul(m, m)
         err = laurent_add(sq, laurent_scale(disc, -1.0))
         assert np.max(np.abs(err.array())) <= 1e-8 * np.max(np.abs(disc.array()))
 
 
+def test_halve_doubled_roots():
+    split = 1e-5 * np.exp(1j * np.arange(2))
+    roots = [2.0 + split[0], 2.0 - split[0], 0.5j + split[1], 0.5j - split[1]]
+    halved = halve_doubled_roots(roots, 1e-3, NotASquareError, "odd", "gap {gap:.1e}")
+    assert np.allclose(sorted(halved, key=abs), [0.5j, 2.0], atol=1e-15)
+    with pytest.raises(ModelMismatchError, match="^odd$"):
+        halve_doubled_roots(roots[1:], 1e-3, ModelMismatchError, "odd", "gap {gap:.1e}")
+    # the last pair is split by 0.1 / 1.1 relative to its larger root, far
+    # beyond the radius, and no other root is left to widen the allowance
+    with pytest.raises(NotASquareError, match=r"^gap 9\.1e-02$"):
+        halve_doubled_roots([1.0, 1.1, 3.0, 3.0], 1e-3, NotASquareError, "odd", "gap {gap:.1e}")
+
+
 def test_laurent_sqrt_rejects_odd_multiplicity():
     # (z - 2)(z - 1/2) has two isolated roots, not doubled ones
     with pytest.raises(NotASquareError):
-        laurent_sqrt(LaurentPoly([-2.0, 5.0, -2.0], -1), 1e-8)
+        laurent_sqrt(LaurentPoly([-2.0, 5.0, -2.0], -1), 1e-8, TOL_ROOT)

@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from vrecover.config import load_tolerances
 from vrecover.errors import InvalidInputError
 from vrecover.harness import (
     CSV_HEADER,
@@ -227,20 +228,64 @@ def test_run_campaign_and_write_csv(tmp_path):
     assert all("," not in r.warnings for r in records)
 
 
+def _outcome(record: TrialRecord) -> tuple:
+    return (record.trial, record.success, record.S, record.branch,
+            record.candidate_count, record.warnings)
+
+
+# (campaign, tolerance overrides): each override changes some outcomes
+CAMPAIGN_OVERRIDES = [
+    # the gap warning of the rank decision
+    (config_dict(s_list=[4], m_rule="4s", trials=5, master_seed=1,
+                 sample_mode="arbitrary"),
+     {"gap_ratio": 1e30}),
+    # the root bound inside laurent_sqrt; trials 6, 10 and 11 used to follow
+    # the environment instead
+    (config_dict(mode="r5", s_list=[4], n_rule="4s-1", m_rule="8s-3", trials=12,
+                 master_seed=1, sample_mode="arbitrary"),
+     {"tol_root": 1e-15}),
+]
+
+
 def test_campaign_tolerances_reach_the_rank_decision(monkeypatch):
-    # a gap_ratio set in the campaign config must act like the same value
-    # set through the environment
+    # tolerances set in the campaign config must act like the same values
+    # set through the environment, trial for trial
+    for base, overrides in CAMPAIGN_OVERRIDES:
+        monkeypatch.delenv("VRECOVER_TOL_OVERRIDES", raising=False)
+        plain, _ = run_campaign(ExperimentConfig.from_dict(base))
+        config = ExperimentConfig.from_dict(dict(base, tolerances=overrides))
+        records, _ = run_campaign(config)
+        assert [_outcome(r) for r in records] != [_outcome(r) for r in plain]
+        if "gap_ratio" in overrides:
+            assert not any("singular value gap" in r.warnings for r in plain)
+            assert all("singular value gap" in r.warnings for r in records)
+        monkeypatch.setenv("VRECOVER_TOL_OVERRIDES", json.dumps(overrides))
+        from_env, _ = run_campaign(ExperimentConfig.from_dict(base))
+        assert [_outcome(r) for r in from_env] == [_outcome(r) for r in records]
+
+
+def test_run_trial_with_tolerances_never_reads_the_environment(monkeypatch):
+    # given its tolerances, no stage below run_trial may parse the
+    # environment, so an unparsable value there must not matter
+    setups = [
+        config_dict(mode="r1", s_list=[2], sample_mode="arbitrary", m_rule="3s"),
+        config_dict(mode="r2", s_list=[2], n_rule="2s+1", m_rule="2s"),
+        config_dict(mode="r4", s_list=[2], n_rule="4s-1", m_rule="4s-1", gamma=1.0),
+        config_dict(mode="r5", s_list=[2], n_rule="4s-1", m_rule="8s-3",
+                    sample_mode="arbitrary"),
+        config_dict(mode="r3", s_list=[1], n_rule="4s+3", m_rule="4s-1", gamma=1.0),
+    ]
     monkeypatch.delenv("VRECOVER_TOL_OVERRIDES", raising=False)
-    base = config_dict(s_list=[4], m_rule="4s", trials=5, master_seed=1,
-                       sample_mode="arbitrary")
-    plain, _ = run_campaign(ExperimentConfig.from_dict(base))
-    config = ExperimentConfig.from_dict(dict(base, tolerances={"gap_ratio": 1e30}))
-    records, _ = run_campaign(config)
-    assert not any("singular value gap" in r.warnings for r in plain)
-    assert all("singular value gap" in r.warnings for r in records)
-    monkeypatch.setenv("VRECOVER_TOL_OVERRIDES", json.dumps({"gap_ratio": 1e30}))
-    from_env, _ = run_campaign(ExperimentConfig.from_dict(base))
-    assert [r.warnings for r in from_env] == [r.warnings for r in records]
+    tol = load_tolerances()
+    payloads = []
+    for raw in setups:
+        config = ExperimentConfig.from_dict(dict(raw, trials=3))
+        for index in range(3):
+            payloads.append(generate_trial(config, config.s_list[0], index))
+    monkeypatch.setenv("VRECOVER_TOL_OVERRIDES", "not json")
+    records = [run_trial(payload, tol) for payload in payloads]
+    assert not any("InvalidInputError" in r.warnings for r in records)
+    assert all(r.success for r in records)
 
 
 def test_redraw_extra_row_keeps_truth():

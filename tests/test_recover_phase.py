@@ -6,7 +6,9 @@ import pytest
 
 from vrecover.config import Tolerances
 from vrecover.errors import (
+    AmbiguousSupportError,
     DegenerateSupportError,
+    GridCollisionError,
     InvalidInputError,
     RecoveryFailureError,
 )
@@ -14,6 +16,7 @@ from vrecover.oracle import brute_force_cs, draw_g, draw_theta_disk, forward_pha
 from vrecover.recover_phase import (
     PhaseInstance,
     _descend,
+    _snap_to_grid,
     recover_g,
     recover_r1,
     recover_r2,
@@ -183,7 +186,7 @@ def test_recover_g_matches_least_squares():
         y = forward_phase(theta, g, z.array(), n)
         res = recover_r1(PhaseInstance(n, s, y, z))
         M = vandermonde(z, n).T @ vandermonde(np.array(res.theta), n)
-        ls, _ = pinv_solve(M, y)
+        ls, _ = pinv_solve(M, y, Tolerances().rank_rel_tol)
         assert np.max(np.abs(np.array(res.g) - ls)) <= 1e-8 * max(
             1.0, float(np.max(np.abs(ls)))
         )
@@ -198,7 +201,19 @@ def test_recover_g_degenerate_support():
     from vrecover.cpoly import Poly
 
     with pytest.raises(DegenerateSupportError):
-        recover_g([2.0, 2.0 + 1e-15], Poly([1.0, 1.0]), "general", z, y, 4)
+        recover_g([2.0, 2.0 + 1e-15], Poly([1.0, 1.0]), "general", z, y, 4, Tolerances())
+
+
+def test_snap_to_grid_keeps_input_order():
+    grid = np.array([1.0, 1j, -1.0, -1j])
+    names = dict(what="root", near="grid reciprocal", slot="grid point")
+    got = _snap_to_grid([-1.0 + 1e-3, 1j, 1.0], grid, 0.5, **names)
+    assert got.tolist() == [2, 1, 0]
+    with pytest.raises(AmbiguousSupportError,
+                       match=r"^root 0\.7\+0\.7j is 7\.\d+e-01 from the nearest grid reciprocal$"):
+        _snap_to_grid([1.0, 0.7 + 0.7j], grid, 0.5, **names)
+    with pytest.raises(GridCollisionError, match="^two roots snapped to the same grid point$"):
+        _snap_to_grid([1.0, 1.1], grid, 0.5, **names)
 
 
 def test_recover_r2_worked_grid():

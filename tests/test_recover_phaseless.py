@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from vrecover.config import load_tolerances
+from vrecover.config import Tolerances, load_tolerances
 from vrecover.cpoly import (
     LaurentPoly,
     laurent_add,
@@ -53,6 +53,8 @@ from vrecover.recover_phaseless import (
 )
 from vrecover.structmat import SampleSet, shifted_harmonics, vandermonde
 
+TOL = Tolerances()
+
 
 def circle_points(rng, m):
     return np.exp(1j * rng.uniform(0, 2 * np.pi, m))
@@ -82,7 +84,7 @@ def match_theta(got, truth):
 def test_support_worked_singleton():
     z = shifted_harmonics(4, 3, 0.7)
     y = forward_phaseless([1j], [2.0], z.array(), 4)
-    theta, w, S = recover_support_harmonic(PhaselessInstance(4, 1, y, z))
+    theta, w, S = recover_support_harmonic(PhaselessInstance(4, 1, y, z), TOL)
     assert S == 1
     assert abs(theta[0] - 1j) <= 1e-9
     assert len(w) == 4 * S
@@ -95,20 +97,20 @@ def test_support_collision_kills_the_data():
     y = forward_phaseless([1j], [2.0], z.array(), 4)
     assert np.max(y) <= 1e-20
     with pytest.raises(RecoveryFailureError):
-        recover_support_harmonic(PhaselessInstance(4, 1, y, z))
+        recover_support_harmonic(PhaselessInstance(4, 1, y, z), TOL)
 
 
 def test_support_needs_harmonic_samples():
     rng = np.random.default_rng(401)
     z = SampleSet(tuple(circle_points(rng, 5)))
     with pytest.raises(InvalidInputError):
-        recover_support_harmonic(PhaselessInstance(7, 1, np.ones(5), z))
+        recover_support_harmonic(PhaselessInstance(7, 1, np.ones(5), z), TOL)
 
 
 def test_support_measurement_floor():
     z = shifted_harmonics(7, 6, 0.5)
     with pytest.raises(InvalidInputError):
-        recover_support_harmonic(PhaselessInstance(7, 2, np.ones(6), z))
+        recover_support_harmonic(PhaselessInstance(7, 2, np.ones(6), z), TOL)
 
 
 def test_support_harmonic_random():
@@ -121,7 +123,7 @@ def test_support_harmonic_random():
         g = draw_g(rng, s)
         z = shifted_harmonics(n, n, gamma)
         y = forward_phaseless(theta, g, z.array(), n)
-        got, _, S = recover_support_harmonic(PhaselessInstance(n, s, y, z))
+        got, _, S = recover_support_harmonic(PhaselessInstance(n, s, y, z), TOL)
         assert S == s
         assert match_theta(got, theta) <= 1e-8
 
@@ -129,9 +131,9 @@ def test_support_harmonic_random():
 def test_magnitudes_worked_singleton():
     z = shifted_harmonics(4, 3, 0.7)
     y = forward_phaseless([1j], [2.0], z.array(), 4)
-    theta, w, S = recover_support_harmonic(PhaselessInstance(4, 1, y, z))
+    theta, w, S = recover_support_harmonic(PhaselessInstance(4, 1, y, z), TOL)
     q = LaurentPoly(w[2 * S + 1 : 4 * S][::-1], -(S - 1))
-    profile = magnitudes_harmonic(theta, q, 0.7, 4)
+    profile = magnitudes_harmonic(theta, q, 0.7, 4, TOL)
     assert len(profile) == 1
     assert profile[0] > 0
     # one positive scalar links the profile to |g|^2 = 4
@@ -148,9 +150,9 @@ def test_magnitude_ratios_scale_free():
         g = draw_g(rng, s)
         z = shifted_harmonics(n, n, gamma)
         y = forward_phaseless(theta, g, z.array(), n)
-        got, w, S = recover_support_harmonic(PhaselessInstance(n, s, y, z))
+        got, w, S = recover_support_harmonic(PhaselessInstance(n, s, y, z), TOL)
         q = LaurentPoly(w[2 * S + 1 : 4 * S][::-1], -(S - 1))
-        profile = np.array(magnitudes_harmonic(got, q, gamma, n))
+        profile = np.array(magnitudes_harmonic(got, q, gamma, n, TOL))
         order = np.lexsort((np.abs(theta), np.angle(theta)))
         g_sq = np.abs(g[order]) ** 2
         assert abs(profile[0] / profile[1] - g_sq[0] / g_sq[1]) <= 1e-6 * (
@@ -166,9 +168,9 @@ def test_magnitudes_uniform_weights():
     g = np.exp(1j * rng.uniform(0, 2 * np.pi, s))  # all moduli equal 1
     z = shifted_harmonics(n, n, gamma)
     y = forward_phaseless(theta, g, z.array(), n)
-    got, w, S = recover_support_harmonic(PhaselessInstance(n, s, y, z))
+    got, w, S = recover_support_harmonic(PhaselessInstance(n, s, y, z), TOL)
     q = LaurentPoly(w[2 * S + 1 : 4 * S][::-1], -(S - 1))
-    profile = np.array(magnitudes_harmonic(got, q, gamma, n))
+    profile = np.array(magnitudes_harmonic(got, q, gamma, n, TOL))
     assert np.max(np.abs(profile - profile[0])) <= 1e-6 * profile[0]
 
 
@@ -205,9 +207,9 @@ def test_enumerate_harmonic_counts():
         g = draw_g(rng, s)
         z = shifted_harmonics(n, n, gamma)
         y = forward_phaseless(theta, g, z.array(), n)
-        got, w, S = recover_support_harmonic(PhaselessInstance(n, s, y, z))
+        got, w, S = recover_support_harmonic(PhaselessInstance(n, s, y, z), TOL)
         q = LaurentPoly(w[2 * S + 1 : 4 * S][::-1], -(S - 1))
-        cands = enumerate_candidates_harmonic(got, q, gamma, n, z, y)
+        cands = enumerate_candidates_harmonic(got, q, gamma, n, z, y, TOL)
         assert len(cands) == 2 ** (s - 1)
         # every candidate reproduces the data
         rows = vandermonde(z, n).T @ vandermonde(got, n)
@@ -266,7 +268,7 @@ def harmonic_enumeration_inputs(rng, s, gamma=0.7):
         theta = draw_theta_dft(rng, n, s)
         y = forward_phaseless(theta, draw_g(rng, s), z.array(), n)
         try:
-            got, w, S = recover_support_harmonic(PhaselessInstance(n, s, y, z))
+            got, w, S = recover_support_harmonic(PhaselessInstance(n, s, y, z), TOL)
         except VRecoverError:
             continue
         pairs = []
@@ -355,10 +357,10 @@ def test_recover_general_worked_pair():
     n, m = 7, 13
     z = SampleSet(tuple(stratified_circle(rng, m)))
     y = forward_phaseless(theta, g, z.array(), n)
-    got, L, L_tilde, L_hat, S = recover_general(PhaselessInstance(n, 2, y, z))
+    got, L, L_tilde, L_hat, S = recover_general(PhaselessInstance(n, 2, y, z), TOL)
     assert S == 2
     assert match_theta(got, theta) <= 1e-6
-    profile = np.array(magnitudes_general(got, L))
+    profile = np.array(magnitudes_general(got, L, TOL))
     g_sq = np.abs(g) ** 2
     c = profile[0] / g_sq[0]
     assert c > 0
@@ -372,7 +374,7 @@ def test_general_measurement_floor():
     rng = np.random.default_rng(443)
     z = SampleSet(tuple(circle_points(rng, 12)))
     with pytest.raises(InvalidInputError):
-        recover_general(PhaselessInstance(7, 2, np.ones(12), z))
+        recover_general(PhaselessInstance(7, 2, np.ones(12), z), TOL)
 
 
 def test_split_dual_pair():
@@ -384,8 +386,8 @@ def test_split_dual_pair():
         g = draw_g(rng, s)
         z = SampleSet(tuple(stratified_circle(rng, m)))
         y = forward_phaseless(theta, g, z.array(), n)
-        got, L, L_tilde, _, S = recover_general(PhaselessInstance(n, s, y, z))
-        cands, branch = split_and_enumerate_general(L, L_tilde, got, n, z, y)
+        got, L, L_tilde, _, S = recover_general(PhaselessInstance(n, s, y, z), TOL)
+        cands, branch = split_and_enumerate_general(L, L_tilde, got, n, z, y, TOL)
         assert branch == BRANCH_DUAL
         assert len(cands) == 2
         a, b = (np.asarray(c) for c in cands)
@@ -487,7 +489,7 @@ def test_disambiguate_single_candidate():
     g = draw_g(rng, 1)
     a = draw_unit_vector(rng, 3)
     # y_m need not even match: a single candidate wins unconditionally
-    assert disambiguate([g], a[:1], 123.4, theta) == 0
+    assert disambiguate([g], a[:1], 123.4, theta, TOL) == 0
 
 
 def test_disambiguate_pair_forward_oracle():
@@ -499,8 +501,8 @@ def test_disambiguate_pair_forward_oracle():
         dual = dual_transform(g, theta, n)
         a = draw_unit_vector(rng, n)
         y_m = float(abs((vandermonde(theta, n).T @ a) @ g) ** 2)
-        assert disambiguate([g, dual], a, y_m, theta) == 0
-        assert disambiguate([dual, g], a, y_m, theta) == 1
+        assert disambiguate([g, dual], a, y_m, theta, TOL) == 0
+        assert disambiguate([dual, g], a, y_m, theta, TOL) == 1
 
 
 def test_disambiguate_harmonic_four_way():
@@ -522,7 +524,7 @@ def test_disambiguate_harmonic_four_way():
             a = draw_unit_vector(rng, n)
             y_m = float(abs((vandermonde(np.array(res.theta), n).T @ a) @ g_sorted) ** 2)
             try:
-                k = disambiguate(res.candidates, a, y_m, np.array(res.theta))
+                k = disambiguate(res.candidates, a, y_m, np.array(res.theta), TOL)
                 break
             except AmbiguousDisambiguationError:
                 # an unlucky row is allowed; redraw and retry
@@ -542,7 +544,7 @@ def test_disambiguate_flags_hopeless_rows():
     y_m = float(abs((vandermonde(theta, 7).T @ a) @ g) ** 2)
     # two copies of the true candidate cannot be separated
     with pytest.raises(AmbiguousDisambiguationError):
-        disambiguate([g, g.copy()], a, y_m, theta)
+        disambiguate([g, g.copy()], a, y_m, theta, TOL)
 
 
 def test_recover_r3_worked_grid():

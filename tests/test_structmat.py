@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from vrecover.config import Tolerances
 from vrecover.cpoly import forward_polys, laurent_from_products
 from vrecover.errors import InvalidInputError, RankDeficiencyError
 from vrecover.oracle import forward_phase, forward_phaseless
@@ -19,6 +20,10 @@ from vrecover.structmat import (
     svd_factors,
     vandermonde,
 )
+
+TOL = Tolerances()
+# the default rank threshold and gap ratio, in null_space's argument order
+NULL_BOUNDS = (TOL.rank_rel_tol, TOL.gap_ratio)
 
 
 def descending(block, half_span):
@@ -136,11 +141,11 @@ def test_build_B_shape_and_zero_y():
     assert B.shape == (5, 5)
     # with y = 0 only the Fourier columns survive, leaving s of them
     # independent, so the null space has dimension s + 1
-    assert null_space(B).dimension == 3
+    assert null_space(B, *NULL_BOUNDS).dimension == 3
 
     z1 = shifted_harmonics(4, 3, 0.3)
     B1 = build_B(z1, np.zeros(3), 1)
-    assert null_space(B1).dimension == 2
+    assert null_space(B1, *NULL_BOUNDS).dimension == 2
 
 
 def test_build_B_true_stack_in_null_space():
@@ -258,14 +263,14 @@ def test_matrices_commute_with_row_permutation():
 
 
 def test_null_space_frozen_cases():
-    one = null_space(np.array([[1.0, 1.0]]))
+    one = null_space(np.array([[1.0, 1.0]]), *NULL_BOUNDS)
     assert one.dimension == 1
     b = one.basis[:, 0]
     assert np.allclose(np.abs(b), np.sqrt(0.5))
     assert abs(b[0] + b[1]) <= 1e-12
 
-    assert null_space(np.eye(2)).dimension == 0
-    assert null_space(np.array([[1.0, 1.0], [1.0, 1.0]])).dimension == 1
+    assert null_space(np.eye(2), *NULL_BOUNDS).dimension == 0
+    assert null_space(np.array([[1.0, 1.0], [1.0, 1.0]]), *NULL_BOUNDS).dimension == 1
 
 
 def test_null_space_basis_residuals():
@@ -274,7 +279,7 @@ def test_null_space_basis_residuals():
         rows = int(rng.integers(2, 8))
         cols = int(rng.integers(2, 8))
         M = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
-        res = null_space(M)
+        res = null_space(M, *NULL_BOUNDS)
         sigma_max = res.singular_values[0]
         for k in range(res.dimension):
             assert np.linalg.norm(M @ res.basis[:, k]) <= 1e-8 * sigma_max * max(rows, cols) * 10
@@ -285,7 +290,7 @@ def test_null_space_wide_matrix_counts_shape_deficit():
     # lists only two singular values
     rng = np.random.default_rng(103)
     M = rng.normal(size=(2, 4))
-    res = null_space(M)
+    res = null_space(M, *NULL_BOUNDS)
     assert res.dimension == 2
     for k in range(2):
         assert np.linalg.norm(M @ res.basis[:, k]) <= 1e-10
@@ -293,10 +298,10 @@ def test_null_space_wide_matrix_counts_shape_deficit():
 
 def test_null_space_gap_warning():
     M = np.diag([1.0, 1e-6, 2.9e-8])
-    res = null_space(M)
+    res = null_space(M, *NULL_BOUNDS)
     assert res.dimension == 1
     assert any("conditioning" in w for w in res.warnings)
-    clean = null_space(np.diag([1.0, 1e-5, 1e-12]))
+    clean = null_space(np.diag([1.0, 1e-5, 1e-12]), *NULL_BOUNDS)
     assert clean.dimension == 1
     assert not clean.warnings
 
@@ -307,7 +312,7 @@ def test_refine_null_vector_improves_accuracy():
     basis = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))[0]
     sv = np.array([1.0, 0.5, 0.1, 1e-2, 3e-7, 0.0])
     M = (basis * sv) @ np.conj(basis.T)
-    w0 = null_space(M, 1e-6).basis[:, 0]
+    w0 = null_space(M, 1e-6, TOL.gap_ratio).basis[:, 0]
     w = refine_null_vector(M, w0)
     assert np.linalg.norm(M @ w) <= np.linalg.norm(M @ w0) + 1e-15
     assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
@@ -351,13 +356,13 @@ def test_recount_matches_fresh_null_space():
                 assert np.array_equal(got.singular_values, want.singular_values)
                 assert got.warnings == want.warnings
     # the case built for it does change its count
-    ns = null_space(cases[-2], 1e-8)
+    ns = null_space(cases[-2], 1e-8, TOL.gap_ratio)
     assert (ns.dimension, ns.recount(1e-12).dimension) == (2, 1)
 
 
 def test_null_space_gap_ratio_argument():
     M = np.diag([1.0, 1e-5, 1e-12])
-    assert not null_space(M, 1e-8).warnings
+    assert not null_space(M, 1e-8, TOL.gap_ratio).warnings
     assert any("singular value gap" in w for w in null_space(M, 1e-8, 1e30).warnings)
 
 
@@ -383,7 +388,7 @@ def test_refine_from_factors_matches_pinv_reference():
         for decades in (4, 6, 8):
             for _ in range(5):
                 M = _graded(rng, rows, cols, decades)
-                ns = null_space(M, 10.0 ** (-decades - 3))
+                ns = null_space(M, 10.0 ** (-decades - 3), TOL.gap_ratio)
                 w0 = ns.basis[:, 0]
                 got = refine_null_vector(M, w0, factors=ns.factors)
                 assert np.max(np.abs(got - _refine_with_pinv(M, w0))) <= 1e-14
@@ -407,14 +412,23 @@ def test_pinv_apply_matches_numpy_pinv():
 
 def test_pinv_solve_basics():
     y = np.array([3.0, -1.0, 2.0])
-    x, resid = pinv_solve(np.eye(3), y)
+    x, resid = pinv_solve(np.eye(3), y, TOL.rank_rel_tol)
     assert np.allclose(x, y) and resid <= 1e-12
 
-    x2, resid2 = pinv_solve(np.array([[1.0], [1.0]]), [2.0, 2.0])
+    x2, resid2 = pinv_solve(np.array([[1.0], [1.0]]), [2.0, 2.0], TOL.rank_rel_tol)
     assert np.allclose(x2, [2.0]) and resid2 <= 1e-12
 
     with pytest.raises(RankDeficiencyError):
-        pinv_solve(np.array([[1.0, 1.0], [1.0, 1.0]]), [1.0, 2.0])
+        pinv_solve(np.array([[1.0, 1.0], [1.0, 1.0]]), [1.0, 2.0], TOL.rank_rel_tol)
+
+
+def test_pinv_solve_uses_the_given_rank_bound():
+    # sigma_min = 1e-6 against a threshold of rank_rel_tol * 1 * 2
+    M = np.diag([1.0, 1e-6])
+    with pytest.raises(RankDeficiencyError):
+        pinv_solve(M, [1.0, 1e-6], 1e-3)
+    x, resid = pinv_solve(M, [1.0, 1e-6], 1e-8)
+    assert np.allclose(x, [1.0, 1.0]) and resid <= 1e-12
 
 
 def test_pinv_solve_recovers_weights():
@@ -429,7 +443,7 @@ def test_pinv_solve_recovers_weights():
         )
         y = forward_phase(theta, g, z, n)
         M = vandermonde(z, n).T @ vandermonde(theta, n)
-        got, resid = pinv_solve(M, y)
+        got, resid = pinv_solve(M, y, TOL.rank_rel_tol)
         assert np.max(np.abs(got - g)) <= 1e-8 * max(1.0, np.max(np.abs(g)))
         assert resid <= 1e-8 * np.linalg.norm(y)
 
