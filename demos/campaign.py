@@ -2,10 +2,12 @@
 
 Builds a config in memory, runs every trial through the generator and the
 matching recovery pipeline, and writes the same CSV the command line
-`vrecover montecarlo` produces. Rerunning with the same master seed gives
-identical trials; only the runtime column moves.
+`vrecover montecarlo` produces into a fresh temporary directory, whose path
+it prints. Rerunning with the same master seed gives identical trials; only
+the runtime column moves.
 """
 
+import tempfile
 from pathlib import Path
 
 from vrecover.harness import ExperimentConfig, derive_seed, run_campaign, write_csv
@@ -24,7 +26,7 @@ def main():
     })
 
     records, summaries = run_campaign(config)
-    out = Path("campaign_r5.csv")
+    out = Path(tempfile.mkdtemp(prefix="vrecover-campaign-")) / "campaign_r5.csv"
     write_csv(out, records, summaries)
 
     for row in summaries:

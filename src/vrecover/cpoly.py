@@ -97,8 +97,18 @@ class LaurentPoly:
 # plain polynomial operations
 # ----------------------------------------------------------------------------
 
-def poly_eval(p: Poly, x: complex) -> complex:
-    """Horner evaluation of `p` at a scalar point `x`."""
+def _modulus(z) -> np.ndarray:
+    """``|z|`` elementwise through ``np.hypot``, which rounds like ``abs`` of a scalar."""
+    z = np.asarray(z, dtype=complex)
+    return np.hypot(z.real, z.imag)
+
+
+def poly_eval(p: Poly, x):
+    """Horner evaluation of `p` at `x`.
+
+    `x` is a scalar point or a numpy array of points; an array gives the
+    array of values, one per point.
+    """
     acc = 0j
     for c in reversed(p.coeffs):
         acc = acc * x + c
@@ -109,18 +119,6 @@ def poly_mul(p: Poly, q: Poly) -> Poly:
     if p.is_zero() or q.is_zero():
         return Poly()
     return Poly(np.convolve(p.array(), q.array()))
-
-
-def poly_add(p: Poly, q: Poly) -> Poly:
-    size = max(len(p.coeffs), len(q.coeffs))
-    out = np.zeros(size, dtype=complex)
-    out[: len(p.coeffs)] += p.coeffs
-    out[: len(q.coeffs)] += q.coeffs
-    return Poly(out)
-
-
-def poly_scale(p: Poly, c: complex) -> Poly:
-    return Poly(np.asarray(p.coeffs, dtype=complex) * complex(c))
 
 
 def poly_from_roots(roots, leading: complex = 1.0) -> Poly:
@@ -142,13 +140,14 @@ def poly_roots(p: Poly, tol_root: float) -> np.ndarray:
         raise InvalidInputError("constant polynomial has no roots")
     roots = np.roots(p.array()[::-1])
     scale = max(abs(c) for c in p.coeffs)
-    deg = p.degree()
-    for r in roots:
-        bound = tol_root * scale * max(1.0, abs(r)) ** deg
-        if abs(poly_eval(p, r)) > bound:
-            raise NumericalFailureError(
-                f"root residual {abs(poly_eval(p, r)):.3e} exceeds bound {bound:.3e}"
-            )
+    resid = _modulus(poly_eval(p, roots))
+    bound = tol_root * scale * np.maximum(1.0, _modulus(roots)) ** p.degree()
+    bad = np.flatnonzero(resid > bound)
+    if bad.size:
+        j = bad[0]
+        raise NumericalFailureError(
+            f"root residual {resid[j]:.3e} exceeds bound {bound[j]:.3e}"
+        )
     return roots
 
 
@@ -220,14 +219,19 @@ def forward_polys(theta, g, n: int) -> tuple[Poly, Poly, Poly]:
     if np.any(theta == 0):
         raise InvalidInputError("pole locations must be nonzero")
     s = len(theta)
-    u_hat = Poly()
-    u_tilde = Poly()
-    v = Poly([1.0])
-    for l in range(s):
-        t_l = t_polynomial(theta, l)
-        u_hat = poly_add(u_hat, poly_scale(t_l, g[l] * theta[l] ** n))
-        u_tilde = poly_add(u_tilde, poly_scale(t_l, -g[l]))
-        v = poly_mul(v, Poly([-1.0, theta[l]]))
+    # rows 0..s-1 hold the ascending coefficients of t_l, row s those of v;
+    # step i multiplies every row except row i by (theta_i z - 1)
+    table = np.zeros((s + 1, s + 1), dtype=complex)
+    table[:, 0] = 1.0
+    for i, th in enumerate(theta):
+        rows = np.arange(s + 1) != i
+        step = -table[rows]
+        step[:, 1:] += th * table[rows, :-1]
+        table[rows] = step
+    t_rows = table[:s, :s]
+    u_hat = Poly((g * theta**n) @ t_rows)
+    u_tilde = Poly(-g @ t_rows)
+    v = Poly(table[s])
     return u_hat, u_tilde, v
 
 
@@ -281,13 +285,20 @@ def laurent_conj(a: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(np.conj(a.array()[::-1]), -a.max_degree())
 
 
-def laurent_eval(a: LaurentPoly, x: complex) -> complex:
+def laurent_eval(a: LaurentPoly, x):
+    """Value of `a` at `x`, a nonzero scalar or a numpy array of nonzero points.
+
+    A scalar gives a complex number, an array the array of values.
+    """
+    scalar = np.ndim(x) == 0
+    if not scalar:
+        x = np.asarray(x, dtype=complex)
     if a.is_zero():
-        return 0j
-    if x == 0:
+        return 0j if scalar else np.zeros(x.shape, dtype=complex)
+    if np.any(x == 0):
         raise InvalidInputError("Laurent polynomial cannot be evaluated at 0")
     p, shift = laurent_to_poly(a)
-    return complex(x) ** shift * poly_eval(p, x)
+    return (complex(x) if scalar else x) ** shift * poly_eval(p, x)
 
 
 def hermitian_defect(a: LaurentPoly) -> float:
@@ -329,8 +340,7 @@ def relative_gaps(values, targets) -> np.ndarray:
     values = np.asarray(values, dtype=complex)
     targets = np.asarray(targets, dtype=complex)
     diff = values[:, None] - targets[None, :]
-    scale = np.maximum(1.0, np.hypot(targets.real, targets.imag))
-    return np.hypot(diff.real, diff.imag) / scale[None, :]
+    return _modulus(diff) / np.maximum(1.0, _modulus(targets))[None, :]
 
 
 def pair_conjugate_reciprocal(roots, tol: float):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Tolerances, load_tolerances
-from .cpoly import Poly, poly_eval, poly_roots, t_polynomial
+from .cpoly import Poly, poly_eval, poly_roots, t_values
 from .errors import (
     DegenerateSupportError,
     AmbiguousSupportError,
@@ -177,23 +177,27 @@ def recover_g(theta, q_block: Poly, gamma_or_general, z, y, n: int,
     """
     theta = np.asarray(theta, dtype=complex)
     y = np.asarray(y, dtype=complex)
-    S = len(theta)
-    g_hat = np.empty(S, dtype=complex)
-    for k in range(S):
-        t_k = t_polynomial(theta, k)
-        t_val = poly_eval(t_k, 1.0 / theta[k])
-        if abs(t_val) < 1e-12:
+    recip = 1.0 / theta
+    t_val = np.diagonal(t_values(theta, recip))
+    num = poly_eval(q_block, recip)
+    vanishing = np.abs(t_val) < 1e-12
+    if gamma_or_general == GENERAL:
+        twisted = np.zeros(len(theta), dtype=bool)
+    else:
+        twist = np.exp(1j * float(gamma_or_general)) * theta**n - 1.0
+        twisted = np.abs(twist) < 1e-9 * np.maximum(1.0, np.abs(theta) ** n)
+    # the first pole where either test trips decides; a vanishing t_k wins
+    trips = np.flatnonzero(vanishing | twisted)
+    if trips.size:
+        if vanishing[trips[0]]:
             raise DegenerateSupportError("t_k vanishes at a recovered pole")
-        num = poly_eval(q_block, 1.0 / theta[k])
-        if gamma_or_general == GENERAL:
-            g_hat[k] = num / (theta[k] ** n * t_val)
-        else:
-            twist = np.exp(1j * float(gamma_or_general)) * theta[k] ** n - 1.0
-            if abs(twist) < 1e-9 * max(1.0, abs(theta[k]) ** n):
-                A = vandermonde(z, n).T @ vandermonde(theta, n)
-                g_ls, _ = pinv_solve(A, y, tol.rank_rel_tol)
-                return g_ls
-            g_hat[k] = num / (t_val * twist)
+        A = vandermonde(z, n).T @ vandermonde(theta, n)
+        g_ls, _ = pinv_solve(A, y, tol.rank_rel_tol)
+        return g_ls
+    if gamma_or_general == GENERAL:
+        g_hat = num / (theta**n * t_val)
+    else:
+        g_hat = num / (t_val * twist)
     predicted = vandermonde(z, n).T @ vandermonde(theta, n) @ g_hat
     k_star = int(np.argmax(np.abs(y)))
     if abs(y[k_star]) == 0:

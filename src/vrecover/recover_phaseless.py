@@ -203,7 +203,7 @@ def recover_support_harmonic(inst: PhaselessInstance, tol: Tolerances):
 # magnitude profiles
 # ----------------------------------------------------------------------------
 
-def _positivity_check(values: list[float], tol: Tolerances) -> tuple[float, ...]:
+def _positivity_check(values: np.ndarray, tol: Tolerances) -> tuple[float, ...]:
     scale = max((abs(v) for v in values), default=0.0)
     floor = -tol.mag_tol * scale
     for v in values:
@@ -222,12 +222,9 @@ def magnitudes_harmonic(theta, q_block: LaurentPoly, gamma: float, n: int,
     theta = np.asarray(theta, dtype=complex)
     points = np.conj(theta)
     denom = np.diagonal(t_values(theta, points)) * (np.exp(1j * gamma) * theta**n - 1.0)
-    out = []
-    for k in range(len(theta)):
-        if abs(denom[k]) < 1e-12:
-            raise DegenerateSupportError("magnitude denominator vanished")
-        out.append(float(laurent_eval(q_block, points[k]).real) / abs(denom[k]) ** 2)
-    return _positivity_check(out, tol)
+    if np.any(np.abs(denom) < 1e-12):
+        raise DegenerateSupportError("magnitude denominator vanished")
+    return _positivity_check(laurent_eval(q_block, points).real / np.abs(denom) ** 2, tol)
 
 
 def magnitudes_general(theta, L: LaurentPoly, tol: Tolerances) -> tuple[float, ...]:
@@ -235,12 +232,9 @@ def magnitudes_general(theta, L: LaurentPoly, tol: Tolerances) -> tuple[float, .
     theta = np.asarray(theta, dtype=complex)
     points = np.conj(theta)
     t_val = np.diagonal(t_values(theta, points))
-    out = []
-    for k in range(len(theta)):
-        if abs(t_val[k]) < 1e-12:
-            raise DegenerateSupportError("magnitude denominator vanished")
-        out.append(float(laurent_eval(L, points[k]).real) / (2.0 * abs(t_val[k]) ** 2))
-    return _positivity_check(out, tol)
+    if np.any(np.abs(t_val) < 1e-12):
+        raise DegenerateSupportError("magnitude denominator vanished")
+    return _positivity_check(laurent_eval(L, points).real / (2.0 * np.abs(t_val) ** 2), tol)
 
 
 # ----------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from vrecover.errors import (
     InvalidInputError,
     ModelMismatchError,
     NotASquareError,
+    NumericalFailureError,
     PairingFailureError,
 )
 
@@ -41,6 +42,30 @@ def test_poly_eval_basics():
     assert poly_eval(Poly([-1, 1]), 1.0) == 0
     assert poly_eval(Poly([1]), 3.7 + 2j) == 1
     assert poly_eval(Poly([2, -3, 1]), 2.0) == 0
+
+
+def test_poly_eval_over_an_array():
+    p = Poly([2, -3, 1])
+    points = np.array([2.0, 1.0, 0.5j, -3.0 + 1j])
+    got = poly_eval(p, points)
+    assert got.shape == (4,)
+    assert np.allclose(got, [poly_eval(p, q) for q in points], rtol=1e-15, atol=0)
+
+
+def test_laurent_eval_over_an_array():
+    a = LaurentPoly([1.0, -2j, 0.5, 3.0], -2)
+    points = np.array([1.0, -1j, 0.3 + 0.4j, 2.0 - 1j])
+    got = laurent_eval(a, points)
+    assert got.shape == (4,)
+    for value, q in zip(got, points):
+        want = laurent_eval(a, q)
+        assert isinstance(want, complex)
+        assert abs(value - want) <= 1e-14 * max(1.0, abs(want))
+    assert np.array_equal(laurent_eval(LaurentPoly(), points), np.zeros(4))
+    assert laurent_eval(LaurentPoly(), 2.0) == 0j
+    for bad in (0.0, np.array([1.0, 0.0, 1j])):
+        with pytest.raises(InvalidInputError):
+            laurent_eval(a, bad)
 
 
 def test_poly_degree_and_trim():
@@ -76,6 +101,29 @@ def test_poly_roots_residual_bound():
         for r in poly_roots(p, TOL_ROOT):
             bound = 1e-8 * scale * max(1.0, abs(r)) ** p.degree()
             assert abs(poly_eval(p, r)) <= bound
+
+
+def test_poly_roots_names_the_first_failing_root(monkeypatch):
+    """The first root in np.roots order that misses its bound raises, with its values."""
+    rng = np.random.default_rng(103)
+    true_roots = rng.uniform(0.5, 2.0, 8) * np.exp(1j * rng.uniform(0, 2 * np.pi, 8))
+    p = poly_from_roots(true_roots)
+    scale = max(abs(c) for c in p.coeffs)
+    for moved in ((), (5,), (2, 6), (0, 3, 7)):
+        # roots off by 1e-6 have residuals far above rounding noise
+        found = true_roots.copy()
+        found[list(moved)] += 1e-6 * np.exp(1j * rng.uniform(0, 2 * np.pi, len(moved)))
+        monkeypatch.setattr(np, "roots", lambda coeffs, found=found: found.copy())
+        if not moved:
+            assert np.array_equal(poly_roots(p, 1e-8), found)
+            continue
+        r = found[moved[0]]
+        bound = 1e-8 * scale * max(1.0, abs(r)) ** p.degree()
+        with pytest.raises(NumericalFailureError) as info:
+            poly_roots(p, 1e-8)
+        assert str(info.value) == (
+            f"root residual {abs(poly_eval(p, r)):.3e} exceeds bound {bound:.3e}"
+        )
 
 
 def test_roots_round_trip():
@@ -193,6 +241,29 @@ def test_forward_polys_identity():
             assert abs(u_val - direct) <= 1e-8 * max(1.0, abs(direct))
         with pytest.raises(InvalidInputError):
             forward_polys(theta, g[:-1] if s > 1 else np.r_[g, g], n)
+
+
+def test_forward_polys_match_per_pole_expansion():
+    """The stacked t_l table gives the sums of the expanded t_polynomial rows."""
+    rng = np.random.default_rng(29)
+    for S in range(1, 9):
+        for _ in range(5):
+            theta = np.exp(1j * rng.uniform(0, 2 * np.pi, S)) * rng.uniform(0.5, 2.0, S)
+            g = rng.normal(size=S) + 1j * rng.normal(size=S)
+            n = int(rng.integers(S, 4 * S + 1))
+            want_hat = want_tilde = np.zeros(S, dtype=complex)
+            want_v = Poly([1.0])
+            for l in range(S):
+                t_l = t_polynomial(theta, l).array()
+                want_hat = want_hat + g[l] * theta[l] ** n * t_l
+                want_tilde = want_tilde - g[l] * t_l
+                want_v = poly_mul(want_v, Poly([-1.0, theta[l]]))
+            wants = (want_hat, want_tilde, want_v.array())
+            for got, b in zip(forward_polys(theta, g, n), wants):
+                a = got.array()
+                assert a.shape == b.shape
+                assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+    assert forward_polys([], [], 3) == (Poly(), Poly(), Poly([1.0]))
 
 
 def test_forward_polys_u_tilde_roots_simple():

@@ -165,6 +165,32 @@ def test_generate_trial_consistent_every_mode():
             )
 
 
+def test_generated_y_is_the_matrix_route_bit_for_bit():
+    """The oracle's second routes only certify; the stored y is V(z)^T V(theta) g."""
+    setups = [
+        config_dict(mode="r1", s_list=[3], sample_mode="arbitrary", m_rule="3s"),
+        config_dict(mode="r2", s_list=[2], n_rule="2s+1", m_rule="2s"),
+        config_dict(mode="r4", s_list=[3], n_rule="4s-1", m_rule="4s-1", gamma=1.0),
+        config_dict(
+            mode="r5", s_list=[3], n_rule="4s-1", m_rule="8s-3",
+            sample_mode="arbitrary",
+        ),
+        config_dict(mode="r3", s_list=[2], n_rule="4s+3", m_rule="4s-1", gamma=1.0),
+    ]
+    for raw in setups:
+        config = ExperimentConfig.from_dict(raw)
+        for index in range(3):
+            payload = generate_trial(config, config.s_list[0], index)
+            n = payload["n"]
+            z = unpairs(payload["z"])
+            rows = vandermonde(z, n).T @ vandermonde(unpairs(payload["theta"]), n)
+            via_matrix = rows @ unpairs(payload["g"])
+            if config.mode in ("r1", "r2"):
+                assert np.array_equal(unpairs(payload["y"]), via_matrix)
+            else:
+                assert payload["y"] == [float(v) for v in np.abs(via_matrix) ** 2]
+
+
 def test_generated_seeds_differ_per_trial():
     config = ExperimentConfig.from_dict(config_dict())
     p0 = generate_trial(config, 1, 0)

@@ -1,12 +1,17 @@
 """Forward models and the brute-force baselines that certify the solvers."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from vrecover import oracle
+from vrecover.cpoly import forward_polys, laurent_eval, laurent_from_products, laurent_scale
 from vrecover.errors import (
     InvalidInputError,
     ModelMismatchError,
     NonIdentifiableError,
+    NumericalFailureError,
 )
 from vrecover.oracle import (
     brute_force_cs,
@@ -23,6 +28,10 @@ from vrecover.oracle import (
     make_phaseless_instance,
 )
 from vrecover.structmat import SampleSet, shifted_harmonics, vandermonde
+
+
+def disk_points(rng, m):
+    return rng.uniform(0.5, 1.0, m) * np.exp(1j * rng.uniform(0, 2 * np.pi, m))
 
 
 def test_forward_phase_frozen():
@@ -84,6 +93,98 @@ def test_forward_phaseless_laurent_cross_check():
         else:
             z = np.exp(1j * rng.uniform(0, 2 * np.pi, 8 * s - 3))
         forward_phaseless(theta, g, z, n)
+
+
+def _first_laurent_failure(theta, g, z, n, scale_tilde):
+    """Sample index where the Laurent-ratio check fails, one Horner per sample.
+
+    Mirrors the per-sample form of the check: each value comes from a scalar
+    `laurent_eval` call, with `L_tilde` scaled by `scale_tilde`.
+    """
+    y = np.abs(forward_phase_matrix(theta, g, z, n)) ** 2
+    L, L_tilde, L_hat = laurent_from_products(*forward_polys(theta, g, n))
+    L_tilde = laurent_scale(L_tilde, scale_tilde)
+    scale = max(1.0, float(np.max(y)))
+    denom = [laurent_eval(L_hat, p) for p in z]
+    denom_scale = max(abs(d) for d in denom)
+    for j, point in enumerate(z):
+        amp = denom_scale / max(abs(denom[j]), 1e-300)
+        if amp > 1e8:
+            continue
+        cross = laurent_eval(L_tilde, point)
+        ratio = (laurent_eval(L, point) + point**n * cross
+                 + point ** (-n) * np.conj(cross)) / denom[j]
+        if abs(ratio - y[j]) > 1e-10 * scale * max(1.0, amp):
+            return j
+    return None
+
+
+def test_forward_phaseless_cross_check_fires_at_the_first_bad_sample(monkeypatch):
+    """A perturbed Laurent form is caught at the sample a scalar loop names."""
+    rng = np.random.default_rng(233)
+    for scale_tilde in (1 + 1e-6, 1 + 1e-8):
+        def perturbed(u_hat, u_tilde, v, scale_tilde=scale_tilde):
+            L, L_tilde, L_hat = laurent_from_products(u_hat, u_tilde, v)
+            return L, laurent_scale(L_tilde, scale_tilde), L_hat
+
+        monkeypatch.setattr(oracle, "laurent_from_products", perturbed)
+        seen = set()
+        for _ in range(30):
+            s = int(rng.integers(1, 5))
+            n = 4 * s - 1
+            theta = draw_theta_circle(rng, s)
+            g = draw_g(rng, s)
+            z = np.exp(1j * rng.uniform(0, 2 * np.pi, 8 * s - 3))
+            expect = _first_laurent_failure(theta, g, z, n, scale_tilde)
+            if expect is None:
+                forward_phaseless(theta, g, z, n)
+                seen.add("quiet")
+            else:
+                with pytest.raises(NumericalFailureError,
+                                   match=rf"^Laurent form disagrees at sample {expect}: "):
+                    forward_phaseless(theta, g, z, n)
+                seen.add("first" if expect == 0 else "later")
+        if scale_tilde == 1 + 1e-6:
+            assert "first" in seen
+        else:
+            assert seen == {"quiet", "first", "later"}
+
+
+def test_forward_phaseless_skips_a_sample_on_a_pole():
+    """A sample exactly on a pole of |v|^2 is skipped, without a warning."""
+    rng = np.random.default_rng(239)
+    cases = [(np.array([1.0 + 0j]), np.array([2.0 + 0j]))]
+    for s in (2, 3):
+        cases.append((draw_theta_circle(rng, s), draw_g(rng, s)))
+    for theta, g in cases:
+        s = len(theta)
+        n = 4 * s - 1
+        z = np.exp(1j * rng.uniform(0, 2 * np.pi, 8 * s - 3))
+        z[1] = np.conj(theta[0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = forward_phaseless(theta, g, z, n)
+        assert np.array_equal(y, np.abs(forward_phase_matrix(theta, g, z, n)) ** 2)
+    # the single pole at z = 1 makes |v(1)|^2 vanish exactly
+    _, _, L_hat = laurent_from_products(*forward_polys([1.0], [2.0], 3))
+    assert laurent_eval(L_hat, 1.0) == 0
+
+
+def test_forward_phase_rational_near_one():
+    """Samples at and around w = z*theta = 1 take the direct geometric sum."""
+    rng = np.random.default_rng(241)
+    for _ in range(20):
+        s = int(rng.integers(1, 4))
+        n = int(rng.integers(2 * s, 2 * s + 6))
+        theta = draw_theta_disk(rng, s)
+        g = draw_g(rng, s)
+        offsets = np.array([0.0, 1e-9, 1e-6, 5e-4, 9.99e-4, 1.001e-3, 2e-3])
+        w = 1.0 + offsets * np.exp(1j * rng.uniform(0, 2 * np.pi, len(offsets)))
+        l = int(rng.integers(s))
+        z = np.concatenate([w / theta[l], disk_points(rng, 4)])
+        a = forward_phase_matrix(theta, g, z, n)
+        b = forward_phase_rational(theta, g, z, n)
+        assert np.max(np.abs(a - b)) <= 1e-10 * max(1.0, float(np.max(np.abs(a))))
 
 
 def test_instance_constructors_check_consistency():

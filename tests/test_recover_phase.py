@@ -4,7 +4,9 @@ import numpy as np
 import numpy.linalg._linalg as np_linalg_impl
 import pytest
 
+from vrecover import recover_phase
 from vrecover.config import Tolerances
+from vrecover.cpoly import Poly, poly_eval, t_polynomial
 from vrecover.errors import (
     AmbiguousSupportError,
     DegenerateSupportError,
@@ -202,6 +204,55 @@ def test_recover_g_degenerate_support():
 
     with pytest.raises(DegenerateSupportError):
         recover_g([2.0, 2.0 + 1e-15], Poly([1.0, 1.0]), "general", z, y, 4, Tolerances())
+
+
+def _recover_g_per_pole(theta, q_block, gamma_or_general, z, y, n):
+    """recover_g's closed form with one expanded t_k and two Horner runs per pole."""
+    g_hat = np.empty(len(theta), dtype=complex)
+    for k in range(len(theta)):
+        t_val = poly_eval(t_polynomial(theta, k), 1.0 / theta[k])
+        num = poly_eval(q_block, 1.0 / theta[k])
+        if gamma_or_general == "general":
+            g_hat[k] = num / (theta[k] ** n * t_val)
+        else:
+            g_hat[k] = num / (t_val * (np.exp(1j * gamma_or_general) * theta[k] ** n - 1.0))
+    predicted = vandermonde(z, n).T @ vandermonde(theta, n) @ g_hat
+    k_star = int(np.argmax(np.abs(y)))
+    return g_hat / (predicted[k_star] / y[k_star])
+
+
+def test_recover_g_matches_per_pole_form():
+    rng = np.random.default_rng(359)
+    for _ in range(40):
+        s = int(rng.integers(1, 7))
+        n = 2 * s
+        theta = draw_theta_disk(rng, s)
+        q_block = Poly(rng.normal(size=s) + 1j * rng.normal(size=s))
+        z = SampleSet(tuple(disk_points(rng, 3 * s)))
+        y = rng.normal(size=3 * s) + 1j * rng.normal(size=3 * s)
+        tag = "general" if rng.uniform() < 0.5 else float(rng.uniform(0.1, 6.0))
+        got = recover_g(theta, q_block, tag, z, y, n, Tolerances())
+        want = _recover_g_per_pole(theta, q_block, tag, z, y, n)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_recover_g_first_tripped_pole_decides(monkeypatch):
+    """A vanishing t_k raises; a vanishing twist at an earlier pole falls back first."""
+    fallback = np.array([7.0 + 0j])
+    monkeypatch.setattr(recover_phase, "pinv_solve", lambda A, y, rank_rel_tol: (fallback, 0.0))
+    z = SampleSet(tuple(np.exp(2j * np.pi * np.arange(6) / 6)))
+    y = np.ones(6, dtype=complex)
+    q_block = Poly([1.0, 0.5, 0.25])
+    twin = [2.0, 2.0 + 1e-15]  # t_k vanishes at both
+    # with gamma = 0 and n = 4 the twist e^{i gamma} theta^4 - 1 vanishes at 1j
+    assert recover_g([1j, *twin], q_block, 0.0, z, y, 4, Tolerances()) is fallback
+    with pytest.raises(DegenerateSupportError, match="^t_k vanishes at a recovered pole$"):
+        recover_g([*twin, 1j], q_block, 0.0, z, y, 4, Tolerances())
+    with pytest.raises(DegenerateSupportError, match="^t_k vanishes at a recovered pole$"):
+        recover_g([1j, 1j + 1e-15, 0.5], q_block, 0.0, z, y, 4, Tolerances())
+    # the general system has no twist, so the same pole is solved in closed form
+    got = recover_g([1j, 0.5, -2.0], q_block, "general", z, y, 4, Tolerances())
+    assert got.shape == (3,) and np.all(np.isfinite(got))
 
 
 def test_snap_to_grid_keeps_input_order():
