@@ -11,7 +11,6 @@ reproducible experiment harness.
 from .config import Tolerances, load_tolerances
 from .cpoly import (
     LaurentPoly,
-    Poly,
     forward_polys,
     laurent_conj,
     laurent_from_products,

@@ -1,8 +1,10 @@
 """Complex polynomials and Laurent polynomials on and around the unit circle.
 
-Coefficients are stored ascending (``coeffs[k]`` multiplies ``z**k``). The
-zero polynomial is the empty coefficient tuple and refuses degree queries, so
-degenerate cases surface at the call site instead of propagating a fake -1.
+A polynomial is a numpy array of ascending complex coefficients
+(``p[k]`` multiplies ``z**k``); the zero polynomial is the empty array.
+Only root finding and the resultant need a degree. They trim trailing exact
+zeros and refuse the zero polynomial, so degenerate cases surface at the
+call site instead of propagating a fake -1.
 
 Laurent polynomials carry an explicit ``min_degree``; on the unit circle
 ``conj(z) = 1/z``, which makes the conjugate-Laurent operation (conjugate
@@ -22,75 +24,38 @@ from .errors import (
 )
 
 
-def _trim_high(values) -> tuple[complex, ...]:
-    vals = [complex(v) for v in values]
-    while vals and vals[-1] == 0:
-        vals.pop()
-    return tuple(vals)
-
-
-@dataclass(frozen=True)
-class Poly:
-    """Dense univariate polynomial, ascending complex coefficients.
-
-    >>> p = Poly([2, -3, 1])   # 2 - 3z + z^2
-    >>> p.degree()
-    2
-    >>> poly_eval(p, 2.0)
-    0j
-    """
-
-    coeffs: tuple[complex, ...]
-
-    def __init__(self, coeffs=()):
-        object.__setattr__(self, "coeffs", _trim_high(coeffs))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def degree(self) -> int:
-        if not self.coeffs:
-            raise InvalidInputError("degree of the zero polynomial is undefined")
-        return len(self.coeffs) - 1
-
-    def array(self) -> np.ndarray:
-        return np.array(self.coeffs, dtype=complex)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LaurentPoly:
     """Laurent polynomial: ``coeffs[k]`` multiplies ``z**(min_degree + k)``.
 
-    Both end coefficients are nonzero after construction; the zero Laurent
-    polynomial is the empty tuple with ``min_degree == 0``.
+    `coeffs` is a read-only complex array whose end entries are nonzero
+    after construction; the zero Laurent polynomial is the empty array with
+    ``min_degree == 0``. For a nonzero L, ``L(z) = z**L.min_degree * p(z)``
+    with the plain polynomial ``p = L.coeffs`` and ``p(0) != 0``.
     """
 
-    coeffs: tuple[complex, ...]
+    coeffs: np.ndarray
     min_degree: int
 
     def __init__(self, coeffs=(), min_degree: int = 0):
-        vals = [complex(v) for v in coeffs]
-        lead = 0
-        while vals and vals[0] == 0:
-            vals.pop(0)
-            lead += 1
-        while vals and vals[-1] == 0:
-            vals.pop()
-        if not vals:
-            min_degree, lead = 0, 0
-        object.__setattr__(self, "coeffs", tuple(vals))
-        object.__setattr__(self, "min_degree", min_degree + lead)
+        coeffs = np.array(coeffs, dtype=complex)
+        nonzero = np.flatnonzero(coeffs)
+        if nonzero.size:
+            lead = int(nonzero[0])
+            coeffs, min_degree = coeffs[lead : nonzero[-1] + 1], min_degree + lead
+        else:
+            coeffs, min_degree = coeffs[:0], 0
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "min_degree", min_degree)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.coeffs.size
 
     def max_degree(self) -> int:
-        if not self.coeffs:
+        if not self.coeffs.size:
             raise InvalidInputError("degree of the zero Laurent polynomial is undefined")
         return self.min_degree + len(self.coeffs) - 1
-
-    def array(self) -> np.ndarray:
-        return np.array(self.coeffs, dtype=complex)
 
 
 # ----------------------------------------------------------------------------
@@ -103,45 +68,53 @@ def _modulus(z) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-def poly_eval(p: Poly, x):
-    """Horner evaluation of `p` at `x`.
+def _trimmed(p, message: str) -> np.ndarray:
+    """`p` without its trailing exact zeros; the zero polynomial raises `message`."""
+    p = np.asarray(p, dtype=complex)
+    nonzero = np.flatnonzero(p)
+    if not nonzero.size:
+        raise InvalidInputError(message)
+    return p[: nonzero[-1] + 1]
+
+
+def poly_eval(p, x):
+    """Horner evaluation of the polynomial `p` at `x`.
 
     `x` is a scalar point or a numpy array of points; an array gives the
     array of values, one per point.
+
+    >>> poly_eval(np.array([2, -3, 1]), 2.0)   # 2 - 3z + z^2
+    0j
     """
     acc = 0j
-    for c in reversed(p.coeffs):
+    # Python complex coefficients keep a scalar point in Python's complex arithmetic
+    for c in reversed(np.asarray(p, dtype=complex).tolist()):
         acc = acc * x + c
     return acc
 
 
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    if p.is_zero() or q.is_zero():
-        return Poly()
-    return Poly(np.convolve(p.array(), q.array()))
-
-
-def poly_from_roots(roots, leading: complex = 1.0) -> Poly:
+def poly_from_roots(roots, leading: complex = 1.0) -> np.ndarray:
     p = np.array([complex(leading)])
     for r in roots:
         p = np.convolve(p, np.array([-complex(r), 1.0]))
-    return Poly(p)
+    return p
 
 
-def poly_roots(p: Poly, tol_root: float) -> np.ndarray:
+def poly_roots(p, tol_root: float) -> np.ndarray:
     """All complex roots of `p` via eigenvalues of the companion matrix.
 
-    The residual of every returned root is certified against
-    ``tol_root * max|coeffs| * max(1, |root|)**degree``.
+    Trailing zero coefficients are dropped first. The residual of every
+    returned root is certified against
+    ``tol_root * max|p| * max(1, |root|)**degree``.
     """
-    if p.is_zero():
-        raise InvalidInputError("roots of the zero polynomial are undefined")
-    if p.degree() == 0:
+    p = _trimmed(p, "roots of the zero polynomial are undefined")
+    degree = len(p) - 1
+    if degree == 0:
         raise InvalidInputError("constant polynomial has no roots")
-    roots = np.roots(p.array()[::-1])
-    scale = max(abs(c) for c in p.coeffs)
+    roots = np.roots(p[::-1])
+    scale = _modulus(p).max()
     resid = _modulus(poly_eval(p, roots))
-    bound = tol_root * scale * np.maximum(1.0, _modulus(roots)) ** p.degree()
+    bound = tol_root * scale * np.maximum(1.0, _modulus(roots)) ** degree
     bad = np.flatnonzero(resid > bound)
     if bad.size:
         j = bad[0]
@@ -151,23 +124,23 @@ def poly_roots(p: Poly, tol_root: float) -> np.ndarray:
     return roots
 
 
-def resultant(p: Poly, q: Poly) -> complex:
+def resultant(p, q) -> complex:
     """Sylvester-matrix resultant; zero exactly when `p` and `q` share a root.
 
-    >>> resultant(Poly([-1, 1]), Poly([-2, 1]))   # z-1 vs z-2
+    >>> resultant([-1, 1], [-2, 1])   # z-1 vs z-2
     (-1+0j)
     """
-    if p.is_zero() or q.is_zero():
-        raise InvalidInputError("resultant of the zero polynomial is undefined")
-    dp, dq = p.degree(), q.degree()
+    message = "resultant of the zero polynomial is undefined"
+    p, q = _trimmed(p, message), _trimmed(q, message)
+    dp, dq = len(p) - 1, len(q) - 1
     if dp == 0:
-        return complex(p.coeffs[0]) ** dq
+        return complex(p[0]) ** dq
     if dq == 0:
-        return complex(q.coeffs[0]) ** dp
+        return complex(q[0]) ** dp
     size = dp + dq
     syl = np.zeros((size, size), dtype=complex)
-    pd = p.array()[::-1]  # descending
-    qd = q.array()[::-1]
+    pd = p[::-1]  # descending
+    qd = q[::-1]
     for i in range(dq):
         syl[i, i : i + dp + 1] = pd
     for i in range(dp):
@@ -175,7 +148,7 @@ def resultant(p: Poly, q: Poly) -> complex:
     return complex(np.linalg.det(syl))
 
 
-def t_polynomial(theta, l: int) -> Poly:
+def t_polynomial(theta, l: int) -> np.ndarray:
     """The product of ``(theta_i * z - 1)`` over all i except `l`."""
     theta = np.asarray(theta, dtype=complex)
     if np.any(theta == 0):
@@ -186,7 +159,7 @@ def t_polynomial(theta, l: int) -> Poly:
     for i, th in enumerate(theta):
         if i != l:
             p = np.convolve(p, np.array([-1.0, th]))
-    return Poly(p)
+    return p
 
 
 def t_values(theta, points) -> np.ndarray:
@@ -205,12 +178,13 @@ def t_values(theta, points) -> np.ndarray:
     return factors.prod(axis=2)
 
 
-def forward_polys(theta, g, n: int) -> tuple[Poly, Poly, Poly]:
+def forward_polys(theta, g, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Numerator parts and denominator of the rational form of the signal.
 
     Returns ``(u_hat, u_tilde, v)`` with ``u(z) = z**n u_hat(z) + u_tilde(z)``
     and ``v(z)`` the product of ``(theta_l z - 1)``; the measured function is
-    ``u/v`` wherever v does not vanish.
+    ``u/v`` wherever v does not vanish. For S poles the arrays have S, S and
+    S+1 coefficients, exact zeros included.
     """
     theta = np.asarray(theta, dtype=complex)
     g = np.asarray(g, dtype=complex)
@@ -229,31 +203,17 @@ def forward_polys(theta, g, n: int) -> tuple[Poly, Poly, Poly]:
         step[:, 1:] += th * table[rows, :-1]
         table[rows] = step
     t_rows = table[:s, :s]
-    u_hat = Poly((g * theta**n) @ t_rows)
-    u_tilde = Poly(-g @ t_rows)
-    v = Poly(table[s])
-    return u_hat, u_tilde, v
+    return (g * theta**n) @ t_rows, -g @ t_rows, table[s]
 
 
 # ----------------------------------------------------------------------------
 # Laurent arithmetic
 # ----------------------------------------------------------------------------
 
-def laurent_from_poly(p: Poly, shift: int = 0) -> LaurentPoly:
-    return LaurentPoly(p.coeffs, shift)
-
-
-def laurent_to_poly(L: LaurentPoly) -> tuple[Poly, int]:
-    """Split off the power of z: ``L(z) = z**shift * p(z)`` with ``p(0) != 0``."""
-    if L.is_zero():
-        raise InvalidInputError("cannot convert the zero Laurent polynomial")
-    return Poly(L.coeffs), L.min_degree
-
-
 def laurent_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     if a.is_zero() or b.is_zero():
         return LaurentPoly()
-    return LaurentPoly(np.convolve(a.array(), b.array()), a.min_degree + b.min_degree)
+    return LaurentPoly(np.convolve(a.coeffs, b.coeffs), a.min_degree + b.min_degree)
 
 
 def laurent_add(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -272,7 +232,7 @@ def laurent_add(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 def laurent_scale(a: LaurentPoly, c: complex) -> LaurentPoly:
     if complex(c) == 0 or a.is_zero():
         return LaurentPoly()
-    return LaurentPoly(a.array() * complex(c), a.min_degree)
+    return LaurentPoly(a.coeffs * complex(c), a.min_degree)
 
 
 def laurent_conj(a: LaurentPoly) -> LaurentPoly:
@@ -282,7 +242,12 @@ def laurent_conj(a: LaurentPoly) -> LaurentPoly:
     """
     if a.is_zero():
         return LaurentPoly()
-    return LaurentPoly(np.conj(a.array()[::-1]), -a.max_degree())
+    return LaurentPoly(np.conj(a.coeffs[::-1]), -a.max_degree())
+
+
+def hermitian_part(a: LaurentPoly) -> LaurentPoly:
+    """``(a + conj-Laurent(a)) / 2``, the nearest Hermitian Laurent polynomial."""
+    return laurent_scale(laurent_add(a, laurent_conj(a)), 0.5)
 
 
 def laurent_eval(a: LaurentPoly, x):
@@ -297,29 +262,29 @@ def laurent_eval(a: LaurentPoly, x):
         return 0j if scalar else np.zeros(x.shape, dtype=complex)
     if np.any(x == 0):
         raise InvalidInputError("Laurent polynomial cannot be evaluated at 0")
-    p, shift = laurent_to_poly(a)
-    return (complex(x) if scalar else x) ** shift * poly_eval(p, x)
+    return (complex(x) if scalar else x) ** a.min_degree * poly_eval(a.coeffs, x)
+
+
+def relative_defect(diff: LaurentPoly, ref: LaurentPoly) -> float:
+    """Coefficient norm of `diff` relative to that of `ref`; 0.0 when `diff` is zero."""
+    if diff.is_zero():
+        return 0.0
+    return float(np.linalg.norm(diff.coeffs) / np.linalg.norm(ref.coeffs))
 
 
 def hermitian_defect(a: LaurentPoly) -> float:
     """How far `a` is from satisfying coeff(-k) == conj(coeff(k)), relative."""
-    if a.is_zero():
-        return 0.0
-    diff = laurent_add(a, laurent_scale(laurent_conj(a), -1.0))
-    if diff.is_zero():
-        return 0.0
-    return float(np.linalg.norm(diff.array()) / np.linalg.norm(a.array()))
+    return relative_defect(laurent_add(a, laurent_scale(laurent_conj(a), -1.0)), a)
 
 
-def laurent_from_products(u_hat: Poly, u_tilde: Poly, v: Poly):
+def laurent_from_products(u_hat, u_tilde, v):
     """The three squared-modulus Laurent polynomials of the rational form.
 
-    Returns ``(L, L_tilde, L_hat)`` where on the circle ``L = |u_hat|^2 +
-    |u_tilde|^2``, ``L_tilde = u_hat * conj(u_tilde)`` and ``L_hat = |v|^2``.
+    Takes the polynomials of `forward_polys` and returns ``(L, L_tilde,
+    L_hat)`` where on the circle ``L = |u_hat|^2 + |u_tilde|^2``,
+    ``L_tilde = u_hat * conj(u_tilde)`` and ``L_hat = |v|^2``.
     """
-    uh = laurent_from_poly(u_hat)
-    ut = laurent_from_poly(u_tilde)
-    vv = laurent_from_poly(v)
+    uh, ut, vv = LaurentPoly(u_hat), LaurentPoly(u_tilde), LaurentPoly(v)
     L = laurent_add(laurent_mul(uh, laurent_conj(uh)), laurent_mul(ut, laurent_conj(ut)))
     L_tilde = laurent_mul(uh, laurent_conj(ut))
     L_hat = laurent_mul(vv, laurent_conj(vv))
@@ -418,30 +383,27 @@ def laurent_sqrt(D: LaurentPoly, tol: float, tol_root: float) -> LaurentPoly:
     radius; `tol_root` certifies the roots of D.
     """
     if D.is_zero():
-        return LaurentPoly([], 0)
-    p, shift = laurent_to_poly(D)
-    if shift % 2 != 0 or p.degree() % 2 != 0:
+        return LaurentPoly()
+    shift, degree = D.min_degree, len(D.coeffs) - 1
+    if shift % 2 != 0 or degree % 2 != 0:
         raise NotASquareError("odd degree span cannot be a square")
-    lead = np.sqrt(complex(p.coeffs[-1]))
-    if p.degree() == 0:
+    lead = np.sqrt(D.coeffs[-1])
+    if degree == 0:
         m = LaurentPoly([lead], shift // 2)
     else:
         halved = halve_doubled_roots(
-            poly_roots(p, tol_root), np.sqrt(tol), NotASquareError,
+            poly_roots(D.coeffs, tol_root), np.sqrt(tol), NotASquareError,
             "odd-multiplicity root cluster", "odd-multiplicity root cluster",
         )
-        m = laurent_from_poly(poly_from_roots(halved, leading=lead), shift // 2)
+        m = LaurentPoly(poly_from_roots(halved, leading=lead), shift // 2)
     # the true square root is Hermitian up to sign, so symmetrizing only
     # removes numerical noise
-    m = laurent_scale(laurent_add(m, laurent_conj(m)), 0.5)
+    m = hermitian_part(m)
     # canonical sign: value at z=1 nonnegative, so that adding M to a sum of
     # two moduli squares keeps the combination nonnegative there
     if not m.is_zero() and np.real(laurent_eval(m, 1.0)) < 0:
         m = laurent_scale(m, -1.0)
-    check = laurent_add(laurent_mul(m, m), laurent_scale(D, -1.0))
-    defect = 0.0 if check.is_zero() else float(
-        np.linalg.norm(check.array()) / np.linalg.norm(D.array())
-    )
+    defect = relative_defect(laurent_add(laurent_mul(m, m), laurent_scale(D, -1.0)), D)
     if defect > tol:
         raise NotASquareError(f"reconstruction defect {defect:.3e}")
     return m

@@ -719,7 +719,7 @@ def _selftest_checks(tol: Tolerances):
 
     def check_laurent_sqrt():
         m = laurent_sqrt(LaurentPoly([9.0], 0), tol.tol_root, tol.tol_root)
-        assert m.min_degree == 0 and np.allclose(m.array(), [3.0])
+        assert m.min_degree == 0 and np.allclose(m.coeffs, [3.0])
 
     def check_forward_routes():
         rng = np.random.default_rng(7)

@@ -7,7 +7,6 @@ or Laurent form) and compared, so a bug in either representation cannot hide.
 """
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
@@ -106,65 +105,6 @@ def forward_phaseless(theta, g, z, n: int) -> np.ndarray:
         j = bad[0]
         raise NumericalFailureError(f"Laurent form disagrees at sample {j}: {gap[j]:.3e}")
     return y
-
-
-# ----------------------------------------------------------------------------
-# certified instances
-# ----------------------------------------------------------------------------
-
-PHASE_AWARE = "PhaseAware"
-PHASELESS = "Phaseless"
-
-
-@dataclass(frozen=True)
-class Instance:
-    """A ground-truth problem instance with stored, certified measurements."""
-
-    n: int
-    s: int
-    m: int
-    theta: tuple[complex, ...]
-    g: tuple[complex, ...]
-    z: SampleSet
-    seed: int
-    mode: str
-    y: tuple
-
-    def __post_init__(self):
-        if self.mode not in (PHASE_AWARE, PHASELESS):
-            raise InvalidInputError(f"unknown instance mode {self.mode!r}")
-        if len(self.theta) != self.s or len(self.g) != self.s:
-            raise InvalidInputError("sparsity does not match theta/g length")
-        if len(self.z) != self.m or len(self.y) != self.m:
-            raise InvalidInputError("sample count does not match measurements")
-        if self.mode == PHASE_AWARE:
-            expect = forward_phase(self.theta, self.g, self.z, self.n)
-        else:
-            expect = forward_phaseless(self.theta, self.g, self.z, self.n)
-        stored = np.asarray(self.y, dtype=complex)
-        scale = max(1.0, float(np.max(np.abs(expect))) if len(expect) else 1.0)
-        if len(expect) and np.max(np.abs(stored - expect)) > 1e-12 * scale:
-            raise InvalidInputError("stored measurements fail forward consistency")
-
-
-def make_phase_instance(theta, g, z: SampleSet, n: int, seed: int = 0) -> Instance:
-    y = forward_phase(theta, g, z, n)
-    return Instance(
-        n=n, s=len(np.atleast_1d(theta)), m=len(z),
-        theta=tuple(np.atleast_1d(theta).astype(complex)),
-        g=tuple(np.atleast_1d(g).astype(complex)),
-        z=z, seed=seed, mode=PHASE_AWARE, y=tuple(y),
-    )
-
-
-def make_phaseless_instance(theta, g, z: SampleSet, n: int, seed: int = 0) -> Instance:
-    y = forward_phaseless(theta, g, z, n)
-    return Instance(
-        n=n, s=len(np.atleast_1d(theta)), m=len(z),
-        theta=tuple(np.atleast_1d(theta).astype(complex)),
-        g=tuple(np.atleast_1d(g).astype(complex)),
-        z=z, seed=seed, mode=PHASELESS, y=tuple(float(v) for v in y),
-    )
 
 
 # ----------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Tolerances, load_tolerances
-from .cpoly import Poly, poly_eval, poly_roots, t_values
+from .cpoly import _modulus, poly_eval, poly_roots, t_values
 from .errors import (
     DegenerateSupportError,
     AmbiguousSupportError,
@@ -151,20 +151,20 @@ def _extract_blocks(inst: PhaseInstance, tol: Tolerances):
     v_desc = w[: S + 1]
     if abs(v_desc[0]) <= 1e-12 * np.max(np.abs(v_desc)):
         raise RecoveryFailureError("denominator block lost its leading coefficient")
-    roots = poly_roots(Poly(v_desc[::-1]), tol.tol_root)
+    roots = poly_roots(v_desc[::-1], tol.tol_root)
     if np.any(np.abs(roots) < 1e-12):
         raise DegenerateSupportError("denominator root at the origin")
     # numerator block: combined q for harmonic samples, u_hat for the general system
-    num_desc = w[S + 1 : 2 * S + 1]
-    num_poly = Poly(num_desc[::-1])
-    return S, roots, num_poly, tag, diagnostics
+    num_block = w[S + 1 : 2 * S + 1][::-1]
+    return S, roots, num_block, tag, diagnostics
 
 
-def recover_g(theta, q_block: Poly, gamma_or_general, z, y, n: int,
+def recover_g(theta, q_block: np.ndarray, gamma_or_general, z, y, n: int,
               tol: Tolerances) -> np.ndarray:
     """Closed-form weights from the recovered numerator block.
 
-    For shifted-harmonic samples the block is q = e^{i*gamma} u_hat + u_tilde
+    `q_block` is the array of the block's ascending coefficients. For
+    shifted-harmonic samples the block is q = e^{i*gamma} u_hat + u_tilde
     and g_k is proportional to q(1/theta_k) over t_k(1/theta_k) times
     (e^{i*gamma} theta_k^n - 1). For the general system the block is u_hat
     itself and the theta_k^n twist divides out instead. The remaining scalar
@@ -215,12 +215,12 @@ def recover_r1(inst: PhaseInstance, tol: Tolerances | None = None) -> PhaseResul
     y = np.array(inst.y, dtype=complex)
     if not np.any(np.abs(y) > 0):
         return PhaseResult((), (), 0, ())
-    S, roots, num_poly, tag, diagnostics = _extract_blocks(inst, tol)
+    S, roots, num_block, tag, diagnostics = _extract_blocks(inst, tol)
     theta = 1.0 / roots
     order = _canonical_order(theta)
     theta = theta[order]
     _require_distinct(theta)
-    g = recover_g(theta, num_poly, tag, inst.samples, y, inst.n, tol)
+    g = recover_g(theta, num_block, tag, inst.samples, y, inst.n, tol)
     _forward_check(theta, g, inst.samples, y, inst.n, tol)
     return PhaseResult(tuple(theta), tuple(g), S, tuple(diagnostics))
 
@@ -252,14 +252,14 @@ def recover_r2(inst: PhaseInstance, tol: Tolerances | None = None) -> np.ndarray
     x = np.zeros(inst.n, dtype=complex)
     if not np.any(np.abs(y) > 0):
         return x
-    S, roots, num_poly, tag, _ = _extract_blocks(inst, tol)
+    S, roots, num_block, tag, _ = _extract_blocks(inst, tol)
     recips = 1.0 / grid
     support = np.sort(_snap_to_grid(
         roots, recips, 0.5 * _min_pairwise(recips),
         what="root", near="grid reciprocal", slot="grid point",
     ))
     theta = grid[support]
-    g = recover_g(theta, num_poly, tag, inst.samples, y, inst.n, tol)
+    g = recover_g(theta, num_block, tag, inst.samples, y, inst.n, tol)
     x[support] = g
     predicted = vandermonde(inst.samples, inst.n).T @ vandermonde(grid, inst.n) @ x
     if np.linalg.norm(predicted - y) > tol.forward_tol * np.linalg.norm(y):
@@ -267,11 +267,18 @@ def recover_r2(inst: PhaseInstance, tol: Tolerances | None = None) -> np.ndarray
     return x
 
 
+def _pairwise_moduli(values: np.ndarray) -> np.ndarray:
+    """``|values[i] - values[j]|`` at row i, column j for every j < i; inf elsewhere."""
+    values = np.asarray(values, dtype=complex)
+    index = np.arange(len(values))
+    return np.where(index[:, None] > index, _modulus(values[:, None] - values), np.inf)
+
+
 def _require_distinct(values: np.ndarray, message: str = "recovered poles are not distinct"):
-    for i in range(len(values)):
-        for j in range(i):
-            if abs(values[i] - values[j]) < 1e-9 * max(1.0, abs(values[i])):
-                raise DegenerateSupportError(message)
+    """Raise when two values lie closer than ``1e-9 * max(1, |values[i]|)``, i the later one."""
+    bound = 1e-9 * np.maximum(1.0, _modulus(values))
+    if (_pairwise_moduli(values) < bound[:, None]).any():
+        raise DegenerateSupportError(message)
 
 
 def _snap_to_grid(points, targets: np.ndarray, snap_tol: float,
@@ -296,11 +303,7 @@ def _snap_to_grid(points, targets: np.ndarray, snap_tol: float,
 
 
 def _min_pairwise(values: np.ndarray) -> float:
-    best = np.inf
-    for i in range(len(values)):
-        for j in range(i):
-            best = min(best, abs(values[i] - values[j]))
-    return float(best)
+    return float(_pairwise_moduli(values).min(initial=np.inf))
 
 
 def _forward_check(theta, g, samples, y, n, tol: Tolerances):

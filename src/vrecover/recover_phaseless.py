@@ -20,15 +20,16 @@ from .cpoly import (
     LaurentPoly,
     halve_doubled_roots,
     hermitian_defect,
+    hermitian_part,
     laurent_add,
     laurent_conj,
     laurent_eval,
     laurent_mul,
     laurent_scale,
     laurent_sqrt,
-    laurent_to_poly,
     pair_conjugate_reciprocal,
     poly_roots,
+    relative_defect,
     relative_gaps,
     t_values,
 )
@@ -148,14 +149,13 @@ def _symmetrized(block: LaurentPoly, name: str, tol: Tolerances) -> LaurentPoly:
     defect = hermitian_defect(block)
     if defect > tol.pair_tol:
         raise ModelMismatchError(f"{name} block breaks Hermitian structure ({defect:.3e})")
-    return laurent_scale(laurent_add(block, laurent_conj(block)), 0.5)
+    return hermitian_part(block)
 
 
 def _theta_from_lhat(lhat: LaurentPoly, tol: Tolerances) -> np.ndarray:
     """Support from the |v|^2 block: roots come in doubled conjugate points."""
-    p, _ = laurent_to_poly(lhat)
     means = halve_doubled_roots(
-        poly_roots(p, tol.tol_root), tol.cluster_tol, ModelMismatchError,
+        poly_roots(lhat.coeffs, tol.tol_root), tol.cluster_tol, ModelMismatchError,
         "|v|^2 block has an odd root count",
         "|v|^2 roots do not form doubled pairs (gap {gap:.3e})",
     )
@@ -178,25 +178,20 @@ def _support_harmonic(inst: PhaselessInstance, tol: Tolerances):
     S, w, diagnostics = _descend(builder, inst.s_max, tol)
     w = _phase_normalize(w, S)
     lhat = _symmetrized(LaurentPoly(w[: 2 * S + 1][::-1], -S), "|v|^2", tol)
-    p = _symmetrized(LaurentPoly(w[2 * S + 1 : 4 * S][::-1], -(S - 1)), "numerator", tol)
-    w_sym = np.concatenate([_descending(lhat, S), _descending(p, S - 1)])
+    q_block = _symmetrized(LaurentPoly(w[2 * S + 1 : 4 * S][::-1], -(S - 1)), "numerator", tol)
     theta = _theta_from_lhat(lhat, tol)
-    return theta, w_sym, S, diagnostics
-
-
-def _descending(block: LaurentPoly, half_span: int) -> np.ndarray:
-    """Dense descending coefficients z^half_span .. z^-half_span of `block`."""
-    out = np.zeros(2 * half_span + 1, dtype=complex)
-    for offset, c in enumerate(block.coeffs):
-        k = block.min_degree + offset
-        out[half_span - k] = c
-    return out
+    return theta, q_block, S, diagnostics
 
 
 def recover_support_harmonic(inst: PhaselessInstance, tol: Tolerances):
-    """Support recovery for shifted-harmonic samples: (theta, null vector, S)."""
-    theta, w_sym, S, _ = _support_harmonic(inst, tol)
-    return theta, w_sym, S
+    """Support recovery for shifted-harmonic samples: (theta, q_block, S).
+
+    `q_block` is the symmetrized combined numerator block, the Laurent
+    polynomial that `magnitudes_harmonic` and `enumerate_candidates_harmonic`
+    take, spanning z^-(S-1) .. z^(S-1).
+    """
+    theta, q_block, S, _ = _support_harmonic(inst, tol)
+    return theta, q_block, S
 
 
 # ----------------------------------------------------------------------------
@@ -318,8 +313,7 @@ def _root_pairs(block: LaurentPoly, S: int, tol: Tolerances) -> list:
     """The S-1 conjugate-reciprocal root pairs of a numerator block (none for S=1)."""
     if S == 1:
         return []
-    p, _ = laurent_to_poly(block)
-    pairs = pair_conjugate_reciprocal(poly_roots(p, tol.tol_root), tol.pair_tol)
+    pairs = pair_conjugate_reciprocal(poly_roots(block.coeffs, tol.tol_root), tol.pair_tol)
     if len(pairs) != S - 1:
         raise PairingFailureError(f"expected {S - 1} root pairs, found {len(pairs)}")
     return pairs
@@ -391,9 +385,7 @@ def _general_stage(inst: PhaselessInstance, tol: Tolerances):
     L = _symmetrized(l_raw, "modulus-sum", tol)
     cross = laurent_add(lt_conj_raw, laurent_scale(laurent_conj(lt_raw), -1.0))
     if not lt_raw.is_zero():
-        cross_defect = 0.0 if cross.is_zero() else float(
-            np.linalg.norm(cross.array()) / np.linalg.norm(lt_raw.array())
-        )
+        cross_defect = relative_defect(cross, lt_raw)
         if cross_defect > tol.pair_tol:
             raise ModelMismatchError(
                 f"cross-term blocks are not conjugate ({cross_defect:.3e})"
@@ -427,8 +419,8 @@ def split_and_enumerate_general(L: LaurentPoly, L_tilde: LaurentPoly, theta, n: 
     L2 = laurent_mul(L, L)
     K = laurent_mul(L_tilde, laurent_conj(L_tilde))
     disc = laurent_add(L2, laurent_scale(K, -4.0))
-    l2_norm = float(np.linalg.norm(L2.array())) if not L2.is_zero() else 0.0
-    disc_norm = float(np.linalg.norm(disc.array())) if not disc.is_zero() else 0.0
+    l2_norm = float(np.linalg.norm(L2.coeffs))
+    disc_norm = float(np.linalg.norm(disc.coeffs))
     if disc_norm <= tol.degeneracy_tol * l2_norm:
         pairs = _root_pairs(L, S, tol)
         cands = _enumerate_from_pairs(theta, pairs, np.ones(S, dtype=complex), rows, y, tol)
@@ -437,10 +429,8 @@ def split_and_enumerate_general(L: LaurentPoly, L_tilde: LaurentPoly, theta, n: 
         raise MatchingFailureError("cross term vanished on a non-degenerate instance")
     M_sqrt = laurent_sqrt(disc, tol.pair_tol, tol.tol_root)
     Q = laurent_scale(laurent_add(L, M_sqrt), 0.5)
-    q_poly, _ = laurent_to_poly(Q)
-    q_roots = poly_roots(q_poly, tol.tol_root)
-    pool_poly, _ = laurent_to_poly(laurent_conj(L_tilde))
-    pool = list(poly_roots(pool_poly, tol.tol_root))
+    q_roots = poly_roots(Q.coeffs, tol.tol_root)
+    pool = list(poly_roots(laurent_conj(L_tilde).coeffs, tol.tol_root))
     matched = _match_roots(pool, list(q_roots), tol)
     if len(matched) != S - 1:
         raise MatchingFailureError(
@@ -493,9 +483,8 @@ def recover_r5(inst: PhaselessInstance, tol: Tolerances | None = None) -> Phasel
         branch = BRANCH_HARMONIC if inst.samples.is_harmonic else BRANCH_DUAL
         return PhaselessResult((), 0, (), (), None, branch, ())
     if inst.samples.is_harmonic:
-        theta, w, S, diagnostics = _support_harmonic(inst, tol)
+        theta, q_block, S, diagnostics = _support_harmonic(inst, tol)
         gamma = float(inst.samples.gamma)
-        q_block = LaurentPoly(w[2 * S + 1 : 4 * S][::-1], -(S - 1))
         profile = magnitudes_harmonic(theta, q_block, gamma, inst.n, tol)
         cands = enumerate_candidates_harmonic(
             theta, q_block, gamma, inst.n, inst.samples, y, tol

@@ -1,12 +1,14 @@
 """Polynomial and Laurent layer: arithmetic, roots, pairing, square roots."""
 
+import doctest
+
 import numpy as np
 import pytest
 
+from vrecover import cpoly
 from vrecover.config import Tolerances
 from vrecover.cpoly import (
     LaurentPoly,
-    Poly,
     forward_polys,
     halve_doubled_roots,
     hermitian_defect,
@@ -17,11 +19,9 @@ from vrecover.cpoly import (
     laurent_mul,
     laurent_scale,
     laurent_sqrt,
-    laurent_to_poly,
     pair_conjugate_reciprocal,
     poly_eval,
     poly_from_roots,
-    poly_mul,
     poly_roots,
     resultant,
     t_polynomial,
@@ -38,14 +38,21 @@ from vrecover.errors import (
 TOL_ROOT = Tolerances().tol_root
 
 
+def test_docstring_examples():
+    """The examples in cpoly's docstrings run and print what they show."""
+    result = doctest.testmod(cpoly)
+    assert result.attempted >= 2
+    assert result.failed == 0
+
+
 def test_poly_eval_basics():
-    assert poly_eval(Poly([-1, 1]), 1.0) == 0
-    assert poly_eval(Poly([1]), 3.7 + 2j) == 1
-    assert poly_eval(Poly([2, -3, 1]), 2.0) == 0
+    assert poly_eval(np.array([-1, 1]), 1.0) == 0
+    assert poly_eval(np.array([1]), 3.7 + 2j) == 1
+    assert poly_eval(np.array([2, -3, 1]), 2.0) == 0
 
 
 def test_poly_eval_over_an_array():
-    p = Poly([2, -3, 1])
+    p = np.array([2, -3, 1])
     points = np.array([2.0, 1.0, 0.5j, -3.0 + 1j])
     got = poly_eval(p, points)
     assert got.shape == (4,)
@@ -68,26 +75,44 @@ def test_laurent_eval_over_an_array():
             laurent_eval(a, bad)
 
 
-def test_poly_degree_and_trim():
-    p = Poly([1, 2, 0, 0])
-    assert p.degree() == 1
-    assert Poly([]).is_zero()
-    with pytest.raises(InvalidInputError):
-        Poly([]).degree()
+def test_poly_roots_trims_zero_high_coefficients(monkeypatch):
+    """Trailing zeros drop before the roots are taken and the bound is set."""
+    p = np.array([2, -3, 1, 0, 0])  # (z - 1)(z - 2), padded to degree 4
+    roots = poly_roots(p, TOL_ROOT)
+    assert roots.shape == (2,)
+    assert np.allclose(sorted(roots.real), [1.0, 2.0])
+    with pytest.raises(InvalidInputError, match="^constant polynomial has no roots$"):
+        poly_roots([5.0, 0.0, 0.0], TOL_ROOT)
+    with pytest.raises(InvalidInputError, match="^roots of the zero polynomial are undefined$"):
+        poly_roots([0.0, 0.0], TOL_ROOT)
+    # a root moved off by 1e-3 fails against the bound of the trimmed degree 2
+    seen = []
+
+    def moved_roots(coeffs):
+        seen.append(coeffs.copy())
+        return np.array([1.0, 2.001 + 0j])
+
+    monkeypatch.setattr(np, "roots", moved_roots)
+    resid = abs(poly_eval(p[:3], 2.001))
+    bound = 1e-8 * 3.0 * 2.001**2  # max|p| = 3 at degree 2
+    with pytest.raises(NumericalFailureError) as info:
+        poly_roots(p, 1e-8)
+    assert str(info.value) == f"root residual {resid:.3e} exceeds bound {bound:.3e}"
+    assert np.array_equal(seen[0], [1, -3, 2])
 
 
 def test_poly_roots_small():
-    assert np.allclose(poly_roots(Poly([-1, 1]), TOL_ROOT), [1.0])
-    r = sorted(poly_roots(Poly([1, 0, 1]), TOL_ROOT), key=lambda v: v.imag)
+    assert np.allclose(poly_roots(np.array([-1, 1]), TOL_ROOT), [1.0])
+    r = sorted(poly_roots(np.array([1, 0, 1]), TOL_ROOT), key=lambda v: v.imag)
     assert np.allclose(r, [-1j, 1j])
-    assert np.allclose(sorted(poly_roots(Poly([2, -3, 1]), TOL_ROOT).real), [1.0, 2.0])
+    assert np.allclose(sorted(poly_roots(np.array([2, -3, 1]), TOL_ROOT).real), [1.0, 2.0])
 
 
 def test_poly_roots_rejects_degenerate():
     with pytest.raises(InvalidInputError):
-        poly_roots(Poly([5.0]), TOL_ROOT)
+        poly_roots(np.array([5.0]), TOL_ROOT)
     with pytest.raises(InvalidInputError):
-        poly_roots(Poly([]), TOL_ROOT)
+        poly_roots(np.array([]), TOL_ROOT)
 
 
 def test_poly_roots_residual_bound():
@@ -96,11 +121,10 @@ def test_poly_roots_residual_bound():
     for _ in range(25):
         deg = int(rng.integers(1, 9))
         coeffs = rng.normal(size=deg + 1) + 1j * rng.normal(size=deg + 1)
-        p = Poly(coeffs)
         scale = np.max(np.abs(coeffs))
-        for r in poly_roots(p, TOL_ROOT):
-            bound = 1e-8 * scale * max(1.0, abs(r)) ** p.degree()
-            assert abs(poly_eval(p, r)) <= bound
+        for r in poly_roots(coeffs, TOL_ROOT):
+            bound = 1e-8 * scale * max(1.0, abs(r)) ** deg
+            assert abs(poly_eval(coeffs, r)) <= bound
 
 
 def test_poly_roots_names_the_first_failing_root(monkeypatch):
@@ -108,7 +132,7 @@ def test_poly_roots_names_the_first_failing_root(monkeypatch):
     rng = np.random.default_rng(103)
     true_roots = rng.uniform(0.5, 2.0, 8) * np.exp(1j * rng.uniform(0, 2 * np.pi, 8))
     p = poly_from_roots(true_roots)
-    scale = max(abs(c) for c in p.coeffs)
+    scale = max(abs(c) for c in p)
     for moved in ((), (5,), (2, 6), (0, 3, 7)):
         # roots off by 1e-6 have residuals far above rounding noise
         found = true_roots.copy()
@@ -118,7 +142,7 @@ def test_poly_roots_names_the_first_failing_root(monkeypatch):
             assert np.array_equal(poly_roots(p, 1e-8), found)
             continue
         r = found[moved[0]]
-        bound = 1e-8 * scale * max(1.0, abs(r)) ** p.degree()
+        bound = 1e-8 * scale * max(1.0, abs(r)) ** (len(p) - 1)
         with pytest.raises(NumericalFailureError) as info:
             poly_roots(p, 1e-8)
         assert str(info.value) == (
@@ -145,18 +169,17 @@ def test_roots_round_trip():
             lead = 1.0
         p = poly_from_roots(roots, lead)
         q = poly_from_roots(sorted(poly_roots(p, TOL_ROOT), key=lambda v: (v.real, v.imag)), lead)
-        a, b = p.array(), q.array()
-        assert np.max(np.abs(a - b)) <= 1e-8 * np.max(np.abs(a))
+        assert np.max(np.abs(p - q)) <= 1e-8 * np.max(np.abs(p))
 
 
 def test_resultant_frozen_values():
-    z_minus_1 = Poly([-1, 1])
-    z_minus_2 = Poly([-2, 1])
+    z_minus_1 = np.array([-1, 1])
+    z_minus_2 = np.array([-2, 1])
     assert abs(resultant(z_minus_1, z_minus_1)) <= 1e-12
     assert abs(resultant(z_minus_1, z_minus_2) - (-1)) <= 1e-12
-    assert abs(resultant(Poly([-1, 0, 1]), z_minus_1)) <= 1e-12
+    assert abs(resultant(np.array([-1, 0, 1]), z_minus_1)) <= 1e-12
     with pytest.raises(InvalidInputError):
-        resultant(Poly([]), z_minus_1)
+        resultant(np.array([]), z_minus_1)
 
 
 def test_resultant_detects_shared_roots():
@@ -173,9 +196,9 @@ def test_resultant_detects_shared_roots():
 
 
 def test_t_polynomial_values():
-    assert np.allclose(t_polynomial([5.0], 0).array(), [1.0])
-    assert np.allclose(t_polynomial([1.0, 2.0], 0).array(), [-1.0, 2.0])
-    assert np.allclose(t_polynomial([1.0, 2.0], 1).array(), [-1.0, 1.0])
+    assert np.allclose(t_polynomial([5.0], 0), [1.0])
+    assert np.allclose(t_polynomial([1.0, 2.0], 0), [-1.0, 2.0])
+    assert np.allclose(t_polynomial([1.0, 2.0], 1), [-1.0, 1.0])
     with pytest.raises(InvalidInputError):
         t_polynomial([1.0, 0.0], 0)
 
@@ -188,7 +211,7 @@ def test_t_polynomials_linearly_independent():
             theta = rng.normal(size=s) + 1j * rng.normal(size=s)
             mat = np.zeros((s, s), dtype=complex)
             for l in range(s):
-                c = t_polynomial(theta, l).array()
+                c = t_polynomial(theta, l)
                 mat[l, : len(c)] = c
             sv = np.linalg.svd(mat, compute_uv=False)
             assert sv[-1] > 1e-10 * sv[0]
@@ -196,9 +219,9 @@ def test_t_polynomials_linearly_independent():
 
 def test_forward_polys_single_support():
     u_hat, u_tilde, v = forward_polys([1j], [2.0], 4)
-    assert np.allclose(u_hat.array(), [2.0])
-    assert np.allclose(u_tilde.array(), [-2.0])
-    assert np.allclose(v.array(), [-1.0, 1j])
+    assert np.allclose(u_hat, [2.0])
+    assert np.allclose(u_tilde, [-2.0])
+    assert np.allclose(v, [-1.0, 1j])
 
 
 def test_forward_polys_generic_single():
@@ -210,16 +233,17 @@ def test_forward_polys_generic_single():
         if abs(th) < 0.1 or abs(g0) < 0.1:
             continue
         u_hat, u_tilde, _ = forward_polys([th], [g0], n)
-        assert np.allclose(u_hat.array(), [g0 * th**n])
-        assert np.allclose(u_tilde.array(), [-g0])
+        assert np.allclose(u_hat, [g0 * th**n])
+        assert np.allclose(u_tilde, [-g0])
 
 
 def test_forward_polys_two_point_worked():
-    # theta = [1, -1], g = [1, 1], n = 2: the t-sum telescopes to a constant
+    # theta = [1, -1], g = [1, 1], n = 2: the t-sum telescopes to a constant,
+    # and the arrays keep the exact zero of its z coefficient
     u_hat, u_tilde, v = forward_polys([1.0, -1.0], [1.0, 1.0], 2)
-    assert np.allclose(u_hat.array(), [-2.0])
-    assert np.allclose(u_tilde.array(), [2.0])
-    assert np.allclose(v.array(), [1.0, 0.0, -1.0])
+    assert np.allclose(u_hat, [-2.0, 0.0])
+    assert np.allclose(u_tilde, [2.0, 0.0])
+    assert np.allclose(v, [1.0, 0.0, -1.0])
 
 
 def test_forward_polys_identity():
@@ -252,18 +276,19 @@ def test_forward_polys_match_per_pole_expansion():
             g = rng.normal(size=S) + 1j * rng.normal(size=S)
             n = int(rng.integers(S, 4 * S + 1))
             want_hat = want_tilde = np.zeros(S, dtype=complex)
-            want_v = Poly([1.0])
+            want_v = np.array([1.0 + 0j])
             for l in range(S):
-                t_l = t_polynomial(theta, l).array()
+                t_l = t_polynomial(theta, l)
                 want_hat = want_hat + g[l] * theta[l] ** n * t_l
                 want_tilde = want_tilde - g[l] * t_l
-                want_v = poly_mul(want_v, Poly([-1.0, theta[l]]))
-            wants = (want_hat, want_tilde, want_v.array())
-            for got, b in zip(forward_polys(theta, g, n), wants):
-                a = got.array()
+                want_v = np.convolve(want_v, [-1.0, theta[l]])
+            wants = (want_hat, want_tilde, want_v)
+            for a, b in zip(forward_polys(theta, g, n), wants):
                 assert a.shape == b.shape
                 assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
-    assert forward_polys([], [], 3) == (Poly(), Poly(), Poly([1.0]))
+    u_hat, u_tilde, v = forward_polys([], [], 3)
+    assert u_hat.shape == u_tilde.shape == (0,)
+    assert np.array_equal(v, [1.0])
 
 
 def test_forward_polys_u_tilde_roots_simple():
@@ -301,23 +326,23 @@ def test_u_blocks_proportional_when_powers_collide():
         theta = np.exp(1j * (phase + 2 * np.pi * ks) / n)
         g = rng.normal(size=2) + 1j * rng.normal(size=2)
         u_hat, u_tilde, _ = forward_polys(theta, g, n)
-        a, b = u_hat.array(), u_tilde.array()
+        a, b = u_hat, u_tilde
         ratio = a[np.argmax(np.abs(a))] / b[np.argmax(np.abs(a))]
         assert np.max(np.abs(a - ratio * b)) <= 1e-9 * np.max(np.abs(a))
         assert abs(abs(ratio) - 1.0) <= 1e-9
 
 
 def test_laurent_from_products_constants():
-    L, L_tilde, _ = laurent_from_products(Poly([2.0]), Poly([-2.0]), Poly([-1.0, 1j]))
+    L, L_tilde, _ = laurent_from_products([2.0], [-2.0], [-1.0, 1j])
     assert L.min_degree == 0
-    assert np.allclose(L.array(), [8.0])
-    assert np.allclose(L_tilde.array(), [-4.0])
+    assert np.allclose(L.coeffs, [8.0])
+    assert np.allclose(L_tilde.coeffs, [-4.0])
 
 
 def test_laurent_from_products_lhat_single():
-    _, _, L_hat = laurent_from_products(Poly([2.0]), Poly([-2.0]), Poly([-1.0, 1j]))
+    _, _, L_hat = laurent_from_products([2.0], [-2.0], [-1.0, 1j])
     assert L_hat.min_degree == -1
-    assert np.allclose(L_hat.array(), [1j, 2.0, -1j])
+    assert np.allclose(L_hat.coeffs, [1j, 2.0, -1j])
 
 
 def test_laurent_blocks_on_circle():
@@ -329,8 +354,8 @@ def test_laurent_blocks_on_circle():
         g = rng.normal(size=s) + 1j * rng.normal(size=s)
         u_hat, u_tilde, v = forward_polys(theta, g, n)
         L, L_tilde, L_hat = laurent_from_products(u_hat, u_tilde, v)
-        assert hermitian_defect(L) <= 1e-10 * np.max(np.abs(L.array()))
-        assert hermitian_defect(L_hat) <= 1e-10 * np.max(np.abs(L_hat.array()))
+        assert hermitian_defect(L) <= 1e-10 * np.max(np.abs(L.coeffs))
+        assert hermitian_defect(L_hat) <= 1e-10 * np.max(np.abs(L_hat.coeffs))
         # degrees: s-1 for the numerator blocks, s for |v|^2
         assert L.max_degree() <= s - 1 and -L.min_degree <= s - 1
         assert L_tilde.max_degree() <= s - 1
@@ -340,7 +365,7 @@ def test_laurent_blocks_on_circle():
             val = laurent_eval(L, z)
             assert abs(val - lhs) <= 1e-10 * max(1.0, abs(lhs))
             assert laurent_eval(L, z).real >= -1e-10 * max(1.0, lhs)
-            assert laurent_eval(L_hat, z).real >= -1e-12 * np.max(np.abs(L_hat.array()))
+            assert laurent_eval(L_hat, z).real >= -1e-12 * np.max(np.abs(L_hat.coeffs))
 
 
 def test_lhat_roots_are_doubled_conjugates():
@@ -351,8 +376,7 @@ def test_lhat_roots_are_doubled_conjugates():
         g = rng.normal(size=s) + 1j * rng.normal(size=s)
         u_hat, u_tilde, v = forward_polys(theta, g, 4 * s - 1)
         _, _, L_hat = laurent_from_products(u_hat, u_tilde, v)
-        p, _ = laurent_to_poly(L_hat)
-        roots = poly_roots(p, TOL_ROOT)
+        roots = poly_roots(L_hat.coeffs, TOL_ROOT)
         expected = np.conj(np.repeat(theta, 2))
         used = np.zeros(len(roots), dtype=bool)
         for e in expected:
@@ -362,18 +386,21 @@ def test_lhat_roots_are_doubled_conjugates():
             used[j] = True
 
 
-def test_laurent_to_poly():
+def test_laurent_coeffs_are_the_shifted_polynomial():
+    """L(z) = z**L.min_degree * p(z) with p = L.coeffs and p(0) != 0."""
     L = LaurentPoly([-2.0, 5.0, -2.0], -1)
-    p, shift = laurent_to_poly(L)
-    assert shift == -1
-    assert np.allclose(p.array(), [-2.0, 5.0, -2.0])
-    assert np.allclose(sorted(np.real(poly_roots(p, TOL_ROOT))), [0.5, 2.0])
+    assert L.min_degree == -1
+    assert np.allclose(L.coeffs, [-2.0, 5.0, -2.0])
+    assert np.allclose(sorted(np.real(poly_roots(L.coeffs, TOL_ROOT))), [0.5, 2.0])
+    z = 0.3 + 0.7j
+    want = z ** L.min_degree * poly_eval(L.coeffs, z)
+    assert abs(laurent_eval(L, z) - want) <= 1e-15 * abs(want)
 
-    p2, shift2 = laurent_to_poly(LaurentPoly([3.0], 0))
-    assert shift2 == 0 and np.allclose(p2.array(), [3.0])
+    L2 = LaurentPoly([3.0], 0)
+    assert L2.min_degree == 0 and np.allclose(L2.coeffs, [3.0])
 
     with pytest.raises(InvalidInputError):
-        laurent_to_poly(LaurentPoly([], 0))
+        poly_roots(LaurentPoly([], 0).coeffs, TOL_ROOT)
 
 
 def test_laurent_arithmetic_consistency():
@@ -387,6 +414,39 @@ def test_laurent_arithmetic_consistency():
     assert abs(tot - laurent_eval(a, z) - laurent_eval(b, z)) <= 1e-12
     # conjugation on the circle: conj-L of a evaluated at z equals conj(a(z))
     assert abs(laurent_eval(laurent_conj(a), z) - np.conj(laurent_eval(a, z))) <= 1e-12
+
+    # exact zeros at both ends are trimmed once, shifting min_degree
+    padded = [0.0, 0.0, 1.5, -1j, 2.0, 0.0]
+    c = LaurentPoly(padded, -3)
+    assert c.min_degree == -1 and c.max_degree() == 1
+    assert np.array_equal(c.coeffs, [1.5, -1j, 2.0])
+    assert abs(laurent_eval(c, z) - sum(v * z ** (k - 3) for k, v in enumerate(padded))) <= 1e-12
+    with pytest.raises(ValueError):
+        c.coeffs[0] = 1.0
+    # a sum whose end terms cancel is trimmed again
+    d = laurent_add(c, LaurentPoly([-1.5, 0.0, -2.0], -1))
+    assert d.min_degree == 0 and np.array_equal(d.coeffs, [-1j])
+    prod = laurent_mul(c, b)
+    assert prod.min_degree == c.min_degree + b.min_degree
+    assert abs(laurent_eval(prod, z) - laurent_eval(c, z) * laurent_eval(b, z)) <= 1e-12
+    conj_c = laurent_conj(c)
+    assert conj_c.min_degree == -1 and np.array_equal(conj_c.coeffs, [2.0, 1j, 1.5])
+
+    # the zero Laurent polynomial: empty coefficients at min_degree 0
+    zero = LaurentPoly([0.0, 0.0], 5)
+    assert zero.is_zero() and zero.min_degree == 0 and zero.coeffs.shape == (0,)
+    with pytest.raises(InvalidInputError):
+        zero.max_degree()
+    results = [
+        laurent_mul(a, zero), laurent_mul(zero, a), laurent_mul(zero, zero),
+        laurent_add(zero, zero), laurent_add(a, laurent_scale(a, -1.0)),
+        laurent_scale(zero, 2.0), laurent_scale(a, 0.0), laurent_conj(zero),
+    ]
+    for r in results:
+        assert r.is_zero() and r.min_degree == 0 and r.coeffs.shape == (0,)
+    for r in (laurent_add(a, zero), laurent_add(zero, a)):
+        assert r.min_degree == a.min_degree and np.array_equal(r.coeffs, a.coeffs)
+    assert laurent_eval(zero, z) == 0j
 
 
 def test_pair_conjugate_reciprocal():
@@ -484,7 +544,7 @@ def test_t_values_match_horner():
 def test_laurent_sqrt_constant():
     m = laurent_sqrt(LaurentPoly([9.0], 0), 1e-8, TOL_ROOT)
     assert m.min_degree == 0
-    assert np.allclose(m.array(), [3.0])
+    assert np.allclose(m.coeffs, [3.0])
 
 
 def test_laurent_sqrt_zero():
@@ -510,7 +570,7 @@ def test_laurent_sqrt_sign_convention():
         at_one = laurent_eval(m, 1.0)
         assert abs(at_one.imag) <= 1e-7 * max(1.0, abs(at_one))
         assert at_one.real >= -1e-7
-        assert hermitian_defect(m) <= 1e-6 * np.max(np.abs(m.array()))
+        assert hermitian_defect(m) <= 1e-6 * np.max(np.abs(m.coeffs))
 
 
 def test_laurent_sqrt_from_split_discriminant():
@@ -527,7 +587,7 @@ def test_laurent_sqrt_from_split_discriminant():
         m = laurent_sqrt(disc, 1e-8, TOL_ROOT)
         sq = laurent_mul(m, m)
         err = laurent_add(sq, laurent_scale(disc, -1.0))
-        assert np.max(np.abs(err.array())) <= 1e-8 * np.max(np.abs(disc.array()))
+        assert np.max(np.abs(err.coeffs)) <= 1e-8 * np.max(np.abs(disc.coeffs))
 
 
 def test_halve_doubled_roots():

@@ -24,10 +24,8 @@ from vrecover.oracle import (
     forward_phase_matrix,
     forward_phase_rational,
     forward_phaseless,
-    make_phase_instance,
-    make_phaseless_instance,
 )
-from vrecover.structmat import SampleSet, shifted_harmonics, vandermonde
+from vrecover.structmat import shifted_harmonics, vandermonde
 
 
 def disk_points(rng, m):
@@ -185,21 +183,6 @@ def test_forward_phase_rational_near_one():
         a = forward_phase_matrix(theta, g, z, n)
         b = forward_phase_rational(theta, g, z, n)
         assert np.max(np.abs(a - b)) <= 1e-10 * max(1.0, float(np.max(np.abs(a))))
-
-
-def test_instance_constructors_check_consistency():
-    rng = np.random.default_rng(229)
-    theta = draw_theta_disk(rng, 2)
-    g = draw_g(rng, 2)
-    z = SampleSet(tuple(rng.uniform(0.5, 1.0, 6) * np.exp(1j * rng.uniform(0, 2 * np.pi, 6))))
-    inst = make_phase_instance(theta, g, z, 5, seed=42)
-    assert inst.seed == 42 and inst.m == 6
-    assert np.allclose(inst.y, forward_phase(theta, g, z.array(), 5))
-
-    theta_c = draw_theta_circle(rng, 2)
-    zc = SampleSet(tuple(np.exp(1j * rng.uniform(0, 2 * np.pi, 13))))
-    pinst = make_phaseless_instance(theta_c, g, zc, 7, seed=1)
-    assert np.all(np.asarray(pinst.y) >= 0)
 
 
 def test_draws_respect_constraints():

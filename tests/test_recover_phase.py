@@ -6,7 +6,7 @@ import pytest
 
 from vrecover import recover_phase
 from vrecover.config import Tolerances
-from vrecover.cpoly import Poly, poly_eval, t_polynomial
+from vrecover.cpoly import poly_eval, t_polynomial
 from vrecover.errors import (
     AmbiguousSupportError,
     DegenerateSupportError,
@@ -18,6 +18,8 @@ from vrecover.oracle import brute_force_cs, draw_g, draw_theta_disk, forward_pha
 from vrecover.recover_phase import (
     PhaseInstance,
     _descend,
+    _min_pairwise,
+    _require_distinct,
     _snap_to_grid,
     recover_g,
     recover_r1,
@@ -200,10 +202,8 @@ def test_recover_g_degenerate_support():
     # two coincident poles make t_k vanish at the shared reciprocal
     z = SampleSet((0.9, 0.8j, -0.7, 0.5 + 0.5j, -0.6j, 1.0))
     y = np.ones(6, dtype=complex)
-    from vrecover.cpoly import Poly
-
     with pytest.raises(DegenerateSupportError):
-        recover_g([2.0, 2.0 + 1e-15], Poly([1.0, 1.0]), "general", z, y, 4, Tolerances())
+        recover_g([2.0, 2.0 + 1e-15], np.array([1.0, 1.0]), "general", z, y, 4, Tolerances())
 
 
 def _recover_g_per_pole(theta, q_block, gamma_or_general, z, y, n):
@@ -227,7 +227,7 @@ def test_recover_g_matches_per_pole_form():
         s = int(rng.integers(1, 7))
         n = 2 * s
         theta = draw_theta_disk(rng, s)
-        q_block = Poly(rng.normal(size=s) + 1j * rng.normal(size=s))
+        q_block = rng.normal(size=s) + 1j * rng.normal(size=s)
         z = SampleSet(tuple(disk_points(rng, 3 * s)))
         y = rng.normal(size=3 * s) + 1j * rng.normal(size=3 * s)
         tag = "general" if rng.uniform() < 0.5 else float(rng.uniform(0.1, 6.0))
@@ -242,7 +242,7 @@ def test_recover_g_first_tripped_pole_decides(monkeypatch):
     monkeypatch.setattr(recover_phase, "pinv_solve", lambda A, y, rank_rel_tol: (fallback, 0.0))
     z = SampleSet(tuple(np.exp(2j * np.pi * np.arange(6) / 6)))
     y = np.ones(6, dtype=complex)
-    q_block = Poly([1.0, 0.5, 0.25])
+    q_block = np.array([1.0, 0.5, 0.25])
     twin = [2.0, 2.0 + 1e-15]  # t_k vanishes at both
     # with gamma = 0 and n = 4 the twist e^{i gamma} theta^4 - 1 vanishes at 1j
     assert recover_g([1j, *twin], q_block, 0.0, z, y, 4, Tolerances()) is fallback
@@ -265,6 +265,35 @@ def test_snap_to_grid_keeps_input_order():
         _snap_to_grid([1.0, 0.7 + 0.7j], grid, 0.5, **names)
     with pytest.raises(GridCollisionError, match="^two roots snapped to the same grid point$"):
         _snap_to_grid([1.0, 1.1], grid, 0.5, **names)
+
+
+def test_pairwise_checks_match_the_double_loop():
+    """One modulus matrix gives the double loop's collision verdict and minimum."""
+    def loop(values):
+        collide, best = False, np.inf
+        for i in range(len(values)):
+            for j in range(i):
+                d = abs(values[i] - values[j])
+                collide |= bool(d < 1e-9 * max(1.0, abs(values[i])))
+                best = min(best, d)
+        return collide, float(best)
+
+    rng = np.random.default_rng(373)
+    for trial in range(400):
+        k = int(rng.integers(0, 7))
+        values = rng.uniform(0.2, 3.0, k) * np.exp(1j * rng.uniform(0, 2 * np.pi, k))
+        if k >= 2 and trial % 2:
+            # a partner at, just inside or just outside the strict bound of the later value
+            i, j = sorted(rng.choice(k, size=2, replace=False))
+            step = 1e-9 * max(1.0, abs(values[j])) * (0.5, 1.0, 2.0)[trial % 3]
+            values[j] = values[i] + step * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        collide, best = loop(values)
+        assert _min_pairwise(values) == best
+        if collide:
+            with pytest.raises(DegenerateSupportError, match="^clash$"):
+                _require_distinct(values, "clash")
+        else:
+            _require_distinct(values, "clash")
 
 
 def test_recover_r2_worked_grid():

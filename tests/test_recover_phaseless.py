@@ -11,7 +11,6 @@ from vrecover.cpoly import (
     laurent_add,
     laurent_conj,
     laurent_eval,
-    laurent_to_poly,
     pair_conjugate_reciprocal,
     poly_eval,
     poly_roots,
@@ -84,10 +83,11 @@ def match_theta(got, truth):
 def test_support_worked_singleton():
     z = shifted_harmonics(4, 3, 0.7)
     y = forward_phaseless([1j], [2.0], z.array(), 4)
-    theta, w, S = recover_support_harmonic(PhaselessInstance(4, 1, y, z), TOL)
+    theta, q, S = recover_support_harmonic(PhaselessInstance(4, 1, y, z), TOL)
     assert S == 1
     assert abs(theta[0] - 1j) <= 1e-9
-    assert len(w) == 4 * S
+    # the numerator block spans z^-(S-1) .. z^(S-1): one constant term
+    assert q.min_degree == 0 and q.coeffs.shape == (1,)
 
 
 def test_support_collision_kills_the_data():
@@ -131,8 +131,7 @@ def test_support_harmonic_random():
 def test_magnitudes_worked_singleton():
     z = shifted_harmonics(4, 3, 0.7)
     y = forward_phaseless([1j], [2.0], z.array(), 4)
-    theta, w, S = recover_support_harmonic(PhaselessInstance(4, 1, y, z), TOL)
-    q = LaurentPoly(w[2 * S + 1 : 4 * S][::-1], -(S - 1))
+    theta, q, S = recover_support_harmonic(PhaselessInstance(4, 1, y, z), TOL)
     profile = magnitudes_harmonic(theta, q, 0.7, 4, TOL)
     assert len(profile) == 1
     assert profile[0] > 0
@@ -150,8 +149,7 @@ def test_magnitude_ratios_scale_free():
         g = draw_g(rng, s)
         z = shifted_harmonics(n, n, gamma)
         y = forward_phaseless(theta, g, z.array(), n)
-        got, w, S = recover_support_harmonic(PhaselessInstance(n, s, y, z), TOL)
-        q = LaurentPoly(w[2 * S + 1 : 4 * S][::-1], -(S - 1))
+        got, q, S = recover_support_harmonic(PhaselessInstance(n, s, y, z), TOL)
         profile = np.array(magnitudes_harmonic(got, q, gamma, n, TOL))
         order = np.lexsort((np.abs(theta), np.angle(theta)))
         g_sq = np.abs(g[order]) ** 2
@@ -168,8 +166,7 @@ def test_magnitudes_uniform_weights():
     g = np.exp(1j * rng.uniform(0, 2 * np.pi, s))  # all moduli equal 1
     z = shifted_harmonics(n, n, gamma)
     y = forward_phaseless(theta, g, z.array(), n)
-    got, w, S = recover_support_harmonic(PhaselessInstance(n, s, y, z), TOL)
-    q = LaurentPoly(w[2 * S + 1 : 4 * S][::-1], -(S - 1))
+    got, q, S = recover_support_harmonic(PhaselessInstance(n, s, y, z), TOL)
     profile = np.array(magnitudes_harmonic(got, q, gamma, n, TOL))
     assert np.max(np.abs(profile - profile[0])) <= 1e-6 * profile[0]
 
@@ -207,8 +204,7 @@ def test_enumerate_harmonic_counts():
         g = draw_g(rng, s)
         z = shifted_harmonics(n, n, gamma)
         y = forward_phaseless(theta, g, z.array(), n)
-        got, w, S = recover_support_harmonic(PhaselessInstance(n, s, y, z), TOL)
-        q = LaurentPoly(w[2 * S + 1 : 4 * S][::-1], -(S - 1))
+        got, q, S = recover_support_harmonic(PhaselessInstance(n, s, y, z), TOL)
         cands = enumerate_candidates_harmonic(got, q, gamma, n, z, y, TOL)
         assert len(cands) == 2 ** (s - 1)
         # every candidate reproduces the data
@@ -268,13 +264,12 @@ def harmonic_enumeration_inputs(rng, s, gamma=0.7):
         theta = draw_theta_dft(rng, n, s)
         y = forward_phaseless(theta, draw_g(rng, s), z.array(), n)
         try:
-            got, w, S = recover_support_harmonic(PhaselessInstance(n, s, y, z), TOL)
+            got, q, S = recover_support_harmonic(PhaselessInstance(n, s, y, z), TOL)
         except VRecoverError:
             continue
         pairs = []
         if S > 1:
-            p, _ = laurent_to_poly(LaurentPoly(w[2 * S + 1 : 4 * S][::-1], -(S - 1)))
-            pairs = pair_conjugate_reciprocal(poly_roots(p, 1e-8), 1e-6)
+            pairs = pair_conjugate_reciprocal(poly_roots(q.coeffs, 1e-8), 1e-6)
         if len(pairs) == S - 1:
             rows = vandermonde(z, n).T @ vandermonde(got, n)
             yield got, pairs, np.exp(1j * gamma) * got**n - 1.0, rows, y
@@ -367,7 +362,7 @@ def test_recover_general_worked_pair():
     assert np.max(np.abs(profile - c * g_sq)) <= 1e-6 * float(np.max(profile))
     # the |v|^2 block really evaluates nonnegative on the circle
     for point in circle_points(rng, 20):
-        assert laurent_eval(L_hat, point).real >= -1e-9 * np.max(np.abs(L_hat.array()))
+        assert laurent_eval(L_hat, point).real >= -1e-9 * np.max(np.abs(L_hat.coeffs))
 
 
 def test_general_measurement_floor():

@@ -113,11 +113,11 @@ def test_build_A_true_stack_in_null_space():
         u_hat, u_tilde, v = forward_polys(theta, g, n)
         # blocks are stored in descending powers, zero padded at the high end
         w = np.zeros(3 * s + 1, dtype=complex)
-        v_desc = v.array()[::-1]
+        v_desc = v[::-1]
         w[s + 1 - len(v_desc) : s + 1] = v_desc
-        uh_desc = u_hat.array()[::-1]
+        uh_desc = u_hat[::-1]
         w[s + 1 + (s - len(uh_desc)) : 2 * s + 1] = uh_desc
-        ut_desc = u_tilde.array()[::-1]
+        ut_desc = u_tilde[::-1]
         w[2 * s + 1 + (s - len(ut_desc)) :] = ut_desc
         A = build_A(z, y, n, s)
         resid = np.linalg.norm(A @ w) / (np.linalg.norm(A) * np.linalg.norm(w))
@@ -160,11 +160,9 @@ def test_build_B_true_stack_in_null_space():
         z = shifted_harmonics(n, m, gamma)
         y = forward_phase(theta, g, z, n)
         u_hat, u_tilde, v = forward_polys(theta, g, n)
-        q = np.exp(1j * gamma) * np.pad(u_hat.array(), (0, s)) + np.pad(
-            u_tilde.array(), (0, s)
-        )
+        q = np.exp(1j * gamma) * np.pad(u_hat, (0, s)) + np.pad(u_tilde, (0, s))
         w = np.zeros(2 * s + 1, dtype=complex)
-        v_desc = v.array()[::-1]
+        v_desc = v[::-1]
         w[s + 1 - len(v_desc) : s + 1] = v_desc
         w[s + 1 :] = q[:s][::-1]
         B = build_B(z, y, s)
