@@ -11,7 +11,7 @@ campaign tables are CSV with a fixed header.
 import json
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,12 +35,15 @@ from .recover_phaseless import (
     recover_r3,
     recover_r5,
 )
-from .structmat import ARBITRARY, HARMONIC, SampleSet, shifted_harmonics, vandermonde
+from .structmat import SampleSet, shifted_harmonics, vandermonde
 
 MODES = ("r1", "r2", "r4", "r5", "r3")
 PHASE_MODES = ("r1", "r2")
 CSV_HEADER = "trial,s,S,n,m,mode,branch,success,theta_err,g_err,candidates,runtime_ms,warnings"
 SUCCESS_TOL = 1e-6
+# the CSV `branch` of a phase-aware trial names its sample layout
+HARMONIC = "ShiftedHarmonic"
+ARBITRARY = "Arbitrary"
 
 _MASK64 = (1 << 64) - 1
 
@@ -203,8 +206,7 @@ def _draw_circle_samples(rng: np.random.Generator, m: int) -> SampleSet:
     points are never exactly equispaced.
     """
     base = 2 * np.pi * (np.arange(m) + 0.5 + rng.uniform(-0.45, 0.45, size=m)) / m
-    vals = np.exp(1j * (base + rng.uniform(0, 2 * np.pi)))
-    return SampleSet(tuple(vals))
+    return SampleSet(np.exp(1j * (base + rng.uniform(0, 2 * np.pi))))
 
 
 def _draw_grid_disk(rng: np.random.Generator, n: int, power_avoid=None) -> np.ndarray:
@@ -228,6 +230,16 @@ def _draw_grid_disk(rng: np.random.Generator, n: int, power_avoid=None) -> np.nd
     return np.array(grid)
 
 
+def _draw_extra_row(rng: np.random.Generator, mode: str, n: int, theta, g, x):
+    """A disambiguation row a and its measurement y_m of the true signal."""
+    a = draw_unit_vector(rng, n)
+    if mode == "r3":
+        y_m = float(abs(np.dot(a, x)) ** 2)
+    else:
+        y_m = float(abs(np.dot(vandermonde(theta, n).T @ a, g)) ** 2)
+    return a, y_m
+
+
 def generate_trial(config: ExperimentConfig, s: int, index: int) -> dict:
     """One ground-truth instance as a JSON-ready dict; `index` is campaign-global."""
     seed = derive_seed(config.master_seed, index)
@@ -235,6 +247,7 @@ def generate_trial(config: ExperimentConfig, s: int, index: int) -> dict:
     n = parse_rule(config.n_rule, s)
     m = parse_rule(config.m_rule, s)
     harmonic = config.sample_mode == "harmonic"
+    x = None
     payload: dict = {
         "mode": config.mode,
         "n": n,
@@ -300,14 +313,10 @@ def generate_trial(config: ExperimentConfig, s: int, index: int) -> dict:
         y = forward_phaseless(theta, g, samples, n)
         payload["y"] = [float(v) for v in y]
         if config.mode in ("r5", "r3"):
-            a = draw_unit_vector(rng, n)
-            if config.mode == "r3":
-                y_m = float(abs(np.dot(a, x)) ** 2)
-            else:
-                y_m = float(abs(np.dot(vandermonde(theta, n).T @ a, g)) ** 2)
+            a, y_m = _draw_extra_row(rng, config.mode, n, theta, g, x)
             payload["extra_row"] = {"a": pairs(a), "y_m": y_m}
 
-    payload["z"] = pairs(samples.array())
+    payload["z"] = pairs(samples.z)
     payload["theta"] = pairs(theta)
     payload["g"] = pairs(g)
     return payload
@@ -316,8 +325,10 @@ def generate_trial(config: ExperimentConfig, s: int, index: int) -> dict:
 def samples_from_payload(payload: dict) -> SampleSet:
     z = unpairs(payload["z"])
     if payload.get("sample_mode") == "harmonic":
-        return SampleSet(z, mode=HARMONIC, gamma=payload["gamma"], n=payload["n"])
-    return SampleSet(z, mode=ARBITRARY)
+        if payload.get("gamma") is None:
+            raise InvalidInputError("shifted-harmonic samples need gamma and n")
+        return SampleSet(z, gamma=payload["gamma"], n=payload["n"])
+    return SampleSet(z)
 
 
 def check_payload_consistency(payload: dict):
@@ -427,21 +438,14 @@ class TrialRecord:
         return ",".join(cells)
 
 
-def _redraw_extra_row(payload: dict, attempt: int) -> dict:
-    """Fresh disambiguation row for an unlucky draw, recomputed from truth."""
+def _redraw_extra_row(payload: dict, attempt: int) -> tuple[np.ndarray, float]:
+    """Fresh disambiguation row (a, y_m) for an unlucky draw, recomputed from truth."""
     rng = np.random.default_rng(derive_seed(payload["seed"], 777000 + attempt))
-    n = payload["n"]
-    a = draw_unit_vector(rng, n)
-    if payload["mode"] == "r3":
-        x = unpairs(payload["x"])
-        y_m = float(abs(np.dot(a, x)) ** 2)
-    else:
-        theta = unpairs(payload["theta"])
-        g = unpairs(payload["g"])
-        y_m = float(abs((vandermonde(theta, n).T @ a) @ g) ** 2)
-    fresh = dict(payload)
-    fresh["extra_row"] = {"a": pairs(a), "y_m": y_m}
-    return fresh
+    mode = payload["mode"]
+    x = unpairs(payload["x"]) if mode == "r3" else None
+    return _draw_extra_row(
+        rng, mode, payload["n"], unpairs(payload["theta"]), unpairs(payload["g"]), x
+    )
 
 
 def _recover_with_redraw(inst, payload: dict, recover, tol: Tolerances, notes: list):
@@ -454,7 +458,7 @@ def _recover_with_redraw(inst, payload: dict, recover, tol: Tolerances, notes: l
             if attempt == 3:
                 raise
             notes.append("redrew-disambiguation-row")
-            inst = instance_from_payload(_redraw_extra_row(payload, attempt))
+            inst = replace(inst, extra_row=_redraw_extra_row(payload, attempt))
     raise AssertionError("unreachable")
 
 
@@ -643,7 +647,7 @@ def _outcome_dict(mode: str, payload: dict, tol: Tolerances) -> dict:
         supp = np.flatnonzero(np.abs(x) > 1e-12)
         out.update(
             S=int(len(supp)), support=[int(k) for k in supp],
-            theta=pairs(np.array(inst.grid)[supp]), x=pairs(x),
+            theta=pairs(inst.grid[supp]), x=pairs(x),
             magnitude_profile=[float(abs(x[k]) ** 2) for k in supp],
             candidates=[pairs(x[supp])], selected=0, warnings=[],
         )

@@ -19,16 +19,10 @@ from .errors import (
     NumericalFailureError,
     ResolutionError,
 )
-from .structmat import SampleSet, vandermonde
+from .structmat import vandermonde
 
 _PATH_TOL = 1e-10
 _NEAR_ONE = 1e-3  # switch to the direct geometric sum this close to ratio 1
-
-
-def _points(z) -> np.ndarray:
-    if isinstance(z, SampleSet):
-        return z.array()
-    return np.asarray(z, dtype=complex)
 
 
 def forward_phase_matrix(theta, g, z, n: int) -> np.ndarray:
@@ -37,7 +31,7 @@ def forward_phase_matrix(theta, g, z, n: int) -> np.ndarray:
     g = np.asarray(g, dtype=complex)
     if theta.shape != g.shape:
         raise InvalidInputError("theta and g must have the same length")
-    zz = _points(z)
+    zz = np.asarray(z, dtype=complex)
     if len(theta) == 0:
         return np.zeros(len(zz), dtype=complex)
     return vandermonde(zz, n).T @ vandermonde(theta, n) @ g
@@ -51,7 +45,7 @@ def forward_phase_rational(theta, g, z, n: int) -> np.ndarray:
     """
     theta = np.asarray(theta, dtype=complex)
     g = np.asarray(g, dtype=complex)
-    w = np.multiply.outer(_points(z), theta)  # (samples, poles)
+    w = np.multiply.outer(np.asarray(z, dtype=complex), theta)  # (samples, poles)
     near = np.abs(w - 1.0) < _NEAR_ONE
     safe = ~near
     terms = np.empty_like(w)
@@ -77,7 +71,7 @@ def forward_phaseless(theta, g, z, n: int) -> np.ndarray:
     """y = |V(z)^T V(theta) g|^2, cross-checked against the Laurent-ratio form."""
     theta = np.asarray(theta, dtype=complex)
     g = np.asarray(g, dtype=complex)
-    zz = _points(z)
+    zz = np.asarray(z, dtype=complex)
     if np.any(np.abs(np.abs(zz) - 1.0) > 1e-9) or (
         len(theta) and np.any(np.abs(np.abs(theta) - 1.0) > 1e-9)
     ):
@@ -250,7 +244,7 @@ def brute_force_phaseless_candidates(y, theta, z, n: int, grid_resolution: int =
         raise InvalidInputError("brute_force_phaseless_candidates guard: 1 <= S <= 3")
     if grid_resolution < 8:
         raise InvalidInputError("grid_resolution too small")
-    zz = _points(z)
+    zz = np.asarray(z, dtype=complex)
     rows = vandermonde(zz, n).T @ vandermonde(theta, n)
     yscale = float(np.max(y)) if len(y) else 1.0
     mags = np.sqrt(_phaseless_magnitudes(y, rows))

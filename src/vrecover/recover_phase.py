@@ -28,6 +28,7 @@ from .structmat import (
     build_B,
     null_space,
     pinv_solve,
+    readonly_array,
     refine_null_vector,
     vandermonde,
 )
@@ -35,23 +36,26 @@ from .structmat import (
 GENERAL = "general"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseInstance:
-    """Measurements y taken at `samples` of an order-n, at most s_max sparse model."""
+    """Measurements y taken at `samples` of an order-n, at most s_max sparse model.
+
+    `y` and `grid` are read-only complex arrays.
+    """
 
     n: int
     s_max: int
-    y: tuple[complex, ...]
+    y: np.ndarray
     samples: SampleSet
-    grid: tuple[complex, ...] | None = None
+    grid: np.ndarray | None = None
 
     def __init__(self, n, s_max, y, samples, grid=None):
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "s_max", int(s_max))
-        object.__setattr__(self, "y", tuple(complex(v) for v in y))
+        object.__setattr__(self, "y", readonly_array(y, complex, "measurements"))
         object.__setattr__(self, "samples", samples)
         object.__setattr__(
-            self, "grid", None if grid is None else tuple(complex(v) for v in grid)
+            self, "grid", None if grid is None else readonly_array(grid, complex, "grid points")
         )
         if self.s_max < 1:
             raise InvalidInputError("s_max must be at least 1")
@@ -138,7 +142,7 @@ def _descend(builder, s_max: int, tol: Tolerances):
 
 def _extract_blocks(inst: PhaseInstance, tol: Tolerances):
     """Shared null-space stage: returns (S, v-roots, numerator block, tag, diags)."""
-    y = np.array(inst.y, dtype=complex)
+    y = inst.y
     if inst.samples.is_harmonic:
         tag: float | str = float(inst.samples.gamma)
         builder = lambda s: build_B(inst.samples, y, s)
@@ -212,7 +216,7 @@ def recover_r1(inst: PhaseInstance, tol: Tolerances | None = None) -> PhaseResul
     """Full phase-aware recovery of (theta, g) with automatic sparsity search."""
     if tol is None:
         tol = load_tolerances()
-    y = np.array(inst.y, dtype=complex)
+    y = inst.y
     if not np.any(np.abs(y) > 0):
         return PhaseResult((), (), 0, ())
     S, roots, num_block, tag, diagnostics = _extract_blocks(inst, tol)
@@ -236,7 +240,7 @@ def recover_r2(inst: PhaseInstance, tol: Tolerances | None = None) -> np.ndarray
         tol = load_tolerances()
     if inst.grid is None:
         raise InvalidInputError("recover_r2 needs the instance grid")
-    grid = np.array(inst.grid, dtype=complex)
+    grid = inst.grid
     if len(grid) != inst.n:
         raise InvalidInputError("grid length must equal the model order n")
     if np.any(np.abs(grid) < 1e-12):
@@ -248,7 +252,7 @@ def recover_r2(inst: PhaseInstance, tol: Tolerances | None = None) -> np.ndarray
         clash = np.abs(grid**inst.n - np.exp(-1j * inst.samples.gamma))
         if np.any(clash < 1e-9 * np.maximum(1.0, np.abs(grid) ** inst.n)):
             raise InvalidInputError("grid power condition violated for these samples")
-    y = np.array(inst.y, dtype=complex)
+    y = inst.y
     x = np.zeros(inst.n, dtype=complex)
     if not np.any(np.abs(y) > 0):
         return x

@@ -11,7 +11,7 @@ solution set, and optionally disambiguates with one extra measurement.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,43 +51,51 @@ from .recover_phase import (
     _require_distinct,
     _snap_to_grid,
 )
-from .structmat import SampleSet, build_G, build_Gtilde, vandermonde
+from .structmat import SampleSet, build_G, build_Gtilde, readonly_array, vandermonde
 
 BRANCH_HARMONIC = "Harmonic2pow"
 BRANCH_DUAL = "DualPair"
 BRANCH_DEGENERATE = "DegenerateHarmonicTheta"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaselessInstance:
-    """Squared-modulus measurements y at circle samples of an order-n model."""
+    """Squared-modulus measurements y at circle samples of an order-n model.
+
+    `y` is a read-only float array, `grid` a read-only complex one, and
+    `extra_row` the pair (a, y_m) of a read-only complex row and a float.
+    """
 
     n: int
     s_max: int
-    y: tuple[float, ...]
+    y: np.ndarray
     samples: SampleSet
-    extra_row: tuple | None = None
-    grid: tuple[complex, ...] | None = None
+    extra_row: tuple[np.ndarray, float] | None = None
+    grid: np.ndarray | None = None
 
     def __init__(self, n, s_max, y, samples, extra_row=None, grid=None):
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "s_max", int(s_max))
         yy = np.asarray(y)
         if np.iscomplexobj(yy):
+            yy = readonly_array(yy, complex, "measurements")
             scale = max(1.0, float(np.max(np.abs(yy))) if yy.size else 1.0)
             if np.any(np.abs(yy.imag) > 1e-12 * scale):
                 raise InvalidInputError("phaseless measurements must be real")
             yy = yy.real
-        object.__setattr__(self, "y", tuple(float(v) for v in yy))
+        object.__setattr__(self, "y", readonly_array(yy, float, "measurements"))
         object.__setattr__(self, "samples", samples)
         if extra_row is not None:
             a, y_m = extra_row
-            extra_row = (tuple(complex(v) for v in a), float(y_m))
-            if extra_row[1] < 0:
+            a, y_m = readonly_array(a, complex, "extra row"), float(y_m)
+            if not np.isfinite(y_m):
+                raise InvalidInputError("extra measurement must be finite")
+            if y_m < 0:
                 raise InvalidInputError("extra measurement must be nonnegative")
+            extra_row = (a, y_m)
         object.__setattr__(self, "extra_row", extra_row)
         object.__setattr__(
-            self, "grid", None if grid is None else tuple(complex(v) for v in grid)
+            self, "grid", None if grid is None else readonly_array(grid, complex, "grid points")
         )
         if self.s_max < 1:
             raise InvalidInputError("s_max must be at least 1")
@@ -97,10 +105,9 @@ class PhaselessInstance:
             )
         if len(samples) != len(self.y):
             raise InvalidInputError("sample count does not match measurement count")
-        if min(self.y, default=0.0) < 0:
+        if (self.y < 0).any():
             raise InvalidInputError("phaseless measurements must be nonnegative")
-        zz = samples.array()
-        if np.any(np.abs(np.abs(zz) - 1.0) > 1e-9):
+        if np.any(np.abs(np.abs(samples.z) - 1.0) > 1e-9):
             raise InvalidInputError("phaseless samples must lie on the unit circle")
         if samples.is_harmonic and samples.n != self.n:
             raise InvalidInputError("harmonic samples must share the model order n")
@@ -173,7 +180,7 @@ def _support_harmonic(inst: PhaselessInstance, tol: Tolerances):
         raise InvalidInputError("harmonic support recovery needs shifted-harmonic samples")
     if inst.m < 4 * inst.s_max - 1:
         raise InvalidInputError("harmonic branch needs m >= 4*s-1 measurements")
-    y = np.array(inst.y, dtype=float)
+    y = inst.y
     builder = lambda s: build_Gtilde(inst.samples, y, s)
     S, w, diagnostics = _descend(builder, inst.s_max, tol)
     w = _phase_normalize(w, S)
@@ -373,7 +380,7 @@ def dual_transform(g, theta, n: int) -> np.ndarray:
 def _general_stage(inst: PhaselessInstance, tol: Tolerances):
     if inst.m < 8 * inst.s_max - 3:
         raise InvalidInputError("general branch needs m >= 8*s-3 measurements")
-    y = np.array(inst.y, dtype=float)
+    y = inst.y
     builder = lambda s: build_G(inst.samples, y, inst.n, s)
     S, w, diagnostics = _descend(builder, inst.s_max, tol)
     w = _phase_normalize(w, S)
@@ -478,7 +485,7 @@ def recover_r5(inst: PhaselessInstance, tol: Tolerances | None = None) -> Phasel
     """
     if tol is None:
         tol = load_tolerances()
-    y = np.array(inst.y, dtype=float)
+    y = inst.y
     if not np.any(y > 0):
         branch = BRANCH_HARMONIC if inst.samples.is_harmonic else BRANCH_DUAL
         return PhaselessResult((), 0, (), (), None, branch, ())
@@ -499,7 +506,7 @@ def recover_r5(inst: PhaselessInstance, tol: Tolerances | None = None) -> Phasel
     selected = None
     if inst.extra_row is not None and cands:
         a, y_m = inst.extra_row
-        selected = disambiguate(cands, np.array(a), y_m, theta, tol)
+        selected = disambiguate(cands, a, y_m, theta, tol)
     return PhaselessResult(
         tuple(theta),
         S,
@@ -560,26 +567,24 @@ def recover_r3(inst: PhaselessInstance, tol: Tolerances | None = None) -> np.nda
         raise InvalidInputError("recover_r3 needs the instance grid")
     if inst.extra_row is None:
         raise InvalidInputError("recover_r3 needs the disambiguation measurement")
-    grid = np.array(inst.grid, dtype=complex)
+    grid = inst.grid
     if np.any(np.abs(np.abs(grid) - 1.0) > 1e-9):
         raise InvalidInputError("grid points must lie on the unit circle")
     sep = _min_pairwise(grid)
     if sep < 1e-12:
         raise InvalidInputError("grid points must be distinct")
     a, y_m = inst.extra_row
-    a = np.array(a, dtype=complex)
     if len(a) != inst.n:
         raise InvalidInputError("the extra row of a gridded instance has length n")
     if inst.samples.is_harmonic:
         clash = np.abs(grid**inst.n - np.exp(-1j * inst.samples.gamma))
         if np.any(clash < 1e-9):
             raise InvalidInputError("grid power condition violated for these samples")
-    y = np.array(inst.y, dtype=float)
+    y = inst.y
     x = np.zeros(inst.n, dtype=complex)
     if not np.any(y > 0):
         return x
-    base = PhaselessInstance(inst.n, inst.s_max, inst.y, inst.samples, None, inst.grid)
-    res = recover_r5(base, tol)
+    res = recover_r5(replace(inst, extra_row=None), tol)
     support = _snap_to_grid(
         res.theta, grid, 0.5 * sep,
         what="support point", near="grid point", slot="grid index",

@@ -13,66 +13,66 @@ import numpy as np
 
 from .errors import InvalidInputError, RankDeficiencyError
 
-HARMONIC = "ShiftedHarmonic"
-ARBITRARY = "Arbitrary"
-
 _HARMONIC_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class SampleSet:
-    """Measurement points z, tagged with how they were generated.
+def readonly_array(values, dtype, name: str) -> np.ndarray:
+    """`values` copied once into a read-only array of `dtype`.
 
-    ShiftedHarmonic sample sets are rotated nth roots of unity: all points
-    satisfy z_j**n == e^{i*gamma}, which is what makes the compact harmonic
-    systems applicable.
+    Measurement data from outside (a JSON file accepts NaN and Infinity) is
+    checked here: a non-finite entry would stall or derail the SVD stages.
+    """
+    arr = np.array(values, dtype=dtype)
+    if not np.isfinite(arr).all():
+        raise InvalidInputError(f"{name} must be finite")
+    arr.flags.writeable = False
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
+class SampleSet:
+    """Measurement points z, held as a read-only complex array.
+
+    A set given `gamma` (and then also `n`) is shifted-harmonic: rotated nth
+    roots of unity, all satisfying z_j**n == e^{i*gamma}, which is what makes
+    the compact harmonic systems applicable. ``np.asarray(samples)`` is `z`.
     """
 
-    z: tuple[complex, ...]
-    mode: str = ARBITRARY
+    z: np.ndarray
     gamma: float | None = None
     n: int | None = None
 
-    def __init__(self, z, mode: str = ARBITRARY, gamma=None, n=None):
-        object.__setattr__(self, "z", tuple(complex(v) for v in z))
-        object.__setattr__(self, "mode", mode)
+    def __init__(self, z, gamma=None, n=None):
+        object.__setattr__(self, "z", readonly_array(z, complex, "sample points"))
         object.__setattr__(self, "gamma", None if gamma is None else float(gamma))
         object.__setattr__(self, "n", None if n is None else int(n))
-        if mode not in (HARMONIC, ARBITRARY):
-            raise InvalidInputError(f"unknown sample mode {mode!r}")
-        if mode == HARMONIC:
-            if self.gamma is None or self.n is None:
+        if self.is_harmonic:
+            if self.n is None:
                 raise InvalidInputError("shifted-harmonic samples need gamma and n")
             if len(self.z) > self.n:
                 raise InvalidInputError("at most n shifted-harmonic samples exist")
-            zs = np.array(self.z)
-            if np.any(np.abs(np.abs(zs) - 1.0) > _HARMONIC_TOL):
+            if not (np.abs(np.abs(self.z) - 1.0) <= _HARMONIC_TOL).all():
                 raise InvalidInputError("shifted-harmonic samples must lie on the circle")
-            if np.any(np.abs(zs**self.n - np.exp(1j * self.gamma)) > _HARMONIC_TOL * 10):
+            power_gap = np.abs(self.z**self.n - np.exp(1j * self.gamma))
+            if not (power_gap <= _HARMONIC_TOL * 10).all():
                 raise InvalidInputError("samples do not share the common nth power")
 
     def __len__(self) -> int:
         return len(self.z)
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.z, dtype=dtype, copy=copy)
+
     @property
     def is_harmonic(self) -> bool:
-        return self.mode == HARMONIC
-
-    def array(self) -> np.ndarray:
-        return np.array(self.z, dtype=complex)
-
-
-def _as_samples(z) -> SampleSet:
-    if isinstance(z, SampleSet):
-        return z
-    return SampleSet(z)
+        return self.gamma is not None
 
 
 def vandermonde(z, n: int) -> np.ndarray:
     """n x m matrix with entry (r, c) = z_c**r; row 0 is all ones."""
     if n < 1:
         raise InvalidInputError("vandermonde needs at least one row")
-    pts = z.array() if isinstance(z, SampleSet) else np.asarray(z, dtype=complex)
+    pts = np.asarray(z, dtype=complex)
     return np.vstack([pts**r for r in range(n)])
 
 
@@ -82,7 +82,7 @@ def shifted_harmonics(n: int, m: int, gamma: float) -> SampleSet:
         raise InvalidInputError(f"need 1 <= m <= n, got m={m}, n={n}")
     j = np.arange(m)
     z = np.exp(1j * (2 * np.pi * j + gamma) / n)
-    return SampleSet(z, mode=HARMONIC, gamma=gamma, n=n)
+    return SampleSet(z, gamma=gamma, n=n)
 
 
 # ----------------------------------------------------------------------------
@@ -100,8 +100,7 @@ def build_A(z, y, n: int, s: int) -> np.ndarray:
     Row j is [y_j z_j^s ... y_j, -z_j^{n+s-1} ... -z_j^n, -z_j^{s-1} ... -1];
     the unknown stack is [v; u_hat; u_tilde], each block descending.
     """
-    samples = _as_samples(z)
-    zz = samples.array()
+    zz = np.asarray(z, dtype=complex)
     y = np.asarray(y, dtype=complex)
     _check_lengths(zz, y)
     if n < 2 * s:
@@ -118,10 +117,9 @@ def build_B(z, y, s: int) -> np.ndarray:
     Row j is [y_j z_j^s ... y_j, -z_j^{s-1} ... -1]; the unknown stack is
     [v; q] with q the combined numerator block, both descending.
     """
-    samples = _as_samples(z)
-    if not samples.is_harmonic:
+    if not (isinstance(z, SampleSet) and z.is_harmonic):
         raise InvalidInputError("build_B needs shifted-harmonic samples")
-    zz = samples.array()
+    zz = z.z
     y = np.asarray(y, dtype=complex)
     _check_lengths(zz, y)
     cols = [y * zz**k for k in range(s, -1, -1)]
@@ -129,39 +127,32 @@ def build_B(z, y, s: int) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _check_phaseless_inputs(zz: np.ndarray, y: np.ndarray):
+def _phaseless_measurements(zz: np.ndarray, y) -> np.ndarray:
+    """y as a complex array of its real parts, once it fits circle samples zz."""
+    y = np.asarray(y, dtype=complex)
+    _check_lengths(zz, y)
     if np.any(np.abs(np.abs(zz) - 1.0) > 1e-9):
         raise InvalidInputError("phaseless samples must lie on the unit circle")
     yscale = max(1.0, float(np.max(np.abs(y))) if len(y) else 1.0)
     if np.any(y.real < 0) or np.any(np.abs(y.imag) > 1e-12 * yscale):
         raise InvalidInputError("phaseless measurements must be nonnegative reals")
+    return y.real.astype(complex)
 
 
-def build_G(z, y, n: int, s: int) -> np.ndarray:
-    """Phaseless system for general circle samples, m x (8s-2).
+def _phaseless_system(zz: np.ndarray, y: np.ndarray, s: int,
+                      C_high: np.ndarray | None = None) -> np.ndarray:
+    """The block layout [B | y | fliplr(conj(B)) | -C | -1 | -fliplr(conj(C))].
 
-    Block layout [B | y | fliplr(conj(B)) | -C | -1 | -fliplr(conj(C))] with
-    B_j = [y_j z_j^s ... y_j z_j] and C_j = [z^{n+s-1} ... z^{n-s+1}, z^{s-1} ... z].
-    The unknown stack is [l_hat; l_tilde; l; conj-Laurent(l_tilde)], blocks in
-    descending powers.
+    B_j = [y_j z_j^s ... y_j z_j] and C_j = [C_high_j, z_j^{s-1} ... z_j].
     """
-    samples = _as_samples(z)
-    zz = samples.array()
-    y = np.asarray(y, dtype=complex)
-    _check_lengths(zz, y)
-    _check_phaseless_inputs(zz, y)
-    y = y.real.astype(complex)
-    if n < 4 * s - 1:
-        raise InvalidInputError("need n >= 4s-1")
     m = len(zz)
     B = np.column_stack([y * zz**k for k in range(s, 0, -1)])
-    C_high = np.column_stack([zz ** (n + k) for k in range(s - 1, -s, -1)])
     C_low = (
         np.column_stack([zz**k for k in range(s - 1, 0, -1)])
         if s > 1
         else np.zeros((m, 0), dtype=complex)
     )
-    C = np.hstack([C_high, C_low])
+    C = C_low if C_high is None else np.hstack([C_high, C_low])
     return np.hstack(
         [
             B,
@@ -174,6 +165,22 @@ def build_G(z, y, n: int, s: int) -> np.ndarray:
     )
 
 
+def build_G(z, y, n: int, s: int) -> np.ndarray:
+    """Phaseless system for general circle samples, m x (8s-2).
+
+    Block layout [B | y | fliplr(conj(B)) | -C | -1 | -fliplr(conj(C))] with
+    B_j = [y_j z_j^s ... y_j z_j] and C_j = [z^{n+s-1} ... z^{n-s+1}, z^{s-1} ... z].
+    The unknown stack is [l_hat; l_tilde; l; conj-Laurent(l_tilde)], blocks in
+    descending powers.
+    """
+    zz = np.asarray(z, dtype=complex)
+    y = _phaseless_measurements(zz, y)
+    if n < 4 * s - 1:
+        raise InvalidInputError("need n >= 4s-1")
+    C_high = np.column_stack([zz ** (n + k) for k in range(s - 1, -s, -1)])
+    return _phaseless_system(zz, y, s, C_high)
+
+
 def build_Gtilde(z, y, s: int) -> np.ndarray:
     """Phaseless system for shifted-harmonic samples, m x 4s.
 
@@ -181,31 +188,10 @@ def build_Gtilde(z, y, s: int) -> np.ndarray:
     C~_j = [z^{s-1} ... z]. The unknown stack is [l_hat; p] where p combines
     the three numerator Laurent blocks through the common nth power of z.
     """
-    samples = _as_samples(z)
-    if not samples.is_harmonic:
+    if not (isinstance(z, SampleSet) and z.is_harmonic):
         raise InvalidInputError("build_Gtilde needs shifted-harmonic samples")
-    zz = samples.array()
-    y = np.asarray(y, dtype=complex)
-    _check_lengths(zz, y)
-    _check_phaseless_inputs(zz, y)
-    y = y.real.astype(complex)
-    m = len(zz)
-    B = np.column_stack([y * zz**k for k in range(s, 0, -1)])
-    Ct = (
-        np.column_stack([zz**k for k in range(s - 1, 0, -1)])
-        if s > 1
-        else np.zeros((m, 0), dtype=complex)
-    )
-    return np.hstack(
-        [
-            B,
-            y[:, None],
-            np.fliplr(np.conj(B)),
-            -Ct,
-            -np.ones((m, 1), dtype=complex),
-            -np.fliplr(np.conj(Ct)),
-        ]
-    )
+    zz = z.z
+    return _phaseless_system(zz, _phaseless_measurements(zz, y), s)
 
 
 # ----------------------------------------------------------------------------

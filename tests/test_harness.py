@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -200,17 +201,35 @@ def test_generated_seeds_differ_per_trial():
 
 
 def test_instance_round_trip():
+    def read_only_equal(arr, want):
+        assert isinstance(arr, np.ndarray) and not arr.flags.writeable
+        assert np.array_equal(arr, want)
+
     config = ExperimentConfig.from_dict(config_dict(s_list=[2]))
-    inst = instance_from_payload(generate_trial(config, 2, 0))
+    payload = generate_trial(config, 2, 0)
+    inst = instance_from_payload(payload)
     assert isinstance(inst, PhaseInstance)
     assert inst.m == 4
+    read_only_equal(inst.y, unpairs(payload["y"]))
+    read_only_equal(inst.samples.z, unpairs(payload["z"]))
     config = ExperimentConfig.from_dict(
         config_dict(mode="r5", s_list=[2], n_rule="4s-1", m_rule="8s-3",
                     sample_mode="arbitrary")
     )
-    inst = instance_from_payload(generate_trial(config, 2, 0))
+    payload = generate_trial(config, 2, 0)
+    inst = instance_from_payload(payload)
     assert isinstance(inst, PhaselessInstance)
     assert inst.m == 13 and inst.extra_row is not None
+    read_only_equal(inst.y, payload["y"])
+    read_only_equal(inst.extra_row[0], unpairs(payload["extra_row"]["a"]))
+    assert inst.extra_row[1] == payload["extra_row"]["y_m"]
+    config = ExperimentConfig.from_dict(
+        config_dict(mode="r3", s_list=[1], n_rule="4s+3", m_rule="4s-1", gamma=1.0)
+    )
+    payload = generate_trial(config, 1, 0)
+    inst = instance_from_payload(payload)
+    read_only_equal(inst.grid, unpairs(payload["grid"]))
+    read_only_equal(inst.extra_row[0], unpairs(payload["extra_row"]["a"]))
 
 
 def test_run_trial_success_and_csv_shape():
@@ -320,15 +339,21 @@ def test_redraw_extra_row_keeps_truth():
                     sample_mode="arbitrary")
     )
     payload = generate_trial(config, 2, 0)
-    fresh = _redraw_extra_row(payload, 0)
-    assert fresh["extra_row"]["a"] != payload["extra_row"]["a"]
-    a = unpairs(fresh["extra_row"]["a"])
+    a, y_m = _redraw_extra_row(payload, 0)
+    assert pairs(a) != payload["extra_row"]["a"]
     theta = unpairs(payload["theta"])
     g = unpairs(payload["g"])
     want = float(abs((vandermonde(theta, payload["n"]).T @ a) @ g) ** 2)
-    assert abs(fresh["extra_row"]["y_m"] - want) <= 1e-12 * max(want, 1.0)
-    assert _redraw_extra_row(payload, 0) == fresh
-    assert _redraw_extra_row(payload, 1) != fresh
+    assert abs(y_m - want) <= 1e-12 * max(want, 1.0)
+    a_again, y_m_again = _redraw_extra_row(payload, 0)
+    assert np.array_equal(a_again, a) and y_m_again == y_m
+    assert not np.array_equal(_redraw_extra_row(payload, 1)[0], a)
+    inst = instance_from_payload(payload)
+    fresh = replace(inst, extra_row=(a, y_m))
+    assert np.array_equal(fresh.extra_row[0], a) and fresh.extra_row[1] == y_m
+    assert fresh.n == inst.n and fresh.samples is inst.samples
+    assert np.array_equal(fresh.y, inst.y)
+    assert np.array_equal(inst.extra_row[0], unpairs(payload["extra_row"]["a"]))
 
 
 def test_cli_gen_is_deterministic(tmp_path):
@@ -426,6 +451,16 @@ def test_cli_recover_malformed_json(tmp_path):
     res = cli("recover", "--mode", "r1", "--input", str(bad))
     assert res.returncode == 2
     assert "error:" in res.stderr
+
+
+def test_cli_recover_non_finite_measurement(tmp_path):
+    payload = worked_r1_payload()
+    payload["y"][1] = [float("nan"), 0.0]
+    inst = tmp_path / "nan.json"
+    inst.write_text(json.dumps(payload))
+    res = cli("recover", "--mode", "r1", "--input", str(inst))
+    assert res.returncode == 2
+    assert "error:" in res.stderr and "finite" in res.stderr
 
 
 def test_cli_recover_mode_mismatch(tmp_path):

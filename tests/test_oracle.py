@@ -87,7 +87,7 @@ def test_forward_phaseless_laurent_cross_check():
         g = draw_g(rng, s)
         if rng.uniform() < 0.5:
             gamma = rng.uniform(0.1, 2 * np.pi - 0.1)
-            z = shifted_harmonics(n, n, gamma).array()
+            z = shifted_harmonics(n, n, gamma).z
         else:
             z = np.exp(1j * rng.uniform(0, 2 * np.pi, 8 * s - 3))
         forward_phaseless(theta, g, z, n)

@@ -55,7 +55,7 @@ def test_worked_singleton_harmonic():
 def test_worked_singleton_rotation_collision():
     """theta^n equal to the sample rotation still recovers via least squares."""
     z = shifted_harmonics(2, 2, 0.0)
-    y = forward_phase([1.0], [1.0], z.array(), 2)
+    y = forward_phase([1.0], [1.0], z.z, 2)
     res = recover_r1(PhaseInstance(2, 1, y, z))
     assert np.allclose(res.theta, [1.0], atol=1e-9)
     assert np.allclose(res.g, [1.0], atol=1e-9)
@@ -63,7 +63,7 @@ def test_worked_singleton_rotation_collision():
 
 def test_sparsity_overestimate_shrinks():
     z = shifted_harmonics(4, 4, 0.0)
-    y = forward_phase([2.0], [3.0], z.array(), 4)
+    y = forward_phase([2.0], [3.0], z.z, 4)
     res = recover_r1(PhaseInstance(4, 2, y, z))
     assert res.S == 1
     assert np.allclose(res.theta, [2.0], atol=1e-8)
@@ -79,7 +79,7 @@ def test_recover_r1_harmonic_random():
         theta = draw_theta_disk(rng, s)
         g = draw_g(rng, s)
         z = shifted_harmonics(n, n, gamma)
-        y = forward_phase(theta, g, z.array(), n)
+        y = forward_phase(theta, g, z.z, n)
         res = recover_r1(PhaseInstance(n, s, y, z))
         order = np.lexsort((np.abs(theta), np.angle(theta)))
         assert res.S == s
@@ -97,7 +97,7 @@ def test_recover_r1_arbitrary_samples():
         theta = draw_theta_disk(rng, s)
         g = draw_g(rng, s)
         z = SampleSet(tuple(disk_points(rng, 3 * s)))
-        y = forward_phase(theta, g, z.array(), n)
+        y = forward_phase(theta, g, z.z, n)
         res = recover_r1(PhaseInstance(n, s, y, z))
         order = np.lexsort((np.abs(theta), np.angle(theta)))
         assert np.max(np.abs(np.array(res.theta) - theta[order])) <= 1e-6
@@ -118,7 +118,7 @@ def test_recover_r1_scaling_equivariance():
     theta = draw_theta_disk(rng, s)
     g = draw_g(rng, s)
     z = shifted_harmonics(n, n, 0.8)
-    y = forward_phase(theta, g, z.array(), n)
+    y = forward_phase(theta, g, z.z, n)
     base = recover_r1(PhaseInstance(n, s, y, z))
     for c in (3.0, 2.0 * np.exp(1j * np.pi / 7), 0.05 - 0.4j):
         scaled = recover_r1(PhaseInstance(n, s, c * y, z))
@@ -132,6 +132,18 @@ def test_lower_bounds_rejected_before_compute():
         PhaseInstance(3, 2, np.ones(3), z)  # n = 2s-1
     with pytest.raises(InvalidInputError):
         PhaseInstance(4, 2, np.ones(3), z)  # m = 2s-1
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan, complex(0.0, np.inf)])
+def test_phase_instance_rejects_non_finite(bad):
+    z = shifted_harmonics(4, 4, 0.0)
+    y, grid = np.ones(4, dtype=complex), 1.5 * z.z
+    inst = PhaseInstance(4, 2, y, z, grid)
+    assert not inst.y.flags.writeable and not inst.grid.flags.writeable
+    with pytest.raises(InvalidInputError, match="finite"):
+        PhaseInstance(4, 2, np.where(np.arange(4) == 1, bad, y), z, grid)
+    with pytest.raises(InvalidInputError, match="finite"):
+        PhaseInstance(4, 2, y, z, np.where(np.arange(4) == 1, bad, grid))
 
 
 def test_arbitrary_samples_need_three_s():
@@ -187,7 +199,7 @@ def test_recover_g_matches_least_squares():
                 continue
         else:
             z = SampleSet(tuple(disk_points(rng, 3 * s)))
-        y = forward_phase(theta, g, z.array(), n)
+        y = forward_phase(theta, g, z.z, n)
         res = recover_r1(PhaseInstance(n, s, y, z))
         M = vandermonde(z, n).T @ vandermonde(np.array(res.theta), n)
         ls, _ = pinv_solve(M, y, Tolerances().rank_rel_tol)
@@ -299,7 +311,7 @@ def test_pairwise_checks_match_the_double_loop():
 def test_recover_r2_worked_grid():
     grid = np.array([1.0, 2.0, 3.0, 4.0], dtype=complex)
     z = SampleSet((1.0, 1j, 0.7 * np.exp(0.9j)))
-    y = forward_phase([2.0], [3.0], z.array(), 4)
+    y = forward_phase([2.0], [3.0], z.z, 4)
     x = recover_r2(PhaseInstance(4, 1, y, z, grid))
     assert np.allclose(x, [0, 3.0, 0, 0], atol=1e-9)
 
@@ -316,7 +328,7 @@ def test_recover_r2_rejects_colliding_harmonic_grid():
     # support argument, and fully harmonic samples leave no fallback system
     grid = np.array([1.0, 2.0, 3.0, 4.0], dtype=complex)
     z = shifted_harmonics(4, 3, 0.0)
-    y = forward_phase([2.0], [3.0], z.array(), 4)
+    y = forward_phase([2.0], [3.0], z.z, 4)
     with pytest.raises(InvalidInputError):
         recover_r2(PhaseInstance(4, 1, y, z, grid))
 
@@ -332,7 +344,7 @@ def test_recover_r2_matches_brute_force():
         support = np.sort(rng.choice(n, s, replace=False))
         g = draw_g(rng, s)
         z = SampleSet(tuple(disk_points(rng, 3 * s)))
-        y = forward_phase(grid[support], g, z.array(), n)
+        y = forward_phase(grid[support], g, z.z, n)
         x = recover_r2(PhaseInstance(n, s, y, z, grid))
         A = vandermonde(z, n).T @ vandermonde(grid, n)
         x_oracle = brute_force_cs(y, A, s)
@@ -376,12 +388,12 @@ def test_descend_factorises_each_matrix_once(monkeypatch):
     tol = Tolerances()
     # descent: a harmonic instance of sparsity 1 searched from s_max = 3
     z = shifted_harmonics(6, 6, 0.4)
-    y = forward_phase([1.7], [2.0], z.array(), 6)
+    y = forward_phase([1.7], [2.0], z.z, 6)
     harmonic = lambda s: build_B(z, y, s)
     # one step: arbitrary samples at the true sparsity
     theta, g = draw_theta_disk(rng, 3), draw_g(rng, 3)
     za = SampleSet(tuple(disk_points(rng, 9)))
-    ya = forward_phase(theta, g, za.array(), 7)
+    ya = forward_phase(theta, g, za.z, 7)
     arbitrary = lambda s: build_A(za, ya, 7, s)
     # a count of two that the tightened recount resolves to one
     U = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))[0]
@@ -403,7 +415,7 @@ def test_descend_factorises_each_matrix_once(monkeypatch):
 def test_descend_reads_gap_ratio_from_tolerances(monkeypatch):
     monkeypatch.delenv("VRECOVER_TOL_OVERRIDES", raising=False)
     z = SampleSet(tuple(disk_points(np.random.default_rng(373), 9)))
-    y = forward_phase([0.8j, 1.3], [1.0, -2.0], z.array(), 4)
+    y = forward_phase([0.8j, 1.3], [1.0, -2.0], z.z, 4)
     builder = lambda s: build_A(z, y, 4, s)
     _, _, quiet = _descend(builder, 2, Tolerances())
     _, _, loud = _descend(builder, 2, Tolerances(gap_ratio=1e30))

@@ -82,7 +82,7 @@ def match_theta(got, truth):
 
 def test_support_worked_singleton():
     z = shifted_harmonics(4, 3, 0.7)
-    y = forward_phaseless([1j], [2.0], z.array(), 4)
+    y = forward_phaseless([1j], [2.0], z.z, 4)
     theta, q, S = recover_support_harmonic(PhaselessInstance(4, 1, y, z), TOL)
     assert S == 1
     assert abs(theta[0] - 1j) <= 1e-9
@@ -94,7 +94,7 @@ def test_support_collision_kills_the_data():
     # theta^n equal to the sample rotation makes every geometric sum vanish,
     # so the measurements are identically zero and carry no support at all
     z = shifted_harmonics(4, 3, 0.0)
-    y = forward_phaseless([1j], [2.0], z.array(), 4)
+    y = forward_phaseless([1j], [2.0], z.z, 4)
     assert np.max(y) <= 1e-20
     with pytest.raises(RecoveryFailureError):
         recover_support_harmonic(PhaselessInstance(4, 1, y, z), TOL)
@@ -122,7 +122,7 @@ def test_support_harmonic_random():
         theta = draw_theta_dft(rng, n, s)
         g = draw_g(rng, s)
         z = shifted_harmonics(n, n, gamma)
-        y = forward_phaseless(theta, g, z.array(), n)
+        y = forward_phaseless(theta, g, z.z, n)
         got, _, S = recover_support_harmonic(PhaselessInstance(n, s, y, z), TOL)
         assert S == s
         assert match_theta(got, theta) <= 1e-8
@@ -130,7 +130,7 @@ def test_support_harmonic_random():
 
 def test_magnitudes_worked_singleton():
     z = shifted_harmonics(4, 3, 0.7)
-    y = forward_phaseless([1j], [2.0], z.array(), 4)
+    y = forward_phaseless([1j], [2.0], z.z, 4)
     theta, q, S = recover_support_harmonic(PhaselessInstance(4, 1, y, z), TOL)
     profile = magnitudes_harmonic(theta, q, 0.7, 4, TOL)
     assert len(profile) == 1
@@ -148,7 +148,7 @@ def test_magnitude_ratios_scale_free():
         theta = draw_theta_dft(rng, n, s)
         g = draw_g(rng, s)
         z = shifted_harmonics(n, n, gamma)
-        y = forward_phaseless(theta, g, z.array(), n)
+        y = forward_phaseless(theta, g, z.z, n)
         got, q, S = recover_support_harmonic(PhaselessInstance(n, s, y, z), TOL)
         profile = np.array(magnitudes_harmonic(got, q, gamma, n, TOL))
         order = np.lexsort((np.abs(theta), np.angle(theta)))
@@ -165,7 +165,7 @@ def test_magnitudes_uniform_weights():
     theta = draw_theta_dft(rng, n, s)
     g = np.exp(1j * rng.uniform(0, 2 * np.pi, s))  # all moduli equal 1
     z = shifted_harmonics(n, n, gamma)
-    y = forward_phaseless(theta, g, z.array(), n)
+    y = forward_phaseless(theta, g, z.z, n)
     got, q, S = recover_support_harmonic(PhaselessInstance(n, s, y, z), TOL)
     profile = np.array(magnitudes_harmonic(got, q, gamma, n, TOL))
     assert np.max(np.abs(profile - profile[0])) <= 1e-6 * profile[0]
@@ -203,7 +203,7 @@ def test_enumerate_harmonic_counts():
         theta = draw_theta_dft(rng, n, s)
         g = draw_g(rng, s)
         z = shifted_harmonics(n, n, gamma)
-        y = forward_phaseless(theta, g, z.array(), n)
+        y = forward_phaseless(theta, g, z.z, n)
         got, q, S = recover_support_harmonic(PhaselessInstance(n, s, y, z), TOL)
         cands = enumerate_candidates_harmonic(got, q, gamma, n, z, y, TOL)
         assert len(cands) == 2 ** (s - 1)
@@ -262,7 +262,7 @@ def harmonic_enumeration_inputs(rng, s, gamma=0.7):
     z = shifted_harmonics(n, n, gamma)
     while True:
         theta = draw_theta_dft(rng, n, s)
-        y = forward_phaseless(theta, draw_g(rng, s), z.array(), n)
+        y = forward_phaseless(theta, draw_g(rng, s), z.z, n)
         try:
             got, q, S = recover_support_harmonic(PhaselessInstance(n, s, y, z), TOL)
         except VRecoverError:
@@ -339,7 +339,7 @@ def test_candidate_magnitude_consensus():
     theta = draw_theta_dft(rng, n, s)
     g = draw_g(rng, s)
     z = shifted_harmonics(n, n, 2.1)
-    y = forward_phaseless(theta, g, z.array(), n)
+    y = forward_phaseless(theta, g, z.z, n)
     res = recover_r5(PhaselessInstance(n, s, y, z))
     mags = np.array([np.abs(c) for c in res.candidates])
     assert np.max(np.abs(mags - mags[0])) <= 1e-8 * float(np.max(mags))
@@ -351,7 +351,7 @@ def test_recover_general_worked_pair():
     g = draw_g(rng, 2)
     n, m = 7, 13
     z = SampleSet(tuple(stratified_circle(rng, m)))
-    y = forward_phaseless(theta, g, z.array(), n)
+    y = forward_phaseless(theta, g, z.z, n)
     got, L, L_tilde, L_hat, S = recover_general(PhaselessInstance(n, 2, y, z), TOL)
     assert S == 2
     assert match_theta(got, theta) <= 1e-6
@@ -380,7 +380,7 @@ def test_split_dual_pair():
         theta = draw_theta_circle(rng, s)
         g = draw_g(rng, s)
         z = SampleSet(tuple(stratified_circle(rng, m)))
-        y = forward_phaseless(theta, g, z.array(), n)
+        y = forward_phaseless(theta, g, z.z, n)
         got, L, L_tilde, _, S = recover_general(PhaselessInstance(n, s, y, z), TOL)
         cands, branch = split_and_enumerate_general(L, L_tilde, got, n, z, y, TOL)
         assert branch == BRANCH_DUAL
@@ -409,7 +409,7 @@ def test_split_degenerate_routes_to_enumeration():
     theta = draw_theta_dft(rng, n, s)
     g = draw_g(rng, s)
     z = SampleSet(tuple(stratified_circle(rng, m)))
-    y = forward_phaseless(theta, g, z.array(), n)
+    y = forward_phaseless(theta, g, z.z, n)
     res = recover_r5(PhaselessInstance(n, s, y, z))
     assert res.branch == BRANCH_DEGENERATE
     assert len(res.candidates) == 2
@@ -422,7 +422,7 @@ def test_singleton_always_degenerate():
     theta = draw_theta_circle(rng, 1)
     g = draw_g(rng, 1)
     z = SampleSet(tuple(stratified_circle(rng, 5)))
-    y = forward_phaseless(theta, g, z.array(), 3)
+    y = forward_phaseless(theta, g, z.z, 3)
     res = recover_r5(PhaselessInstance(3, 1, y, z))
     assert res.branch == BRANCH_DEGENERATE
     assert len(res.candidates) == 1
@@ -437,7 +437,7 @@ def test_recover_r5_harmonic_full():
         theta = draw_theta_dft(rng, n, s)
         g = draw_g(rng, s)
         z = shifted_harmonics(n, n, gamma)
-        y = forward_phaseless(theta, g, z.array(), n)
+        y = forward_phaseless(theta, g, z.z, n)
         res = recover_r5(PhaselessInstance(n, s, y, z))
         assert res.branch == BRANCH_HARMONIC
         assert res.S == s
@@ -466,7 +466,7 @@ def test_recover_r5_selects_with_extra_row():
         theta = draw_theta_circle(rng, s)
         g = draw_g(rng, s)
         z = SampleSet(tuple(stratified_circle(rng, m)))
-        y = forward_phaseless(theta, g, z.array(), n)
+        y = forward_phaseless(theta, g, z.z, n)
         a = draw_unit_vector(rng, n)
         y_m = float(abs((vandermonde(theta, n).T @ a) @ g) ** 2)
         res = recover_r5(PhaselessInstance(n, s, y, z, extra_row=(a, y_m)))
@@ -510,7 +510,7 @@ def test_disambiguate_harmonic_four_way():
         theta = draw_theta_dft(rng, n, s)
         g = draw_g(rng, s)
         z = shifted_harmonics(n, n, gamma)
-        y = forward_phaseless(theta, g, z.array(), n)
+        y = forward_phaseless(theta, g, z.z, n)
         res = recover_r5(PhaselessInstance(n, s, y, z))
         assert len(res.candidates) == 4
         order = np.lexsort((np.abs(theta), np.angle(theta)))
@@ -549,7 +549,7 @@ def test_recover_r3_worked_grid():
     x = np.zeros(n, dtype=complex)
     x[3] = 2.0
     z = shifted_harmonics(n, 3, gamma)
-    y = forward_phaseless([grid[3]], [2.0], z.array(), n)
+    y = forward_phaseless([grid[3]], [2.0], z.z, n)
     rng = np.random.default_rng(509)
     a = draw_unit_vector(rng, n)
     inst = PhaselessInstance(n, 1, y, z, extra_row=(a, float(abs(np.dot(a, x)) ** 2)), grid=grid)
@@ -582,7 +582,7 @@ def test_recover_r3_global_phase_invariance():
         alpha = rng.uniform(0, 2 * np.pi)
         x = np.zeros(n, dtype=complex)
         x[support] = np.exp(1j * alpha) * g
-        y = forward_phaseless(grid[support], x[support], z.array(), n)
+        y = forward_phaseless(grid[support], x[support], z.z, n)
         inst = PhaselessInstance(
             n, s, y, z, extra_row=(a, float(abs(np.dot(a, x)) ** 2)), grid=grid
         )
@@ -612,9 +612,9 @@ def test_pipeline_matches_phaseless_oracle():
         theta = draw_theta_dft(rng, n, 2) if harmonic_theta else draw_theta_circle(rng, 2)
         g = draw_g(rng, 2)
         z = SampleSet(tuple(stratified_circle(rng, m)))
-        y = forward_phaseless(theta, g, z.array(), n)
+        y = forward_phaseless(theta, g, z.z, n)
         res = recover_r5(PhaselessInstance(n, 2, y, z))
-        oracle_sols = brute_force_phaseless_candidates(y, theta, z.array(), n)
+        oracle_sols = brute_force_phaseless_candidates(y, theta, z.z, n)
         assert len(res.candidates) == len(oracle_sols) == 2
         order = np.lexsort((np.abs(theta), np.angle(theta)))
         for sol in oracle_sols:
@@ -634,7 +634,7 @@ def test_gridded_candidates_match_support_search():
         support = np.sort(rng.choice(n, size=s, replace=False))
         g = draw_g(rng, s)
         z = SampleSet(tuple(stratified_circle(rng, m)))
-        y = forward_phaseless(grid[support], g, z.array(), n)
+        y = forward_phaseless(grid[support], g, z.z, n)
         res = recover_r5(PhaselessInstance(n, s, y, z))
         pipeline = []
         for cand in res.candidates:
@@ -646,7 +646,7 @@ def test_gridded_candidates_match_support_search():
         for sub in itertools.combinations(range(n), s):
             try:
                 sols = brute_force_phaseless_candidates(
-                    y, grid[list(sub)], z.array(), n
+                    y, grid[list(sub)], z.z, n
                 )
             except VRecoverError:
                 continue
@@ -658,6 +658,31 @@ def test_gridded_candidates_match_support_search():
         assert len(oracle) == len(pipeline) == 2
         for w in oracle:
             assert min(phase_aligned_gap(w, v) for v in pipeline) <= 1e-6
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_phaseless_instance_rejects_non_finite(bad):
+    n = 7
+    z = shifted_harmonics(n, n, 0.4)
+    y, a = np.ones(n), np.ones(n, dtype=complex)
+    grid = np.exp(2j * np.pi * np.arange(n) / n)
+    PhaselessInstance(n, 2, y, z, (a, 1.0), grid)
+
+    def one_bad(v):
+        return np.where(np.arange(n) == 2, bad, v)
+
+    for args in [
+        (one_bad(y), z, (a, 1.0), grid),
+        (one_bad(y).astype(complex), z),
+        (y, z, (one_bad(a), 1.0), grid),
+        (y, z, (a, bad), grid),
+        (y, z, (a, 1.0), one_bad(grid)),
+    ]:
+        with pytest.raises(InvalidInputError, match="finite"):
+            PhaselessInstance(n, 2, *args)
+    # a non-finite value ahead of a negative one must not hide it
+    with pytest.raises(InvalidInputError):
+        PhaselessInstance(n, 2, [bad, -1.0, *y[2:]], z)
 
 
 def test_phaseless_instance_validation():

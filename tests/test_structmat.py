@@ -43,15 +43,16 @@ def test_vandermonde_columns():
 
 def test_shifted_harmonics_values():
     z = shifted_harmonics(4, 4, 0.0)
-    assert np.allclose(z.array(), [1, 1j, -1, -1j])
+    assert np.allclose(z.z, [1, 1j, -1, -1j])
     assert z.is_harmonic and z.n == 4 and z.gamma == 0.0
+    assert not z.z.flags.writeable and np.asarray(z, dtype=complex) is z.z
 
     z2 = shifted_harmonics(2, 2, 0.0)
-    assert np.allclose(z2.array(), [1, -1])
+    assert np.allclose(z2.z, [1, -1])
 
     z3 = shifted_harmonics(4, 2, np.pi)
     w = np.exp(1j * np.pi / 4)
-    assert np.allclose(z3.array(), [w, 1j * w])
+    assert np.allclose(z3.z, [w, 1j * w])
 
 
 def test_shifted_harmonics_invariants():
@@ -60,7 +61,7 @@ def test_shifted_harmonics_invariants():
         n = int(rng.integers(2, 12))
         m = int(rng.integers(1, n + 1))
         gamma = float(rng.uniform(0, 2 * np.pi))
-        z = shifted_harmonics(n, m, gamma).array()
+        z = shifted_harmonics(n, m, gamma).z
         assert np.max(np.abs(np.abs(z) - 1.0)) <= 1e-12
         assert np.max(np.abs(z**n - np.exp(1j * gamma))) <= 1e-12
     with pytest.raises(InvalidInputError):
@@ -70,7 +71,27 @@ def test_shifted_harmonics_invariants():
 def test_sample_set_basics():
     z = SampleSet((1.0, 2.0, 3.0))
     assert len(z) == 3 and not z.is_harmonic
-    assert np.allclose(z.array(), [1, 2, 3])
+    assert np.allclose(z.z, [1, 2, 3])
+    assert z.z.dtype == complex and not z.z.flags.writeable
+    with pytest.raises(ValueError):
+        z.z[0] = 5.0
+    assert np.array_equal(np.asarray(z), z.z)
+    assert np.array_equal(vandermonde(z, 3), vandermonde(z.z, 3))
+
+    # given gamma and n a set is shifted-harmonic and checked as one
+    roots = np.exp(1j * (2 * np.pi * np.arange(3) + 0.5) / 4)
+    harmonic = SampleSet(roots, gamma=0.5, n=4)
+    assert harmonic.is_harmonic and harmonic.gamma == 0.5 and harmonic.n == 4
+    with pytest.raises(InvalidInputError, match="need gamma and n"):
+        SampleSet(roots, gamma=0.5)
+    with pytest.raises(InvalidInputError, match="common nth power"):
+        SampleSet(roots, gamma=0.6, n=4)
+    with pytest.raises(InvalidInputError, match="common nth power"):
+        SampleSet(roots, gamma=np.nan, n=4)
+
+    for bad in (np.inf, np.nan, complex(0.0, np.inf)):
+        with pytest.raises(InvalidInputError, match="finite"):
+            SampleSet((1.0, bad, 3.0))
 
 
 def test_build_A_frozen_row():
@@ -133,6 +154,11 @@ def test_build_B_frozen_matrix():
 def test_build_B_requires_harmonics():
     with pytest.raises(InvalidInputError):
         build_B(SampleSet((1.0, 0.9j)), [1.0, 2.0], 1)
+    # the points of a harmonic set, as a plain array, are not a harmonic set
+    z = shifted_harmonics(4, 4, 0.0)
+    for build in (build_B, build_Gtilde):
+        with pytest.raises(InvalidInputError, match="needs shifted-harmonic samples"):
+            build(z.z, np.ones(4), 1)
 
 
 def test_build_B_shape_and_zero_y():
@@ -218,7 +244,7 @@ def test_build_Gtilde_shape_and_pattern():
     y = np.arange(1.0, 5.0)
     Gt = build_Gtilde(z, y, 1)
     assert Gt.shape == (4, 4)
-    zz = z.array()
+    zz = z.z
     expect = np.column_stack([y * zz, y, y / zz, -np.ones(4)])
     assert np.allclose(Gt, expect)
 
@@ -232,7 +258,7 @@ def test_build_Gtilde_true_stack_in_null_space():
         z = shifted_harmonics(n, n, gamma)
         theta = np.exp(2j * np.pi * np.sort(rng.choice(n, s, replace=False)) / n)
         g = rng.normal(size=s) + 1j * rng.normal(size=s)
-        y = forward_phaseless(theta, g, z.array(), n)
+        y = forward_phaseless(theta, g, z.z, n)
         u_hat, u_tilde, v = forward_polys(theta, g, n)
         L, L_tilde, L_hat = laurent_from_products(u_hat, u_tilde, v)
         p = (
