@@ -35,7 +35,7 @@ from .recover_phaseless import (
     recover_r3,
     recover_r5,
 )
-from .structmat import SampleSet, shifted_harmonics, vandermonde
+from .structmat import SampleSet, readonly_array, shifted_harmonics, vandermonde
 
 MODES = ("r1", "r2", "r4", "r5", "r3")
 PHASE_MODES = ("r1", "r2")
@@ -339,12 +339,13 @@ def check_payload_consistency(payload: dict):
     n = payload["n"]
     if payload["mode"] in PHASE_MODES:
         expect = forward_phase(theta, g, samples, n)
-        stored = unpairs(payload["y"])
+        stored = readonly_array(unpairs(payload["y"]), complex, "measurements")
     else:
         expect = forward_phaseless(theta, g, samples, n)
-        stored = np.array(payload["y"], dtype=float)
+        stored = readonly_array(payload["y"], float, "measurements")
     scale = max(1.0, float(np.max(np.abs(expect))))
-    if np.max(np.abs(stored - expect)) > 1e-12 * scale:
+    # written so that a NaN gap fails too
+    if not np.max(np.abs(stored - expect)) <= 1e-12 * scale:
         raise InvalidInputError("instance fails forward consistency")
 
 

@@ -9,7 +9,6 @@ or Laurent form) and compared, so a bug in either representation cannot hide.
 import itertools
 
 import numpy as np
-import scipy.optimize
 
 from .cpoly import forward_polys, laurent_eval, laurent_from_products
 from .errors import (
@@ -19,7 +18,7 @@ from .errors import (
     NumericalFailureError,
     ResolutionError,
 )
-from .structmat import vandermonde
+from .structmat import readonly_array, vandermonde
 
 _PATH_TOL = 1e-10
 _NEAR_ONE = 1e-3  # switch to the direct geometric sum this close to ratio 1
@@ -54,8 +53,21 @@ def forward_phase_rational(theta, g, z, n: int) -> np.ndarray:
     return terms @ g
 
 
+def _finite_inputs(theta, g, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """theta, g and z as read-only complex arrays, each checked finite.
+
+    A NaN passes every `x > bound` test, so it is stopped before any arithmetic.
+    """
+    return (
+        readonly_array(theta, complex, "theta"),
+        readonly_array(g, complex, "g"),
+        readonly_array(z, complex, "sample points"),
+    )
+
+
 def forward_phase(theta, g, z, n: int) -> np.ndarray:
     """Phase-aware forward model, cross-checked along both routes."""
+    theta, g, z = _finite_inputs(theta, g, z)
     via_matrix = forward_phase_matrix(theta, g, z, n)
     via_rational = forward_phase_rational(theta, g, z, n)
     scale = max(1.0, float(np.max(np.abs(via_matrix))) if len(via_matrix) else 1.0)
@@ -69,11 +81,10 @@ def forward_phase(theta, g, z, n: int) -> np.ndarray:
 
 def forward_phaseless(theta, g, z, n: int) -> np.ndarray:
     """y = |V(z)^T V(theta) g|^2, cross-checked against the Laurent-ratio form."""
-    theta = np.asarray(theta, dtype=complex)
-    g = np.asarray(g, dtype=complex)
-    zz = np.asarray(z, dtype=complex)
-    if np.any(np.abs(np.abs(zz) - 1.0) > 1e-9) or (
-        len(theta) and np.any(np.abs(np.abs(theta) - 1.0) > 1e-9)
+    theta, g, zz = _finite_inputs(theta, g, z)
+    if not (
+        (np.abs(np.abs(zz) - 1.0) <= 1e-9).all()
+        and (np.abs(np.abs(theta) - 1.0) <= 1e-9).all()
     ):
         raise InvalidInputError("phaseless model needs z and theta on the unit circle")
     y = np.abs(forward_phase(theta, g, zz, n)) ** 2
@@ -236,7 +247,11 @@ def brute_force_phaseless_candidates(y, theta, z, n: int, grid_resolution: int =
 
     Magnitudes come from the lifted linear system; the remaining S-1 relative
     phases are grid-searched and polished with a local simplex minimizer.
+    Only this baseline needs scipy, so it is imported here: importing the
+    package and every recovery mode load numpy alone.
     """
+    import scipy.optimize
+
     theta = np.asarray(theta, dtype=complex)
     y = np.asarray(y, dtype=float)
     S = len(theta)

@@ -68,12 +68,25 @@ class SampleSet:
         return self.gamma is not None
 
 
+def _power_table(pts: np.ndarray, exps) -> np.ndarray:
+    """The (len(exps), len(pts)) table with entry (r, c) = pts[c]**exps[r].
+
+    Bit for bit the rows ``pts**e`` for Python ints e: numpy sends ``**2``
+    to ``np.square``, which rounds differently from the integer-power loop
+    the broadcast power takes, so the exponent-2 rows are squared the same
+    way. Every other exponent already takes the same loop.
+    """
+    exps = np.asarray(exps)
+    table = pts ** exps[:, None]
+    table[exps == 2] = np.square(pts)
+    return table
+
+
 def vandermonde(z, n: int) -> np.ndarray:
     """n x m matrix with entry (r, c) = z_c**r; row 0 is all ones."""
     if n < 1:
         raise InvalidInputError("vandermonde needs at least one row")
-    pts = np.asarray(z, dtype=complex)
-    return np.vstack([pts**r for r in range(n)])
+    return _power_table(np.asarray(z, dtype=complex), np.arange(n))
 
 
 def shifted_harmonics(n: int, m: int, gamma: float) -> SampleSet:
@@ -94,6 +107,15 @@ def _check_lengths(z: np.ndarray, y: np.ndarray):
         raise InvalidInputError(f"{len(z)} samples but {len(y)} measurements")
 
 
+def _columns(row_blocks) -> np.ndarray:
+    """The C-contiguous matrix whose columns are the rows of the blocks.
+
+    Builders scale and negate whole rows of a power table, where every
+    product runs over contiguous memory; the rows become columns only here.
+    """
+    return np.ascontiguousarray(np.concatenate(row_blocks).T)
+
+
 def build_A(z, y, n: int, s: int) -> np.ndarray:
     """Phase-aware system for arbitrary samples, m x (3s+1).
 
@@ -105,10 +127,9 @@ def build_A(z, y, n: int, s: int) -> np.ndarray:
     _check_lengths(zz, y)
     if n < 2 * s:
         raise InvalidInputError("need n >= 2s")
-    cols = [y * zz**k for k in range(s, -1, -1)]
-    cols += [-(zz ** (n + k)) for k in range(s - 1, -1, -1)]
-    cols += [-(zz**k) for k in range(s - 1, -1, -1)]
-    return np.column_stack(cols)
+    # rows: z^s ... z^0, then z^{n+s-1} ... z^n
+    P = _power_table(zz, np.r_[np.arange(s, -1, -1), np.arange(n + s - 1, n - 1, -1)])
+    return _columns([y * P[: s + 1], -P[s + 1 :], -P[1 : s + 1]])
 
 
 def build_B(z, y, s: int) -> np.ndarray:
@@ -122,16 +143,17 @@ def build_B(z, y, s: int) -> np.ndarray:
     zz = z.z
     y = np.asarray(y, dtype=complex)
     _check_lengths(zz, y)
-    cols = [y * zz**k for k in range(s, -1, -1)]
-    cols += [-(zz**k) for k in range(s - 1, -1, -1)]
-    return np.column_stack(cols)
+    P = _power_table(zz, np.arange(s, -1, -1))
+    return _columns([y * P, -P[1:]])
 
 
 def _phaseless_measurements(zz: np.ndarray, y) -> np.ndarray:
     """y as a complex array of its real parts, once it fits circle samples zz."""
     y = np.asarray(y, dtype=complex)
     _check_lengths(zz, y)
-    if np.any(np.abs(np.abs(zz) - 1.0) > 1e-9):
+    if not (np.isfinite(zz).all() and np.isfinite(y).all()):
+        raise InvalidInputError("phaseless samples and measurements must be finite")
+    if not (np.abs(np.abs(zz) - 1.0) <= 1e-9).all():
         raise InvalidInputError("phaseless samples must lie on the unit circle")
     yscale = max(1.0, float(np.max(np.abs(y))) if len(y) else 1.0)
     if np.any(y.real < 0) or np.any(np.abs(y.imag) > 1e-12 * yscale):
@@ -139,28 +161,24 @@ def _phaseless_measurements(zz: np.ndarray, y) -> np.ndarray:
     return y.real.astype(complex)
 
 
-def _phaseless_system(zz: np.ndarray, y: np.ndarray, s: int,
-                      C_high: np.ndarray | None = None) -> np.ndarray:
+def _phaseless_system(zz: np.ndarray, y: np.ndarray, s: int, high: np.ndarray) -> np.ndarray:
     """The block layout [B | y | fliplr(conj(B)) | -C | -1 | -fliplr(conj(C))].
 
-    B_j = [y_j z_j^s ... y_j z_j] and C_j = [C_high_j, z_j^{s-1} ... z_j].
+    B_j = [y_j z_j^s ... y_j z_j] and C_j = [z_j^e for e in high, z_j^{s-1} ... z_j].
     """
     m = len(zz)
-    B = np.column_stack([y * zz**k for k in range(s, 0, -1)])
-    C_low = (
-        np.column_stack([zz**k for k in range(s - 1, 0, -1)])
-        if s > 1
-        else np.zeros((m, 0), dtype=complex)
-    )
-    C = C_low if C_high is None else np.hstack([C_high, C_low])
-    return np.hstack(
+    # rows: z^s ... z^1, then the high exponents
+    P = _power_table(zz, np.r_[np.arange(s, 0, -1), high])
+    B = y * P[:s]
+    C = np.concatenate([P[s:], P[1:s]])
+    return _columns(
         [
             B,
-            y[:, None],
-            np.fliplr(np.conj(B)),
+            y[None, :],
+            np.conj(B[::-1]),
             -C,
-            -np.ones((m, 1), dtype=complex),
-            -np.fliplr(np.conj(C)),
+            -np.ones((1, m), dtype=complex),
+            -np.conj(C[::-1]),
         ]
     )
 
@@ -177,8 +195,7 @@ def build_G(z, y, n: int, s: int) -> np.ndarray:
     y = _phaseless_measurements(zz, y)
     if n < 4 * s - 1:
         raise InvalidInputError("need n >= 4s-1")
-    C_high = np.column_stack([zz ** (n + k) for k in range(s - 1, -s, -1)])
-    return _phaseless_system(zz, y, s, C_high)
+    return _phaseless_system(zz, y, s, np.arange(n + s - 1, n - s, -1))
 
 
 def build_Gtilde(z, y, s: int) -> np.ndarray:
@@ -191,7 +208,7 @@ def build_Gtilde(z, y, s: int) -> np.ndarray:
     if not (isinstance(z, SampleSet) and z.is_harmonic):
         raise InvalidInputError("build_Gtilde needs shifted-harmonic samples")
     zz = z.z
-    return _phaseless_system(zz, _phaseless_measurements(zz, y), s)
+    return _phaseless_system(zz, _phaseless_measurements(zz, y), s, np.arange(0))
 
 
 # ----------------------------------------------------------------------------

@@ -463,6 +463,42 @@ def test_cli_recover_non_finite_measurement(tmp_path):
     assert "error:" in res.stderr and "finite" in res.stderr
 
 
+def nan_payloads():
+    """An r1 and an r5 payload, each with one NaN put in y, theta or g."""
+    configs = [
+        config_dict(mode="r1", s_list=[2]),
+        config_dict(
+            mode="r5", s_list=[2], n_rule="4s-1", m_rule="8s-3",
+            sample_mode="arbitrary",
+        ),
+    ]
+    for raw in configs:
+        config = ExperimentConfig.from_dict(raw)
+        payload = generate_trial(config, 2, 0)
+        for key in ("y", "theta", "g"):
+            bad = json.loads(json.dumps(payload))
+            if isinstance(bad[key][0], list):
+                bad[key][0][0] = float("nan")
+            else:
+                bad[key][0] = float("nan")
+            yield f"{config.mode}-{key}", bad
+
+
+def test_payload_consistency_rejects_nan():
+    for _, payload in nan_payloads():
+        with pytest.raises(InvalidInputError, match="finite"):
+            check_payload_consistency(payload)
+
+
+def test_cli_recover_nan_truth_or_measurement(tmp_path):
+    for label, payload in nan_payloads():
+        inst = tmp_path / f"{label}.json"
+        inst.write_text(json.dumps(payload))
+        res = cli("recover", "--mode", payload["mode"], "--input", str(inst))
+        assert res.returncode == 2, (label, res.stdout, res.stderr)
+        assert "error:" in res.stderr
+
+
 def test_cli_recover_mode_mismatch(tmp_path):
     inst = tmp_path / "worked.json"
     inst.write_text(json.dumps(worked_r1_payload()))
@@ -489,6 +525,37 @@ def test_cli_selftest_passes():
     assert "selftest passed" in res.stdout
     assert res.stdout.count("ok ") == 10
     assert elapsed < 60.0
+
+
+def test_solver_path_never_imports_scipy():
+    """Only the brute-force phaseless baseline needs scipy; it imports it there."""
+    script = """
+import sys
+import vrecover
+from vrecover.harness import ExperimentConfig, cmd_selftest, generate_trial, run_trial
+configs = [
+    dict(mode="r1", s_list=[2], n_rule="2s", m_rule="2s"),
+    dict(mode="r2", s_list=[2], n_rule="2s+1", m_rule="2s"),
+    dict(mode="r4", s_list=[2], n_rule="4s-1", m_rule="4s-1", gamma=1.0),
+    dict(mode="r5", s_list=[2], n_rule="4s-1", m_rule="8s-3", sample_mode="arbitrary"),
+    dict(mode="r3", s_list=[1], n_rule="4s+3", m_rule="4s-1", gamma=1.0),
+]
+for raw in configs:
+    config = ExperimentConfig.from_dict(dict(raw, trials=1, master_seed=7))
+    record = run_trial(generate_trial(config, config.s_list[0], 0))
+    print(config.mode, record.success)
+assert cmd_selftest() == 0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    env = dict(os.environ)
+    env.pop("VRECOVER_TOL_OVERRIDES", None)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src
+    res = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert res.stdout.splitlines()[-1] == "[]", res.stdout
 
 
 def test_cli_selftest_catches_broken_tolerances():

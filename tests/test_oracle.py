@@ -77,6 +77,19 @@ def test_forward_phaseless_rejects_off_circle():
         forward_phaseless([1j], [1.0], [0.5], 3)
 
 
+def test_forward_models_reject_non_finite_input():
+    theta, g, z = [1j, -1.0], [1.0, 0.5j], [1.0, 1j, -1.0]
+    for bad in (np.nan, np.inf, complex(0.0, np.inf)):
+        for which in range(3):
+            args = [np.array(a, dtype=complex) for a in (theta, g, z)]
+            args[which][1] = bad
+            for forward in (forward_phase, forward_phaseless):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(InvalidInputError, match="finite"):
+                        forward(*args, 4)
+
+
 def test_forward_phaseless_laurent_cross_check():
     """The embedded Laurent-ratio check stays quiet on valid instances."""
     rng = np.random.default_rng(227)

@@ -286,6 +286,104 @@ def test_matrices_commute_with_row_permutation():
     assert np.allclose(A[perm], build_A(z[perm], y[perm], n, s))
 
 
+# The builders as they were first written, one power call per column. numpy
+# sends a Python-int `**2` to np.square, so these columns fix the rounding
+# that the power-table builders must reproduce bit for bit.
+
+
+def reference_vandermonde(z, n):
+    pts = np.asarray(z, dtype=complex)
+    return np.vstack([pts**r for r in range(n)])
+
+
+def reference_A(z, y, n, s):
+    cols = [y * z**k for k in range(s, -1, -1)]
+    cols += [-(z ** (n + k)) for k in range(s - 1, -1, -1)]
+    cols += [-(z**k) for k in range(s - 1, -1, -1)]
+    return np.column_stack(cols)
+
+
+def reference_B(z, y, s):
+    cols = [y * z**k for k in range(s, -1, -1)]
+    cols += [-(z**k) for k in range(s - 1, -1, -1)]
+    return np.column_stack(cols)
+
+
+def reference_phaseless(z, y, s, C_high=None):
+    m = len(z)
+    B = np.column_stack([y * z**k for k in range(s, 0, -1)])
+    C_low = (
+        np.column_stack([z**k for k in range(s - 1, 0, -1)])
+        if s > 1
+        else np.zeros((m, 0), dtype=complex)
+    )
+    C = C_low if C_high is None else np.hstack([C_high, C_low])
+    return np.hstack([
+        B, y[:, None], np.fliplr(np.conj(B)),
+        -C, -np.ones((m, 1), dtype=complex), -np.fliplr(np.conj(C)),
+    ])
+
+
+def reference_G(z, y, n, s):
+    C_high = np.column_stack([z ** (n + k) for k in range(s - 1, -s, -1)])
+    return reference_phaseless(z, y.astype(complex), s, C_high)
+
+
+def assert_same_bits(got, expect):
+    assert got.shape == expect.shape and got.flags.c_contiguous
+    assert np.array_equal(got.view(float), expect.view(float))
+
+
+def test_builders_match_per_column_reference_bit_for_bit():
+    rng = np.random.default_rng(101)
+    for s in range(1, 9):
+        for _ in range(3):
+            # disk points with complex y: vandermonde and build_A, down to n=2
+            n = 2 * s + int(rng.integers(0, 3))
+            m = 3 * s
+            z = np.sqrt(rng.uniform(0.25, 4.0, m)) * np.exp(1j * rng.uniform(0, 2 * np.pi, m))
+            y = rng.normal(size=m) + 1j * rng.normal(size=m)
+            assert_same_bits(vandermonde(z, n), reference_vandermonde(z, n))
+            assert_same_bits(build_A(z, y, n, s), reference_A(z, y, n, s))
+
+            # circle points with nonnegative y: build_G
+            n = 4 * s - 1 + int(rng.integers(0, 3))
+            m = 8 * s - 3
+            z = np.exp(1j * rng.uniform(0, 2 * np.pi, m))
+            y = rng.uniform(0.0, 3.0, m)
+            assert_same_bits(vandermonde(z, n), reference_vandermonde(z, n))
+            assert_same_bits(build_G(z, y, n, s), reference_G(z, y, n, s))
+
+            # shifted harmonics: build_B and build_Gtilde
+            n = 4 * s - 1
+            h = shifted_harmonics(n, n, float(rng.uniform(0, 2 * np.pi)))
+            yc = rng.normal(size=n) + 1j * rng.normal(size=n)
+            assert_same_bits(build_B(h, yc, s), reference_B(h.z, yc, s))
+            y = rng.uniform(0.0, 3.0, n)
+            assert_same_bits(
+                build_Gtilde(h, y, s), reference_phaseless(h.z, y.astype(complex), s)
+            )
+    # s=1, n=2: the numerator column of build_A is exactly -z^2
+    z = np.exp(1j * rng.uniform(0, 2 * np.pi, 3))
+    y = rng.normal(size=3) + 1j * rng.normal(size=3)
+    assert_same_bits(build_A(z, y, 2, 1), reference_A(z, y, 2, 1))
+
+
+def test_phaseless_builders_reject_non_finite_input():
+    h = shifted_harmonics(7, 7, 0.3)
+    for bad in (np.nan, np.inf, complex(0.0, np.inf)):
+        z = h.z.copy()
+        z[2] = bad
+        with pytest.raises(InvalidInputError, match="finite"):
+            build_G(z, np.ones(7), 7, 2)
+        y = np.ones(7, dtype=complex)
+        y[4] = bad
+        with pytest.raises(InvalidInputError, match="finite"):
+            build_G(h.z, y, 7, 2)
+        with pytest.raises(InvalidInputError, match="finite"):
+            build_Gtilde(h, y, 2)
+
+
 def test_null_space_frozen_cases():
     one = null_space(np.array([[1.0, 1.0]]), *NULL_BOUNDS)
     assert one.dimension == 1
