@@ -14,8 +14,8 @@ from vrecover import (
     SampleSet,
     brute_force_cs,
     forward_phase,
+    measurement_matrix,
     recover_r2,
-    vandermonde,
 )
 
 
@@ -40,7 +40,7 @@ def main():
         x_hat = recover_r2(PhaseInstance(n, s, y, z, grid=grid))
 
         # the same y through the dense sensing matrix, solved by enumeration
-        A = vandermonde(z, n).T @ vandermonde(grid, n)
+        A = measurement_matrix(z, grid, n)
         x_bf = brute_force_cs(y, A, s)
 
         gap = np.max(np.abs(x_hat - x_bf))

@@ -56,6 +56,7 @@ from .structmat import (
     build_B,
     build_G,
     build_Gtilde,
+    measurement_matrix,
     null_space,
     pinv_solve,
     shifted_harmonics,

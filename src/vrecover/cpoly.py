@@ -356,21 +356,23 @@ def halve_doubled_roots(roots, radius: float, error: type[Exception],
     root. A root left alone raises ``error(odd_message)``, a partner too far
     away ``error(gap_message.format(gap=...))``.
     """
-    roots = list(roots)
+    roots = np.asarray(roots, dtype=complex)
+    gaps = relative_gaps(roots, roots).T.tolist()  # gaps[j][i]: root i seen from root j
+    left = list(range(len(roots)))
     halved = []
-    while roots:
-        r = roots.pop()
-        if not roots:
+    while left:
+        j = left.pop()
+        if not left:
             raise error(odd_message)
-        dists = [abs(r - other) / max(1.0, abs(r)) for other in roots]
-        jmin = int(np.argmin(dists))
+        dists = [gaps[j][i] for i in left]
+        k = min(range(len(dists)), key=dists.__getitem__)
         # the partner of a noise-split double root is still far closer
         # than any root from another cluster
-        rest = [d for k, d in enumerate(dists) if k != jmin]
+        rest = dists[:k] + dists[k + 1 :]
         allow = max(radius, 0.05 * min(rest)) if rest else radius
-        if dists[jmin] > allow:
-            raise error(gap_message.format(gap=dists[jmin]))
-        halved.append((r + roots.pop(jmin)) / 2.0)
+        if dists[k] > allow:
+            raise error(gap_message.format(gap=dists[k]))
+        halved.append((roots[j] + roots[left.pop(k)]) / 2.0)
     return halved
 
 

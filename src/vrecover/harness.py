@@ -67,21 +67,21 @@ def derive_seed(master_seed: int, index: int) -> int:
 # JSON encoding of complex data
 # ----------------------------------------------------------------------------
 
-def pair(c) -> list:
-    c = complex(c)
-    return [float(c.real), float(c.imag)]
-
-
 def pairs(vec) -> list:
-    return [pair(c) for c in vec]
-
-
-def unpair(p) -> complex:
-    return complex(float(p[0]), float(p[1]))
+    """A complex vector as a list of [re, im] float pairs."""
+    vec = np.asarray(vec, dtype=complex)
+    return np.column_stack((vec.real, vec.imag)).tolist()
 
 
 def unpairs(lst) -> np.ndarray:
-    return np.array([unpair(p) for p in lst], dtype=complex)
+    """The complex vector of [re, im] pairs, both parts kept bit for bit (-0.0 too)."""
+    try:
+        table = np.array(lst, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError("complex values must be [re, im] pairs of numbers") from exc
+    if table.shape[1:] != (2,) and table.shape != (0,):
+        raise InvalidInputError(f"complex values must be [re, im] pairs, got shape {table.shape}")
+    return table.reshape(-1, 2).view(complex).ravel()
 
 
 # ----------------------------------------------------------------------------
@@ -697,7 +697,7 @@ def cmd_montecarlo(config_path: str, out_path: str) -> int:
 
 def _selftest_checks(tol: Tolerances):
     from .cpoly import LaurentPoly, laurent_sqrt
-    from .structmat import build_A, build_B, null_space
+    from .structmat import build_A, build_B, measurement_matrix, null_space
 
     def check_build_a():
         row = build_A([1.0], [9.0], 2, 1)
@@ -801,7 +801,7 @@ def _selftest_checks(tol: Tolerances):
         y = forward_phase(grid[support], g, z, n)
         inst = PhaseInstance(n, s, y, z, grid)
         x = recover_r2(inst, tol)
-        A = vandermonde(z, n).T @ vandermonde(grid, n)
+        A = measurement_matrix(z, grid, n)
         x_oracle = oracle.brute_force_cs(y, A, s)
         assert np.allclose(x, x_oracle, atol=1e-8), (x, x_oracle)
 

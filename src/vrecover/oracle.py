@@ -18,7 +18,7 @@ from .errors import (
     NumericalFailureError,
     ResolutionError,
 )
-from .structmat import readonly_array, vandermonde
+from .structmat import measurement_matrix, readonly_array
 
 _PATH_TOL = 1e-10
 _NEAR_ONE = 1e-3  # switch to the direct geometric sum this close to ratio 1
@@ -33,7 +33,7 @@ def forward_phase_matrix(theta, g, z, n: int) -> np.ndarray:
     zz = np.asarray(z, dtype=complex)
     if len(theta) == 0:
         return np.zeros(len(zz), dtype=complex)
-    return vandermonde(zz, n).T @ vandermonde(theta, n) @ g
+    return measurement_matrix(zz, theta, n) @ g
 
 
 def forward_phase_rational(theta, g, z, n: int) -> np.ndarray:
@@ -260,7 +260,7 @@ def brute_force_phaseless_candidates(y, theta, z, n: int, grid_resolution: int =
     if grid_resolution < 8:
         raise InvalidInputError("grid_resolution too small")
     zz = np.asarray(z, dtype=complex)
-    rows = vandermonde(zz, n).T @ vandermonde(theta, n)
+    rows = measurement_matrix(zz, theta, n)
     yscale = float(np.max(y)) if len(y) else 1.0
     mags = np.sqrt(_phaseless_magnitudes(y, rows))
     if mags[0] < 1e-6 * max(np.max(mags), 1e-30):

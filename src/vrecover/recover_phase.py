@@ -26,14 +26,12 @@ from .structmat import (
     SampleSet,
     build_A,
     build_B,
+    measurement_matrix,
     null_space,
     pinv_solve,
     readonly_array,
     refine_null_vector,
-    vandermonde,
 )
-
-GENERAL = "general"
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,15 +139,13 @@ def _descend(builder, s_max: int, tol: Tolerances):
 
 
 def _extract_blocks(inst: PhaseInstance, tol: Tolerances):
-    """Shared null-space stage: returns (S, v-roots, numerator block, tag, diags)."""
+    """Shared null-space stage: returns (S, v-roots, numerator block, diags)."""
     y = inst.y
     if inst.samples.is_harmonic:
-        tag: float | str = float(inst.samples.gamma)
         builder = lambda s: build_B(inst.samples, y, s)
     else:
         if inst.m < 3 * inst.s_max:
             raise InvalidInputError("arbitrary samples need m >= 3*s measurements")
-        tag = GENERAL
         builder = lambda s: build_A(inst.samples, y, inst.n, s)
     S, w, diagnostics = _descend(builder, inst.s_max, tol)
     v_desc = w[: S + 1]
@@ -160,24 +156,24 @@ def _extract_blocks(inst: PhaseInstance, tol: Tolerances):
         raise DegenerateSupportError("denominator root at the origin")
     # numerator block: combined q for harmonic samples, u_hat for the general system
     num_block = w[S + 1 : 2 * S + 1][::-1]
-    return S, roots, num_block, tag, diagnostics
+    return S, roots, num_block, diagnostics
 
 
-def recover_g(theta, q_block: np.ndarray, gamma_or_general, z, y, n: int,
+def recover_g(theta, q_block: np.ndarray, gamma: float | None, A: np.ndarray, y, n: int,
               tol: Tolerances) -> np.ndarray:
     """Closed-form weights from the recovered numerator block.
 
-    `q_block` is the array of the block's ascending coefficients. For
-    shifted-harmonic samples the block is q = e^{i*gamma} u_hat + u_tilde
-    and g_k is proportional to q(1/theta_k) over t_k(1/theta_k) times
-    (e^{i*gamma} theta_k^n - 1). For the general system the block is u_hat
-    itself and the theta_k^n twist divides out instead. The remaining scalar
-    is fixed against the largest measurement.
+    `q_block` holds the block's ascending coefficients, `A` is
+    ``measurement_matrix(z, theta, n)``. For samples rotated by `gamma` the
+    block is q = e^{i*gamma} u_hat + u_tilde and g_k is proportional to
+    q(1/theta_k) over t_k(1/theta_k) times (e^{i*gamma} theta_k^n - 1). For
+    arbitrary samples (`gamma` None) it is u_hat and theta_k^n divides out.
+    The remaining scalar is fixed against the largest measurement.
 
     A pole whose n-th power collides with the sample rotation makes the
     harmonic twist factor vanish together with its share of the numerator
     (0/0); the weights still exist, so that case drops to the least-squares
-    solve of the forward system at the recovered poles.
+    solve of ``A @ g = y``.
     """
     theta = np.asarray(theta, dtype=complex)
     y = np.asarray(y, dtype=complex)
@@ -185,24 +181,23 @@ def recover_g(theta, q_block: np.ndarray, gamma_or_general, z, y, n: int,
     t_val = np.diagonal(t_values(theta, recip))
     num = poly_eval(q_block, recip)
     vanishing = np.abs(t_val) < 1e-12
-    if gamma_or_general == GENERAL:
+    if gamma is None:
         twisted = np.zeros(len(theta), dtype=bool)
     else:
-        twist = np.exp(1j * float(gamma_or_general)) * theta**n - 1.0
+        twist = np.exp(1j * gamma) * theta**n - 1.0
         twisted = np.abs(twist) < 1e-9 * np.maximum(1.0, np.abs(theta) ** n)
     # the first pole where either test trips decides; a vanishing t_k wins
     trips = np.flatnonzero(vanishing | twisted)
     if trips.size:
         if vanishing[trips[0]]:
             raise DegenerateSupportError("t_k vanishes at a recovered pole")
-        A = vandermonde(z, n).T @ vandermonde(theta, n)
         g_ls, _ = pinv_solve(A, y, tol.rank_rel_tol)
         return g_ls
-    if gamma_or_general == GENERAL:
+    if gamma is None:
         g_hat = num / (theta**n * t_val)
     else:
         g_hat = num / (t_val * twist)
-    predicted = vandermonde(z, n).T @ vandermonde(theta, n) @ g_hat
+    predicted = A @ g_hat
     k_star = int(np.argmax(np.abs(y)))
     if abs(y[k_star]) == 0:
         raise InvalidInputError("cannot fix the scale against all-zero measurements")
@@ -219,13 +214,14 @@ def recover_r1(inst: PhaseInstance, tol: Tolerances | None = None) -> PhaseResul
     y = inst.y
     if not np.any(np.abs(y) > 0):
         return PhaseResult((), (), 0, ())
-    S, roots, num_block, tag, diagnostics = _extract_blocks(inst, tol)
+    S, roots, num_block, diagnostics = _extract_blocks(inst, tol)
     theta = 1.0 / roots
     order = _canonical_order(theta)
     theta = theta[order]
     _require_distinct(theta)
-    g = recover_g(theta, num_block, tag, inst.samples, y, inst.n, tol)
-    _forward_check(theta, g, inst.samples, y, inst.n, tol)
+    A = measurement_matrix(inst.samples, theta, inst.n)
+    g = recover_g(theta, num_block, inst.samples.gamma, A, y, inst.n, tol)
+    _forward_check(A @ g, y, tol)
     return PhaseResult(tuple(theta), tuple(g), S, tuple(diagnostics))
 
 
@@ -256,18 +252,17 @@ def recover_r2(inst: PhaseInstance, tol: Tolerances | None = None) -> np.ndarray
     x = np.zeros(inst.n, dtype=complex)
     if not np.any(np.abs(y) > 0):
         return x
-    S, roots, num_block, tag, _ = _extract_blocks(inst, tol)
+    S, roots, num_block, _ = _extract_blocks(inst, tol)
     recips = 1.0 / grid
     support = np.sort(_snap_to_grid(
         roots, recips, 0.5 * _min_pairwise(recips),
         what="root", near="grid reciprocal", slot="grid point",
     ))
     theta = grid[support]
-    g = recover_g(theta, num_block, tag, inst.samples, y, inst.n, tol)
+    A = measurement_matrix(inst.samples, theta, inst.n)
+    g = recover_g(theta, num_block, inst.samples.gamma, A, y, inst.n, tol)
+    _forward_check(A @ g, y, tol)
     x[support] = g
-    predicted = vandermonde(inst.samples, inst.n).T @ vandermonde(grid, inst.n) @ x
-    if np.linalg.norm(predicted - y) > tol.forward_tol * np.linalg.norm(y):
-        raise InconsistentSolutionError("snapped solution fails the forward check")
     return x
 
 
@@ -310,8 +305,7 @@ def _min_pairwise(values: np.ndarray) -> float:
     return float(_pairwise_moduli(values).min(initial=np.inf))
 
 
-def _forward_check(theta, g, samples, y, n, tol: Tolerances):
-    predicted = vandermonde(samples, n).T @ vandermonde(theta, n) @ np.asarray(g)
+def _forward_check(predicted: np.ndarray, y: np.ndarray, tol: Tolerances):
     defect = np.linalg.norm(predicted - y)
     if defect > tol.forward_tol * np.linalg.norm(y):
         raise InconsistentSolutionError(

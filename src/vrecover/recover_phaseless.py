@@ -51,7 +51,9 @@ from .recover_phase import (
     _require_distinct,
     _snap_to_grid,
 )
-from .structmat import SampleSet, build_G, build_Gtilde, readonly_array, vandermonde
+from .structmat import (
+    SampleSet, build_G, build_Gtilde, measurement_matrix, readonly_array, vandermonde,
+)
 
 BRANCH_HARMONIC = "Harmonic2pow"
 BRANCH_DUAL = "DualPair"
@@ -175,7 +177,14 @@ def _theta_from_lhat(lhat: LaurentPoly, tol: Tolerances) -> np.ndarray:
     return theta[_canonical_order(theta)]
 
 
-def _support_harmonic(inst: PhaselessInstance, tol: Tolerances):
+def recover_support_harmonic(inst: PhaselessInstance, tol: Tolerances):
+    """Support recovery for shifted-harmonic samples: (theta, q_block, S, diagnostics).
+
+    `q_block` is the symmetrized combined numerator block, the Laurent
+    polynomial that `magnitudes_harmonic` and `enumerate_candidates_harmonic`
+    take, spanning z^-(S-1) .. z^(S-1). `diagnostics` holds one entry per
+    sparsity tried by the null-space descent.
+    """
     if not inst.samples.is_harmonic:
         raise InvalidInputError("harmonic support recovery needs shifted-harmonic samples")
     if inst.m < 4 * inst.s_max - 1:
@@ -188,17 +197,6 @@ def _support_harmonic(inst: PhaselessInstance, tol: Tolerances):
     q_block = _symmetrized(LaurentPoly(w[2 * S + 1 : 4 * S][::-1], -(S - 1)), "numerator", tol)
     theta = _theta_from_lhat(lhat, tol)
     return theta, q_block, S, diagnostics
-
-
-def recover_support_harmonic(inst: PhaselessInstance, tol: Tolerances):
-    """Support recovery for shifted-harmonic samples: (theta, q_block, S).
-
-    `q_block` is the symmetrized combined numerator block, the Laurent
-    polynomial that `magnitudes_harmonic` and `enumerate_candidates_harmonic`
-    take, spanning z^-(S-1) .. z^(S-1).
-    """
-    theta, q_block, S, _ = _support_harmonic(inst, tol)
-    return theta, q_block, S
 
 
 # ----------------------------------------------------------------------------
@@ -357,7 +355,7 @@ def enumerate_candidates_harmonic(theta, q_block: LaurentPoly, gamma: float, n: 
     theta = np.asarray(theta, dtype=complex)
     y = np.asarray(y, dtype=float)
     S = len(theta)
-    rows = vandermonde(z, n).T @ vandermonde(theta, n)
+    rows = measurement_matrix(z, theta, n)
     row_weight = np.exp(1j * gamma) * theta**n - 1.0
     if np.any(np.abs(row_weight) < 1e-12):
         raise DegenerateInstanceError("a support power collides with the rotation")
@@ -377,7 +375,12 @@ def dual_transform(g, theta, n: int) -> np.ndarray:
 # general (non-harmonic sample) pipeline
 # ----------------------------------------------------------------------------
 
-def _general_stage(inst: PhaselessInstance, tol: Tolerances):
+def recover_general(inst: PhaselessInstance, tol: Tolerances):
+    """Support and squared-modulus blocks from general circle samples.
+
+    Returns (theta, L, L_tilde, L_hat, S, diagnostics), `diagnostics` holding
+    one entry per sparsity tried by the null-space descent.
+    """
     if inst.m < 8 * inst.s_max - 3:
         raise InvalidInputError("general branch needs m >= 8*s-3 measurements")
     y = inst.y
@@ -402,12 +405,6 @@ def _general_stage(inst: PhaselessInstance, tol: Tolerances):
     return theta, L, L_tilde, lhat, S, diagnostics
 
 
-def recover_general(inst: PhaselessInstance, tol: Tolerances):
-    """Support and squared-modulus blocks from general circle samples."""
-    theta, L, L_tilde, L_hat, S, _ = _general_stage(inst, tol)
-    return theta, L, L_tilde, L_hat, S
-
-
 def split_and_enumerate_general(L: LaurentPoly, L_tilde: LaurentPoly, theta, n: int,
                                 z, y, tol: Tolerances):
     """Candidate set from the squared-modulus blocks of the general pipeline.
@@ -422,7 +419,7 @@ def split_and_enumerate_general(L: LaurentPoly, L_tilde: LaurentPoly, theta, n: 
     theta = np.asarray(theta, dtype=complex)
     y = np.asarray(y, dtype=float)
     S = len(theta)
-    rows = vandermonde(z, n).T @ vandermonde(theta, n)
+    rows = measurement_matrix(z, theta, n)
     L2 = laurent_mul(L, L)
     K = laurent_mul(L_tilde, laurent_conj(L_tilde))
     disc = laurent_add(L2, laurent_scale(K, -4.0))
@@ -490,7 +487,7 @@ def recover_r5(inst: PhaselessInstance, tol: Tolerances | None = None) -> Phasel
         branch = BRANCH_HARMONIC if inst.samples.is_harmonic else BRANCH_DUAL
         return PhaselessResult((), 0, (), (), None, branch, ())
     if inst.samples.is_harmonic:
-        theta, q_block, S, diagnostics = _support_harmonic(inst, tol)
+        theta, q_block, S, diagnostics = recover_support_harmonic(inst, tol)
         gamma = float(inst.samples.gamma)
         profile = magnitudes_harmonic(theta, q_block, gamma, inst.n, tol)
         cands = enumerate_candidates_harmonic(
@@ -498,7 +495,7 @@ def recover_r5(inst: PhaselessInstance, tol: Tolerances | None = None) -> Phasel
         )
         branch = BRANCH_HARMONIC
     else:
-        theta, L, L_tilde, _, S, diagnostics = _general_stage(inst, tol)
+        theta, L, L_tilde, _, S, diagnostics = recover_general(inst, tol)
         profile = magnitudes_general(theta, L, tol)
         cands, branch = split_and_enumerate_general(
             L, L_tilde, theta, inst.n, inst.samples, y, tol
@@ -594,7 +591,7 @@ def recover_r3(inst: PhaselessInstance, tol: Tolerances | None = None) -> np.nda
     mags = np.abs(x[support])
     k0 = int(np.min(support[mags > 1e-12 * float(np.max(mags))]))
     x = x * np.exp(-1j * np.angle(x[k0]))
-    predicted = np.abs(vandermonde(inst.samples, inst.n).T @ vandermonde(grid, inst.n) @ x) ** 2
+    predicted = np.abs(measurement_matrix(inst.samples, grid, inst.n) @ x) ** 2
     if np.max(np.abs(predicted - y)) > tol.forward_tol * float(np.max(y)):
         raise InconsistentSolutionError("snapped solution fails the forward check")
     return x

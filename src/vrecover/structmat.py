@@ -89,6 +89,11 @@ def vandermonde(z, n: int) -> np.ndarray:
     return _power_table(np.asarray(z, dtype=complex), np.arange(n))
 
 
+def measurement_matrix(z, theta, n: int) -> np.ndarray:
+    """The m x s measurement operator A = V(z)^T V(theta), so y = A @ g; exactly that product."""
+    return vandermonde(z, n).T @ vandermonde(theta, n)
+
+
 def shifted_harmonics(n: int, m: int, gamma: float) -> SampleSet:
     """The first m rotated nth roots of unity, z_j = e^{i(2*pi*j + gamma)/n}."""
     if not 1 <= m <= n:

@@ -603,6 +603,62 @@ def test_halve_doubled_roots():
         halve_doubled_roots([1.0, 1.1, 3.0, 3.0], 1e-3, NotASquareError, "odd", "gap {gap:.1e}")
 
 
+def _halve_doubled_roots_list(roots, radius, error, odd_message, gap_message):
+    """halve_doubled_roots as a Python list scan, popping from the end."""
+    roots = list(roots)
+    halved = []
+    while roots:
+        r = roots.pop()
+        if not roots:
+            raise error(odd_message)
+        dists = [abs(r - other) / max(1.0, abs(r)) for other in roots]
+        jmin = int(np.argmin(dists))
+        rest = [d for k, d in enumerate(dists) if k != jmin]
+        allow = max(radius, 0.05 * min(rest)) if rest else radius
+        if dists[jmin] > allow:
+            raise error(gap_message.format(gap=dists[jmin]))
+        halved.append((r + roots.pop(jmin)) / 2.0)
+    return halved
+
+
+def _clustered_roots(rng):
+    """Noise-split double roots; some sets odd, tied, or split too wide."""
+    k = int(rng.integers(1, 11))
+    centers = np.exp(rng.uniform(np.log(0.3), np.log(3.0), k)) * np.exp(
+        1j * rng.uniform(0, 2 * np.pi, k)
+    )
+    split = 10.0 ** rng.uniform(-10, -2, k) * np.exp(1j * rng.uniform(0, 2 * np.pi, k))
+    roots = np.concatenate([centers + split, centers - split])
+    kind = rng.integers(4)
+    if kind == 1:
+        roots = roots[1:]
+    elif kind == 2:
+        # exact repeats make ties between equal distances
+        roots = np.concatenate([roots, roots[: 2 * int(rng.integers(1, k + 1))]])
+    return roots[rng.permutation(len(roots))]
+
+
+def test_halve_doubled_roots_matches_list_scan():
+    rng = np.random.default_rng(593)
+    outcomes = set()
+    for _ in range(400):
+        roots = _clustered_roots(rng)
+        radius = float(10.0 ** rng.uniform(-8, -2))
+        args = (radius, NotASquareError, "odd", "gap {gap:.17e}")
+        try:
+            want = _halve_doubled_roots_list(roots, *args)
+        except NotASquareError as exc:
+            with pytest.raises(NotASquareError) as got:
+                halve_doubled_roots(roots, *args)
+            assert str(got.value) == str(exc)
+            outcomes.add("odd" if str(exc) == "odd" else "gap")
+            continue
+        got = halve_doubled_roots(roots, *args)
+        assert np.array(got, dtype=complex).tobytes() == np.array(want, dtype=complex).tobytes()
+        outcomes.add("halved")
+    assert outcomes == {"odd", "gap", "halved"}
+
+
 def test_laurent_sqrt_rejects_odd_multiplicity():
     # (z - 2)(z - 1/2) has two isolated roots, not doubled ones
     with pytest.raises(NotASquareError):

@@ -95,6 +95,13 @@ def test_complex_json_round_trip():
     assert np.array_equal(back, v)
     encoded = pairs(v)
     assert all(isinstance(p, list) and len(p) == 2 for p in encoded)
+    # signed zeros in either part survive both ways
+    signed = [[-0.0, 1.5], [2.0, -0.0], [-0.0, -0.0]]
+    assert json.dumps(pairs(unpairs(signed))) == json.dumps(signed)
+    assert unpairs([]).shape == (0,) and pairs([]) == []
+    for bad in ([[1.0]], [[1.0, 2.0, 3.0]], [[1.0, 2.0], [3.0]], [1.0, 2.0], "1+2j"):
+        with pytest.raises(InvalidInputError, match=r"\[re, im\] pairs"):
+            unpairs(bad)
 
 
 def test_parse_rule_forms():
@@ -451,6 +458,23 @@ def test_cli_recover_malformed_json(tmp_path):
     res = cli("recover", "--mode", "r1", "--input", str(bad))
     assert res.returncode == 2
     assert "error:" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "key, index, bad",
+    [("y", 1, [9.0]), ("z", 0, [1.0, 0.0, 5.0])],
+    ids=["short-pair", "long-pair"],
+)
+def test_cli_recover_malformed_pair(tmp_path, key, index, bad):
+    """A complex value that is not an [re, im] pair stops the CLI with exit 2."""
+    payload = worked_r1_payload()
+    payload[key][index] = bad
+    inst = tmp_path / "pair.json"
+    inst.write_text(json.dumps(payload))
+    res = cli("recover", "--mode", "r1", "--input", str(inst))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error:") and "[re, im] pairs" in res.stderr
+    assert "Traceback" not in res.stderr and res.stdout == ""
 
 
 def test_cli_recover_non_finite_measurement(tmp_path):

@@ -29,6 +29,7 @@ from vrecover.structmat import (
     SampleSet,
     build_A,
     build_B,
+    measurement_matrix,
     pinv_solve,
     shifted_harmonics,
     vandermonde,
@@ -214,8 +215,10 @@ def test_recover_g_degenerate_support():
     # two coincident poles make t_k vanish at the shared reciprocal
     z = SampleSet((0.9, 0.8j, -0.7, 0.5 + 0.5j, -0.6j, 1.0))
     y = np.ones(6, dtype=complex)
+    theta = [2.0, 2.0 + 1e-15]
+    A = measurement_matrix(z, theta, 4)
     with pytest.raises(DegenerateSupportError):
-        recover_g([2.0, 2.0 + 1e-15], np.array([1.0, 1.0]), "general", z, y, 4, Tolerances())
+        recover_g(theta, np.array([1.0, 1.0]), None, A, y, 4, Tolerances())
 
 
 def _recover_g_per_pole(theta, q_block, gamma_or_general, z, y, n):
@@ -243,7 +246,9 @@ def test_recover_g_matches_per_pole_form():
         z = SampleSet(tuple(disk_points(rng, 3 * s)))
         y = rng.normal(size=3 * s) + 1j * rng.normal(size=3 * s)
         tag = "general" if rng.uniform() < 0.5 else float(rng.uniform(0.1, 6.0))
-        got = recover_g(theta, q_block, tag, z, y, n, Tolerances())
+        gamma = None if tag == "general" else tag
+        A = measurement_matrix(z, theta, n)
+        got = recover_g(theta, q_block, gamma, A, y, n, Tolerances())
         want = _recover_g_per_pole(theta, q_block, tag, z, y, n)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -256,14 +261,19 @@ def test_recover_g_first_tripped_pole_decides(monkeypatch):
     y = np.ones(6, dtype=complex)
     q_block = np.array([1.0, 0.5, 0.25])
     twin = [2.0, 2.0 + 1e-15]  # t_k vanishes at both
+
+    def weights(theta, gamma):
+        return recover_g(theta, q_block, gamma, measurement_matrix(z, theta, 4), y, 4,
+                         Tolerances())
+
     # with gamma = 0 and n = 4 the twist e^{i gamma} theta^4 - 1 vanishes at 1j
-    assert recover_g([1j, *twin], q_block, 0.0, z, y, 4, Tolerances()) is fallback
+    assert weights([1j, *twin], 0.0) is fallback
     with pytest.raises(DegenerateSupportError, match="^t_k vanishes at a recovered pole$"):
-        recover_g([*twin, 1j], q_block, 0.0, z, y, 4, Tolerances())
+        weights([*twin, 1j], 0.0)
     with pytest.raises(DegenerateSupportError, match="^t_k vanishes at a recovered pole$"):
-        recover_g([1j, 1j + 1e-15, 0.5], q_block, 0.0, z, y, 4, Tolerances())
+        weights([1j, 1j + 1e-15, 0.5], 0.0)
     # the general system has no twist, so the same pole is solved in closed form
-    got = recover_g([1j, 0.5, -2.0], q_block, "general", z, y, 4, Tolerances())
+    got = weights([1j, 0.5, -2.0], None)
     assert got.shape == (3,) and np.all(np.isfinite(got))
 
 
@@ -350,6 +360,32 @@ def test_recover_r2_matches_brute_force():
         x_oracle = brute_force_cs(y, A, s)
         assert np.flatnonzero(np.abs(x) > 1e-9).tolist() == list(support)
         assert np.max(np.abs(x - x_oracle)) <= 1e-8 * max(1.0, float(np.max(np.abs(x))))
+
+
+def test_measurement_matrix_built_once_per_recovery(monkeypatch):
+    """recover_r1 and recover_r2 form V(z)^T V(theta) once, at the recovered poles."""
+    built = []
+
+    def counting(z, theta, n, real=recover_phase.measurement_matrix):
+        built.append(len(theta))
+        return real(z, theta, n)
+
+    monkeypatch.setattr(recover_phase, "measurement_matrix", counting)
+    rng = np.random.default_rng(367)
+    n, s = 8, 3
+    for harmonic in (True, False):
+        z = shifted_harmonics(n, n, 0.7) if harmonic else SampleSet(disk_points(rng, 3 * s))
+        theta, g = draw_theta_disk(rng, s), draw_g(rng, s)
+        built.clear()
+        res = recover_r1(PhaseInstance(n, s, forward_phase(theta, g, z.z, n), z))
+        assert res.S == s and built == [s]
+        grid = rng.uniform(0.5, 2.0, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+        support = np.sort(rng.choice(n, s, replace=False))
+        y = forward_phase(grid[support], g, z.z, n)
+        built.clear()
+        x = recover_r2(PhaseInstance(n, s, y, z, grid))
+        assert np.flatnonzero(np.abs(x) > 1e-9).tolist() == support.tolist()
+        assert built == [s]
 
 
 def test_recover_r2_requires_grid():

@@ -83,7 +83,7 @@ def match_theta(got, truth):
 def test_support_worked_singleton():
     z = shifted_harmonics(4, 3, 0.7)
     y = forward_phaseless([1j], [2.0], z.z, 4)
-    theta, q, S = recover_support_harmonic(PhaselessInstance(4, 1, y, z), TOL)
+    theta, q, S, _ = recover_support_harmonic(PhaselessInstance(4, 1, y, z), TOL)
     assert S == 1
     assert abs(theta[0] - 1j) <= 1e-9
     # the numerator block spans z^-(S-1) .. z^(S-1): one constant term
@@ -123,7 +123,7 @@ def test_support_harmonic_random():
         g = draw_g(rng, s)
         z = shifted_harmonics(n, n, gamma)
         y = forward_phaseless(theta, g, z.z, n)
-        got, _, S = recover_support_harmonic(PhaselessInstance(n, s, y, z), TOL)
+        got, _, S, _ = recover_support_harmonic(PhaselessInstance(n, s, y, z), TOL)
         assert S == s
         assert match_theta(got, theta) <= 1e-8
 
@@ -131,7 +131,7 @@ def test_support_harmonic_random():
 def test_magnitudes_worked_singleton():
     z = shifted_harmonics(4, 3, 0.7)
     y = forward_phaseless([1j], [2.0], z.z, 4)
-    theta, q, S = recover_support_harmonic(PhaselessInstance(4, 1, y, z), TOL)
+    theta, q, S, _ = recover_support_harmonic(PhaselessInstance(4, 1, y, z), TOL)
     profile = magnitudes_harmonic(theta, q, 0.7, 4, TOL)
     assert len(profile) == 1
     assert profile[0] > 0
@@ -149,7 +149,7 @@ def test_magnitude_ratios_scale_free():
         g = draw_g(rng, s)
         z = shifted_harmonics(n, n, gamma)
         y = forward_phaseless(theta, g, z.z, n)
-        got, q, S = recover_support_harmonic(PhaselessInstance(n, s, y, z), TOL)
+        got, q, S, _ = recover_support_harmonic(PhaselessInstance(n, s, y, z), TOL)
         profile = np.array(magnitudes_harmonic(got, q, gamma, n, TOL))
         order = np.lexsort((np.abs(theta), np.angle(theta)))
         g_sq = np.abs(g[order]) ** 2
@@ -166,7 +166,7 @@ def test_magnitudes_uniform_weights():
     g = np.exp(1j * rng.uniform(0, 2 * np.pi, s))  # all moduli equal 1
     z = shifted_harmonics(n, n, gamma)
     y = forward_phaseless(theta, g, z.z, n)
-    got, q, S = recover_support_harmonic(PhaselessInstance(n, s, y, z), TOL)
+    got, q, S, _ = recover_support_harmonic(PhaselessInstance(n, s, y, z), TOL)
     profile = np.array(magnitudes_harmonic(got, q, gamma, n, TOL))
     assert np.max(np.abs(profile - profile[0])) <= 1e-6 * profile[0]
 
@@ -204,7 +204,7 @@ def test_enumerate_harmonic_counts():
         g = draw_g(rng, s)
         z = shifted_harmonics(n, n, gamma)
         y = forward_phaseless(theta, g, z.z, n)
-        got, q, S = recover_support_harmonic(PhaselessInstance(n, s, y, z), TOL)
+        got, q, S, _ = recover_support_harmonic(PhaselessInstance(n, s, y, z), TOL)
         cands = enumerate_candidates_harmonic(got, q, gamma, n, z, y, TOL)
         assert len(cands) == 2 ** (s - 1)
         # every candidate reproduces the data
@@ -264,7 +264,7 @@ def harmonic_enumeration_inputs(rng, s, gamma=0.7):
         theta = draw_theta_dft(rng, n, s)
         y = forward_phaseless(theta, draw_g(rng, s), z.z, n)
         try:
-            got, q, S = recover_support_harmonic(PhaselessInstance(n, s, y, z), TOL)
+            got, q, S, _ = recover_support_harmonic(PhaselessInstance(n, s, y, z), TOL)
         except VRecoverError:
             continue
         pairs = []
@@ -352,7 +352,7 @@ def test_recover_general_worked_pair():
     n, m = 7, 13
     z = SampleSet(tuple(stratified_circle(rng, m)))
     y = forward_phaseless(theta, g, z.z, n)
-    got, L, L_tilde, L_hat, S = recover_general(PhaselessInstance(n, 2, y, z), TOL)
+    got, L, L_tilde, L_hat, S, _ = recover_general(PhaselessInstance(n, 2, y, z), TOL)
     assert S == 2
     assert match_theta(got, theta) <= 1e-6
     profile = np.array(magnitudes_general(got, L, TOL))
@@ -381,7 +381,7 @@ def test_split_dual_pair():
         g = draw_g(rng, s)
         z = SampleSet(tuple(stratified_circle(rng, m)))
         y = forward_phaseless(theta, g, z.z, n)
-        got, L, L_tilde, _, S = recover_general(PhaselessInstance(n, s, y, z), TOL)
+        got, L, L_tilde, _, S, _ = recover_general(PhaselessInstance(n, s, y, z), TOL)
         cands, branch = split_and_enumerate_general(L, L_tilde, got, n, z, y, TOL)
         assert branch == BRANCH_DUAL
         assert len(cands) == 2

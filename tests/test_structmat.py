@@ -13,6 +13,7 @@ from vrecover.structmat import (
     build_B,
     build_G,
     build_Gtilde,
+    measurement_matrix,
     null_space,
     pinv_solve,
     refine_null_vector,
@@ -39,6 +40,26 @@ def test_vandermonde_columns():
     assert np.allclose(vandermonde([2.0], 3), [[1.0], [2.0], [4.0]])
     assert np.allclose(vandermonde([1j, -1j], 2), [[1, 1], [1j, -1j]])
     assert vandermonde(np.ones(5), 4).shape == (4, 5)
+
+
+def test_measurement_matrix_is_the_vandermonde_product():
+    """V(z)^T V(theta), bit for bit the written-out product, on disk and circle points."""
+    # entry (j, k) is the geometric sum of (z_j theta_k)^r over r < n
+    assert np.array_equal(measurement_matrix([2.0], [0.5, 1j], 3), [[3.0, -3.0 + 2j]])
+    rng = np.random.default_rng(43)
+    for trial in range(60):
+        n = int(rng.integers(1, 40))
+        m, s = int(rng.integers(1, 50)), int(rng.integers(1, 8))
+        on_circle = trial % 2 == 0
+        z_mod = 1.0 if on_circle else rng.uniform(0.5, 1.0, m)
+        theta_mod = 1.0 if on_circle else np.exp(rng.uniform(np.log(0.5), np.log(2.0), s))
+        z = z_mod * np.exp(1j * rng.uniform(0, 2 * np.pi, m))
+        theta = theta_mod * np.exp(1j * rng.uniform(0, 2 * np.pi, s))
+        samples = SampleSet(z) if trial % 3 == 0 else z
+        got = measurement_matrix(samples, theta, n)
+        want = vandermonde(z, n).T @ vandermonde(theta, n)
+        assert got.shape == (m, s)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_shifted_harmonics_values():
