@@ -32,7 +32,7 @@ from .oracle import (
     forward_phase,
     forward_phaseless,
 )
-from .recover_phase import PhaseInstance, PhaseResult, recover_g, recover_r1, recover_r2
+from .recover_phase import PhaseInstance, PhaseResult, recover_r1, recover_r2
 from .recover_phaseless import (
     BRANCH_DEGENERATE,
     BRANCH_DUAL,

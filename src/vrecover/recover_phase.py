@@ -3,8 +3,8 @@
 The measured vector is y = V(z)^T V(theta) g with unknown (theta, g). The
 pipeline finds the effective sparsity S by descending a null-space search
 over the structured systems, reads theta off the roots of the denominator
-block, and closes the remaining scalar with the measurement of largest
-magnitude. A gridded variant snaps the recovered roots onto a known
+block, and takes g from the least-squares solve of y = V(z)^T V(theta) g at
+those poles. A gridded variant snaps the recovered roots onto a known
 dictionary and returns the sparse coefficient vector itself.
 """
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Tolerances, load_tolerances
-from .cpoly import _modulus, poly_eval, poly_roots, t_values
+from .cpoly import _modulus, poly_roots
 from .errors import (
     DegenerateSupportError,
     AmbiguousSupportError,
@@ -120,7 +120,7 @@ def _descend(builder, s_max: int, tol: Tolerances):
         }
         diagnostics.append(entry)
         if ns.dimension == 1:
-            w = refine_null_vector(matrix, ns.basis[:, 0], factors=ns.factors)
+            w = refine_null_vector(matrix, ns.basis[:, 0], ns.factors)
             return s_try, w, diagnostics
         if ns.dimension >= 2:
             tight = ns.recount(tol.rank_rel_tol * 1e-4)
@@ -129,7 +129,7 @@ def _descend(builder, s_max: int, tol: Tolerances):
                 entry["warnings"].append(
                     "conditioning-warning: null dimension resolved at tightened threshold"
                 )
-                w = refine_null_vector(matrix, tight.basis[:, 0], factors=ns.factors)
+                w = refine_null_vector(matrix, tight.basis[:, 0], ns.factors)
                 return s_try, w, diagnostics
         if ns.dimension == 0:
             raise RecoveryFailureError(
@@ -139,7 +139,7 @@ def _descend(builder, s_max: int, tol: Tolerances):
 
 
 def _extract_blocks(inst: PhaseInstance, tol: Tolerances):
-    """Shared null-space stage: returns (S, v-roots, numerator block, diags)."""
+    """Shared null-space stage: returns (S, roots of the denominator block v, diags)."""
     y = inst.y
     if inst.samples.is_harmonic:
         builder = lambda s: build_B(inst.samples, y, s)
@@ -154,57 +154,20 @@ def _extract_blocks(inst: PhaseInstance, tol: Tolerances):
     roots = poly_roots(v_desc[::-1], tol.tol_root)
     if np.any(np.abs(roots) < 1e-12):
         raise DegenerateSupportError("denominator root at the origin")
-    # numerator block: combined q for harmonic samples, u_hat for the general system
-    num_block = w[S + 1 : 2 * S + 1][::-1]
-    return S, roots, num_block, diagnostics
+    return S, roots, diagnostics
 
 
-def recover_g(theta, q_block: np.ndarray, gamma: float | None, A: np.ndarray, y, n: int,
-              tol: Tolerances) -> np.ndarray:
-    """Closed-form weights from the recovered numerator block.
+def recover_g(A: np.ndarray, y, tol: Tolerances) -> np.ndarray:
+    """The weights at known poles: the least-squares solve of ``A @ g = y``.
 
-    `q_block` holds the block's ascending coefficients, `A` is
-    ``measurement_matrix(z, theta, n)``. For samples rotated by `gamma` the
-    block is q = e^{i*gamma} u_hat + u_tilde and g_k is proportional to
-    q(1/theta_k) over t_k(1/theta_k) times (e^{i*gamma} theta_k^n - 1). For
-    arbitrary samples (`gamma` None) it is u_hat and theta_k^n divides out.
-    The remaining scalar is fixed against the largest measurement.
-
-    A pole whose n-th power collides with the sample rotation makes the
-    harmonic twist factor vanish together with its share of the numerator
-    (0/0); the weights still exist, so that case drops to the least-squares
-    solve of ``A @ g = y``.
+    `A` is ``measurement_matrix(z, theta, n)``. It must have full column rank
+    at the ``tol.rank_rel_tol`` test of `pinv_solve`, or `RankDeficiencyError`
+    is raised. A pole whose n-th power meets the sample rotation takes the
+    same solve; its weight is lost only if no sample sees it, and then its
+    column of A vanishes and fails the rank test.
     """
-    theta = np.asarray(theta, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    recip = 1.0 / theta
-    t_val = np.diagonal(t_values(theta, recip))
-    num = poly_eval(q_block, recip)
-    vanishing = np.abs(t_val) < 1e-12
-    if gamma is None:
-        twisted = np.zeros(len(theta), dtype=bool)
-    else:
-        twist = np.exp(1j * gamma) * theta**n - 1.0
-        twisted = np.abs(twist) < 1e-9 * np.maximum(1.0, np.abs(theta) ** n)
-    # the first pole where either test trips decides; a vanishing t_k wins
-    trips = np.flatnonzero(vanishing | twisted)
-    if trips.size:
-        if vanishing[trips[0]]:
-            raise DegenerateSupportError("t_k vanishes at a recovered pole")
-        g_ls, _ = pinv_solve(A, y, tol.rank_rel_tol)
-        return g_ls
-    if gamma is None:
-        g_hat = num / (theta**n * t_val)
-    else:
-        g_hat = num / (t_val * twist)
-    predicted = A @ g_hat
-    k_star = int(np.argmax(np.abs(y)))
-    if abs(y[k_star]) == 0:
-        raise InvalidInputError("cannot fix the scale against all-zero measurements")
-    c = predicted[k_star] / y[k_star]
-    if abs(c) < 1e-14:
-        raise DegenerateSupportError("scale factor degenerated to zero")
-    return g_hat / c
+    g, _ = pinv_solve(A, y, tol.rank_rel_tol)
+    return g
 
 
 def recover_r1(inst: PhaseInstance, tol: Tolerances | None = None) -> PhaseResult:
@@ -214,13 +177,13 @@ def recover_r1(inst: PhaseInstance, tol: Tolerances | None = None) -> PhaseResul
     y = inst.y
     if not np.any(np.abs(y) > 0):
         return PhaseResult((), (), 0, ())
-    S, roots, num_block, diagnostics = _extract_blocks(inst, tol)
+    S, roots, diagnostics = _extract_blocks(inst, tol)
     theta = 1.0 / roots
     order = _canonical_order(theta)
     theta = theta[order]
     _require_distinct(theta)
     A = measurement_matrix(inst.samples, theta, inst.n)
-    g = recover_g(theta, num_block, inst.samples.gamma, A, y, inst.n, tol)
+    g = recover_g(A, y, tol)
     _forward_check(A @ g, y, tol)
     return PhaseResult(tuple(theta), tuple(g), S, tuple(diagnostics))
 
@@ -252,7 +215,7 @@ def recover_r2(inst: PhaseInstance, tol: Tolerances | None = None) -> np.ndarray
     x = np.zeros(inst.n, dtype=complex)
     if not np.any(np.abs(y) > 0):
         return x
-    S, roots, num_block, _ = _extract_blocks(inst, tol)
+    S, roots, _ = _extract_blocks(inst, tol)
     recips = 1.0 / grid
     support = np.sort(_snap_to_grid(
         roots, recips, 0.5 * _min_pairwise(recips),
@@ -260,7 +223,7 @@ def recover_r2(inst: PhaseInstance, tol: Tolerances | None = None) -> np.ndarray
     ))
     theta = grid[support]
     A = measurement_matrix(inst.samples, theta, inst.n)
-    g = recover_g(theta, num_block, inst.samples.gamma, A, y, inst.n, tol)
+    g = recover_g(A, y, tol)
     _forward_check(A @ g, y, tol)
     x[support] = g
     return x

@@ -301,7 +301,7 @@ def null_space(M: np.ndarray, rank_rel_tol: float, gap_ratio: float) -> NullSpac
 
     This is the one SVD of M: the result carries its factors, so a recount
     at another threshold (``recount``) and the pseudo-inverse of the
-    refinement (``refine_null_vector(..., factors=...)``) need no other.
+    refinement (``refine_null_vector(M, w, factors)``) need no other.
     """
     M = np.asarray(M, dtype=complex)
     if M.size == 0:
@@ -309,25 +309,21 @@ def null_space(M: np.ndarray, rank_rel_tol: float, gap_ratio: float) -> NullSpac
     return _rank_decision(svd_factors(M), rank_rel_tol, gap_ratio)
 
 
-def refine_null_vector(M: np.ndarray, w: np.ndarray, steps: int = 2,
-                       factors: SVDFactors | None = None) -> np.ndarray:
-    """Iteratively refine an approximate null vector of M.
+def refine_null_vector(M: np.ndarray, w: np.ndarray, factors: SVDFactors) -> np.ndarray:
+    """Iteratively refine an approximate null vector of M, in two steps.
 
     The SVD delivers the null vector with error about eps * smax / snext,
     which degrades badly when the smallest nonzero singular value is tiny.
     Computing the residual in extended precision and projecting it back
     through the pseudo-inverse removes the dominant error term. The
     pseudo-inverse is applied from `factors`, the SVD of M that the null
-    space came from (``NullSpaceResult.factors``); without them M is
-    factorised here.
+    space came from (``NullSpaceResult.factors``).
     """
     M = np.asarray(M, dtype=complex)
     w = np.asarray(w, dtype=complex)
-    if factors is None:
-        factors = svd_factors(M)
     Mq = M.astype(np.clongdouble)
     wq = w.astype(np.clongdouble)
-    for _ in range(steps):
+    for _ in range(2):
         residual = np.asarray(Mq @ wq, dtype=np.clongdouble)
         # keep directions down to the tightened rank threshold; anything
         # below is treated as null and must not be "corrected"
@@ -344,15 +340,18 @@ def pinv_solve(M: np.ndarray, y, rank_rel_tol: float) -> tuple[np.ndarray, float
     """Least-squares solve requiring full column rank; returns (x, residual).
 
     Full rank means the smallest singular value exceeds
-    ``rank_rel_tol * sigma_max * max(rows, cols)``.
+    ``rank_rel_tol * sigma_max * max(rows, cols)``. One SVD of M serves both
+    the rank test and the solve.
     """
     M = np.asarray(M, dtype=complex)
     y = np.asarray(y, dtype=complex)
     if M.ndim != 2 or M.shape[0] != len(y):
         raise InvalidInputError("pinv_solve dimension mismatch")
-    sv = np.linalg.svd(M, compute_uv=False)
+    factors = svd_factors(M)
+    sv = factors.s
     if len(sv) < M.shape[1] or sv[-1] <= rank_rel_tol * sv[0] * max(M.shape):
         raise RankDeficiencyError("matrix does not have full column rank")
-    x, *_ = np.linalg.lstsq(M, y, rcond=None)
+    # every singular value passed the rank test, so every direction is kept
+    x = factors.pinv_apply(y, rcond=0.0)
     residual = float(np.linalg.norm(M @ x - y))
     return x, residual
