@@ -22,9 +22,10 @@ ENV_VAR = "VRECOVER_TOL_OVERRIDES"
 class Tolerances:
     # relative residual bound certified for every reported polynomial root
     tol_root: float = 1e-8
-    # singular values <= rank_rel_tol * sigma_max count as zero
+    # singular values <= rank_rel_tol * sigma_max * max(rows, cols) count as zero;
+    # a null space of two or more directions needs them under 1e-4 times that
     rank_rel_tol: float = 1e-8
-    # kept/discarded singular value ratio below this attaches a conditioning warning
+    # a widest singular-value gap narrower than this attaches a conditioning warning
     gap_ratio: float = 1e3
     # conjugate-reciprocal pairing and root matching
     pair_tol: float = 1e-6

@@ -1,11 +1,12 @@
 """Phase-aware recovery: pole locations and weights from linear measurements.
 
 The measured vector is y = V(z)^T V(theta) g with unknown (theta, g). The
-pipeline finds the effective sparsity S by descending a null-space search
-over the structured systems, reads theta off the roots of the denominator
-block, and takes g from the least-squares solve of y = V(z)^T V(theta) g at
-those poles. A gridded variant snaps the recovered roots onto a known
-dictionary and returns the sparse coefficient vector itself.
+pipeline reads the effective sparsity S from the widest singular-value gap
+of the structured system built at s_max, takes the null vector of the
+system at S, reads theta off the roots of the denominator block, and takes
+g from the least-squares solve of y = V(z)^T V(theta) g at those poles. A
+gridded variant snaps the recovered roots onto a known dictionary and
+returns the sparse coefficient vector itself.
 """
 
 from dataclasses import dataclass
@@ -31,6 +32,7 @@ from .structmat import (
     pinv_solve,
     readonly_array,
     refine_null_vector,
+    zero_bound,
 )
 
 
@@ -93,49 +95,43 @@ def _canonical_order(theta: np.ndarray) -> np.ndarray:
     return np.lexsort((np.abs(theta), np.angle(theta)))
 
 
-def _descend(builder, s_max: int, tol: Tolerances):
-    """Try s = s_max, s_max-1, ... until the null space is one-dimensional.
+def _null_space_at(builder, s: int, allowed, tol: Tolerances, diagnostics: list):
+    """Build the system at sparsity s and read its null space; raise if there is none."""
+    matrix = builder(s)
+    ns = null_space(matrix, tol.rank_rel_tol, tol.gap_ratio, allowed)
+    sv = ns.singular_values
+    diagnostics.append({"s": s, "dimension": ns.dimension, "gap": ns.gap,
+                        "singular_values": sv.tolist(), "warnings": list(ns.warnings)})
+    if ns.dimension == 0:
+        raise RecoveryFailureError(
+            f"null space dimension 0 at s={s}: smallest singular value {sv[-1]:.3e} "
+            f"exceeds {zero_bound(sv[0], matrix.shape, tol.rank_rel_tol):.3e}"
+        )
+    if not ns.gap > 0:
+        raise RecoveryFailureError(
+            f"no singular value gap at s={s}: widest log10 gap {ns.gap:.3g} "
+            f"at dimension {ns.dimension} is not above 0"
+        )
+    return matrix, ns
 
-    A reported dimension >= 2 can be an artifact: the smallest nonzero
-    singular value of an ill-conditioned system may dip under the relative
-    threshold while the true null vector sits many orders below it.  Before
-    descending we recount at a much tighter threshold; if exactly one
-    direction survives we accept it and attach a conditioning warning.  The
-    accepted vector is refined in extended precision because its raw
-    accuracy degrades with the same conditioning that confused the count.
 
-    Each built matrix is factorised once: the rank decision, the tightened
-    recount and the refinement's pseudo-inverse all read the same SVD. The
-    thresholds and the gap warning come from `tol`.
+def _descend(builder, s_max: int, tol: Tolerances, step: int = 1):
+    """(S, refined null vector of the system built at S, one diagnostics entry per build).
+
+    On exact data the system built at s = S + k has a null space of dimension
+    ``step * k + 1``, `step` being 1 for A and B and 2 for G and G~. One SVD
+    at s_max reads that dimension from its widest singular-value gap (see
+    `null_space`), which gives S; below s_max the system is built once more
+    at S. The vector is refined in extended precision from the SVD it came
+    from, since its raw accuracy degrades with the system's conditioning.
     """
-    diagnostics = []
-    for s_try in range(s_max, 0, -1):
-        matrix = builder(s_try)
-        ns = null_space(matrix, tol.rank_rel_tol, tol.gap_ratio)
-        entry = {
-            "s": s_try,
-            "dimension": ns.dimension,
-            "singular_values": [float(v) for v in ns.singular_values],
-            "warnings": list(ns.warnings),
-        }
-        diagnostics.append(entry)
-        if ns.dimension == 1:
-            w = refine_null_vector(matrix, ns.basis[:, 0], ns.factors)
-            return s_try, w, diagnostics
-        if ns.dimension >= 2:
-            tight = ns.recount(tol.rank_rel_tol * 1e-4)
-            if tight.dimension == 1:
-                entry["dimension"] = 1
-                entry["warnings"].append(
-                    "conditioning-warning: null dimension resolved at tightened threshold"
-                )
-                w = refine_null_vector(matrix, tight.basis[:, 0], ns.factors)
-                return s_try, w, diagnostics
-        if ns.dimension == 0:
-            raise RecoveryFailureError(
-                f"null space dimension 0 at s={s_try}: data inconsistent with the model"
-            )
-    raise RecoveryFailureError("no one-dimensional null space found down to s=1")
+    diagnostics: list = []
+    allowed = [step * k + 1 for k in range(s_max)]
+    matrix, ns = _null_space_at(builder, s_max, allowed, tol, diagnostics)
+    S = s_max - (ns.dimension - 1) // step
+    if S < s_max:
+        matrix, ns = _null_space_at(builder, S, [1], tol, diagnostics)
+    return S, refine_null_vector(matrix, ns.basis[:, 0], ns.factors), diagnostics
 
 
 def _extract_blocks(inst: PhaseInstance, tol: Tolerances):

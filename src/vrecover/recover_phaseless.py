@@ -52,7 +52,7 @@ from .recover_phase import (
     _snap_to_grid,
 )
 from .structmat import (
-    SampleSet, build_G, build_Gtilde, measurement_matrix, readonly_array, vandermonde,
+    SampleSet, build_G, build_Gtilde, measurement_matrix, readonly_array, vandermonde, zero_bound,
 )
 
 BRANCH_HARMONIC = "Harmonic2pow"
@@ -183,7 +183,7 @@ def recover_support_harmonic(inst: PhaselessInstance, tol: Tolerances):
     `q_block` is the symmetrized combined numerator block, the Laurent
     polynomial that `magnitudes_harmonic` and `enumerate_candidates_harmonic`
     take, spanning z^-(S-1) .. z^(S-1). `diagnostics` holds one entry per
-    sparsity tried by the null-space descent.
+    system built by the null-space stage (`_descend`).
     """
     if not inst.samples.is_harmonic:
         raise InvalidInputError("harmonic support recovery needs shifted-harmonic samples")
@@ -191,7 +191,7 @@ def recover_support_harmonic(inst: PhaselessInstance, tol: Tolerances):
         raise InvalidInputError("harmonic branch needs m >= 4*s-1 measurements")
     y = inst.y
     builder = lambda s: build_Gtilde(inst.samples, y, s)
-    S, w, diagnostics = _descend(builder, inst.s_max, tol)
+    S, w, diagnostics = _descend(builder, inst.s_max, tol, step=2)
     w = _phase_normalize(w, S)
     lhat = _symmetrized(LaurentPoly(w[: 2 * S + 1][::-1], -S), "|v|^2", tol)
     q_block = _symmetrized(LaurentPoly(w[2 * S + 1 : 4 * S][::-1], -(S - 1)), "numerator", tol)
@@ -248,7 +248,7 @@ def _selection_nulls(M: np.ndarray, tol: Tolerances):
     test and, for a full-rank system, its null direction conj(Vh[-1]).
     """
     _, sig, Vh = np.linalg.svd(M)
-    deficient = sig[:, -1] <= tol.rank_rel_tol * sig[:, 0] * max(M.shape[1:])
+    deficient = sig[:, -1] <= zero_bound(sig[:, 0], M.shape[1:], tol.rank_rel_tol)
     return np.conj(Vh[:, -1]), deficient
 
 
@@ -379,13 +379,13 @@ def recover_general(inst: PhaselessInstance, tol: Tolerances):
     """Support and squared-modulus blocks from general circle samples.
 
     Returns (theta, L, L_tilde, L_hat, S, diagnostics), `diagnostics` holding
-    one entry per sparsity tried by the null-space descent.
+    one entry per system built by the null-space stage (`_descend`).
     """
     if inst.m < 8 * inst.s_max - 3:
         raise InvalidInputError("general branch needs m >= 8*s-3 measurements")
     y = inst.y
     builder = lambda s: build_G(inst.samples, y, inst.n, s)
-    S, w, diagnostics = _descend(builder, inst.s_max, tol)
+    S, w, diagnostics = _descend(builder, inst.s_max, tol, step=2)
     w = _phase_normalize(w, S)
     lhat_raw = LaurentPoly(w[: 2 * S + 1][::-1], -S)
     lt_raw = LaurentPoly(w[2 * S + 1 : 4 * S][::-1], -(S - 1))

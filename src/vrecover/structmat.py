@@ -222,12 +222,11 @@ def build_Gtilde(z, y, s: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SVDFactors:
-    """One full SVD of a matrix of `shape`: M = u[:, :k] diag(s) vh[:k], k = len(s)."""
+    """One full SVD of a matrix M = u[:, :k] diag(s) vh[:k], k = len(s)."""
 
     u: np.ndarray
     s: np.ndarray
     vh: np.ndarray
-    shape: tuple[int, int]
 
     def pinv_apply(self, r: np.ndarray, rcond: float) -> np.ndarray:
         """pinv(M) @ r as V_r diag(1/s_r) U_r^H r over the s_r > rcond * s_max.
@@ -244,7 +243,12 @@ def svd_factors(M: np.ndarray) -> SVDFactors:
     """Full SVD of M (u and vh square), kept for reuse."""
     M = np.asarray(M, dtype=complex)
     u, sv, vh = np.linalg.svd(M)
-    return SVDFactors(u, sv, vh, M.shape)
+    return SVDFactors(u, sv, vh)
+
+
+def zero_bound(sigma_max, shape, rank_rel_tol: float):
+    """The largest singular value that counts as zero, for one matrix or a stack of them."""
+    return rank_rel_tol * sigma_max * max(shape)
 
 
 @dataclass(frozen=True)
@@ -253,60 +257,51 @@ class NullSpaceResult:
     basis: np.ndarray  # columns are orthonormal null vectors, shape (cols, dimension)
     singular_values: np.ndarray
     warnings: tuple[str, ...] = field(default=())
-    # the factorisation the decision was read from; recount() and
-    # refine_null_vector() reuse it instead of running another SVD
+    # the factorisation the decision was read from; refine_null_vector()
+    # reuses it instead of running another SVD
     factors: SVDFactors | None = field(default=None, repr=False)
-    gap_ratio: float | None = None
-
-    def recount(self, rank_rel_tol: float) -> "NullSpaceResult":
-        """The rank decision at another threshold, from the stored factors.
-
-        Equal, bit for bit, to ``null_space(M, rank_rel_tol, gap_ratio)`` on
-        the matrix these factors came from.
-        """
-        return _rank_decision(self.factors, rank_rel_tol, self.gap_ratio)
+    # log10 of the singular-value gap above the null space; None at dimension 0
+    gap: float | None = None
 
 
-def _rank_decision(factors: SVDFactors, rank_rel_tol: float, gap_ratio: float) -> NullSpaceResult:
-    sv, ncols = factors.s, factors.shape[1]
-    sv_full = np.concatenate([sv, np.zeros(ncols - len(sv))]) if ncols > len(sv) else sv
-    smax = sv_full[0] if len(sv_full) else 0.0
-    threshold = rank_rel_tol * smax * max(factors.shape)
-    dimension = int(np.sum(sv_full <= threshold))
-    rank = ncols - dimension
-    warnings: list[str] = []
-    if 0 < rank < ncols:
-        kept = sv_full[rank - 1]
-        discarded = sv_full[rank]
-        if discarded > 0 and kept / discarded < gap_ratio:
-            warnings.append(
-                f"conditioning-warning: singular value gap {kept / discarded:.2e} "
-                f"below {gap_ratio:.0e} at rank {rank}"
-            )
-        elif discarded == 0 and kept <= threshold * gap_ratio:
-            warnings.append("conditioning-warning: rank decision near threshold")
-    basis = (
-        factors.vh[rank:].conj().T if dimension else np.zeros((ncols, 0), dtype=complex)
-    )
-    return NullSpaceResult(dimension, basis, sv_full, tuple(warnings), factors, gap_ratio)
+def null_space(M: np.ndarray, rank_rel_tol: float, gap_ratio: float,
+               allowed=None) -> NullSpaceResult:
+    """Right null space of M, its dimension read from the widest singular-value gap.
 
-
-def null_space(M: np.ndarray, rank_rel_tol: float, gap_ratio: float) -> NullSpaceResult:
-    """Right null space of M with an auditable rank decision.
-
-    A singular value counts as zero when it is at most
-    ``rank_rel_tol * sigma_max * max(rows, cols)``. When the kept/discarded
-    gap is narrower than `gap_ratio`, a conditioning warning is attached
-    instead of failing.
-
-    This is the one SVD of M: the result carries its factors, so a recount
-    at another threshold (``recount``) and the pseudo-inverse of the
-    refinement (``refine_null_vector(M, w, factors)``) need no other.
+    With sigma padded by zeros to the column count c, the dimension is 0 when
+    sigma_c exceeds ``zero_bound(sigma_max, M.shape, rank_rel_tol)``. Else it
+    is the count d in `allowed` (default: every d < c) with the widest gap
+    ``log10(sigma_{c-d} / sigma_{c-d+1})``, exact zeros read as eps * sigma_max
+    and ties going to the smaller d. A d above 1 needs sigma_{c-d+1} under
+    1e-4 times the zero bound. The result holds the gap: one of 0 or less (no
+    null space in the spectrum) is the caller's to judge, and one narrower
+    than `gap_ratio` attaches a conditioning warning. It also holds the one
+    SVD of M, which ``refine_null_vector(M, w, factors)`` reuses.
     """
     M = np.asarray(M, dtype=complex)
     if M.size == 0:
         raise InvalidInputError("null_space of an empty matrix")
-    return _rank_decision(svd_factors(M), rank_rel_tol, gap_ratio)
+    factors = svd_factors(M)
+    ncols = M.shape[1]
+    sv = np.concatenate([factors.s, np.zeros(ncols - len(factors.s))])
+    smax = sv[0]
+    if sv[-1] > zero_bound(smax, M.shape, rank_rel_tol):
+        return NullSpaceResult(0, np.zeros((ncols, 0), dtype=complex), sv, (), factors)
+    floor = np.where(sv > 0, sv, np.finfo(float).eps * smax)
+    tight = zero_bound(smax, M.shape, 1e-4 * rank_rel_tol)
+    counts = [1] + [d for d in (range(1, ncols) if allowed is None else allowed)
+                    if 1 < d < ncols and sv[ncols - d] <= tight]
+    ratios = [floor[ncols - d - 1] / floor[ncols - d] for d in counts]
+    best = int(np.argmax(ratios))
+    dimension, ratio = counts[best], ratios[best]
+    warnings = ()
+    if ratio < gap_ratio:
+        warnings = (
+            f"conditioning-warning: singular value gap {ratio:.2e} "
+            f"below {gap_ratio:.0e} at rank {ncols - dimension}",
+        )
+    basis = factors.vh[ncols - dimension:].conj().T
+    return NullSpaceResult(dimension, basis, sv, warnings, factors, float(np.log10(ratio)))
 
 
 def refine_null_vector(M: np.ndarray, w: np.ndarray, factors: SVDFactors) -> np.ndarray:
@@ -340,7 +335,7 @@ def pinv_solve(M: np.ndarray, y, rank_rel_tol: float) -> tuple[np.ndarray, float
     """Least-squares solve requiring full column rank; returns (x, residual).
 
     Full rank means the smallest singular value exceeds
-    ``rank_rel_tol * sigma_max * max(rows, cols)``. One SVD of M serves both
+    ``zero_bound(sigma_max, M.shape, rank_rel_tol)``. One SVD of M serves both
     the rank test and the solve.
     """
     M = np.asarray(M, dtype=complex)
@@ -349,7 +344,7 @@ def pinv_solve(M: np.ndarray, y, rank_rel_tol: float) -> tuple[np.ndarray, float
         raise InvalidInputError("pinv_solve dimension mismatch")
     factors = svd_factors(M)
     sv = factors.s
-    if len(sv) < M.shape[1] or sv[-1] <= rank_rel_tol * sv[0] * max(M.shape):
+    if len(sv) < M.shape[1] or sv[-1] <= zero_bound(sv[0], M.shape, rank_rel_tol):
         raise RankDeficiencyError("matrix does not have full column rank")
     # every singular value passed the rank test, so every direction is kept
     x = factors.pinv_apply(y, rcond=0.0)

@@ -1,4 +1,4 @@
-"""Phase-aware recovery: the descending null-space search and grid decoding."""
+"""Phase-aware recovery: the sparsity read from one singular-value gap, and grid decoding."""
 
 import numpy as np
 import numpy.linalg._linalg as np_linalg_impl
@@ -412,30 +412,38 @@ def _counting_builder(build):
 def test_descend_factorises_each_matrix_once(monkeypatch):
     rng = np.random.default_rng(367)
     tol = Tolerances()
-    # descent: a harmonic instance of sparsity 1 searched from s_max = 3
+    # sparsity 1 read from s_max = 3, then one build at S
     z = shifted_harmonics(6, 6, 0.4)
     y = forward_phase([1.7], [2.0], z.z, 6)
     harmonic = lambda s: build_B(z, y, s)
-    # one step: arbitrary samples at the true sparsity
+    # arbitrary samples at the true sparsity: one build
     theta, g = draw_theta_disk(rng, 3), draw_g(rng, 3)
     za = SampleSet(tuple(disk_points(rng, 9)))
     ya = forward_phase(theta, g, za.z, 7)
     arbitrary = lambda s: build_A(za, ya, 7, s)
-    # a count of two that the tightened recount resolves to one
-    U = np.linalg.qr(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))[0]
-    V = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))[0]
-    M = (U * [1.0, 0.5, 0.1, 1e-3, 1e-11]) @ np.conj(V[:, :5].T)
-    tight = lambda s: M
-    for build, s_max, S_want, steps in ((harmonic, 3, 1, 3), (arbitrary, 3, 3, 1),
-                                        (tight, 1, 1, 1)):
+    for build, s_max, S_want, builds in ((harmonic, 3, 1, [3, 1]), (arbitrary, 3, 3, [3])):
         calls = _count_svds(monkeypatch)
         builder, built = _counting_builder(build)
         S, w, diags = _descend(builder, s_max, tol)
         monkeypatch.undo()
-        assert S == S_want and len(built) == steps
-        assert len(calls) == len(built)
+        assert S == S_want and built == builds
+        assert len(calls) == len(built) == len(diags)
+        assert [d["s"] for d in diags] == builds and diags[-1]["dimension"] == 1
+        assert all(d["gap"] > 3 for d in diags)
         assert np.linalg.norm(build(S) @ w) <= 1e-9 * np.linalg.norm(build(S))
-    assert "resolved at tightened threshold" in diags[-1]["warnings"][-1]
+
+
+def test_descend_failures_report_value_and_bound():
+    rng = np.random.default_rng(383)
+    z = SampleSet(tuple(disk_points(rng, 9)))
+    y = rng.normal(size=9) + 1j * rng.normal(size=9)
+    with pytest.raises(RecoveryFailureError,
+                       match=r"dimension 0 at s=2: smallest singular value \S+ exceeds \S+"):
+        _descend(lambda s: build_A(z, y, 4, s), 2, Tolerances())
+    # zero data leaves two exactly zero columns: a flat tail without a gap
+    zh = shifted_harmonics(4, 4, 0.3)
+    with pytest.raises(RecoveryFailureError, match="no singular value gap at s=1: .* gap 0 "):
+        _descend(lambda s: build_B(zh, np.zeros(4), s), 1, Tolerances())
 
 
 def test_descend_reads_gap_ratio_from_tolerances(monkeypatch):
@@ -447,3 +455,43 @@ def test_descend_reads_gap_ratio_from_tolerances(monkeypatch):
     _, _, loud = _descend(builder, 2, Tolerances(gap_ratio=1e30))
     assert not any("singular value gap" in w for w in quiet[-1]["warnings"])
     assert any("singular value gap" in w for w in loud[-1]["warnings"])
+
+
+# exact trials at the minimal sample counts where two to four nonzero singular
+# values of the system at s_max fall under the zero bound, yet the widest gap
+# still reads S = s_max: (mode, s, n_rule, m_rule, sample_mode, index), all
+# at master_seed 16
+SPURIOUS_DESCENT_TRIALS = [
+    ("r1", 4, "2s", "3s", "arbitrary", 8),
+    ("r4", 7, "4s-1", "4s-1", "harmonic", 54),
+    ("r5", 6, "4s-1", "8s-3", "arbitrary", 29),
+]
+
+
+@pytest.mark.parametrize("mode, s, n_rule, m_rule, sample_mode, index",
+                         SPURIOUS_DESCENT_TRIALS)
+def test_sparsity_read_at_s_max_solves_exact_trials(mode, s, n_rule, m_rule,
+                                                    sample_mode, index):
+    config = ExperimentConfig.from_dict({
+        "mode": mode, "s_list": [s], "n_rule": n_rule, "m_rule": m_rule,
+        "sample_mode": sample_mode, "trials": 1, "master_seed": 16,
+    })
+    record = run_trial(generate_trial(config, s, index), Tolerances())
+    assert record.success, record.warnings
+    assert record.S == s
+
+
+@pytest.mark.parametrize("master_seed", [79, 78])
+def test_sparsity_below_s_max_at_scale(master_seed):
+    """Trials of true sparsity 4 and 5 recovered with s_max = 6 in the payload."""
+    config = ExperimentConfig.from_dict({
+        "mode": "r1", "s_list": [4, 5], "n_rule": "12", "m_rule": "18",
+        "sample_mode": "arbitrary", "trials": 20, "master_seed": master_seed,
+    })
+    tol = Tolerances()
+    for index in range(40):
+        S = config.s_list[index // 20]
+        payload = generate_trial(config, S, index)
+        payload["s"] = 6
+        record = run_trial(payload, tol)
+        assert record.success and record.S == S, (index, record.warnings)
