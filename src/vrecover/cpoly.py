@@ -151,7 +151,7 @@ def resultant(p, q) -> complex:
 def t_polynomial(theta, l: int) -> np.ndarray:
     """The product of ``(theta_i * z - 1)`` over all i except `l`."""
     theta = np.asarray(theta, dtype=complex)
-    if np.any(theta == 0):
+    if (theta == 0).any():
         raise InvalidInputError("pole locations must be nonzero")
     if not 0 <= l < len(theta):
         raise InvalidInputError(f"index {l} out of range for {len(theta)} poles")
@@ -169,7 +169,7 @@ def t_values(theta, points) -> np.ndarray:
     rather than by expanding each ``t_polynomial`` and running Horner.
     """
     theta = np.asarray(theta, dtype=complex)
-    if np.any(theta == 0):
+    if (theta == 0).any():
         raise InvalidInputError("pole locations must be nonzero")
     S = len(theta)
     factors = np.multiply.outer(np.asarray(points, dtype=complex), theta) - 1.0
@@ -190,7 +190,7 @@ def forward_polys(theta, g, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     g = np.asarray(g, dtype=complex)
     if theta.shape != g.shape:
         raise InvalidInputError("theta and g must have the same length")
-    if np.any(theta == 0):
+    if (theta == 0).any():
         raise InvalidInputError("pole locations must be nonzero")
     s = len(theta)
     # rows 0..s-1 hold the ascending coefficients of t_l, row s those of v;
@@ -260,7 +260,7 @@ def laurent_eval(a: LaurentPoly, x):
         x = np.asarray(x, dtype=complex)
     if a.is_zero():
         return 0j if scalar else np.zeros(x.shape, dtype=complex)
-    if np.any(x == 0):
+    if (x == 0 if scalar else (x == 0).any()):
         raise InvalidInputError("Laurent polynomial cannot be evaluated at 0")
     return (complex(x) if scalar else x) ** a.min_degree * poly_eval(a.coeffs, x)
 

@@ -52,7 +52,7 @@ from .recover_phase import (
     _snap_to_grid,
 )
 from .structmat import (
-    SampleSet, build_G, build_Gtilde, measurement_matrix, readonly_array, vandermonde, zero_bound,
+    SampleSet, build_G, build_Gtilde, measurement_matrix, readonly_array, vandermonde,
 )
 
 BRANCH_HARMONIC = "Harmonic2pow"
@@ -81,8 +81,8 @@ class PhaselessInstance:
         yy = np.asarray(y)
         if np.iscomplexobj(yy):
             yy = readonly_array(yy, complex, "measurements")
-            scale = max(1.0, float(np.max(np.abs(yy))) if yy.size else 1.0)
-            if np.any(np.abs(yy.imag) > 1e-12 * scale):
+            scale = max(1.0, float(np.abs(yy).max()) if yy.size else 1.0)
+            if (np.abs(yy.imag) > 1e-12 * scale).any():
                 raise InvalidInputError("phaseless measurements must be real")
             yy = yy.real
         object.__setattr__(self, "y", readonly_array(yy, float, "measurements"))
@@ -109,7 +109,7 @@ class PhaselessInstance:
             raise InvalidInputError("sample count does not match measurement count")
         if (self.y < 0).any():
             raise InvalidInputError("phaseless measurements must be nonnegative")
-        if np.any(np.abs(np.abs(samples.z) - 1.0) > 1e-9):
+        if (np.abs(np.abs(samples.z) - 1.0) > 1e-9).any():
             raise InvalidInputError("phaseless samples must lie on the unit circle")
         if samples.is_harmonic and samples.n != self.n:
             raise InvalidInputError("harmonic samples must share the model order n")
@@ -149,7 +149,7 @@ def _phase_normalize(w: np.ndarray, S: int) -> np.ndarray:
     the z^0 coefficient of the |v|^2 block (a sum of squared moduli) removes it.
     """
     center = w[S]
-    if abs(center) <= 1e-12 * float(np.max(np.abs(w))):
+    if abs(center) <= 1e-12 * float(np.abs(w).max()):
         raise ModelMismatchError("central coefficient of the |v|^2 block vanished")
     return w * np.exp(-1j * np.angle(center))
 
@@ -169,7 +169,7 @@ def _theta_from_lhat(lhat: LaurentPoly, tol: Tolerances) -> np.ndarray:
         "|v|^2 roots do not form doubled pairs (gap {gap:.3e})",
     )
     theta = np.conj(np.array(means))
-    off = np.max(np.abs(np.abs(theta) - 1.0))
+    off = np.abs(np.abs(theta) - 1.0).max()
     if off > 1e-3:
         raise ModelMismatchError(f"recovered support leaves the unit circle by {off:.3e}")
     theta = theta / np.abs(theta)
@@ -204,12 +204,13 @@ def recover_support_harmonic(inst: PhaselessInstance, tol: Tolerances):
 # ----------------------------------------------------------------------------
 
 def _positivity_check(values: np.ndarray, tol: Tolerances) -> tuple[float, ...]:
-    scale = max((abs(v) for v in values), default=0.0)
-    floor = -tol.mag_tol * scale
-    for v in values:
-        if v < floor:
-            raise NumericalFailureError(f"magnitude {v:.3e} negative beyond tolerance")
-    return tuple(max(v, 0.0) for v in values)
+    """`values` with small negatives clipped to 0; the first below -mag_tol * max|values| raises."""
+    low = values < -tol.mag_tol * np.abs(values).max(initial=0.0)
+    if low.any():
+        raise NumericalFailureError(
+            f"magnitude {values[low.argmax()]:.3e} negative beyond tolerance"
+        )
+    return tuple(np.maximum(values, 0.0).tolist())
 
 
 def magnitudes_harmonic(theta, q_block: LaurentPoly, gamma: float, n: int,
@@ -222,7 +223,7 @@ def magnitudes_harmonic(theta, q_block: LaurentPoly, gamma: float, n: int,
     theta = np.asarray(theta, dtype=complex)
     points = np.conj(theta)
     denom = np.diagonal(t_values(theta, points)) * (np.exp(1j * gamma) * theta**n - 1.0)
-    if np.any(np.abs(denom) < 1e-12):
+    if (np.abs(denom) < 1e-12).any():
         raise DegenerateSupportError("magnitude denominator vanished")
     return _positivity_check(laurent_eval(q_block, points).real / np.abs(denom) ** 2, tol)
 
@@ -232,7 +233,7 @@ def magnitudes_general(theta, L: LaurentPoly, tol: Tolerances) -> tuple[float, .
     theta = np.asarray(theta, dtype=complex)
     points = np.conj(theta)
     t_val = np.diagonal(t_values(theta, points))
-    if np.any(np.abs(t_val) < 1e-12):
+    if (np.abs(t_val) < 1e-12).any():
         raise DegenerateSupportError("magnitude denominator vanished")
     return _positivity_check(laurent_eval(L, points).real / (2.0 * np.abs(t_val) ** 2), tol)
 
@@ -241,15 +242,36 @@ def magnitudes_general(theta, L: LaurentPoly, tol: Tolerances) -> tuple[float, .
 # candidate enumeration
 # ----------------------------------------------------------------------------
 
-def _selection_nulls(M: np.ndarray, tol: Tolerances):
-    """Null directions and rank flags of a (K, S-1, S) stack of selection systems.
+def _lagrange_nulls(theta: np.ndarray, weight: np.ndarray, roots: np.ndarray,
+                    picks: np.ndarray, tol: Tolerances):
+    """Null directions and rank flags of selection systems, in closed form.
 
-    One full SVD of the stack gives both: the singular values for the rank
-    test and, for a full-rank system, its null direction conj(Vh[-1]).
+    Selection k picks the root ``roots[j, picks[k, j]]`` from each row j of
+    the (S-1, P) root table, and its system asks that
+    P(q) = sum_l g_l w_l t_l(q) vanish at those S-1 roots r_j. P has degree
+    S-1, so P = c * prod_j (q - r_j); at q = 1/theta_l only t_l is nonzero,
+    which gives g_l proportional to
+    prod_j (1 - theta_l r_j) / (w_l prod_{i != l} (theta_i - theta_l))
+    once theta_l^(S-1) is cancelled. Each direction is scaled to unit max
+    modulus. For distinct theta and nonzero w the rows w * t(r_j) are
+    independent exactly when the picked roots are distinct, so a selection
+    is flagged rank-deficient when two of its roots lie within pair_tol of
+    each other (``relative_gaps``, read in either direction).
     """
-    _, sig, Vh = np.linalg.svd(M)
-    deficient = sig[:, -1] <= zero_bound(sig[:, 0], M.shape[1:], tol.rank_rel_tol)
-    return np.conj(Vh[:, -1]), deficient
+    S = len(theta)
+    spread = theta[None, :] - theta[:, None]
+    np.fill_diagonal(spread, 1.0)
+    # coincident theta give non-finite rows, which _normalize_candidates rejects
+    with np.errstate(divide="ignore", invalid="ignore"):
+        factors = 1.0 - roots[..., None] * theta  # (S-1, P, S)
+        G = factors[np.arange(S - 1), picks].prod(axis=1) / (weight * spread.prod(axis=1))
+        G = G / np.abs(G).max(axis=1, keepdims=True)
+    flat = picks + roots.shape[1] * np.arange(S - 1)
+    gaps = relative_gaps(roots.ravel(), roots.ravel())
+    close = np.minimum(gaps, gaps.T) <= tol.pair_tol
+    np.fill_diagonal(close, False)
+    deficient = close[flat[:, :, None], flat[:, None, :]].any(axis=(1, 2))
+    return G, deficient
 
 
 def _normalize_candidates(G: np.ndarray, rows: np.ndarray, y: np.ndarray,
@@ -265,15 +287,15 @@ def _normalize_candidates(G: np.ndarray, rows: np.ndarray, y: np.ndarray,
         pred = np.abs(G @ rows.T) ** 2
         denom = np.sum(pred * pred, axis=1)
         alpha2 = (pred @ y) / denom
-        defect = np.max(np.abs(alpha2[:, None] * pred - y), axis=1)
+        defect = np.abs(alpha2[:, None] * pred - y).max(axis=1)
     zero = ~np.isfinite(denom) | (denom <= 0)
     nonpositive = ~zero & (alpha2 <= 0)
-    bound = tol.forward_tol * max(float(np.max(y)), 1e-300)
+    bound = tol.forward_tol * max(float(y.max()), 1e-300)
     inconsistent = ~zero & ~nonpositive & (defect > bound)
     if deficient is None:
         deficient = np.zeros(len(G), dtype=bool)
     failed = deficient | zero | nonpositive | inconsistent
-    if np.any(failed):
+    if failed.any():
         k = int(np.argmax(failed))
         if deficient[k]:
             raise DegenerateInstanceError("selection system rank-deficient")
@@ -284,7 +306,7 @@ def _normalize_candidates(G: np.ndarray, rows: np.ndarray, y: np.ndarray,
         raise InconsistentSolutionError(f"candidate fails the forward check by {defect[k]:.3e}")
     G = G * np.sqrt(alpha2)[:, None]
     mags = np.abs(G)
-    floor = 1e-12 * np.maximum(np.max(mags, axis=1, keepdims=True), 1e-300)
+    floor = 1e-12 * np.maximum(mags.max(axis=1, keepdims=True), 1e-300)
     idx = np.arange(len(G))
     lead = np.argmax(mags > floor, axis=1)
     G = G * np.exp(-1j * np.angle(G[idx, lead]))[:, None]
@@ -296,20 +318,30 @@ def _dedup_and_sort(cands: np.ndarray, tol: Tolerances) -> list[np.ndarray]:
     """Distinct rows of a (K, S) candidate stack, in canonical order.
 
     A candidate is dropped when every entry lies within
-    dedup_tol * max(1, max|c|) of an earlier kept one. The kept ones are
-    sorted lexicographically on (re c_0, im c_0, re c_1, ...) rounded to a grid
-    of dedup_tol times their largest modulus, so rounding noise far below the
-    dedup tolerance cannot reorder them.
+    eps = dedup_tol * max(1, max|c|) of an earlier kept one. Since
+    |re sum_l d_l| <= S * max_l |d_l|, only pairs whose coefficient sums have
+    real parts within S * eps (plus the sums' rounding) can be that close;
+    the entrywise check and the keep-first rule run on those pairs alone.
+    The kept ones are sorted lexicographically on (re c_0, im c_0, re c_1,
+    ...) rounded to a grid of dedup_tol times their largest modulus, so
+    rounding noise far below the dedup tolerance cannot reorder them.
     """
-    scale = tol.dedup_tol * np.maximum(1.0, np.max(np.abs(cands), axis=1))
-    kept = np.empty_like(cands)
-    count = 0
-    for c, eps in zip(cands, scale):
-        if count == 0 or np.abs(kept[:count] - c).max(axis=1).min() > eps:
-            kept[count] = c
-            count += 1
-    kept = kept[:count]
-    grid = np.round(kept / (tol.dedup_tol * max(1.0, float(np.max(np.abs(kept))))))
+    K, S = cands.shape
+    scale = np.maximum(1.0, np.abs(cands).max(axis=1))
+    eps = tol.dedup_tol * scale
+    sums = cands.sum(axis=1).real
+    bound = S * (tol.dedup_tol + 4 * S * np.finfo(float).eps) * scale
+    # row-major order: each later candidate k, then its earlier partners j
+    later, earlier = np.nonzero(np.abs(sums[:, None] - sums) <= bound[:, None])
+    pair = later > earlier
+    later, earlier = later[pair], earlier[pair]
+    close = np.abs(cands[earlier] - cands[later]).max(axis=1) <= eps[later]
+    keep = np.ones(K, dtype=bool)
+    for k, j in zip(later[close].tolist(), earlier[close].tolist()):
+        if keep[j]:
+            keep[k] = False
+    kept = cands[keep]
+    grid = np.round(kept / (tol.dedup_tol * float(scale[keep].max())))
     keys = [part for col in grid.T for part in (col.real, col.imag)]
     return list(kept[np.lexsort(keys[::-1])])
 
@@ -328,19 +360,15 @@ def _enumerate_from_pairs(theta: np.ndarray, pairs, row_weight: np.ndarray,
                           rows: np.ndarray, y: np.ndarray, tol: Tolerances):
     """One candidate per selection of a representative from each root pair.
 
-    Selections run in itertools.product order over the pairs. Every weighted
-    t_l value is computed once per pair root; each selection system is a
-    fancy-indexed slice of that table, and all of them are solved together.
+    Selections run in itertools.product order over the pairs, and each
+    candidate comes from the closed form of `_lagrange_nulls`: one
+    (S-1, 2, S) factor table, indexed by the selections and multiplied along
+    the pair axis. The first failing selection raises.
     """
     S = len(theta)
     roots = np.array(pairs, dtype=complex).reshape(S - 1, 2)
-    # built for S == 1 too: t_values rejects a pole at zero
-    table = t_values(theta, roots.ravel()).reshape(S - 1, 2, S) * row_weight
-    if S == 1:
-        G, deficient = np.ones((1, 1), dtype=complex), None
-    else:
-        picks = np.array(list(itertools.product((0, 1), repeat=S - 1)))
-        G, deficient = _selection_nulls(table[np.arange(S - 1), picks], tol)
+    picks = np.array(list(itertools.product((0, 1), repeat=S - 1)), dtype=int)
+    G, deficient = _lagrange_nulls(theta, row_weight, roots, picks, tol)
     return _dedup_and_sort(_normalize_candidates(G, rows, y, tol, deficient), tol)
 
 
@@ -351,13 +379,16 @@ def enumerate_candidates_harmonic(theta, q_block: LaurentPoly, gamma: float, n: 
     The roots of the combined numerator block pair as (r, 1/conj(r)); each
     choice of one representative per pair pins S-1 linear conditions on g,
     whose null direction (scaled and phase-canonicalized) is one candidate.
+    The null directions come in closed form, with no factorisation; a
+    selection whose picked roots coincide within pair_tol has no unique one
+    and raises DegenerateInstanceError("selection system rank-deficient").
     """
     theta = np.asarray(theta, dtype=complex)
     y = np.asarray(y, dtype=float)
     S = len(theta)
     rows = measurement_matrix(z, theta, n)
     row_weight = np.exp(1j * gamma) * theta**n - 1.0
-    if np.any(np.abs(row_weight) < 1e-12):
+    if (np.abs(row_weight) < 1e-12).any():
         raise DegenerateInstanceError("a support power collides with the rotation")
     pairs = _root_pairs(q_block, S, tol)
     return _enumerate_from_pairs(theta, pairs, row_weight, rows, y, tol)
@@ -412,9 +443,10 @@ def split_and_enumerate_general(L: LaurentPoly, L_tilde: LaurentPoly, theta, n: 
     When the discriminant L^2 - 4|L_tilde|^2 is nonzero the numerator halves
     separate: the roots of Q = (L + sqrt(disc))/2 that also occur among the
     roots of conj-Laurent(L_tilde) pin the linear system for one candidate,
-    and its dual is the only other solution. A vanishing discriminant means
-    all support powers coincide and the solution set is the harmonic-style
-    2^(S-1) family built from root pairs of L.
+    whose null direction comes in the closed form of the harmonic
+    enumeration, and its dual is the only other solution. A vanishing
+    discriminant means all support powers coincide and the solution set is
+    the harmonic-style 2^(S-1) family built from root pairs of L.
     """
     theta = np.asarray(theta, dtype=complex)
     y = np.asarray(y, dtype=float)
@@ -441,7 +473,10 @@ def split_and_enumerate_general(L: LaurentPoly, L_tilde: LaurentPoly, theta, n: 
             f"matched {len(matched)} roots between the split and the cross term, "
             f"expected {S - 1}"
         )
-    G, deficient = _selection_nulls(t_values(theta, matched)[None], tol)
+    G, deficient = _lagrange_nulls(
+        theta, np.ones(S, dtype=complex), np.array(matched, dtype=complex).reshape(S - 1, 1),
+        np.zeros((1, S - 1), dtype=int), tol,
+    )
     g_a = _normalize_candidates(G, rows, y, tol, deficient)[0]
     g_b = _normalize_candidates(dual_transform(g_a, theta, n)[None], rows, y, tol)[0]
     cands = _dedup_and_sort(np.stack([g_a, g_b]), tol)
@@ -483,7 +518,7 @@ def recover_r5(inst: PhaselessInstance, tol: Tolerances | None = None) -> Phasel
     if tol is None:
         tol = load_tolerances()
     y = inst.y
-    if not np.any(y > 0):
+    if not (y > 0).any():
         branch = BRANCH_HARMONIC if inst.samples.is_harmonic else BRANCH_DUAL
         return PhaselessResult((), 0, (), (), None, branch, ())
     if inst.samples.is_harmonic:
@@ -533,10 +568,8 @@ def disambiguate(candidates, a, y_m: float, theta, tol: Tolerances) -> int:
         row = a
     else:
         row = vandermonde(theta, len(a)).T @ a
-    preds = np.array(
-        [abs(np.dot(row, np.asarray(c, dtype=complex))) ** 2 for c in candidates]
-    )
-    scale = max(float(y_m), float(np.max(preds)), 1e-300)
+    preds = np.abs(np.asarray(candidates, dtype=complex) @ row) ** 2
+    scale = max(float(y_m), float(preds.max()), 1e-300)
     resid = np.abs(preds - float(y_m)) / scale
     order = np.argsort(resid)
     if resid[order[0]] > tol.disambig_tol:
@@ -565,7 +598,7 @@ def recover_r3(inst: PhaselessInstance, tol: Tolerances | None = None) -> np.nda
     if inst.extra_row is None:
         raise InvalidInputError("recover_r3 needs the disambiguation measurement")
     grid = inst.grid
-    if np.any(np.abs(np.abs(grid) - 1.0) > 1e-9):
+    if (np.abs(np.abs(grid) - 1.0) > 1e-9).any():
         raise InvalidInputError("grid points must lie on the unit circle")
     sep = _min_pairwise(grid)
     if sep < 1e-12:
@@ -575,11 +608,11 @@ def recover_r3(inst: PhaselessInstance, tol: Tolerances | None = None) -> np.nda
         raise InvalidInputError("the extra row of a gridded instance has length n")
     if inst.samples.is_harmonic:
         clash = np.abs(grid**inst.n - np.exp(-1j * inst.samples.gamma))
-        if np.any(clash < 1e-9):
+        if (clash < 1e-9).any():
             raise InvalidInputError("grid power condition violated for these samples")
     y = inst.y
     x = np.zeros(inst.n, dtype=complex)
-    if not np.any(y > 0):
+    if not (y > 0).any():
         return x
     res = recover_r5(replace(inst, extra_row=None), tol)
     support = _snap_to_grid(
@@ -589,9 +622,9 @@ def recover_r3(inst: PhaselessInstance, tol: Tolerances | None = None) -> np.nda
     selected = disambiguate(res.candidates, a[support], y_m, grid[support], tol)
     x[support] = np.asarray(res.candidates[selected], dtype=complex)
     mags = np.abs(x[support])
-    k0 = int(np.min(support[mags > 1e-12 * float(np.max(mags))]))
+    k0 = int(support[mags > 1e-12 * float(mags.max())].min())
     x = x * np.exp(-1j * np.angle(x[k0]))
     predicted = np.abs(measurement_matrix(inst.samples, grid, inst.n) @ x) ** 2
-    if np.max(np.abs(predicted - y)) > tol.forward_tol * float(np.max(y)):
+    if np.abs(predicted - y).max() > tol.forward_tol * float(y.max()):
         raise InconsistentSolutionError("snapped solution fails the forward check")
     return x

@@ -24,6 +24,7 @@ from vrecover.errors import (
     RecoveryFailureError,
     VRecoverError,
 )
+from vrecover.harness import ExperimentConfig, generate_trial, run_trial
 from vrecover.oracle import (
     brute_force_phaseless_candidates,
     draw_g,
@@ -51,6 +52,8 @@ from vrecover.recover_phaseless import (
     split_and_enumerate_general,
 )
 from vrecover.structmat import SampleSet, shifted_harmonics, vandermonde
+
+from test_recover_phase import _count_svds
 
 TOL = Tolerances()
 
@@ -218,7 +221,13 @@ def test_enumerate_harmonic_counts():
 
 
 def reference_enumerate(theta, pairs, row_weight, rows, y, tol):
-    """One selection at a time: Horner-evaluated t_l, one SVD, scale, dedup."""
+    """One selection at a time: Horner-evaluated t_l, one SVD, scale, dedup.
+
+    Each row of a selection system is scaled to unit max modulus before its
+    SVD. That leaves the null space as it is, but keeps a picked root of
+    modulus far from 1, whose row is about |r|^(S-1) longer than the others,
+    from passing for a rank loss.
+    """
     S = len(theta)
     t_polys = [t_polynomial(theta, l) for l in range(S)]
     kept = []
@@ -231,6 +240,7 @@ def reference_enumerate(theta, pairs, row_weight, rows, y, tol):
                  for q in selection],
                 dtype=complex,
             )
+            M = M / np.abs(M).max(axis=1, keepdims=True)
             _, sig, Vh = np.linalg.svd(M)
             if sig[-1] <= tol.rank_rel_tol * sig[0] * max(M.shape):
                 raise DegenerateInstanceError("selection system rank-deficient")
@@ -316,6 +326,54 @@ def test_enumeration_failures_match_reference_loop():
     with pytest.raises(InconsistentSolutionError) as got_err:
         _enumerate_from_pairs(theta, pairs, weight, rows, y_bad, tol)
     assert str(got_err.value) == str(ref_err.value)
+
+
+# exact trials with one picked root of modulus 14 to 34: its row of the
+# selection system is about |r|^(S-1) longer than the others, which an SVD
+# rank test on the unscaled rows read as a rank loss; (mode, s, n_rule,
+# m_rule, sample_mode, index, branch, candidate count), all at master_seed 16
+FAR_ROOT_TRIALS = [
+    ("r4", 7, "4s-1", "4s-1", "harmonic", 316, BRANCH_HARMONIC, 64),
+    ("r4", 7, "4s-1", "4s-1", "harmonic", 387, BRANCH_HARMONIC, 64),
+    ("r5", 6, "4s-1", "8s-3", "arbitrary", 720, BRANCH_DUAL, 2),
+    ("r5", 6, "4s-1", "8s-3", "arbitrary", 1275, BRANCH_DUAL, 2),
+]
+
+
+@pytest.mark.parametrize("mode, s, n_rule, m_rule, sample_mode, index, branch, count",
+                         FAR_ROOT_TRIALS)
+def test_far_picked_root_is_no_rank_loss(mode, s, n_rule, m_rule, sample_mode, index,
+                                         branch, count):
+    config = ExperimentConfig.from_dict({
+        "mode": mode, "s_list": [s], "n_rule": n_rule, "m_rule": m_rule,
+        "sample_mode": sample_mode, "trials": 1, "master_seed": 16,
+    })
+    record = run_trial(generate_trial(config, s, index), Tolerances())
+    assert record.success, record.warnings
+    assert (record.S, record.branch, record.candidate_count) == (s, branch, count)
+
+
+def test_enumeration_runs_no_factorisation(monkeypatch):
+    """Candidates come in closed form on every branch: no SVD, no lstsq."""
+    rng = np.random.default_rng(4009)
+    n, s, gamma = 15, 4, 0.7
+    z = shifted_harmonics(n, n, gamma)
+    y = forward_phaseless(draw_theta_dft(rng, n, s), draw_g(rng, s), z.z, n)
+    got, q, S, _ = recover_support_harmonic(PhaselessInstance(n, s, y, z), TOL)
+    calls = _count_svds(monkeypatch)
+    assert len(enumerate_candidates_harmonic(got, q, gamma, n, z, y, TOL)) == 2 ** (S - 1)
+    assert calls == []
+    monkeypatch.undo()
+    n, m = 7, 13
+    for draw_theta, branch in ((draw_theta_circle, BRANCH_DUAL),
+                               (lambda rng, s: draw_theta_dft(rng, n, s), BRANCH_DEGENERATE)):
+        zs = SampleSet(tuple(stratified_circle(rng, m)))
+        y = forward_phaseless(draw_theta(rng, 2), draw_g(rng, 2), zs.z, n)
+        got, L, L_tilde, _, _, _ = recover_general(PhaselessInstance(n, 2, y, zs), TOL)
+        calls = _count_svds(monkeypatch)
+        cands, got_branch = split_and_enumerate_general(L, L_tilde, got, n, zs, y, TOL)
+        monkeypatch.undo()
+        assert got_branch == branch and len(cands) == 2 and calls == []
 
 
 def test_candidate_order_ignores_rounding_noise():
