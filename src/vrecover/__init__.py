@@ -10,7 +10,6 @@ reproducible experiment harness.
 
 from .config import Tolerances, load_tolerances
 from .cpoly import (
-    LaurentPoly,
     forward_polys,
     laurent_conj,
     laurent_from_products,

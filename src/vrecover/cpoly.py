@@ -6,13 +6,16 @@ Only root finding and the resultant need a degree. They trim trailing exact
 zeros and refuse the zero polynomial, so degenerate cases surface at the
 call site instead of propagating a fake -1.
 
-Laurent polynomials carry an explicit ``min_degree``; on the unit circle
-``conj(z) = 1/z``, which makes the conjugate-Laurent operation (conjugate
-coefficients, negate exponents) the workhorse for everything built from
-squared moduli.
+A Laurent polynomial is an odd-length ascending complex array ``a`` centered
+on ``z**0``: ``a[k]`` multiplies ``z**(k - len(a)//2)``. Every one the
+phaseless pipeline meets is a polynomial times the conjugate of one of the
+same length, so its exponents run over a symmetric span and it stays
+centered: products are ``np.convolve``, sums and scalings plain ``+`` and
+``*``, and exact zeros at the ends are kept, never trimmed. On the unit
+circle ``conj(z) = 1/z``, which makes the conjugate-Laurent operation
+(conjugate coefficients, negate exponents) the workhorse for everything
+built from squared moduli.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,40 +25,6 @@ from .errors import (
     NumericalFailureError,
     PairingFailureError,
 )
-
-
-@dataclass(frozen=True, eq=False)
-class LaurentPoly:
-    """Laurent polynomial: ``coeffs[k]`` multiplies ``z**(min_degree + k)``.
-
-    `coeffs` is a read-only complex array whose end entries are nonzero
-    after construction; the zero Laurent polynomial is the empty array with
-    ``min_degree == 0``. For a nonzero L, ``L(z) = z**L.min_degree * p(z)``
-    with the plain polynomial ``p = L.coeffs`` and ``p(0) != 0``.
-    """
-
-    coeffs: np.ndarray
-    min_degree: int
-
-    def __init__(self, coeffs=(), min_degree: int = 0):
-        coeffs = np.array(coeffs, dtype=complex)
-        nonzero = np.flatnonzero(coeffs)
-        if nonzero.size:
-            lead = int(nonzero[0])
-            coeffs, min_degree = coeffs[lead : nonzero[-1] + 1], min_degree + lead
-        else:
-            coeffs, min_degree = coeffs[:0], 0
-        coeffs.flags.writeable = False
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "min_degree", min_degree)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs.size
-
-    def max_degree(self) -> int:
-        if not self.coeffs.size:
-            raise InvalidInputError("degree of the zero Laurent polynomial is undefined")
-        return self.min_degree + len(self.coeffs) - 1
 
 
 # ----------------------------------------------------------------------------
@@ -210,71 +179,45 @@ def forward_polys(theta, g, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 # Laurent arithmetic
 # ----------------------------------------------------------------------------
 
-def laurent_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    if a.is_zero() or b.is_zero():
-        return LaurentPoly()
-    return LaurentPoly(np.convolve(a.coeffs, b.coeffs), a.min_degree + b.min_degree)
-
-
-def laurent_add(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    if a.is_zero():
-        return b
-    if b.is_zero():
-        return a
-    lo = min(a.min_degree, b.min_degree)
-    hi = max(a.max_degree(), b.max_degree())
-    out = np.zeros(hi - lo + 1, dtype=complex)
-    out[a.min_degree - lo : a.min_degree - lo + len(a.coeffs)] += a.coeffs
-    out[b.min_degree - lo : b.min_degree - lo + len(b.coeffs)] += b.coeffs
-    return LaurentPoly(out, lo)
-
-
-def laurent_scale(a: LaurentPoly, c: complex) -> LaurentPoly:
-    if complex(c) == 0 or a.is_zero():
-        return LaurentPoly()
-    return LaurentPoly(a.coeffs * complex(c), a.min_degree)
-
-
-def laurent_conj(a: LaurentPoly) -> LaurentPoly:
+def laurent_conj(a) -> np.ndarray:
     """Conjugate-Laurent: coefficient of z**k becomes conj(coeff) at z**-k.
 
     On the unit circle this is pointwise complex conjugation of the function.
     """
-    if a.is_zero():
-        return LaurentPoly()
-    return LaurentPoly(np.conj(a.coeffs[::-1]), -a.max_degree())
+    return np.conj(a[::-1])
 
 
-def hermitian_part(a: LaurentPoly) -> LaurentPoly:
+def hermitian_part(a) -> np.ndarray:
     """``(a + conj-Laurent(a)) / 2``, the nearest Hermitian Laurent polynomial."""
-    return laurent_scale(laurent_add(a, laurent_conj(a)), 0.5)
+    return (a + laurent_conj(a)) * 0.5
 
 
-def laurent_eval(a: LaurentPoly, x):
+def laurent_eval(a, x):
     """Value of `a` at `x`, a nonzero scalar or a numpy array of nonzero points.
 
     A scalar gives a complex number, an array the array of values.
+
+    >>> laurent_eval(np.array([2.0, 5.0, 2.0]), 1.0)   # 2/z + 5 + 2z
+    (9+0j)
     """
     scalar = np.ndim(x) == 0
     if not scalar:
         x = np.asarray(x, dtype=complex)
-    if a.is_zero():
-        return 0j if scalar else np.zeros(x.shape, dtype=complex)
     if (x == 0 if scalar else (x == 0).any()):
         raise InvalidInputError("Laurent polynomial cannot be evaluated at 0")
-    return (complex(x) if scalar else x) ** a.min_degree * poly_eval(a.coeffs, x)
+    return (complex(x) if scalar else x) ** -(len(a) // 2) * poly_eval(a, x)
 
 
-def relative_defect(diff: LaurentPoly, ref: LaurentPoly) -> float:
+def relative_defect(diff, ref) -> float:
     """Coefficient norm of `diff` relative to that of `ref`; 0.0 when `diff` is zero."""
-    if diff.is_zero():
+    if not diff.any():
         return 0.0
-    return float(np.linalg.norm(diff.coeffs) / np.linalg.norm(ref.coeffs))
+    return float(np.linalg.norm(diff) / np.linalg.norm(ref))
 
 
-def hermitian_defect(a: LaurentPoly) -> float:
+def hermitian_defect(a) -> float:
     """How far `a` is from satisfying coeff(-k) == conj(coeff(k)), relative."""
-    return relative_defect(laurent_add(a, laurent_scale(laurent_conj(a), -1.0)), a)
+    return relative_defect(a - laurent_conj(a), a)
 
 
 def laurent_from_products(u_hat, u_tilde, v):
@@ -282,12 +225,12 @@ def laurent_from_products(u_hat, u_tilde, v):
 
     Takes the polynomials of `forward_polys` and returns ``(L, L_tilde,
     L_hat)`` where on the circle ``L = |u_hat|^2 + |u_tilde|^2``,
-    ``L_tilde = u_hat * conj(u_tilde)`` and ``L_hat = |v|^2``.
+    ``L_tilde = u_hat * conj(u_tilde)`` and ``L_hat = |v|^2``. `u_hat` and
+    `u_tilde` have one length, so all three come out centered.
     """
-    uh, ut, vv = LaurentPoly(u_hat), LaurentPoly(u_tilde), LaurentPoly(v)
-    L = laurent_add(laurent_mul(uh, laurent_conj(uh)), laurent_mul(ut, laurent_conj(ut)))
-    L_tilde = laurent_mul(uh, laurent_conj(ut))
-    L_hat = laurent_mul(vv, laurent_conj(vv))
+    L = np.convolve(u_hat, laurent_conj(u_hat)) + np.convolve(u_tilde, laurent_conj(u_tilde))
+    L_tilde = np.convolve(u_hat, laurent_conj(u_tilde))
+    L_hat = np.convolve(v, laurent_conj(v))
     return L, L_tilde, L_hat
 
 
@@ -376,36 +319,44 @@ def halve_doubled_roots(roots, radius: float, error: type[Exception],
     return halved
 
 
-def laurent_sqrt(D: LaurentPoly, tol: float, tol_root: float) -> LaurentPoly:
-    """A Laurent polynomial M with ``M * M == D``, Hermitian on the circle.
+def laurent_sqrt(D, tol: float, tol_root: float) -> np.ndarray:
+    """A Laurent polynomial M with ``np.convolve(M, M) == D``, Hermitian on the circle.
 
     Works by halving the multiplicity of every root cluster of D; clusters
     that cannot be halved mean D is not a perfect square. `tol` bounds the
     relative reconstruction defect and its square root is the clustering
-    radius; `tol_root` certifies the roots of D.
+    radius; `tol_root` certifies the roots of D. A centered D of length
+    4d+1 gives a centered M of length 2d+1; any other length raises. Exact
+    zeros at the ends of D are allowed, and the roots are those of its
+    nonzero span, which must start and end at even positions.
     """
-    if D.is_zero():
-        return LaurentPoly()
-    shift, degree = D.min_degree, len(D.coeffs) - 1
-    if shift % 2 != 0 or degree % 2 != 0:
+    D = np.asarray(D, dtype=complex)
+    if len(D) % 4 != 1:
         raise NotASquareError("odd degree span cannot be a square")
-    lead = np.sqrt(D.coeffs[-1])
-    if degree == 0:
-        m = LaurentPoly([lead], shift // 2)
+    m = np.zeros(len(D) // 2 + 1, dtype=complex)
+    nonzero = np.flatnonzero(D)
+    if not nonzero.size:
+        return m
+    lo, hi = int(nonzero[0]), int(nonzero[-1])
+    if lo % 2 or hi % 2:
+        raise NotASquareError("odd degree span cannot be a square")
+    lead = np.sqrt(D[hi])
+    if lo == hi:
+        m[lo // 2] = lead
     else:
         halved = halve_doubled_roots(
-            poly_roots(D.coeffs, tol_root), np.sqrt(tol), NotASquareError,
+            poly_roots(D[lo : hi + 1], tol_root), np.sqrt(tol), NotASquareError,
             "odd-multiplicity root cluster", "odd-multiplicity root cluster",
         )
-        m = LaurentPoly(poly_from_roots(halved, leading=lead), shift // 2)
+        m[lo // 2 : hi // 2 + 1] = poly_from_roots(halved, leading=lead)
     # the true square root is Hermitian up to sign, so symmetrizing only
     # removes numerical noise
     m = hermitian_part(m)
     # canonical sign: value at z=1 nonnegative, so that adding M to a sum of
     # two moduli squares keeps the combination nonnegative there
-    if not m.is_zero() and np.real(laurent_eval(m, 1.0)) < 0:
-        m = laurent_scale(m, -1.0)
-    defect = relative_defect(laurent_add(laurent_mul(m, m), laurent_scale(D, -1.0)), D)
+    if np.real(laurent_eval(m, 1.0)) < 0:
+        m = -m
+    defect = relative_defect(np.convolve(m, m) - D, D)
     if defect > tol:
         raise NotASquareError(f"reconstruction defect {defect:.3e}")
     return m

@@ -70,8 +70,8 @@ def forward_phase(theta, g, z, n: int) -> np.ndarray:
     theta, g, z = _finite_inputs(theta, g, z)
     via_matrix = forward_phase_matrix(theta, g, z, n)
     via_rational = forward_phase_rational(theta, g, z, n)
-    scale = max(1.0, float(np.max(np.abs(via_matrix))) if len(via_matrix) else 1.0)
-    defect = float(np.max(np.abs(via_matrix - via_rational))) if len(via_matrix) else 0.0
+    scale = max(1.0, float(np.abs(via_matrix).max()) if len(via_matrix) else 1.0)
+    defect = float(np.abs(via_matrix - via_rational).max()) if len(via_matrix) else 0.0
     if defect > _PATH_TOL * scale:
         raise NumericalFailureError(
             f"forward paths disagree by {defect:.3e} (scale {scale:.3e})"
@@ -92,12 +92,12 @@ def forward_phaseless(theta, g, z, n: int) -> np.ndarray:
         return y
     u_hat, u_tilde, v = forward_polys(theta, g, n)
     L, L_tilde, L_hat = laurent_from_products(u_hat, u_tilde, v)
-    scale = max(1.0, float(np.max(y)))
+    scale = max(1.0, float(y.max()))
     denom_vals = laurent_eval(L_hat, zz)
     mag = np.abs(denom_vals)
     # the division amplifies coefficient noise by max|L_hat|/|L_hat(z_j)|
     # when a sample sits near a pole, so the bound must scale with it
-    amp = float(np.max(mag)) / np.maximum(mag, 1e-300)
+    amp = float(mag.max()) / np.maximum(mag, 1e-300)
     num = laurent_eval(L, zz)
     cross = laurent_eval(L_tilde, zz)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -121,7 +121,7 @@ def draw_g(rng: np.random.Generator, s: int) -> np.ndarray:
     g = rng.standard_normal(s) + 1j * rng.standard_normal(s)
     for _ in range(1000):
         small = np.abs(g) < 0.1
-        if not np.any(small):
+        if not small.any():
             return g
         g[small] = rng.standard_normal(int(small.sum())) + 1j * rng.standard_normal(
             int(small.sum())
@@ -237,7 +237,7 @@ def _phaseless_magnitudes(y, rows) -> np.ndarray:
     thresh = 1e-8 * (sv[0] if len(sv) else 1.0) * max(M.shape)
     rank = int(np.sum(sv > thresh))
     null = vh[rank:]
-    if null.size and np.max(np.abs(null[:, :S])) > 1e-6:
+    if null.size and np.abs(null[:, :S]).max() > 1e-6:
         raise ResolutionError("magnitude profile not determined by the measurements")
     return np.clip(sol[:S], 0.0, None)
 
@@ -261,9 +261,9 @@ def brute_force_phaseless_candidates(y, theta, z, n: int, grid_resolution: int =
         raise InvalidInputError("grid_resolution too small")
     zz = np.asarray(z, dtype=complex)
     rows = measurement_matrix(zz, theta, n)
-    yscale = float(np.max(y)) if len(y) else 1.0
+    yscale = float(y.max()) if len(y) else 1.0
     mags = np.sqrt(_phaseless_magnitudes(y, rows))
-    if mags[0] < 1e-6 * max(np.max(mags), 1e-30):
+    if mags[0] < 1e-6 * max(mags.max(), 1e-30):
         raise InvalidInputError("leading coefficient magnitude is numerically zero")
 
     def model(phis):
@@ -271,7 +271,7 @@ def brute_force_phaseless_candidates(y, theta, z, n: int, grid_resolution: int =
         return np.abs(rows @ g) ** 2
 
     def residual(phis):
-        return float(np.max(np.abs(model(phis) - y)))
+        return float(np.abs(model(phis) - y).max())
 
     if S == 1:
         g = mags.astype(complex)
@@ -288,12 +288,12 @@ def brute_force_phaseless_candidates(y, theta, z, n: int, grid_resolution: int =
         np.outer(np.ones(len(flat)), mags[0] * rows[:, 0])
         + phases @ (mags[1:, None] * rows[:, 1:].T)
     ) ** 2
-    resid_grid = np.max(np.abs(preds - y[None, :]), axis=1)
+    resid_grid = np.abs(preds - y[None, :]).max(axis=1)
     cell = 2 * np.pi / per_dim
 
     def phase_dist(a, b):
         d = np.abs(a - b) % (2 * np.pi)
-        return float(np.max(np.minimum(d, 2 * np.pi - d)))
+        return float(np.minimum(d, 2 * np.pi - d).max())
 
     seeds = []
     for idx in np.argsort(resid_grid):

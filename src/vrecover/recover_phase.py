@@ -145,10 +145,10 @@ def _extract_blocks(inst: PhaseInstance, tol: Tolerances):
         builder = lambda s: build_A(inst.samples, y, inst.n, s)
     S, w, diagnostics = _descend(builder, inst.s_max, tol)
     v_desc = w[: S + 1]
-    if abs(v_desc[0]) <= 1e-12 * np.max(np.abs(v_desc)):
+    if abs(v_desc[0]) <= 1e-12 * np.abs(v_desc).max():
         raise RecoveryFailureError("denominator block lost its leading coefficient")
     roots = poly_roots(v_desc[::-1], tol.tol_root)
-    if np.any(np.abs(roots) < 1e-12):
+    if (np.abs(roots) < 1e-12).any():
         raise DegenerateSupportError("denominator root at the origin")
     return S, roots, diagnostics
 
@@ -171,7 +171,7 @@ def recover_r1(inst: PhaseInstance, tol: Tolerances | None = None) -> PhaseResul
     if tol is None:
         tol = load_tolerances()
     y = inst.y
-    if not np.any(np.abs(y) > 0):
+    if not (np.abs(y) > 0).any():
         return PhaseResult((), (), 0, ())
     S, roots, diagnostics = _extract_blocks(inst, tol)
     theta = 1.0 / roots
@@ -198,18 +198,18 @@ def recover_r2(inst: PhaseInstance, tol: Tolerances | None = None) -> np.ndarray
     grid = inst.grid
     if len(grid) != inst.n:
         raise InvalidInputError("grid length must equal the model order n")
-    if np.any(np.abs(grid) < 1e-12):
+    if (np.abs(grid) < 1e-12).any():
         raise InvalidInputError("grid points must be nonzero")
     _require_distinct(grid, "grid points are not distinct")
     if inst.samples.is_harmonic:
         # the harmonic support argument needs every admissible pole power to
         # miss the sample rotation
         clash = np.abs(grid**inst.n - np.exp(-1j * inst.samples.gamma))
-        if np.any(clash < 1e-9 * np.maximum(1.0, np.abs(grid) ** inst.n)):
+        if (clash < 1e-9 * np.maximum(1.0, np.abs(grid) ** inst.n)).any():
             raise InvalidInputError("grid power condition violated for these samples")
     y = inst.y
     x = np.zeros(inst.n, dtype=complex)
-    if not np.any(np.abs(y) > 0):
+    if not (np.abs(y) > 0).any():
         return x
     S, roots, _ = _extract_blocks(inst, tol)
     recips = 1.0 / grid

@@ -17,15 +17,11 @@ import numpy as np
 
 from .config import Tolerances, load_tolerances
 from .cpoly import (
-    LaurentPoly,
     halve_doubled_roots,
     hermitian_defect,
     hermitian_part,
-    laurent_add,
     laurent_conj,
     laurent_eval,
-    laurent_mul,
-    laurent_scale,
     laurent_sqrt,
     pair_conjugate_reciprocal,
     poly_roots,
@@ -154,17 +150,17 @@ def _phase_normalize(w: np.ndarray, S: int) -> np.ndarray:
     return w * np.exp(-1j * np.angle(center))
 
 
-def _symmetrized(block: LaurentPoly, name: str, tol: Tolerances) -> LaurentPoly:
+def _symmetrized(block: np.ndarray, name: str, tol: Tolerances) -> np.ndarray:
     defect = hermitian_defect(block)
     if defect > tol.pair_tol:
         raise ModelMismatchError(f"{name} block breaks Hermitian structure ({defect:.3e})")
     return hermitian_part(block)
 
 
-def _theta_from_lhat(lhat: LaurentPoly, tol: Tolerances) -> np.ndarray:
+def _theta_from_lhat(lhat: np.ndarray, tol: Tolerances) -> np.ndarray:
     """Support from the |v|^2 block: roots come in doubled conjugate points."""
     means = halve_doubled_roots(
-        poly_roots(lhat.coeffs, tol.tol_root), tol.cluster_tol, ModelMismatchError,
+        poly_roots(lhat, tol.tol_root), tol.cluster_tol, ModelMismatchError,
         "|v|^2 block has an odd root count",
         "|v|^2 roots do not form doubled pairs (gap {gap:.3e})",
     )
@@ -180,10 +176,11 @@ def _theta_from_lhat(lhat: LaurentPoly, tol: Tolerances) -> np.ndarray:
 def recover_support_harmonic(inst: PhaselessInstance, tol: Tolerances):
     """Support recovery for shifted-harmonic samples: (theta, q_block, S, diagnostics).
 
-    `q_block` is the symmetrized combined numerator block, the Laurent
-    polynomial that `magnitudes_harmonic` and `enumerate_candidates_harmonic`
-    take, spanning z^-(S-1) .. z^(S-1). `diagnostics` holds one entry per
-    system built by the null-space stage (`_descend`).
+    `q_block` is the symmetrized combined numerator block, the centered
+    Laurent array of length 2S-1 (z^-(S-1) .. z^(S-1)) that
+    `magnitudes_harmonic` and `enumerate_candidates_harmonic` take.
+    `diagnostics` holds one entry per system built by the null-space stage
+    (`_descend`).
     """
     if not inst.samples.is_harmonic:
         raise InvalidInputError("harmonic support recovery needs shifted-harmonic samples")
@@ -193,8 +190,8 @@ def recover_support_harmonic(inst: PhaselessInstance, tol: Tolerances):
     builder = lambda s: build_Gtilde(inst.samples, y, s)
     S, w, diagnostics = _descend(builder, inst.s_max, tol, step=2)
     w = _phase_normalize(w, S)
-    lhat = _symmetrized(LaurentPoly(w[: 2 * S + 1][::-1], -S), "|v|^2", tol)
-    q_block = _symmetrized(LaurentPoly(w[2 * S + 1 : 4 * S][::-1], -(S - 1)), "numerator", tol)
+    lhat = _symmetrized(w[: 2 * S + 1][::-1], "|v|^2", tol)
+    q_block = _symmetrized(w[2 * S + 1 : 4 * S][::-1], "numerator", tol)
     theta = _theta_from_lhat(lhat, tol)
     return theta, q_block, S, diagnostics
 
@@ -213,7 +210,7 @@ def _positivity_check(values: np.ndarray, tol: Tolerances) -> tuple[float, ...]:
     return tuple(np.maximum(values, 0.0).tolist())
 
 
-def magnitudes_harmonic(theta, q_block: LaurentPoly, gamma: float, n: int,
+def magnitudes_harmonic(theta, q_block: np.ndarray, gamma: float, n: int,
                         tol: Tolerances) -> tuple[float, ...]:
     """Squared magnitudes c*|g_k|^2, known up to one positive scalar c.
 
@@ -228,7 +225,7 @@ def magnitudes_harmonic(theta, q_block: LaurentPoly, gamma: float, n: int,
     return _positivity_check(laurent_eval(q_block, points).real / np.abs(denom) ** 2, tol)
 
 
-def magnitudes_general(theta, L: LaurentPoly, tol: Tolerances) -> tuple[float, ...]:
+def magnitudes_general(theta, L: np.ndarray, tol: Tolerances) -> tuple[float, ...]:
     """Squared magnitudes from the |u_hat|^2 + |u_tilde|^2 block: L(conj th)/2|t_k|^2."""
     theta = np.asarray(theta, dtype=complex)
     points = np.conj(theta)
@@ -346,11 +343,11 @@ def _dedup_and_sort(cands: np.ndarray, tol: Tolerances) -> list[np.ndarray]:
     return list(kept[np.lexsort(keys[::-1])])
 
 
-def _root_pairs(block: LaurentPoly, S: int, tol: Tolerances) -> list:
+def _root_pairs(block: np.ndarray, S: int, tol: Tolerances) -> list:
     """The S-1 conjugate-reciprocal root pairs of a numerator block (none for S=1)."""
     if S == 1:
         return []
-    pairs = pair_conjugate_reciprocal(poly_roots(block.coeffs, tol.tol_root), tol.pair_tol)
+    pairs = pair_conjugate_reciprocal(poly_roots(block, tol.tol_root), tol.pair_tol)
     if len(pairs) != S - 1:
         raise PairingFailureError(f"expected {S - 1} root pairs, found {len(pairs)}")
     return pairs
@@ -372,7 +369,7 @@ def _enumerate_from_pairs(theta: np.ndarray, pairs, row_weight: np.ndarray,
     return _dedup_and_sort(_normalize_candidates(G, rows, y, tol, deficient), tol)
 
 
-def enumerate_candidates_harmonic(theta, q_block: LaurentPoly, gamma: float, n: int,
+def enumerate_candidates_harmonic(theta, q_block: np.ndarray, gamma: float, n: int,
                                   z, y, tol: Tolerances):
     """All 2^(S-1) coefficient vectors consistent with harmonic phaseless data.
 
@@ -409,8 +406,10 @@ def dual_transform(g, theta, n: int) -> np.ndarray:
 def recover_general(inst: PhaselessInstance, tol: Tolerances):
     """Support and squared-modulus blocks from general circle samples.
 
-    Returns (theta, L, L_tilde, L_hat, S, diagnostics), `diagnostics` holding
-    one entry per system built by the null-space stage (`_descend`).
+    Returns (theta, L, L_tilde, L_hat, S, diagnostics): L and L_tilde are
+    centered Laurent arrays of length 2S-1, L_hat one of length 2S+1, and
+    `diagnostics` holds one entry per system built by the null-space stage
+    (`_descend`).
     """
     if inst.m < 8 * inst.s_max - 3:
         raise InvalidInputError("general branch needs m >= 8*s-3 measurements")
@@ -418,25 +417,23 @@ def recover_general(inst: PhaselessInstance, tol: Tolerances):
     builder = lambda s: build_G(inst.samples, y, inst.n, s)
     S, w, diagnostics = _descend(builder, inst.s_max, tol, step=2)
     w = _phase_normalize(w, S)
-    lhat_raw = LaurentPoly(w[: 2 * S + 1][::-1], -S)
-    lt_raw = LaurentPoly(w[2 * S + 1 : 4 * S][::-1], -(S - 1))
-    l_raw = LaurentPoly(w[4 * S : 6 * S - 1][::-1], -(S - 1))
-    lt_conj_raw = LaurentPoly(w[6 * S - 1 : 8 * S - 2][::-1], -(S - 1))
-    lhat = _symmetrized(lhat_raw, "|v|^2", tol)
-    L = _symmetrized(l_raw, "modulus-sum", tol)
-    cross = laurent_add(lt_conj_raw, laurent_scale(laurent_conj(lt_raw), -1.0))
-    if not lt_raw.is_zero():
-        cross_defect = relative_defect(cross, lt_raw)
+    # the blocks are stored from the top power down
+    lhat = _symmetrized(w[: 2 * S + 1][::-1], "|v|^2", tol)
+    lt_raw = w[2 * S + 1 : 4 * S][::-1]
+    L = _symmetrized(w[4 * S : 6 * S - 1][::-1], "modulus-sum", tol)
+    lt_conj_raw = w[6 * S - 1 : 8 * S - 2][::-1]
+    if lt_raw.any():
+        cross_defect = relative_defect(lt_conj_raw - laurent_conj(lt_raw), lt_raw)
         if cross_defect > tol.pair_tol:
             raise ModelMismatchError(
                 f"cross-term blocks are not conjugate ({cross_defect:.3e})"
             )
-    L_tilde = laurent_scale(laurent_add(lt_raw, laurent_conj(lt_conj_raw)), 0.5)
+    L_tilde = (lt_raw + laurent_conj(lt_conj_raw)) * 0.5
     theta = _theta_from_lhat(lhat, tol)
     return theta, L, L_tilde, lhat, S, diagnostics
 
 
-def split_and_enumerate_general(L: LaurentPoly, L_tilde: LaurentPoly, theta, n: int,
+def split_and_enumerate_general(L: np.ndarray, L_tilde: np.ndarray, theta, n: int,
                                 z, y, tol: Tolerances):
     """Candidate set from the squared-modulus blocks of the general pipeline.
 
@@ -452,21 +449,19 @@ def split_and_enumerate_general(L: LaurentPoly, L_tilde: LaurentPoly, theta, n: 
     y = np.asarray(y, dtype=float)
     S = len(theta)
     rows = measurement_matrix(z, theta, n)
-    L2 = laurent_mul(L, L)
-    K = laurent_mul(L_tilde, laurent_conj(L_tilde))
-    disc = laurent_add(L2, laurent_scale(K, -4.0))
-    l2_norm = float(np.linalg.norm(L2.coeffs))
-    disc_norm = float(np.linalg.norm(disc.coeffs))
+    L2 = np.convolve(L, L)
+    disc = L2 - 4.0 * np.convolve(L_tilde, laurent_conj(L_tilde))
+    l2_norm = float(np.linalg.norm(L2))
+    disc_norm = float(np.linalg.norm(disc))
     if disc_norm <= tol.degeneracy_tol * l2_norm:
         pairs = _root_pairs(L, S, tol)
         cands = _enumerate_from_pairs(theta, pairs, np.ones(S, dtype=complex), rows, y, tol)
         return cands, BRANCH_DEGENERATE
-    if L_tilde.is_zero():
+    if not L_tilde.any():
         raise MatchingFailureError("cross term vanished on a non-degenerate instance")
     M_sqrt = laurent_sqrt(disc, tol.pair_tol, tol.tol_root)
-    Q = laurent_scale(laurent_add(L, M_sqrt), 0.5)
-    q_roots = poly_roots(Q.coeffs, tol.tol_root)
-    pool = list(poly_roots(laurent_conj(L_tilde).coeffs, tol.tol_root))
+    q_roots = poly_roots((L + M_sqrt) * 0.5, tol.tol_root)
+    pool = list(poly_roots(laurent_conj(L_tilde), tol.tol_root))
     matched = _match_roots(pool, list(q_roots), tol)
     if len(matched) != S - 1:
         raise MatchingFailureError(

@@ -22,7 +22,10 @@ def readonly_array(values, dtype, name: str) -> np.ndarray:
     Measurement data from outside (a JSON file accepts NaN and Infinity) is
     checked here: a non-finite entry would stall or derail the SVD stages.
     """
-    arr = np.array(values, dtype=dtype)
+    try:
+        arr = np.array(values, dtype=dtype)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{name} must be numbers") from exc
     if not np.isfinite(arr).all():
         raise InvalidInputError(f"{name} must be finite")
     arr.flags.writeable = False
@@ -160,8 +163,8 @@ def _phaseless_measurements(zz: np.ndarray, y) -> np.ndarray:
         raise InvalidInputError("phaseless samples and measurements must be finite")
     if not (np.abs(np.abs(zz) - 1.0) <= 1e-9).all():
         raise InvalidInputError("phaseless samples must lie on the unit circle")
-    yscale = max(1.0, float(np.max(np.abs(y))) if len(y) else 1.0)
-    if np.any(y.real < 0) or np.any(np.abs(y.imag) > 1e-12 * yscale):
+    yscale = max(1.0, float(np.abs(y).max()) if len(y) else 1.0)
+    if (y.real < 0).any() or (np.abs(y.imag) > 1e-12 * yscale).any():
         raise InvalidInputError("phaseless measurements must be nonnegative reals")
     return y.real.astype(complex)
 

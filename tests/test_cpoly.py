@@ -8,16 +8,13 @@ import pytest
 from vrecover import cpoly
 from vrecover.config import Tolerances
 from vrecover.cpoly import (
-    LaurentPoly,
     forward_polys,
     halve_doubled_roots,
     hermitian_defect,
-    laurent_add,
+    hermitian_part,
     laurent_conj,
     laurent_eval,
     laurent_from_products,
-    laurent_mul,
-    laurent_scale,
     laurent_sqrt,
     pair_conjugate_reciprocal,
     poly_eval,
@@ -41,7 +38,7 @@ TOL_ROOT = Tolerances().tol_root
 def test_docstring_examples():
     """The examples in cpoly's docstrings run and print what they show."""
     result = doctest.testmod(cpoly)
-    assert result.attempted >= 2
+    assert result.attempted >= 3
     assert result.failed == 0
 
 
@@ -60,7 +57,7 @@ def test_poly_eval_over_an_array():
 
 
 def test_laurent_eval_over_an_array():
-    a = LaurentPoly([1.0, -2j, 0.5, 3.0], -2)
+    a = np.array([1.0, -2j, 0.5, 3.0, 0.25j])
     points = np.array([1.0, -1j, 0.3 + 0.4j, 2.0 - 1j])
     got = laurent_eval(a, points)
     assert got.shape == (4,)
@@ -68,8 +65,8 @@ def test_laurent_eval_over_an_array():
         want = laurent_eval(a, q)
         assert isinstance(want, complex)
         assert abs(value - want) <= 1e-14 * max(1.0, abs(want))
-    assert np.array_equal(laurent_eval(LaurentPoly(), points), np.zeros(4))
-    assert laurent_eval(LaurentPoly(), 2.0) == 0j
+    assert np.array_equal(laurent_eval(np.zeros(3), points), np.zeros(4))
+    assert laurent_eval(np.zeros(1), 2.0) == 0j
     for bad in (0.0, np.array([1.0, 0.0, 1j])):
         with pytest.raises(InvalidInputError):
             laurent_eval(a, bad)
@@ -334,15 +331,14 @@ def test_u_blocks_proportional_when_powers_collide():
 
 def test_laurent_from_products_constants():
     L, L_tilde, _ = laurent_from_products([2.0], [-2.0], [-1.0, 1j])
-    assert L.min_degree == 0
-    assert np.allclose(L.coeffs, [8.0])
-    assert np.allclose(L_tilde.coeffs, [-4.0])
+    assert L.shape == L_tilde.shape == (1,)
+    assert np.allclose(L, [8.0])
+    assert np.allclose(L_tilde, [-4.0])
 
 
 def test_laurent_from_products_lhat_single():
     _, _, L_hat = laurent_from_products([2.0], [-2.0], [-1.0, 1j])
-    assert L_hat.min_degree == -1
-    assert np.allclose(L_hat.coeffs, [1j, 2.0, -1j])
+    assert np.allclose(L_hat, [1j, 2.0, -1j])
 
 
 def test_laurent_blocks_on_circle():
@@ -354,18 +350,17 @@ def test_laurent_blocks_on_circle():
         g = rng.normal(size=s) + 1j * rng.normal(size=s)
         u_hat, u_tilde, v = forward_polys(theta, g, n)
         L, L_tilde, L_hat = laurent_from_products(u_hat, u_tilde, v)
-        assert hermitian_defect(L) <= 1e-10 * np.max(np.abs(L.coeffs))
-        assert hermitian_defect(L_hat) <= 1e-10 * np.max(np.abs(L_hat.coeffs))
-        # degrees: s-1 for the numerator blocks, s for |v|^2
-        assert L.max_degree() <= s - 1 and -L.min_degree <= s - 1
-        assert L_tilde.max_degree() <= s - 1
-        assert L_hat.max_degree() == s and L_hat.min_degree == -s
+        assert hermitian_defect(L) <= 1e-10 * np.max(np.abs(L))
+        assert hermitian_defect(L_hat) <= 1e-10 * np.max(np.abs(L_hat))
+        # centered spans: -(s-1)..s-1 for the numerator blocks, -s..s for |v|^2
+        assert L.shape == L_tilde.shape == (2 * s - 1,)
+        assert L_hat.shape == (2 * s + 1,)
         for z in np.exp(1j * rng.uniform(0, 2 * np.pi, 20)):
             lhs = abs(poly_eval(u_hat, z)) ** 2 + abs(poly_eval(u_tilde, z)) ** 2
             val = laurent_eval(L, z)
             assert abs(val - lhs) <= 1e-10 * max(1.0, abs(lhs))
             assert laurent_eval(L, z).real >= -1e-10 * max(1.0, lhs)
-            assert laurent_eval(L_hat, z).real >= -1e-12 * np.max(np.abs(L_hat.coeffs))
+            assert laurent_eval(L_hat, z).real >= -1e-12 * np.max(np.abs(L_hat))
 
 
 def test_lhat_roots_are_doubled_conjugates():
@@ -376,7 +371,7 @@ def test_lhat_roots_are_doubled_conjugates():
         g = rng.normal(size=s) + 1j * rng.normal(size=s)
         u_hat, u_tilde, v = forward_polys(theta, g, 4 * s - 1)
         _, _, L_hat = laurent_from_products(u_hat, u_tilde, v)
-        roots = poly_roots(L_hat.coeffs, TOL_ROOT)
+        roots = poly_roots(L_hat, TOL_ROOT)
         expected = np.conj(np.repeat(theta, 2))
         used = np.zeros(len(roots), dtype=bool)
         for e in expected:
@@ -387,66 +382,42 @@ def test_lhat_roots_are_doubled_conjugates():
 
 
 def test_laurent_coeffs_are_the_shifted_polynomial():
-    """L(z) = z**L.min_degree * p(z) with p = L.coeffs and p(0) != 0."""
-    L = LaurentPoly([-2.0, 5.0, -2.0], -1)
-    assert L.min_degree == -1
-    assert np.allclose(L.coeffs, [-2.0, 5.0, -2.0])
-    assert np.allclose(sorted(np.real(poly_roots(L.coeffs, TOL_ROOT))), [0.5, 2.0])
+    """L(z) = z**-(len(L)//2) * p(z) with the plain polynomial p = L."""
+    L = np.array([-2.0, 5.0, -2.0])
+    assert np.allclose(sorted(np.real(poly_roots(L, TOL_ROOT))), [0.5, 2.0])
     z = 0.3 + 0.7j
-    want = z ** L.min_degree * poly_eval(L.coeffs, z)
+    want = z**-1 * poly_eval(L, z)
     assert abs(laurent_eval(L, z) - want) <= 1e-15 * abs(want)
-
-    L2 = LaurentPoly([3.0], 0)
-    assert L2.min_degree == 0 and np.allclose(L2.coeffs, [3.0])
-
+    # exact zeros at the ends are kept, so the center stays at len(L)//2
+    padded = np.array([0.0, -2.0, 5.0, -2.0, 0.0])
+    assert abs(laurent_eval(padded, z) - want) <= 1e-15 * abs(want)
     with pytest.raises(InvalidInputError):
-        poly_roots(LaurentPoly([], 0).coeffs, TOL_ROOT)
+        poly_roots(np.zeros(3), TOL_ROOT)
 
 
 def test_laurent_arithmetic_consistency():
+    """np.convolve, + and * act on centered arrays as Laurent arithmetic."""
     rng = np.random.default_rng(43)
-    a = LaurentPoly(rng.normal(size=4) + 1j * rng.normal(size=4), -2)
-    b = LaurentPoly(rng.normal(size=3) + 1j * rng.normal(size=3), -1)
+    a = rng.normal(size=5) + 1j * rng.normal(size=5)
+    b = rng.normal(size=3) + 1j * rng.normal(size=3)
     z = np.exp(0.31j)
-    prod = laurent_eval(laurent_mul(a, b), z)
-    assert abs(prod - laurent_eval(a, z) * laurent_eval(b, z)) <= 1e-12
-    tot = laurent_eval(laurent_add(a, b), z)
+    prod = np.convolve(a, b)
+    assert prod.shape == (7,)
+    assert abs(laurent_eval(prod, z) - laurent_eval(a, z) * laurent_eval(b, z)) <= 1e-12
+    # a shorter operand of a sum is padded equally at both ends
+    tot = laurent_eval(a + np.pad(b, 1), z)
     assert abs(tot - laurent_eval(a, z) - laurent_eval(b, z)) <= 1e-12
+    assert abs(laurent_eval(2.5j * a, z) - 2.5j * laurent_eval(a, z)) <= 1e-12
     # conjugation on the circle: conj-L of a evaluated at z equals conj(a(z))
     assert abs(laurent_eval(laurent_conj(a), z) - np.conj(laurent_eval(a, z))) <= 1e-12
-
-    # exact zeros at both ends are trimmed once, shifting min_degree
-    padded = [0.0, 0.0, 1.5, -1j, 2.0, 0.0]
-    c = LaurentPoly(padded, -3)
-    assert c.min_degree == -1 and c.max_degree() == 1
-    assert np.array_equal(c.coeffs, [1.5, -1j, 2.0])
-    assert abs(laurent_eval(c, z) - sum(v * z ** (k - 3) for k, v in enumerate(padded))) <= 1e-12
-    with pytest.raises(ValueError):
-        c.coeffs[0] = 1.0
-    # a sum whose end terms cancel is trimmed again
-    d = laurent_add(c, LaurentPoly([-1.5, 0.0, -2.0], -1))
-    assert d.min_degree == 0 and np.array_equal(d.coeffs, [-1j])
-    prod = laurent_mul(c, b)
-    assert prod.min_degree == c.min_degree + b.min_degree
-    assert abs(laurent_eval(prod, z) - laurent_eval(c, z) * laurent_eval(b, z)) <= 1e-12
-    conj_c = laurent_conj(c)
-    assert conj_c.min_degree == -1 and np.array_equal(conj_c.coeffs, [2.0, 1j, 1.5])
-
-    # the zero Laurent polynomial: empty coefficients at min_degree 0
-    zero = LaurentPoly([0.0, 0.0], 5)
-    assert zero.is_zero() and zero.min_degree == 0 and zero.coeffs.shape == (0,)
-    with pytest.raises(InvalidInputError):
-        zero.max_degree()
-    results = [
-        laurent_mul(a, zero), laurent_mul(zero, a), laurent_mul(zero, zero),
-        laurent_add(zero, zero), laurent_add(a, laurent_scale(a, -1.0)),
-        laurent_scale(zero, 2.0), laurent_scale(a, 0.0), laurent_conj(zero),
-    ]
-    for r in results:
-        assert r.is_zero() and r.min_degree == 0 and r.coeffs.shape == (0,)
-    for r in (laurent_add(a, zero), laurent_add(zero, a)):
-        assert r.min_degree == a.min_degree and np.array_equal(r.coeffs, a.coeffs)
-    assert laurent_eval(zero, z) == 0j
+    assert np.array_equal(laurent_conj(np.array([1.5, -1j, 2.0])), [2.0, 1j, 1.5])
+    # the Hermitian part is real on the circle and has no Hermitian defect
+    h = hermitian_part(a)
+    assert abs(laurent_eval(h, z) - laurent_eval(a, z).real) <= 1e-12
+    assert hermitian_defect(h) == 0.0
+    assert hermitian_defect(np.zeros(3)) == 0.0
+    # a times its conjugate is |a|^2 on the circle
+    assert abs(laurent_eval(np.convolve(a, laurent_conj(a)), z) - abs(laurent_eval(a, z)) ** 2) <= 1e-12
 
 
 def test_pair_conjugate_reciprocal():
@@ -542,13 +513,34 @@ def test_t_values_match_horner():
 
 
 def test_laurent_sqrt_constant():
-    m = laurent_sqrt(LaurentPoly([9.0], 0), 1e-8, TOL_ROOT)
-    assert m.min_degree == 0
-    assert np.allclose(m.coeffs, [3.0])
+    m = laurent_sqrt(np.array([9.0]), 1e-8, TOL_ROOT)
+    assert m.shape == (1,)
+    assert np.allclose(m, [3.0])
 
 
 def test_laurent_sqrt_zero():
-    assert laurent_sqrt(LaurentPoly([], 0), 1e-8, TOL_ROOT).is_zero()
+    for length in (1, 5, 9):
+        m = laurent_sqrt(np.zeros(length), 1e-8, TOL_ROOT)
+        assert np.array_equal(m, np.zeros(length // 2 + 1))
+
+
+def test_laurent_sqrt_needs_length_one_mod_four():
+    """A centered square of length 2d+1 has a root of length d+1, so d is even."""
+    for length in (2, 3, 4, 6, 7):
+        with pytest.raises(NotASquareError, match="^odd degree span cannot be a square$"):
+            laurent_sqrt(np.ones(length), 1e-8, TOL_ROOT)
+
+
+def test_laurent_sqrt_keeps_end_zeros():
+    """Zero padding of a square maps to half as much zero padding of its root."""
+    m = np.array([1.0 - 2j, 5.0, 1.0 + 2j])  # Hermitian, positive at z = 1
+    D = np.convolve(m, m)
+    got = laurent_sqrt(np.pad(D, 2), 1e-8, TOL_ROOT)
+    assert got.shape == (5,) and got[0] == got[-1] == 0
+    assert np.max(np.abs(got[1:-1] - m)) <= 1e-12 * np.max(np.abs(m))
+    # a nonzero span starting at an odd position has no centered root
+    with pytest.raises(NotASquareError, match="^odd degree span cannot be a square$"):
+        laurent_sqrt(np.concatenate([[0.0], D, [0.0, 0.0, 0.0]]), 1e-8, TOL_ROOT)
 
 
 def test_laurent_sqrt_sign_convention():
@@ -561,16 +553,13 @@ def test_laurent_sqrt_sign_convention():
         g = rng.normal(size=s) + 1j * rng.normal(size=s)
         u_hat, u_tilde, v = forward_polys(theta, g, 4 * s - 1)
         L, L_tilde, _ = laurent_from_products(u_hat, u_tilde, v)
-        K = laurent_mul(L_tilde, laurent_conj(L_tilde))
-        disc = laurent_add(
-            laurent_mul(L, L),
-            laurent_scale(laurent_mul(K, LaurentPoly([4.0], 0)), -1.0),
-        )
+        disc = np.convolve(L, L) - 4.0 * np.convolve(L_tilde, laurent_conj(L_tilde))
         m = laurent_sqrt(disc, 1e-8, TOL_ROOT)
+        assert m.shape == (2 * s - 1,)
         at_one = laurent_eval(m, 1.0)
         assert abs(at_one.imag) <= 1e-7 * max(1.0, abs(at_one))
         assert at_one.real >= -1e-7
-        assert hermitian_defect(m) <= 1e-6 * np.max(np.abs(m.coeffs))
+        assert hermitian_defect(m) <= 1e-6 * np.max(np.abs(m))
 
 
 def test_laurent_sqrt_from_split_discriminant():
@@ -582,12 +571,10 @@ def test_laurent_sqrt_from_split_discriminant():
         n = 7
         u_hat, u_tilde, v = forward_polys(theta, g, n)
         L, L_tilde, _ = laurent_from_products(u_hat, u_tilde, v)
-        K = laurent_mul(L_tilde, laurent_conj(L_tilde))
-        disc = laurent_add(laurent_mul(L, L), laurent_scale(laurent_mul(K, LaurentPoly([4.0], 0)), -1.0))
+        disc = np.convolve(L, L) - 4.0 * np.convolve(L_tilde, laurent_conj(L_tilde))
         m = laurent_sqrt(disc, 1e-8, TOL_ROOT)
-        sq = laurent_mul(m, m)
-        err = laurent_add(sq, laurent_scale(disc, -1.0))
-        assert np.max(np.abs(err.coeffs)) <= 1e-8 * np.max(np.abs(disc.coeffs))
+        err = np.convolve(m, m) - disc
+        assert np.max(np.abs(err)) <= 1e-8 * np.max(np.abs(disc))
 
 
 def test_halve_doubled_roots():
@@ -660,6 +647,7 @@ def test_halve_doubled_roots_matches_list_scan():
 
 
 def test_laurent_sqrt_rejects_odd_multiplicity():
-    # (z - 2)(z - 1/2) has two isolated roots, not doubled ones
-    with pytest.raises(NotASquareError):
-        laurent_sqrt(LaurentPoly([-2.0, 5.0, -2.0], -1), 1e-8, TOL_ROOT)
+    # (z - 2)(z - 1/2)(z - 3)(z - 1/3) has four isolated roots, not doubled ones
+    D = poly_from_roots([2.0, 0.5, 3.0, 1.0 / 3.0])
+    with pytest.raises(NotASquareError, match="^odd-multiplicity root cluster$"):
+        laurent_sqrt(D, 1e-8, TOL_ROOT)

@@ -131,6 +131,27 @@ def test_config_rejects_unknown_and_missing_keys():
         ExperimentConfig.from_dict(config_dict(mode="r9"))
 
 
+@pytest.mark.parametrize(
+    "key, bad",
+    [
+        ("s_list", 6), ("s_list", "45"), ("s_list", [4.5]), ("s_list", [True]),
+        ("trials", "two"), ("trials", 1.7), ("trials", True), ("master_seed", 7.0),
+        ("gamma", "x"), ("gamma", False), ("tolerances", [1]),
+    ],
+    ids=lambda v: repr(v),
+)
+def test_config_rejects_malformed_fields(tmp_path, key, bad):
+    """A config field of the wrong type stops the CLI with exit 2, not a traceback."""
+    with pytest.raises(InvalidInputError, match=f"^{key} must be"):
+        ExperimentConfig.from_dict(config_dict(**{key: bad}))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config_dict(**{key: bad})))
+    res = cli("gen", "--config", str(path), "--out", str(tmp_path / "out"))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_floor_checks():
     # phase mode below the sample floor
     with pytest.raises(InvalidInputError):
@@ -475,6 +496,33 @@ def test_cli_recover_malformed_pair(tmp_path, key, index, bad):
     assert res.returncode == 2, res.stderr
     assert res.stderr.startswith("error:") and "[re, im] pairs" in res.stderr
     assert "Traceback" not in res.stderr and res.stdout == ""
+
+
+def _without(payload, key):
+    del payload[key]
+    return payload
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda p: _without(p, "n"), id="no-n"),
+        pytest.param(lambda p: _without(p, "z"), id="no-z"),
+        pytest.param(lambda p: {**p, "n": "abc"}, id="n-string"),
+        pytest.param(lambda p: {**p, "s": 2.5}, id="s-float"),
+        pytest.param(lambda p: [p], id="top-level-list"),
+        pytest.param(lambda p: {**p, "gamma": "x"}, id="gamma-string"),
+        pytest.param(lambda p: {**p, "extra_row": {"a": [[1.0, 0.0]]}}, id="extra-row-without-y_m"),
+    ],
+)
+def test_cli_recover_malformed_instance(tmp_path, edit):
+    """An instance file of the wrong shape stops the CLI with exit 2."""
+    inst = tmp_path / "instance.json"
+    inst.write_text(json.dumps(edit(worked_r1_payload())))
+    res = cli("recover", "--mode", "r1", "--input", str(inst))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+    assert res.stdout == ""
 
 
 def test_cli_recover_non_finite_measurement(tmp_path):

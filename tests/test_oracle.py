@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from vrecover import oracle
-from vrecover.cpoly import forward_polys, laurent_eval, laurent_from_products, laurent_scale
+from vrecover.cpoly import forward_polys, laurent_eval, laurent_from_products
 from vrecover.errors import (
     InvalidInputError,
     ModelMismatchError,
@@ -114,7 +114,7 @@ def _first_laurent_failure(theta, g, z, n, scale_tilde):
     """
     y = np.abs(forward_phase_matrix(theta, g, z, n)) ** 2
     L, L_tilde, L_hat = laurent_from_products(*forward_polys(theta, g, n))
-    L_tilde = laurent_scale(L_tilde, scale_tilde)
+    L_tilde = L_tilde * scale_tilde
     scale = max(1.0, float(np.max(y)))
     denom = [laurent_eval(L_hat, p) for p in z]
     denom_scale = max(abs(d) for d in denom)
@@ -136,7 +136,7 @@ def test_forward_phaseless_cross_check_fires_at_the_first_bad_sample(monkeypatch
     for scale_tilde in (1 + 1e-6, 1 + 1e-8):
         def perturbed(u_hat, u_tilde, v, scale_tilde=scale_tilde):
             L, L_tilde, L_hat = laurent_from_products(u_hat, u_tilde, v)
-            return L, laurent_scale(L_tilde, scale_tilde), L_hat
+            return L, L_tilde * scale_tilde, L_hat
 
         monkeypatch.setattr(oracle, "laurent_from_products", perturbed)
         seen = set()

@@ -7,8 +7,6 @@ import pytest
 
 from vrecover.config import Tolerances, load_tolerances
 from vrecover.cpoly import (
-    LaurentPoly,
-    laurent_add,
     laurent_conj,
     laurent_eval,
     pair_conjugate_reciprocal,
@@ -90,7 +88,7 @@ def test_support_worked_singleton():
     assert S == 1
     assert abs(theta[0] - 1j) <= 1e-9
     # the numerator block spans z^-(S-1) .. z^(S-1): one constant term
-    assert q.min_degree == 0 and q.coeffs.shape == (1,)
+    assert q.shape == (1,)
 
 
 def test_support_collision_kills_the_data():
@@ -181,9 +179,9 @@ def test_magnitudes_match_horner_form():
         n = 4 * s - 1
         gamma = float(rng.uniform(0.2, 2 * np.pi - 0.2))
         theta = draw_theta_circle(rng, s)
-        q = LaurentPoly(rng.normal(size=2 * s - 1) + 1j * rng.normal(size=2 * s - 1), -(s - 1))
-        L = laurent_add(q, laurent_conj(q))
-        L = laurent_add(L, LaurentPoly([10.0 * s], 0))
+        q = rng.normal(size=2 * s - 1) + 1j * rng.normal(size=2 * s - 1)
+        L = q + laurent_conj(q)
+        L[s - 1] += 10.0 * s
         t_horner = np.array([poly_eval(t_polynomial(theta, k), np.conj(theta[k]))
                              for k in range(s)])
         twist = np.exp(1j * gamma) * theta**n - 1.0
@@ -279,7 +277,7 @@ def harmonic_enumeration_inputs(rng, s, gamma=0.7):
             continue
         pairs = []
         if S > 1:
-            pairs = pair_conjugate_reciprocal(poly_roots(q.coeffs, 1e-8), 1e-6)
+            pairs = pair_conjugate_reciprocal(poly_roots(q, 1e-8), 1e-6)
         if len(pairs) == S - 1:
             rows = vandermonde(z, n).T @ vandermonde(got, n)
             yield got, pairs, np.exp(1j * gamma) * got**n - 1.0, rows, y
@@ -420,7 +418,23 @@ def test_recover_general_worked_pair():
     assert np.max(np.abs(profile - c * g_sq)) <= 1e-6 * float(np.max(profile))
     # the |v|^2 block really evaluates nonnegative on the circle
     for point in circle_points(rng, 20):
-        assert laurent_eval(L_hat, point).real >= -1e-9 * np.max(np.abs(L_hat.coeffs))
+        assert laurent_eval(L_hat, point).real >= -1e-9 * np.abs(L_hat).max()
+
+
+def test_support_stages_return_centered_blocks():
+    """Numerator blocks come back as 2S-1 coefficients and |v|^2 as 2S+1."""
+    rng = np.random.default_rng(449)
+    for s in (1, 2, 3, 4):
+        n = 4 * s - 1
+        z = shifted_harmonics(n, n, 0.7)
+        y = forward_phaseless(draw_theta_dft(rng, n, s), draw_g(rng, s), z.z, n)
+        _, q, S, _ = recover_support_harmonic(PhaselessInstance(n, s, y, z), TOL)
+        assert S == s and q.shape == (2 * S - 1,)
+        z = SampleSet(tuple(stratified_circle(rng, 8 * s - 3)))
+        y = forward_phaseless(draw_theta_circle(rng, s), draw_g(rng, s), z.z, n)
+        _, L, L_tilde, L_hat, S, _ = recover_general(PhaselessInstance(n, s, y, z), TOL)
+        assert S == s
+        assert L.shape == L_tilde.shape == (2 * S - 1,) and L_hat.shape == (2 * S + 1,)
 
 
 def test_general_measurement_floor():

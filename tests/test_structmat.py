@@ -27,14 +27,6 @@ TOL = Tolerances()
 NULL_BOUNDS = (TOL.rank_rel_tol, TOL.gap_ratio)
 
 
-def descending(block, half_span):
-    """Coefficients of a Laurent block listed from z^half_span down."""
-    out = np.zeros(2 * half_span + 1, dtype=complex)
-    for k, c in enumerate(block.coeffs):
-        out[half_span - (block.min_degree + k)] = c
-    return out
-
-
 def test_vandermonde_columns():
     assert np.allclose(vandermonde([1.0], 3), [[1.0], [1.0], [1.0]])
     assert np.allclose(vandermonde([2.0], 3), [[1.0], [2.0], [4.0]])
@@ -248,12 +240,8 @@ def test_build_G_true_stack_in_null_space():
         y = forward_phaseless(theta, g, z, n)
         u_hat, u_tilde, v = forward_polys(theta, g, n)
         L, L_tilde, L_hat = laurent_from_products(u_hat, u_tilde, v)
-        w = np.concatenate([
-            descending(L_hat, s),
-            descending(L_tilde, s - 1),
-            descending(L, s - 1),
-            np.conj(descending(L_tilde, s - 1))[::-1],
-        ])
+        # the unknown stack lists each centered Laurent block from its top power down
+        w = np.concatenate([L_hat[::-1], L_tilde[::-1], L[::-1], np.conj(L_tilde)])
         G = build_G(z, y, n, s)
         assert G.shape == (m, 8 * s - 2)
         resid = np.linalg.norm(G @ w) / (np.linalg.norm(G) * np.linalg.norm(w))
@@ -283,11 +271,11 @@ def test_build_Gtilde_true_stack_in_null_space():
         u_hat, u_tilde, v = forward_polys(theta, g, n)
         L, L_tilde, L_hat = laurent_from_products(u_hat, u_tilde, v)
         p = (
-            descending(L, s - 1)
-            + np.exp(1j * gamma) * descending(L_tilde, s - 1)
-            + np.exp(-1j * gamma) * np.conj(descending(L_tilde, s - 1))[::-1]
+            L[::-1]
+            + np.exp(1j * gamma) * L_tilde[::-1]
+            + np.exp(-1j * gamma) * np.conj(L_tilde)
         )
-        w = np.concatenate([descending(L_hat, s), p])
+        w = np.concatenate([L_hat[::-1], p])
         Gt = build_Gtilde(z, y, s)
         assert Gt.shape == (n, 4 * s)
         resid = np.linalg.norm(Gt @ w) / (np.linalg.norm(Gt) * np.linalg.norm(w))
