@@ -18,6 +18,7 @@ import numpy as np
 
 from . import oracle
 from .config import Tolerances, load_tolerances
+from .cpoly import _modulus
 from .errors import AmbiguousDisambiguationError, InvalidInputError, VRecoverError
 from .oracle import (
     draw_g,
@@ -28,7 +29,7 @@ from .oracle import (
     forward_phase,
     forward_phaseless,
 )
-from .recover_phase import PhaseInstance, recover_r1, recover_r2
+from .recover_phase import PhaseInstance, _check_floors, recover_r1, recover_r2
 from .recover_phaseless import (
     BRANCH_DUAL,
     BRANCH_HARMONIC,
@@ -40,6 +41,7 @@ from .structmat import SampleSet, readonly_array, shifted_harmonics, vandermonde
 
 MODES = ("r1", "r2", "r4", "r5", "r3")
 PHASE_MODES = ("r1", "r2")
+GRIDDED_MODES = ("r2", "r3")
 CSV_HEADER = "trial,s,S,n,m,mode,branch,success,theta_err,g_err,candidates,runtime_ms,warnings"
 SUCCESS_TOL = 1e-6
 # the CSV `branch` of a phase-aware trial names its sample layout
@@ -161,9 +163,10 @@ class ExperimentConfig:
         return cfg
 
     def validate(self):
-        """Check the measurement rules against each mode's preconditions."""
-        phaseless = self.mode not in PHASE_MODES
-        if phaseless and self.sample_mode == "harmonic":
+        """Check the measurement rules against the floors of the mode's instance class."""
+        harmonic = self.sample_mode == "harmonic"
+        model = PhaseInstance if self.mode in PHASE_MODES else PhaselessInstance
+        if model is PhaselessInstance and harmonic:
             if abs(np.exp(1j * self.gamma) - 1.0) < 1e-9:
                 raise InvalidInputError(
                     "phaseless harmonic campaigns need gamma away from 0: "
@@ -172,19 +175,8 @@ class ExperimentConfig:
         for s in self.s_list:
             n = parse_rule(self.n_rule, s)
             m = parse_rule(self.m_rule, s)
-            if phaseless:
-                if n < 4 * s - 1:
-                    raise InvalidInputError(f"n_rule gives n={n} < 4s-1 at s={s}")
-                floor = 4 * s - 1 if self.sample_mode == "harmonic" else 8 * s - 3
-            else:
-                if n < 2 * s:
-                    raise InvalidInputError(f"n_rule gives n={n} < 2s at s={s}")
-                floor = 2 * s if self.sample_mode == "harmonic" else 3 * s
-            if m < floor:
-                raise InvalidInputError(
-                    f"m_rule gives m={m} below the {self.mode} floor {floor} at s={s}"
-                )
-            if self.sample_mode == "harmonic" and m > n:
+            _check_floors(model, n, m, s, harmonic)
+            if harmonic and m > n:
                 raise InvalidInputError(f"harmonic campaigns need m <= n, got {m} > {n}")
 
 
@@ -233,13 +225,12 @@ def _draw_circle_samples(rng: np.random.Generator, m: int) -> SampleSet:
 
 
 def _draw_grid_disk(rng: np.random.Generator, n: int, power_avoid=None) -> np.ndarray:
-    """Distinct dictionary points on the disk annulus, away from a forbidden power."""
+    """Distinct dictionary points on the disk annulus, away from a forbidden power.
 
-    def one():
-        radius = np.exp(rng.uniform(np.log(0.5), np.log(2.0)))
-        return radius * np.exp(1j * rng.uniform(0, 2 * np.pi))
-
-    grid = oracle._redraw_duplicates(rng, one, [one() for _ in range(n)])
+    Each point is tested on its own: the numpy-scalar power ``v**nth`` can
+    round differently from the array power.
+    """
+    grid = draw_theta_disk(rng, n)
     if power_avoid is not None:
         nth, target = power_avoid
         for _ in range(100):
@@ -247,10 +238,10 @@ def _draw_grid_disk(rng: np.random.Generator, n: int, power_avoid=None) -> np.nd
             if not bad:
                 break
             for k in bad:
-                grid[k] = one()
+                grid[k] = draw_theta_disk(rng, 1)[0]
         else:
             raise InvalidInputError("could not draw a grid clear of the rotation power")
-    return np.array(grid)
+    return grid
 
 
 def _draw_extra_row(rng: np.random.Generator, mode: str, n: int, theta, g, x):
@@ -264,85 +255,74 @@ def _draw_extra_row(rng: np.random.Generator, mode: str, n: int, theta, g, x):
 
 
 def generate_trial(config: ExperimentConfig, s: int, index: int) -> dict:
-    """One ground-truth instance as a JSON-ready dict; `index` is campaign-global."""
+    """One ground-truth instance as a JSON-ready dict; `index` is campaign-global.
+
+    Every draw comes from one RNG stream, in this order: the samples, the
+    grid and support or the poles, the weights, and last the extra row.
+    """
     seed = derive_seed(config.master_seed, index)
     rng = np.random.default_rng(seed)
     n = parse_rule(config.n_rule, s)
     m = parse_rule(config.m_rule, s)
+    mode = config.mode
     harmonic = config.sample_mode == "harmonic"
-    x = None
-    payload: dict = {
-        "mode": config.mode,
+    phase = mode in PHASE_MODES
+    if harmonic:
+        samples = shifted_harmonics(n, m, config.gamma)
+    else:
+        samples = (_draw_disk_samples if phase else _draw_circle_samples)(rng, m)
+
+    grid = x = None
+    if mode == "r2":
+        grid = _draw_grid_disk(rng, n, (n, np.exp(-1j * config.gamma)) if harmonic else None)
+    elif mode == "r3":
+        grid = np.exp(2j * np.pi * np.arange(n) / n)
+    if grid is not None:
+        support = np.sort(rng.choice(n, size=s, replace=False))
+        theta = grid[support]
+    elif mode == "r1":
+        theta = draw_theta_disk(rng, s)
+    elif harmonic:
+        theta = draw_theta_dft(rng, n, s)
+    else:
+        theta = draw_theta_circle(rng, s)
+        if s > 1:
+            # the dual-pair branch needs support powers that do not all
+            # coincide; redraws never trigger in practice
+            for _ in range(100):
+                powers = theta**n
+                if np.abs(powers - powers[0]).max() > 1e-6:
+                    break
+                theta = draw_theta_circle(rng, s)
+    g = draw_g(rng, s)
+    if grid is not None:
+        x = np.zeros(n, dtype=complex)
+        x[support] = g
+
+    extra_row = None
+    if phase:
+        y = pairs(forward_phase(theta, g, samples, n))
+    else:
+        y = [float(v) for v in forward_phaseless(theta, g, samples, n)]
+        if mode in ("r5", "r3"):
+            a, y_m = _draw_extra_row(rng, mode, n, theta, g, x)
+            extra_row = {"a": pairs(a), "y_m": y_m}
+    return {
+        "mode": mode,
         "n": n,
         "s": s,
         "m": m,
         "seed": seed,
         "sample_mode": config.sample_mode,
         "gamma": config.gamma if harmonic else None,
-        "grid": None,
-        "x": None,
-        "extra_row": None,
+        "grid": None if grid is None else pairs(grid),
+        "x": None if x is None else pairs(x),
+        "extra_row": extra_row,
+        "y": y,
+        "z": pairs(samples.z),
+        "theta": pairs(theta),
+        "g": pairs(g),
     }
-
-    if config.mode in PHASE_MODES:
-        samples = (
-            shifted_harmonics(n, m, config.gamma)
-            if harmonic
-            else _draw_disk_samples(rng, m)
-        )
-        if config.mode == "r1":
-            theta = draw_theta_disk(rng, s)
-            g = draw_g(rng, s)
-        else:
-            avoid = (n, np.exp(-1j * config.gamma)) if harmonic else None
-            grid = _draw_grid_disk(rng, n, power_avoid=avoid)
-            support = np.sort(rng.choice(n, size=s, replace=False))
-            g = draw_g(rng, s)
-            theta = grid[support]
-            x = np.zeros(n, dtype=complex)
-            x[support] = g
-            payload["grid"] = pairs(grid)
-            payload["x"] = pairs(x)
-        y = forward_phase(theta, g, samples, n)
-        payload["y"] = pairs(y)
-    else:
-        if harmonic:
-            samples = shifted_harmonics(n, m, config.gamma)
-        else:
-            samples = _draw_circle_samples(rng, m)
-        if config.mode == "r3":
-            grid = np.exp(2j * np.pi * np.arange(n) / n)
-            support = np.sort(rng.choice(n, size=s, replace=False))
-            g = draw_g(rng, s)
-            theta = grid[support]
-            x = np.zeros(n, dtype=complex)
-            x[support] = g
-            payload["grid"] = pairs(grid)
-            payload["x"] = pairs(x)
-        else:
-            if harmonic:
-                theta = draw_theta_dft(rng, n, s)
-            else:
-                theta = draw_theta_circle(rng, s)
-                if s > 1:
-                    # the dual-pair branch needs support powers that do not
-                    # all coincide; redraws never trigger in practice
-                    for _ in range(100):
-                        powers = theta**n
-                        if np.abs(powers - powers[0]).max() > 1e-6:
-                            break
-                        theta = draw_theta_circle(rng, s)
-            g = draw_g(rng, s)
-        y = forward_phaseless(theta, g, samples, n)
-        payload["y"] = [float(v) for v in y]
-        if config.mode in ("r5", "r3"):
-            a, y_m = _draw_extra_row(rng, config.mode, n, theta, g, x)
-            payload["extra_row"] = {"a": pairs(a), "y_m": y_m}
-
-    payload["z"] = pairs(samples.z)
-    payload["theta"] = pairs(theta)
-    payload["g"] = pairs(g)
-    return payload
 
 
 def samples_from_payload(payload: dict) -> SampleSet:
@@ -418,17 +398,20 @@ def instance_from_payload(payload: dict):
 # ----------------------------------------------------------------------------
 
 def _greedy_match(truth: np.ndarray, found: np.ndarray):
-    """Nearest matching of recovered values to the truth; (max rel err, perm)."""
+    """Nearest matching of recovered values to the truth; (max rel err, perm).
+
+    Each truth value in turn takes the nearest found value not yet taken,
+    the first one on ties.
+    """
     if len(truth) != len(found):
         return np.inf, None
-    remaining = list(range(len(found)))
+    dist = _modulus(found[None, :] - truth[:, None])
     perm = np.zeros(len(truth), dtype=int)
     worst = 0.0
     for k in range(len(truth)):
-        dists = [abs(found[j] - truth[k]) for j in remaining]
-        jmin = int(np.argmin(dists))
-        perm[k] = remaining.pop(jmin)
-        worst = max(worst, dists[jmin] / max(1.0, abs(truth[k])))
+        j = perm[k] = int(np.argmin(dist[k]))
+        worst = max(worst, dist[k, j] / max(1.0, abs(truth[k])))
+        dist[:, j] = np.inf
     return worst, perm
 
 
@@ -500,16 +483,14 @@ def _redraw_extra_row(payload: dict, attempt: int) -> tuple[np.ndarray, float]:
 
 def _recover_with_redraw(inst, payload: dict, recover, tol: Tolerances, notes: list):
     """Run a disambiguating recovery of `inst`, the instance of `payload`,
-    redrawing the extra row when ambiguous."""
-    for attempt in range(4):
+    redrawing the extra row up to three times when ambiguous."""
+    for attempt in range(3):
         try:
             return recover(inst, tol)
         except AmbiguousDisambiguationError:
-            if attempt == 3:
-                raise
             notes.append("redrew-disambiguation-row")
             inst = replace(inst, extra_row=_redraw_extra_row(payload, attempt))
-    raise AssertionError("unreachable")
+    return recover(inst, tol)
 
 
 def run_trial(payload: dict, tol: Tolerances | None = None) -> TrialRecord:
@@ -519,20 +500,34 @@ def run_trial(payload: dict, tol: Tolerances | None = None) -> TrialRecord:
     mode = payload["mode"]
     theta_true = unpairs(payload["theta"])
     g_true = unpairs(payload["g"])
-    sample_tag = (
-        HARMONIC if payload.get("sample_mode") == "harmonic" else ARBITRARY
-    )
     inst = instance_from_payload(payload)
     t0 = time.perf_counter()
     S = None
-    branch = sample_tag
+    branch = HARMONIC if payload.get("sample_mode") == "harmonic" else ARBITRARY
     theta_err = np.inf
     g_err = np.inf
     count = None
     success = False
     notes: list[str] = []
     try:
-        if mode == "r1":
+        if mode in GRIDDED_MODES:
+            # r3 fixes the global phase: its first nonzero entry comes back real positive
+            x_true = x_canon = unpairs(payload["x"])
+            supp_true = np.flatnonzero(np.abs(x_true) > 0)
+            if mode == "r2":
+                x = recover_r2(inst, tol)
+            else:
+                x_canon = x_true * np.exp(-1j * np.angle(x_true[supp_true[0]]))
+                x = _recover_with_redraw(inst, payload, recover_r3, tol, notes)
+            supp = np.flatnonzero(np.abs(x) > 1e-12)
+            S = len(supp)
+            found = np.array_equal(supp, supp_true)
+            theta_err = 0.0 if found else 1.0
+            g_err = float(
+                np.abs(x - x_canon).max() / max(float(np.abs(x_true).max()), 1e-300)
+            )
+            success = found and g_err <= SUCCESS_TOL
+        elif mode == "r1":
             res = recover_r1(inst, tol)
             S = res.S
             theta_err, perm = _greedy_match(theta_true, np.array(res.theta))
@@ -543,30 +538,6 @@ def run_trial(payload: dict, tol: Tolerances | None = None) -> TrialRecord:
                 )
             notes.extend(res.warnings)
             success = theta_err <= SUCCESS_TOL and g_err <= SUCCESS_TOL
-        elif mode == "r2":
-            x_true = unpairs(payload["x"])
-            x = recover_r2(inst, tol)
-            supp_true = set(np.flatnonzero(np.abs(x_true) > 0).tolist())
-            supp = set(np.flatnonzero(np.abs(x) > 1e-12).tolist())
-            S = len(supp)
-            theta_err = 0.0 if supp == supp_true else 1.0
-            g_err = float(
-                np.abs(x - x_true).max() / max(float(np.abs(x_true).max()), 1e-300)
-            )
-            success = supp == supp_true and g_err <= SUCCESS_TOL
-        elif mode == "r3":
-            x_true = unpairs(payload["x"])
-            nz = np.flatnonzero(np.abs(x_true) > 0)
-            x_canon = x_true * np.exp(-1j * np.angle(x_true[nz[0]]))
-            x = _recover_with_redraw(inst, payload, recover_r3, tol, notes)
-            supp_true = set(nz.tolist())
-            supp = set(np.flatnonzero(np.abs(x) > 1e-12).tolist())
-            S = len(supp)
-            theta_err = 0.0 if supp == supp_true else 1.0
-            g_err = float(
-                np.abs(x - x_canon).max() / max(float(np.abs(x_true).max()), 1e-300)
-            )
-            success = supp == supp_true and g_err <= SUCCESS_TOL
         else:
             res = _recover_with_redraw(inst, payload, recover_r5, tol, notes)
             S = res.S
@@ -581,13 +552,9 @@ def run_trial(payload: dict, tol: Tolerances | None = None) -> TrialRecord:
                 errs = _phase_aligned_errs(aligned[:, perm], g_true)
                 g_err = float(errs.min()) if count else np.inf
                 if mode == "r5":
-                    ok = (
-                        res.selected is not None
-                        and bool(errs[res.selected] <= SUCCESS_TOL)
-                    )
                     g_err = float(errs[res.selected]) if res.selected is not None else g_err
-                else:
-                    ok = g_err <= SUCCESS_TOL
+                # r5 is scored on the candidate it selected, r4 on the closest one
+                ok = g_err <= SUCCESS_TOL and (mode == "r4" or res.selected is not None)
                 success = theta_err <= SUCCESS_TOL and count_ok and ok
     except VRecoverError as exc:
         notes.append(f"{type(exc).__name__}: {exc}")
@@ -600,17 +567,19 @@ def run_trial(payload: dict, tol: Tolerances | None = None) -> TrialRecord:
     )
 
 
+def _campaign_trials(config: ExperimentConfig):
+    """(per-s counter, payload) of every trial of a config, in campaign order."""
+    slots = [(s, t) for s in config.s_list for t in range(config.trials)]
+    for index, (s, t) in enumerate(slots):
+        payload = generate_trial(config, s, index)
+        payload["trial"] = index
+        yield t, payload
+
+
 def run_campaign(config: ExperimentConfig):
     """All trials of a config; returns (records, per-s summary records)."""
     tol = load_tolerances(config.tolerances)
-    records: list[TrialRecord] = []
-    index = 0
-    for s in config.s_list:
-        for t in range(config.trials):
-            payload = generate_trial(config, s, index)
-            payload["trial"] = index
-            records.append(run_trial(payload, tol))
-            index += 1
+    records = [run_trial(payload, tol) for _, payload in _campaign_trials(config)]
     summaries = []
     for s in config.s_list:
         group = [r for r in records if r.s == s]
@@ -657,20 +626,13 @@ def _load_json(path: str) -> dict:
 def cmd_gen(config_path: str, out_dir: str) -> int:
     config = ExperimentConfig.from_dict(_load_json(config_path))
     os.makedirs(out_dir, exist_ok=True)
-    index = 0
-    written = []
-    for s in config.s_list:
-        for t in range(config.trials):
-            payload = generate_trial(config, s, index)
-            payload["trial"] = index
-            check_payload_consistency(payload)
-            name = f"{config.mode}_s{s}_{t:04d}.json"
-            with open(os.path.join(out_dir, name), "w") as fh:
-                json.dump(payload, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            written.append(name)
-            index += 1
-    print(f"wrote {len(written)} instance files to {out_dir}")
+    for t, payload in _campaign_trials(config):
+        check_payload_consistency(payload)
+        name = f"{config.mode}_s{payload['s']}_{t:04d}.json"
+        with open(os.path.join(out_dir, name), "w") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    print(f"wrote {len(config.s_list) * config.trials} instance files to {out_dir}")
     return 0
 
 

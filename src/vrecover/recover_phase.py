@@ -59,20 +59,50 @@ class PhaseInstance:
         )
         if self.s_max < 1:
             raise InvalidInputError("s_max must be at least 1")
-        m = len(self.y)
-        if len(samples) != m:
+        if len(samples) != self.m:
             raise InvalidInputError("sample count does not match measurement count")
         # the information-theoretic floor: reject before any computation
-        if self.n < 2 * self.s_max:
-            raise InvalidInputError(f"n={self.n} below the lower bound 2*s={2 * self.s_max}")
-        if m < 2 * self.s_max:
-            raise InvalidInputError(f"m={m} below the lower bound 2*s={2 * self.s_max}")
+        _check_floors(PhaseInstance, self.n, self.m, self.s_max, samples.is_harmonic)
         if samples.is_harmonic and samples.n != self.n:
             raise InvalidInputError("harmonic samples must share the model order n")
+        if self.grid is not None:
+            _check_grid(self.grid, self.n, samples)
 
     @property
     def m(self) -> int:
         return len(self.y)
+
+    @staticmethod
+    def floors(s: int, harmonic: bool) -> tuple[int, int]:
+        """The least (n, m) at sparsity s: (2s, 2s) on shifted harmonics, else (2s, 3s)."""
+        return 2 * s, 2 * s if harmonic else 3 * s
+
+
+def _check_floors(model, n: int, m: int, s: int, harmonic: bool):
+    """Raise InvalidInputError when n or m lies below ``model.floors(s, harmonic)``."""
+    for name, value, floor in zip("nm", (n, m), model.floors(s, harmonic)):
+        if value < floor:
+            raise InvalidInputError(
+                f"{name}={value} below the {model.__name__} floor {floor} at s={s}"
+            )
+
+
+def _check_grid(grid: np.ndarray, n: int, samples: SampleSet):
+    """Raise InvalidInputError unless a dictionary grid can be decoded.
+
+    It needs n nonzero, distinct points (see `_require_distinct`), and on
+    shifted-harmonic samples every point power grid**n must miss the sample
+    rotation e^{-i*gamma}, which the harmonic support argument relies on.
+    """
+    if len(grid) != n:
+        raise InvalidInputError(f"grid has {len(grid)} points, not the model order n={n}")
+    if (np.abs(grid) < 1e-12).any():
+        raise InvalidInputError("grid points must be nonzero")
+    _require_distinct(grid, "grid points are not distinct", InvalidInputError)
+    if samples.is_harmonic:
+        clash = np.abs(grid**n - np.exp(-1j * samples.gamma))
+        if (clash < 1e-9 * np.maximum(1.0, np.abs(grid) ** n)).any():
+            raise InvalidInputError("grid power condition violated for these samples")
 
 
 @dataclass(frozen=True)
@@ -140,8 +170,6 @@ def _extract_blocks(inst: PhaseInstance, tol: Tolerances):
     if inst.samples.is_harmonic:
         builder = lambda s: build_B(inst.samples, y, s)
     else:
-        if inst.m < 3 * inst.s_max:
-            raise InvalidInputError("arbitrary samples need m >= 3*s measurements")
         builder = lambda s: build_A(inst.samples, y, inst.n, s)
     S, w, diagnostics = _descend(builder, inst.s_max, tol)
     v_desc = w[: S + 1]
@@ -162,8 +190,7 @@ def recover_g(A: np.ndarray, y, tol: Tolerances) -> np.ndarray:
     same solve; its weight is lost only if no sample sees it, and then its
     column of A vanishes and fails the rank test.
     """
-    g, _ = pinv_solve(A, y, tol.rank_rel_tol)
-    return g
+    return pinv_solve(A, y, tol.rank_rel_tol)
 
 
 def recover_r1(inst: PhaseInstance, tol: Tolerances | None = None) -> PhaseResult:
@@ -196,17 +223,6 @@ def recover_r2(inst: PhaseInstance, tol: Tolerances | None = None) -> np.ndarray
     if inst.grid is None:
         raise InvalidInputError("recover_r2 needs the instance grid")
     grid = inst.grid
-    if len(grid) != inst.n:
-        raise InvalidInputError("grid length must equal the model order n")
-    if (np.abs(grid) < 1e-12).any():
-        raise InvalidInputError("grid points must be nonzero")
-    _require_distinct(grid, "grid points are not distinct")
-    if inst.samples.is_harmonic:
-        # the harmonic support argument needs every admissible pole power to
-        # miss the sample rotation
-        clash = np.abs(grid**inst.n - np.exp(-1j * inst.samples.gamma))
-        if (clash < 1e-9 * np.maximum(1.0, np.abs(grid) ** inst.n)).any():
-            raise InvalidInputError("grid power condition violated for these samples")
     y = inst.y
     x = np.zeros(inst.n, dtype=complex)
     if not (np.abs(y) > 0).any():
@@ -232,11 +248,13 @@ def _pairwise_moduli(values: np.ndarray) -> np.ndarray:
     return np.where(index[:, None] > index, _modulus(values[:, None] - values), np.inf)
 
 
-def _require_distinct(values: np.ndarray, message: str = "recovered poles are not distinct"):
-    """Raise when two values lie closer than ``1e-9 * max(1, |values[i]|)``, i the later one."""
+def _require_distinct(values: np.ndarray, message: str = "recovered poles are not distinct",
+                      error=DegenerateSupportError):
+    """Raise `error` when two values lie closer than ``1e-9 * max(1, |values[i]|)``,
+    i the later one."""
     bound = 1e-9 * np.maximum(1.0, _modulus(values))
     if (_pairwise_moduli(values) < bound[:, None]).any():
-        raise DegenerateSupportError(message)
+        raise error(message)
 
 
 def _snap_to_grid(points, targets: np.ndarray, snap_tol: float,

@@ -42,6 +42,8 @@ from .errors import (
 )
 from .recover_phase import (
     _canonical_order,
+    _check_floors,
+    _check_grid,
     _descend,
     _min_pairwise,
     _require_distinct,
@@ -97,22 +99,30 @@ class PhaselessInstance:
         )
         if self.s_max < 1:
             raise InvalidInputError("s_max must be at least 1")
-        if self.n < 4 * self.s_max - 1:
-            raise InvalidInputError(
-                f"n={self.n} below the phaseless bound 4*s-1={4 * self.s_max - 1}"
-            )
-        if len(samples) != len(self.y):
+        if len(samples) != self.m:
             raise InvalidInputError("sample count does not match measurement count")
+        _check_floors(PhaselessInstance, self.n, self.m, self.s_max, samples.is_harmonic)
         if (self.y < 0).any():
             raise InvalidInputError("phaseless measurements must be nonnegative")
         if (np.abs(np.abs(samples.z) - 1.0) > 1e-9).any():
             raise InvalidInputError("phaseless samples must lie on the unit circle")
         if samples.is_harmonic and samples.n != self.n:
             raise InvalidInputError("harmonic samples must share the model order n")
+        if self.grid is not None:
+            if (np.abs(np.abs(self.grid) - 1.0) > 1e-9).any():
+                raise InvalidInputError("grid points must lie on the unit circle")
+            _check_grid(self.grid, self.n, samples)
+            if extra_row is not None and len(extra_row[0]) != self.n:
+                raise InvalidInputError("the extra row of a gridded instance has length n")
 
     @property
     def m(self) -> int:
         return len(self.y)
+
+    @staticmethod
+    def floors(s: int, harmonic: bool) -> tuple[int, int]:
+        """The least (n, m) at sparsity s: (4s-1, 4s-1) on shifted harmonics, else (4s-1, 8s-3)."""
+        return 4 * s - 1, 4 * s - 1 if harmonic else 8 * s - 3
 
 
 @dataclass(frozen=True)
@@ -180,12 +190,9 @@ def recover_support_harmonic(inst: PhaselessInstance, tol: Tolerances):
     Laurent array of length 2S-1 (z^-(S-1) .. z^(S-1)) that
     `magnitudes_harmonic` and `enumerate_candidates_harmonic` take.
     `diagnostics` holds one entry per system built by the null-space stage
-    (`_descend`).
+    (`_descend`). The samples must be shifted harmonics, or `build_Gtilde`
+    raises InvalidInputError.
     """
-    if not inst.samples.is_harmonic:
-        raise InvalidInputError("harmonic support recovery needs shifted-harmonic samples")
-    if inst.m < 4 * inst.s_max - 1:
-        raise InvalidInputError("harmonic branch needs m >= 4*s-1 measurements")
     y = inst.y
     builder = lambda s: build_Gtilde(inst.samples, y, s)
     S, w, diagnostics = _descend(builder, inst.s_max, tol, step=2)
@@ -409,10 +416,9 @@ def recover_general(inst: PhaselessInstance, tol: Tolerances):
     Returns (theta, L, L_tilde, L_hat, S, diagnostics): L and L_tilde are
     centered Laurent arrays of length 2S-1, L_hat one of length 2S+1, and
     `diagnostics` holds one entry per system built by the null-space stage
-    (`_descend`).
+    (`_descend`). It is the route for general samples, whose floor
+    m >= 8s-3 the instance constructor checks.
     """
-    if inst.m < 8 * inst.s_max - 3:
-        raise InvalidInputError("general branch needs m >= 8*s-3 measurements")
     y = inst.y
     builder = lambda s: build_G(inst.samples, y, inst.n, s)
     S, w, diagnostics = _descend(builder, inst.s_max, tol, step=2)
@@ -593,25 +599,14 @@ def recover_r3(inst: PhaselessInstance, tol: Tolerances | None = None) -> np.nda
     if inst.extra_row is None:
         raise InvalidInputError("recover_r3 needs the disambiguation measurement")
     grid = inst.grid
-    if (np.abs(np.abs(grid) - 1.0) > 1e-9).any():
-        raise InvalidInputError("grid points must lie on the unit circle")
-    sep = _min_pairwise(grid)
-    if sep < 1e-12:
-        raise InvalidInputError("grid points must be distinct")
     a, y_m = inst.extra_row
-    if len(a) != inst.n:
-        raise InvalidInputError("the extra row of a gridded instance has length n")
-    if inst.samples.is_harmonic:
-        clash = np.abs(grid**inst.n - np.exp(-1j * inst.samples.gamma))
-        if (clash < 1e-9).any():
-            raise InvalidInputError("grid power condition violated for these samples")
     y = inst.y
     x = np.zeros(inst.n, dtype=complex)
     if not (y > 0).any():
         return x
-    res = recover_r5(replace(inst, extra_row=None), tol)
+    res = recover_r5(replace(inst, extra_row=None, grid=None), tol)
     support = _snap_to_grid(
-        res.theta, grid, 0.5 * sep,
+        res.theta, grid, 0.5 * _min_pairwise(grid),
         what="support point", near="grid point", slot="grid index",
     )
     selected = disambiguate(res.candidates, a[support], y_m, grid[support], tol)

@@ -334,8 +334,8 @@ def refine_null_vector(M: np.ndarray, w: np.ndarray, factors: SVDFactors) -> np.
     return wq.astype(complex)
 
 
-def pinv_solve(M: np.ndarray, y, rank_rel_tol: float) -> tuple[np.ndarray, float]:
-    """Least-squares solve requiring full column rank; returns (x, residual).
+def pinv_solve(M: np.ndarray, y, rank_rel_tol: float) -> np.ndarray:
+    """Least-squares solve of ``M @ x = y`` requiring full column rank; returns x.
 
     Full rank means the smallest singular value exceeds
     ``zero_bound(sigma_max, M.shape, rank_rel_tol)``. One SVD of M serves both
@@ -350,6 +350,4 @@ def pinv_solve(M: np.ndarray, y, rank_rel_tol: float) -> tuple[np.ndarray, float
     if len(sv) < M.shape[1] or sv[-1] <= zero_bound(sv[0], M.shape, rank_rel_tol):
         raise RankDeficiencyError("matrix does not have full column rank")
     # every singular value passed the rank test, so every direction is kept
-    x = factors.pinv_apply(y, rcond=0.0)
-    residual = float(np.linalg.norm(M @ x - y))
-    return x, residual
+    return factors.pinv_apply(y, rcond=0.0)

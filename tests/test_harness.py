@@ -30,7 +30,7 @@ from vrecover.harness import (
     write_csv,
 )
 from vrecover.recover_phase import PhaseInstance
-from vrecover.recover_phaseless import PhaselessInstance
+from vrecover.recover_phaseless import PhaselessInstance, recover_r3
 from vrecover.structmat import vandermonde
 
 
@@ -169,6 +169,118 @@ def test_config_floor_checks():
         config_dict(mode="r4", s_list=[2], n_rule="4s-1", m_rule="4s-1", gamma=1.0)
     )
     assert cfg.trials == 2 and cfg.s_list == (2,)
+
+
+def test_config_reads_the_instance_floors():
+    """The validator rejects m one below the floor of the mode's instance class."""
+    for mode, model in [("r1", PhaseInstance), ("r2", PhaseInstance), ("r4", PhaselessInstance),
+                        ("r5", PhaselessInstance), ("r3", PhaselessInstance)]:
+        for sample_mode in ("harmonic", "arbitrary"):
+            n, m = model.floors(3, sample_mode == "harmonic")
+            raw = config_dict(mode=mode, s_list=[3], n_rule=str(n), m_rule=str(m),
+                              sample_mode=sample_mode, gamma=1.0)
+            ExperimentConfig.from_dict(raw)
+            for key, rule in (("n_rule", str(n - 1)), ("m_rule", str(m - 1))):
+                with pytest.raises(InvalidInputError, match=f"below the {model.__name__} floor"):
+                    ExperimentConfig.from_dict({**raw, key: rule})
+
+
+# The first trial of each mode and sample layout at master_seed 20261018 and
+# s=2, to 13 significant digits: theta, g, the first and last sample point,
+# the grid support and the extra row's y_m. Generation draws from one RNG
+# stream, so a draw that moves, or one added or dropped, changes them.
+FIRST_TRIAL_CONFIGS = {
+    "r1-harmonic": dict(mode="r1", n_rule="2s", m_rule="2s", gamma=1.0),
+    "r1-arbitrary": dict(mode="r1", n_rule="2s", m_rule="3s", sample_mode="arbitrary"),
+    "r2-harmonic": dict(mode="r2", n_rule="2s+1", m_rule="2s", gamma=1.0),
+    "r2-arbitrary": dict(mode="r2", n_rule="2s+1", m_rule="3s", sample_mode="arbitrary"),
+    "r4-harmonic": dict(mode="r4", n_rule="4s-1", m_rule="4s-1", gamma=1.0),
+    "r5-harmonic": dict(mode="r5", n_rule="4s-1", m_rule="4s-1", gamma=1.0),
+    "r5-arbitrary": dict(mode="r5", n_rule="4s-1", m_rule="8s-3", sample_mode="arbitrary"),
+    "r3-harmonic": dict(mode="r3", n_rule="4s-1", m_rule="4s-1", gamma=1.0),
+    "r3-arbitrary": dict(mode="r3", n_rule="4s-1", m_rule="8s-3", sample_mode="arbitrary"),
+}
+FIRST_TRIALS = {
+    "r1-harmonic": (
+        [complex(0.9341307581375, -0.3248364016691), complex(0.4547361645845, -0.3332802736012)],
+        [complex(-0.1959601998402, 1.128998061732), complex(0.6819679840097, -0.319399484037)],
+        [complex(0.9689124217106, 0.2474039592545), complex(0.2474039592545, -0.9689124217106)],
+        None, None,
+    ),
+    "r1-arbitrary": (
+        [complex(-0.2720834410961, -0.4566656152443), complex(0.03112865969953, -0.66334768806)],
+        [complex(0.005160624786881, -0.4556103709357), complex(0.984014656199, 1.646607830657)],
+        [complex(0.7046226780658, -0.2450268265801), complex(-0.8498146736557, 0.4836903442263)],
+        None, None,
+    ),
+    "r2-harmonic": (
+        [complex(-0.7375238201756, -0.2286165920544), complex(0.4197012903134, -0.4175714874228)],
+        [complex(-0.4927704082278, 1.113766068293), complex(-0.2697970311557, 0.07682833797306)],
+        [complex(0.9800665778412, 0.1986693307951), complex(-0.6761156143683, -0.7367955455941)],
+        [3, 4], None,
+    ),
+    "r2-arbitrary": (
+        [complex(-0.3042861825449, -1.766440662795), complex(0.5745821330079, -1.634885022004)],
+        [complex(1.784695631225, -0.5402180429145), complex(-2.729801377948, 0.4835006507576)],
+        [complex(0.7046226780658, -0.2450268265801), complex(-0.8498146736557, 0.4836903442263)],
+        [3, 4], None,
+    ),
+    "r4-harmonic": (
+        [complex(-0.9009688679024, 0.4338837391176), complex(-0.2225209339563, -0.9749279121818)],
+        [complex(-1.06388999655, -0.1959601998402), complex(0.3737579411941, 0.6819679840097)],
+        [complex(0.9898132604466, 0.1423717297923), complex(0.728449174198, -0.685099847183)],
+        None, None,
+    ),
+    "r5-harmonic": (
+        [complex(-0.9009688679024, 0.4338837391176), complex(-0.2225209339563, -0.9749279121818)],
+        [complex(-1.06388999655, -0.1959601998402), complex(0.3737579411941, 0.6819679840097)],
+        [complex(0.9898132604466, 0.1423717297923), complex(0.728449174198, -0.685099847183)],
+        None, 0.8679541481054,
+    ),
+    "r5-arbitrary": (
+        [complex(0.2807286925892, 0.9597871645095), complex(0.04687502865193, -0.998900761682)],
+        [complex(0.005160624786881, -0.4556103709357), complex(0.984014656199, 1.646607830657)],
+        [complex(-0.2946974832149, -0.9555905992562), complex(-0.828973388834, -0.5592880479727)],
+        None, 7.574144899964,
+    ),
+    "r3-harmonic": (
+        [complex(-0.9009688679024, 0.4338837391176), complex(-0.2225209339563, -0.9749279121818)],
+        [complex(-1.06388999655, -0.1959601998402), complex(0.3737579411941, 0.6819679840097)],
+        [complex(0.9898132604466, 0.1423717297923), complex(0.728449174198, -0.685099847183)],
+        [3, 5], 0.02105008886067,
+    ),
+    "r3-arbitrary": (
+        [complex(0.6234898018587, 0.781831482468), complex(-0.9009688679024, 0.4338837391176)],
+        [complex(0.005160624786881, -0.4556103709357), complex(0.984014656199, 1.646607830657)],
+        [complex(-0.2946974832149, -0.9555905992562), complex(-0.828973388834, -0.5592880479727)],
+        [1, 3], 0.3320836314984,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(FIRST_TRIALS))
+def test_first_trial_draws_are_frozen(case):
+    raw = config_dict(s_list=[2], trials=1, master_seed=20261018, **FIRST_TRIAL_CONFIGS[case])
+    payload = generate_trial(ExperimentConfig.from_dict(raw), 2, 0)
+    theta, g, z_ends, support, y_m = FIRST_TRIALS[case]
+    z = unpairs(payload["z"])
+
+    def close(got, want):
+        np.testing.assert_allclose(got, want, rtol=1e-11, atol=0)
+
+    close(unpairs(payload["theta"]), theta)
+    close(unpairs(payload["g"]), g)
+    close(z[[0, -1]], z_ends)
+    if support is None:
+        assert payload["grid"] is None and payload["x"] is None
+    else:
+        x = unpairs(payload["x"])
+        assert np.flatnonzero(np.abs(x) > 0).tolist() == support
+        close(unpairs(payload["grid"])[support], theta)
+    if y_m is None:
+        assert payload["extra_row"] is None
+    else:
+        close(payload["extra_row"]["y_m"], y_m)
 
 
 def test_generate_trial_consistent_every_mode():
@@ -471,6 +583,25 @@ def test_cli_recover_zero_signal(tmp_path):
     res = cli("recover", "--mode", "r1", "--input", str(inst))
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout)["S"] == 0
+
+
+@pytest.mark.parametrize("length", [6, 9], ids=["n-1", "n+2"])
+def test_r3_grid_of_the_wrong_length_is_bad_input(tmp_path, length):
+    """An r3 instance whose grid does not hold n points exits 2, through the library and the CLI."""
+    config = ExperimentConfig.from_dict(
+        config_dict(mode="r3", n_rule="7", m_rule="4s-1", gamma=1.0, trials=1)
+    )
+    payload = generate_trial(config, 1, 0)
+    grid = np.r_[unpairs(payload["grid"]), np.exp([0.3j, 2.0j])]
+    payload["grid"] = pairs(grid[:length])
+    with pytest.raises(InvalidInputError, match=f"^grid has {length} points, not the model order n=7$"):
+        recover_r3(instance_from_payload(payload))
+    inst = tmp_path / "r3.json"
+    inst.write_text(json.dumps(payload))
+    res = cli("recover", "--mode", "r3", "--input", str(inst))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("error:") and "Traceback" not in res.stderr
+    assert res.stdout == ""
 
 
 def test_cli_recover_malformed_json(tmp_path):

@@ -140,6 +140,36 @@ def test_lower_bounds_rejected_before_compute():
         PhaseInstance(4, 2, np.ones(3), z)  # m = 2s-1
 
 
+def test_instance_checks_the_arbitrary_sample_floor_when_built():
+    """m >= 3s on samples that are not shifted harmonics, all-zero data included."""
+    assert PhaseInstance.floors(3, True) == (6, 6)
+    assert PhaseInstance.floors(3, False) == (6, 9)
+    rng = np.random.default_rng(337)
+    for s in (1, 2, 4):
+        short = SampleSet(disk_points(rng, 3 * s - 1))
+        with pytest.raises(InvalidInputError, match=rf"^m={3 * s - 1} below .* floor {3 * s} "):
+            PhaseInstance(2 * s, s, np.zeros(3 * s - 1), short)
+        PhaseInstance(2 * s, s, np.zeros(3 * s), SampleSet(disk_points(rng, 3 * s)))
+
+
+@pytest.mark.parametrize("n", [3, 5], ids=["n-1", "n+1"])
+def test_instance_rejects_a_grid_of_the_wrong_length(n):
+    z = SampleSet((1.0, 1j, 0.7 * np.exp(0.9j)))
+    with pytest.raises(InvalidInputError, match=f"^grid has {n} points, not the model order n=4$"):
+        PhaseInstance(4, 1, np.ones(3), z, np.arange(1.0, n + 1.0))
+
+
+def test_instance_rejects_duplicate_grid_points():
+    """Grid points within 1e-9 * max(1, |g|) of each other are bad input."""
+    z = SampleSet((1.0, 1j, 0.7 * np.exp(0.9j)))
+    y = forward_phase([2.0], [3.0], z.z, 4)
+    for twin in (2.0 + 1e-10, 2.0 + 1.5e-9j, 4.0):
+        with pytest.raises(InvalidInputError, match="^grid points are not distinct$"):
+            PhaseInstance(4, 1, y, z, [1.0, 2.0, twin, 4.0])
+    x = recover_r2(PhaseInstance(4, 1, y, z, [1.0, 2.0, 2.0 + 1e-7, 4.0]))
+    assert np.flatnonzero(np.abs(x) > 1e-9).tolist() == [1]
+
+
 @pytest.mark.parametrize("bad", [np.inf, np.nan, complex(0.0, np.inf)])
 def test_phase_instance_rejects_non_finite(bad):
     z = shifted_harmonics(4, 4, 0.0)
@@ -208,7 +238,7 @@ def test_recover_g_matches_least_squares():
         y = forward_phase(theta, g, z.z, n)
         res = recover_r1(PhaseInstance(n, s, y, z))
         M = vandermonde(z, n).T @ vandermonde(np.array(res.theta), n)
-        ls, _ = pinv_solve(M, y, Tolerances().rank_rel_tol)
+        ls = pinv_solve(M, y, Tolerances().rank_rel_tol)
         assert np.max(np.abs(np.array(res.g) - ls)) <= 1e-8 * max(
             1.0, float(np.max(np.abs(ls)))
         )
@@ -391,7 +421,7 @@ def test_weights_take_one_factorisation(monkeypatch):
     y = forward_phase(theta, g, z.z, 7)
     A = measurement_matrix(z, theta, 7)
     calls = _count_svds(monkeypatch)
-    got, _ = pinv_solve(A, y, Tolerances().rank_rel_tol)
+    got = pinv_solve(A, y, Tolerances().rank_rel_tol)
     assert calls == ["svd"]
     assert np.max(np.abs(got - g)) <= 1e-8 * np.max(np.abs(g))
     calls.clear()

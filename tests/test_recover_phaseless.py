@@ -757,6 +757,42 @@ def test_phaseless_instance_rejects_non_finite(bad):
         PhaselessInstance(n, 2, [bad, -1.0, *y[2:]], z)
 
 
+def test_phaseless_instance_checks_both_m_floors_when_built():
+    """m >= 4s-1 on shifted harmonics and m >= 8s-3 on general samples."""
+    assert PhaselessInstance.floors(2, True) == (7, 7)
+    assert PhaselessInstance.floors(2, False) == (7, 13)
+    rng = np.random.default_rng(557)
+    for s in (1, 2, 3):
+        n = 4 * s - 1
+        short = shifted_harmonics(n, 4 * s - 2, 0.5)
+        with pytest.raises(InvalidInputError, match=rf"^m={4 * s - 2} below .* floor {n} "):
+            PhaselessInstance(n, s, np.zeros(4 * s - 2), short)
+        short = SampleSet(stratified_circle(rng, 8 * s - 4))
+        with pytest.raises(InvalidInputError, match=rf"^m={8 * s - 4} below .* floor {8 * s - 3} "):
+            PhaselessInstance(n, s, np.zeros(8 * s - 4), short)
+        PhaselessInstance(n, s, np.zeros(n), shifted_harmonics(n, n, 0.5))
+        PhaselessInstance(n, s, np.zeros(8 * s - 3), SampleSet(stratified_circle(rng, 8 * s - 3)))
+
+
+def test_gridded_phaseless_instance_checks_its_grid():
+    n = 7
+    grid = np.exp(2j * np.pi * np.arange(n) / n)
+    z = shifted_harmonics(n, 3, 1.0)
+    a = draw_unit_vector(np.random.default_rng(563), n)
+    PhaselessInstance(n, 1, np.ones(3), z, (a, 1.0), grid)
+    bad = {
+        "^grid has 6 points": (z, (a, 1.0), grid[:6]),
+        "^grid has 9 points": (z, (a, 1.0), np.r_[grid, np.exp([0.3j, 2.0j])]),
+        "^grid points are not distinct$": (z, (a, 1.0), np.r_[grid[:6], grid[5] * np.exp(1e-10j)]),
+        "^grid points must lie on the unit circle$": (z, (a, 1.0), 1.5 * grid),
+        "^grid power condition": (shifted_harmonics(n, 3, 0.0), (a, 1.0), grid),
+        "^the extra row of a gridded instance has length n$": (z, (a[:5], 1.0), grid),
+    }
+    for message, (samples, extra, points) in bad.items():
+        with pytest.raises(InvalidInputError, match=message):
+            PhaselessInstance(n, 1, np.ones(3), samples, extra, points)
+
+
 def test_phaseless_instance_validation():
     z = shifted_harmonics(7, 7, 0.4)
     with pytest.raises(InvalidInputError):
