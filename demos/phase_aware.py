@@ -26,8 +26,8 @@ def draw_model(rng, n, s):
 
 def report(label, theta, g, res):
     order_true = np.lexsort((np.abs(theta), np.angle(theta)))
-    t_err = np.max(np.abs(np.array(res.theta) - theta[order_true]))
-    g_err = np.max(np.abs(np.array(res.g) - g[order_true]))
+    t_err = np.max(np.abs(res.theta - theta[order_true]))
+    g_err = np.max(np.abs(res.g - g[order_true]))
     print(f"{label}: S={res.S}  max|theta err|={t_err:.2e}  max|g err|={g_err:.2e}")
 
 

@@ -64,9 +64,9 @@ def main():
     z = shifted_harmonics(n, 4 * s - 1, gamma=1.1)
     y = forward_phaseless(theta, g, z, n)
     res = recover_r5(PhaselessInstance(n, s, y, z, extra_row=extra_row(rng, theta, g, n)))
-    cands = [np.array(c) for c in res.candidates]
+    cands = res.candidates
     print(f"harmonic branch {res.branch}: {len(cands)} candidates (expect {2 ** (s - 1)})")
-    spread = max(np.max(np.abs(np.abs(c) - np.abs(cands[0]))) for c in cands)
+    spread = np.max(np.abs(np.abs(cands) - np.abs(cands[0])))
     print(f"  shared magnitudes, spread {spread:.2e}")
     picked = cands[res.selected]
     order = np.lexsort((np.abs(theta), np.angle(theta)))
@@ -77,9 +77,9 @@ def main():
     z = stratified_circle(rng, 8 * s - 3)
     y = forward_phaseless(theta, g, z, n)
     res = recover_r5(PhaselessInstance(n, s, y, z, extra_row=extra_row(rng, theta, g, n)))
-    cands = [np.array(c) for c in res.candidates]
+    cands = res.candidates
     print(f"generic branch {res.branch}: {len(cands)} candidates (expect 2)")
-    mapped = dual_transform(cands[0], np.array(res.theta), n)
+    mapped = dual_transform(cands[0], res.theta, n)
     print(f"  dual_transform(candidate 0) vs candidate 1: {phase_gap(mapped, cands[1]):.2e}")
     picked = cands[res.selected]
     print(f"  extra row selected candidate {res.selected}, "
@@ -87,7 +87,7 @@ def main():
 
     # both candidates reproduce the data exactly; that is the point
     for k, c in enumerate(cands):
-        resid = np.max(np.abs(forward_phaseless(np.array(res.theta), c, z, n) - y))
+        resid = np.max(np.abs(forward_phaseless(res.theta, c, z, n) - y))
         print(f"  candidate {k} forward residual {resid:.2e}")
 
 

@@ -35,9 +35,9 @@ class Tolerances:
     forward_tol: float = 1e-6
     # ||L^2 - 4K|| <= degeneracy_tol * ||L^2|| routes to the harmonic fallback
     degeneracy_tol: float = 1e-8
-    # winner residual bound in disambiguate(); runner-up must exceed 10x this
-    # winner gate for the extra-measurement residual; the losing candidate
-    # misses by an O(1) relative amount, so the 10x separation holds with room
+    # winner gate for the extra-measurement residual in disambiguate(); the
+    # runner-up must miss by 10x this, which holds with room, since a losing
+    # candidate misses by an O(1) relative amount
     disambig_tol: float = 1e-4
     # negativity slack allowed for computed squared magnitudes
     mag_tol: float = 1e-8

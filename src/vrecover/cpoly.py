@@ -251,42 +251,50 @@ def relative_gaps(values, targets) -> np.ndarray:
     return _modulus(diff) / np.maximum(1.0, _modulus(targets))[None, :]
 
 
-def pair_conjugate_reciprocal(roots, tol: float):
+def greedy_pairs(gap: np.ndarray, tol: float):
+    """Index pairs ``(i, j)`` of the table `gap`, smallest remaining gap first.
+
+    Each step takes the first minimum in (i, j) row-major order, reading NaN
+    as inf, and the loop stops at the first gap above `tol`, or inf. `gap` is
+    changed in place: before asking for the next pair, the caller sets to inf
+    every entry the pair it was given rules out.
+    """
+    gap[np.isnan(gap)] = np.inf
+    while gap.size:
+        i, j = (int(v) for v in np.unravel_index(np.argmin(gap), gap.shape))
+        if np.isinf(gap[i, j]) or gap[i, j] > tol:
+            return
+        yield i, j
+
+
+def pair_conjugate_reciprocal(roots, tol: float) -> np.ndarray:
     """Partition `roots` into conjugate-reciprocal pairs ``(r, 1/conj(r))``.
 
     Cross pairs are preferred; a root within `tol` of the unit circle may
-    close itself. Returns a list of ``(a, b)`` tuples with ``b`` approximately
-    ``1/conj(a)``; unpairable leftovers raise.
+    close itself. Returns a (P, 2) complex array whose rows ``(a, b)`` have
+    ``b`` approximately ``1/conj(a)``; unpairable leftovers raise.
 
-    Pairs are taken greedily: each step takes the smallest remaining gap
-    ``|roots[j] - 1/conj(roots[i])|`` (first in (i, j) row-major order on
-    ties) and stops at the first one above `tol`.
+    Cross pairs are taken by `greedy_pairs` on the gaps
+    ``|roots[j] - 1/conj(roots[i])|``; the self-closed roots follow them in
+    index order.
     """
-    roots = [complex(r) for r in roots]
-    k = len(roots)
-    r = np.array(roots, dtype=complex)
+    roots = np.asarray(roots, dtype=complex)
     # gap[i, j] measures roots[j] against the partner target of roots[i]
-    gap = relative_gaps(r, 1.0 / np.conj(r)).T
+    gap = relative_gaps(roots, 1.0 / np.conj(roots)).T
     self_gap = np.diagonal(gap).copy()
-    gap[np.isnan(gap)] = np.inf
     np.fill_diagonal(gap, np.inf)
-    unused = set(range(k))
-    pairs: list[tuple[complex, complex]] = []
-    for _ in range(k // 2):
-        i, j = (int(v) for v in np.unravel_index(np.argmin(gap), gap.shape))
-        if np.isinf(gap[i, j]) or gap[i, j] > tol:
-            break
-        pairs.append((roots[i], roots[j]))
-        unused -= {i, j}
+    index = []
+    for i, j in greedy_pairs(gap, tol):
+        index.append((i, j))
         gap[[i, j], :] = np.inf
         gap[:, [i, j]] = np.inf
-    for i in sorted(unused):
+    for i in sorted(set(range(len(roots))).difference(*index)):
         if self_gap[i] > tol:
             raise PairingFailureError(
                 f"root {roots[i]:.6g} has no conjugate-reciprocal partner"
             )
-        pairs.append((roots[i], roots[i]))
-    return pairs
+        index.append((i, i))
+    return roots[np.array(index, dtype=int).reshape(-1, 2)]
 
 
 def halve_doubled_roots(roots, radius: float, error: type[Exception],

@@ -431,10 +431,6 @@ def _phase_aligned_errs(candidates: np.ndarray, truth: np.ndarray) -> np.ndarray
     return np.abs(candidates * rot[:, None] - truth).max(axis=1) / scale
 
 
-def _phase_aligned_err(candidate: np.ndarray, truth: np.ndarray) -> float:
-    return float(_phase_aligned_errs(np.asarray(candidate)[None], truth)[0])
-
-
 @dataclass
 class TrialRecord:
     trial: object
@@ -530,11 +526,10 @@ def run_trial(payload: dict, tol: Tolerances | None = None) -> TrialRecord:
         elif mode == "r1":
             res = recover_r1(inst, tol)
             S = res.S
-            theta_err, perm = _greedy_match(theta_true, np.array(res.theta))
+            theta_err, perm = _greedy_match(theta_true, res.theta)
             if perm is not None:
-                g = np.array(res.g)[perm]
                 g_err = float(
-                    np.abs(g - g_true).max() / max(float(np.abs(g_true).max()), 1e-300)
+                    np.abs(res.g[perm] - g_true).max() / max(float(np.abs(g_true).max()), 1e-300)
                 )
             notes.extend(res.warnings)
             success = theta_err <= SUCCESS_TOL and g_err <= SUCCESS_TOL
@@ -544,12 +539,11 @@ def run_trial(payload: dict, tol: Tolerances | None = None) -> TrialRecord:
             branch = res.branch
             count = len(res.candidates)
             notes.extend(res.warnings)
-            theta_err, perm = _greedy_match(theta_true, np.array(res.theta))
+            theta_err, perm = _greedy_match(theta_true, res.theta)
             expected = 2 if res.branch == BRANCH_DUAL else 2 ** max(res.S - 1, 0)
             count_ok = count == expected
             if perm is not None:
-                aligned = np.array(res.candidates, dtype=complex).reshape(count, len(perm))
-                errs = _phase_aligned_errs(aligned[:, perm], g_true)
+                errs = _phase_aligned_errs(res.candidates[:, perm], g_true)
                 g_err = float(errs.min()) if count else np.inf
                 if mode == "r5":
                     g_err = float(errs[res.selected]) if res.selected is not None else g_err
@@ -650,7 +644,7 @@ def _outcome_dict(mode: str, payload: dict, tol: Tolerances) -> dict:
         res = recover_r5(inst, tol)
         out.update(
             S=res.S, theta=pairs(res.theta), branch=res.branch,
-            magnitude_profile=[float(v) for v in res.magnitude_profile],
+            magnitude_profile=res.magnitude_profile.tolist(),
             candidates=[pairs(c) for c in res.candidates],
             selected=res.selected, warnings=list(res.warnings),
         )
@@ -762,11 +756,8 @@ def _selftest_checks(tol: Tolerances):
         inst = PhaselessInstance(n, 2, y, z)
         res = recover_r5(inst, tol)
         assert res.branch == BRANCH_HARMONIC and len(res.candidates) == 2, res.branch
-        errs = [
-            _phase_aligned_err(np.array(c), g[np.argsort(np.angle(theta))])
-            for c in res.candidates
-        ]
-        assert min(errs) <= 1e-6, errs
+        errs = _phase_aligned_errs(res.candidates, g[np.argsort(np.angle(theta))])
+        assert errs.min() <= 1e-6, errs
 
     def check_general_dual_pair():
         rng = np.random.default_rng(13)
@@ -780,9 +771,9 @@ def _selftest_checks(tol: Tolerances):
         assert res.branch == BRANCH_DUAL and len(res.candidates) == 2, res.branch
         from .recover_phaseless import dual_transform
 
-        a, b = (np.array(c) for c in res.candidates)
-        dual = dual_transform(a, np.array(res.theta), n)
-        assert _phase_aligned_err(dual, b) <= 1e-6
+        a, b = res.candidates
+        dual = dual_transform(a, res.theta, n)
+        assert _phase_aligned_errs(dual[None], b)[0] <= 1e-6
 
     def check_gridded_worked_example():
         n = 7

@@ -105,12 +105,18 @@ def _check_grid(grid: np.ndarray, n: int, samples: SampleSet):
             raise InvalidInputError("grid power condition violated for these samples")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaseResult:
-    theta: tuple[complex, ...]
-    g: tuple[complex, ...]
+    """`theta` and `g` are read-only (S,) complex arrays."""
+
+    theta: np.ndarray
+    g: np.ndarray
     S: int
     diagnostics: tuple[dict, ...]
+
+    def __post_init__(self):
+        for arr in (self.theta, self.g):
+            arr.flags.writeable = False
 
     @property
     def warnings(self) -> tuple[str, ...]:
@@ -199,7 +205,7 @@ def recover_r1(inst: PhaseInstance, tol: Tolerances | None = None) -> PhaseResul
         tol = load_tolerances()
     y = inst.y
     if not (np.abs(y) > 0).any():
-        return PhaseResult((), (), 0, ())
+        return PhaseResult(np.zeros(0, complex), np.zeros(0, complex), 0, ())
     S, roots, diagnostics = _extract_blocks(inst, tol)
     theta = 1.0 / roots
     order = _canonical_order(theta)
@@ -208,7 +214,7 @@ def recover_r1(inst: PhaseInstance, tol: Tolerances | None = None) -> PhaseResul
     A = measurement_matrix(inst.samples, theta, inst.n)
     g = recover_g(A, y, tol)
     _forward_check(A @ g, y, tol)
-    return PhaseResult(tuple(theta), tuple(g), S, tuple(diagnostics))
+    return PhaseResult(theta, g, S, tuple(diagnostics))
 
 
 def recover_r2(inst: PhaseInstance, tol: Tolerances | None = None) -> np.ndarray:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .config import Tolerances, load_tolerances
 from .cpoly import (
+    greedy_pairs,
     halve_doubled_roots,
     hermitian_defect,
     hermitian_part,
@@ -92,6 +93,8 @@ class PhaselessInstance:
                 raise InvalidInputError("extra measurement must be finite")
             if y_m < 0:
                 raise InvalidInputError("extra measurement must be nonnegative")
+            if len(a) != self.n:
+                raise InvalidInputError("the extra row has length n")
             extra_row = (a, y_m)
         object.__setattr__(self, "extra_row", extra_row)
         object.__setattr__(
@@ -112,8 +115,6 @@ class PhaselessInstance:
             if (np.abs(np.abs(self.grid) - 1.0) > 1e-9).any():
                 raise InvalidInputError("grid points must lie on the unit circle")
             _check_grid(self.grid, self.n, samples)
-            if extra_row is not None and len(extra_row[0]) != self.n:
-                raise InvalidInputError("the extra row of a gridded instance has length n")
 
     @property
     def m(self) -> int:
@@ -125,15 +126,22 @@ class PhaselessInstance:
         return 4 * s - 1, 4 * s - 1 if harmonic else 8 * s - 3
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PhaselessResult:
-    theta: tuple[complex, ...]
+    """`theta` (S,) complex, `magnitude_profile` (S,) float and `candidates`
+    (K, S) complex, one candidate per row, are read-only arrays."""
+
+    theta: np.ndarray
     S: int
-    magnitude_profile: tuple[float, ...]
-    candidates: tuple[tuple[complex, ...], ...]
+    magnitude_profile: np.ndarray
+    candidates: np.ndarray
     selected: int | None
     branch: str
     diagnostics: tuple[dict, ...] = ()
+
+    def __post_init__(self):
+        for arr in (self.theta, self.magnitude_profile, self.candidates):
+            arr.flags.writeable = False
 
     @property
     def warnings(self) -> tuple[str, ...]:
@@ -207,18 +215,18 @@ def recover_support_harmonic(inst: PhaselessInstance, tol: Tolerances):
 # magnitude profiles
 # ----------------------------------------------------------------------------
 
-def _positivity_check(values: np.ndarray, tol: Tolerances) -> tuple[float, ...]:
+def _positivity_check(values: np.ndarray, tol: Tolerances) -> np.ndarray:
     """`values` with small negatives clipped to 0; the first below -mag_tol * max|values| raises."""
     low = values < -tol.mag_tol * np.abs(values).max(initial=0.0)
     if low.any():
         raise NumericalFailureError(
             f"magnitude {values[low.argmax()]:.3e} negative beyond tolerance"
         )
-    return tuple(np.maximum(values, 0.0).tolist())
+    return np.maximum(values, 0.0)
 
 
 def magnitudes_harmonic(theta, q_block: np.ndarray, gamma: float, n: int,
-                        tol: Tolerances) -> tuple[float, ...]:
+                        tol: Tolerances) -> np.ndarray:
     """Squared magnitudes c*|g_k|^2, known up to one positive scalar c.
 
     Evaluates the combined numerator block at conj(theta_k) and divides by
@@ -232,7 +240,7 @@ def magnitudes_harmonic(theta, q_block: np.ndarray, gamma: float, n: int,
     return _positivity_check(laurent_eval(q_block, points).real / np.abs(denom) ** 2, tol)
 
 
-def magnitudes_general(theta, L: np.ndarray, tol: Tolerances) -> tuple[float, ...]:
+def magnitudes_general(theta, L: np.ndarray, tol: Tolerances) -> np.ndarray:
     """Squared magnitudes from the |u_hat|^2 + |u_tilde|^2 block: L(conj th)/2|t_k|^2."""
     theta = np.asarray(theta, dtype=complex)
     points = np.conj(theta)
@@ -318,7 +326,7 @@ def _normalize_candidates(G: np.ndarray, rows: np.ndarray, y: np.ndarray,
     return G
 
 
-def _dedup_and_sort(cands: np.ndarray, tol: Tolerances) -> list[np.ndarray]:
+def _dedup_and_sort(cands: np.ndarray, tol: Tolerances) -> np.ndarray:
     """Distinct rows of a (K, S) candidate stack, in canonical order.
 
     A candidate is dropped when every entry lies within
@@ -347,32 +355,30 @@ def _dedup_and_sort(cands: np.ndarray, tol: Tolerances) -> list[np.ndarray]:
     kept = cands[keep]
     grid = np.round(kept / (tol.dedup_tol * float(scale[keep].max())))
     keys = [part for col in grid.T for part in (col.real, col.imag)]
-    return list(kept[np.lexsort(keys[::-1])])
+    return kept[np.lexsort(keys[::-1])]
 
 
-def _root_pairs(block: np.ndarray, S: int, tol: Tolerances) -> list:
-    """The S-1 conjugate-reciprocal root pairs of a numerator block (none for S=1)."""
+def _root_pairs(block: np.ndarray, S: int, tol: Tolerances) -> np.ndarray:
+    """The (S-1, 2) conjugate-reciprocal root pairs of a numerator block."""
     if S == 1:
-        return []
+        return np.zeros((0, 2), dtype=complex)
     pairs = pair_conjugate_reciprocal(poly_roots(block, tol.tol_root), tol.pair_tol)
     if len(pairs) != S - 1:
         raise PairingFailureError(f"expected {S - 1} root pairs, found {len(pairs)}")
     return pairs
 
 
-def _enumerate_from_pairs(theta: np.ndarray, pairs, row_weight: np.ndarray,
-                          rows: np.ndarray, y: np.ndarray, tol: Tolerances):
+def _enumerate_from_pairs(theta: np.ndarray, pairs: np.ndarray, row_weight: np.ndarray,
+                          rows: np.ndarray, y: np.ndarray, tol: Tolerances) -> np.ndarray:
     """One candidate per selection of a representative from each root pair.
 
-    Selections run in itertools.product order over the pairs, and each
-    candidate comes from the closed form of `_lagrange_nulls`: one
+    Selections from the (S-1, 2) pair table run in itertools.product order,
+    and each candidate comes from the closed form of `_lagrange_nulls`: one
     (S-1, 2, S) factor table, indexed by the selections and multiplied along
     the pair axis. The first failing selection raises.
     """
-    S = len(theta)
-    roots = np.array(pairs, dtype=complex).reshape(S - 1, 2)
-    picks = np.array(list(itertools.product((0, 1), repeat=S - 1)), dtype=int)
-    G, deficient = _lagrange_nulls(theta, row_weight, roots, picks, tol)
+    picks = np.array(list(itertools.product((0, 1), repeat=len(pairs))), dtype=int)
+    G, deficient = _lagrange_nulls(theta, row_weight, pairs, picks, tol)
     return _dedup_and_sort(_normalize_candidates(G, rows, y, tol, deficient), tol)
 
 
@@ -417,8 +423,11 @@ def recover_general(inst: PhaselessInstance, tol: Tolerances):
     centered Laurent arrays of length 2S-1, L_hat one of length 2S+1, and
     `diagnostics` holds one entry per system built by the null-space stage
     (`_descend`). It is the route for general samples, whose floor
-    m >= 8s-3 the instance constructor checks.
+    m >= 8s-3 the instance constructor checks; shifted-harmonic samples
+    raise InvalidInputError, as `build_Gtilde` does for the opposite case.
     """
+    if inst.samples.is_harmonic:
+        raise InvalidInputError("recover_general needs samples that are not shifted harmonics")
     y = inst.y
     builder = lambda s: build_G(inst.samples, y, inst.n, s)
     S, w, diagnostics = _descend(builder, inst.s_max, tol, step=2)
@@ -467,16 +476,15 @@ def split_and_enumerate_general(L: np.ndarray, L_tilde: np.ndarray, theta, n: in
         raise MatchingFailureError("cross term vanished on a non-degenerate instance")
     M_sqrt = laurent_sqrt(disc, tol.pair_tol, tol.tol_root)
     q_roots = poly_roots((L + M_sqrt) * 0.5, tol.tol_root)
-    pool = list(poly_roots(laurent_conj(L_tilde), tol.tol_root))
-    matched = _match_roots(pool, list(q_roots), tol)
+    pool = poly_roots(laurent_conj(L_tilde), tol.tol_root)
+    matched = _match_roots(pool, q_roots, tol)
     if len(matched) != S - 1:
         raise MatchingFailureError(
             f"matched {len(matched)} roots between the split and the cross term, "
             f"expected {S - 1}"
         )
     G, deficient = _lagrange_nulls(
-        theta, np.ones(S, dtype=complex), np.array(matched, dtype=complex).reshape(S - 1, 1),
-        np.zeros((1, S - 1), dtype=int), tol,
+        theta, np.ones(S, dtype=complex), matched[:, None], np.zeros((1, S - 1), dtype=int), tol,
     )
     g_a = _normalize_candidates(G, rows, y, tol, deficient)[0]
     g_b = _normalize_candidates(dual_transform(g_a, theta, n)[None], rows, y, tol)[0]
@@ -484,24 +492,19 @@ def split_and_enumerate_general(L: np.ndarray, L_tilde: np.ndarray, theta, n: in
     return cands, BRANCH_DUAL
 
 
-def _match_roots(pool: list, targets: list, tol: Tolerances) -> list:
+def _match_roots(pool: np.ndarray, targets: np.ndarray, tol: Tolerances) -> np.ndarray:
     """Greedy mutual matching; returns the pool values of matched pairs.
 
-    Each step takes the smallest remaining gap |pool_i - target_j| relative
-    to max(1, |target_j|), first in (i, j) row-major order on ties, and stops
-    at the first one above pair_tol.
+    `greedy_pairs` takes the gaps |pool_i - target_j| relative to
+    max(1, |target_j|), up to pair_tol; each pool value and target is used once.
     """
     gap = relative_gaps(pool, targets)
-    gap[np.isnan(gap)] = np.inf
     matched = []
-    for _ in range(min(gap.shape)):
-        i, j = (int(v) for v in np.unravel_index(np.argmin(gap), gap.shape))
-        if np.isinf(gap[i, j]) or gap[i, j] > tol.pair_tol:
-            break
-        matched.append(pool[i])
+    for i, j in greedy_pairs(gap, tol.pair_tol):
+        matched.append(i)
         gap[i, :] = np.inf
         gap[:, j] = np.inf
-    return matched
+    return pool[np.array(matched, dtype=int)]
 
 
 # ----------------------------------------------------------------------------
@@ -521,7 +524,9 @@ def recover_r5(inst: PhaselessInstance, tol: Tolerances | None = None) -> Phasel
     y = inst.y
     if not (y > 0).any():
         branch = BRANCH_HARMONIC if inst.samples.is_harmonic else BRANCH_DUAL
-        return PhaselessResult((), 0, (), (), None, branch, ())
+        return PhaselessResult(
+            np.zeros(0, complex), 0, np.zeros(0), np.zeros((0, 0), complex), None, branch
+        )
     if inst.samples.is_harmonic:
         theta, q_block, S, diagnostics = recover_support_harmonic(inst, tol)
         gamma = float(inst.samples.gamma)
@@ -537,25 +542,17 @@ def recover_r5(inst: PhaselessInstance, tol: Tolerances | None = None) -> Phasel
             L, L_tilde, theta, inst.n, inst.samples, y, tol
         )
     selected = None
-    if inst.extra_row is not None and cands:
+    if inst.extra_row is not None:
         a, y_m = inst.extra_row
-        selected = disambiguate(cands, a, y_m, theta, tol)
-    return PhaselessResult(
-        tuple(theta),
-        S,
-        tuple(profile),
-        tuple(tuple(c) for c in cands),
-        selected,
-        branch,
-        tuple(diagnostics),
-    )
+        selected = disambiguate(cands, vandermonde(theta, inst.n).T @ a, y_m, tol)
+    return PhaselessResult(theta, S, profile, cands, selected, branch, tuple(diagnostics))
 
 
-def disambiguate(candidates, a, y_m: float, theta, tol: Tolerances) -> int:
+def disambiguate(candidates, row, y_m: float, tol: Tolerances) -> int:
     """Index of the candidate matching one extra squared-modulus measurement.
 
-    `a` of length S applies to the coefficients directly; any other length is
-    read as a measurement vector over the n model coordinates and contracted
+    `row` of length S applies to the coefficients: a measurement vector a
+    over the n model coordinates contracts to ``vandermonde(theta, n).T @ a``
     through the support. The winner must fit within tol and the runner-up
     must miss by at least 10x tol, otherwise the measurement was unlucky.
     """
@@ -563,13 +560,7 @@ def disambiguate(candidates, a, y_m: float, theta, tol: Tolerances) -> int:
         raise InvalidInputError("no candidates to disambiguate")
     if len(candidates) == 1:
         return 0
-    theta = np.asarray(theta, dtype=complex)
-    a = np.asarray(a, dtype=complex)
-    if len(a) == len(theta):
-        row = a
-    else:
-        row = vandermonde(theta, len(a)).T @ a
-    preds = np.abs(np.asarray(candidates, dtype=complex) @ row) ** 2
+    preds = np.abs(np.asarray(candidates, dtype=complex) @ np.asarray(row, dtype=complex)) ** 2
     scale = max(float(y_m), float(preds.max()), 1e-300)
     resid = np.abs(preds - float(y_m)) / scale
     order = np.argsort(resid)
@@ -609,8 +600,8 @@ def recover_r3(inst: PhaselessInstance, tol: Tolerances | None = None) -> np.nda
         res.theta, grid, 0.5 * _min_pairwise(grid),
         what="support point", near="grid point", slot="grid index",
     )
-    selected = disambiguate(res.candidates, a[support], y_m, grid[support], tol)
-    x[support] = np.asarray(res.candidates[selected], dtype=complex)
+    selected = disambiguate(res.candidates, a[support], y_m, tol)
+    x[support] = res.candidates[selected]
     mags = np.abs(x[support])
     k0 = int(support[mags > 1e-12 * float(mags.max())].min())
     x = x * np.exp(-1j * np.angle(x[k0]))

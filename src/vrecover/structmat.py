@@ -250,7 +250,7 @@ def svd_factors(M: np.ndarray) -> SVDFactors:
 
 
 def zero_bound(sigma_max, shape, rank_rel_tol: float):
-    """The largest singular value that counts as zero, for one matrix or a stack of them."""
+    """The largest singular value that counts as zero in a matrix of this shape."""
     return rank_rel_tol * sigma_max * max(shape)
 
 

@@ -18,7 +18,7 @@ from vrecover.harness import (
     _draw_disk_samples,
     _draw_grid_disk,
     _greedy_match,
-    _phase_aligned_err,
+    _phase_aligned_errs,
     _recover_with_redraw,
     generate_trial,
     instance_from_payload,
@@ -111,8 +111,8 @@ def phaseless_trials(mode, sample_mode, s, trials, master_seed):
         expected = 2 if res.branch == BRANCH_DUAL else 2 ** max(res.S - 1, 0)
         if perm is None or theta_err > SUCCESS or rec["count"] != expected:
             continue
-        cands = [np.asarray(c, dtype=complex) for c in res.candidates]
-        errs = [_phase_aligned_err(c[perm], g_true) for c in cands]
+        cands = res.candidates
+        errs = _phase_aligned_errs(cands[:, perm], g_true)
         if min(errs) > SUCCESS:
             continue
         rec["pipeline_ok"] = True

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -281,6 +282,69 @@ def test_first_trial_draws_are_frozen(case):
         assert payload["extra_row"] is None
     else:
         close(payload["extra_row"]["y_m"], y_m)
+
+
+# The first 20 trials of one campaign per recovery route at master_seed
+# 20261018, each as "success S candidate_count branch error-class": a
+# refactor that flips an outcome fails here, not only in the benchmark digest.
+FROZEN_CAMPAIGNS = {
+    "r1-harmonic": dict(mode="r1", s_list=[10], n_rule="2s", m_rule="2s", gamma=1.0),
+    "r4-harmonic": dict(mode="r4", s_list=[8], n_rule="4s-1", m_rule="4s-1", gamma=1.0),
+    "r5-arbitrary": dict(mode="r5", s_list=[6], n_rule="4s-1", m_rule="8s-3",
+                         sample_mode="arbitrary"),
+}
+FROZEN_OUTCOMES = {
+    "r1-harmonic": [
+        "0 9 None ShiftedHarmonic None", "1 10 None ShiftedHarmonic None",
+        "1 10 None ShiftedHarmonic None", "0 10 None ShiftedHarmonic None",
+        "1 10 None ShiftedHarmonic None", "0 9 None ShiftedHarmonic None",
+        "0 9 None ShiftedHarmonic None", "1 10 None ShiftedHarmonic None",
+        "0 9 None ShiftedHarmonic None", "0 10 None ShiftedHarmonic None",
+        "0 9 None ShiftedHarmonic None", "0 9 None ShiftedHarmonic None",
+        "1 10 None ShiftedHarmonic None", "0 10 None ShiftedHarmonic None",
+        "1 10 None ShiftedHarmonic None", "0 9 None ShiftedHarmonic None",
+        "0 9 None ShiftedHarmonic None", "0 9 None ShiftedHarmonic None",
+        "0 9 None ShiftedHarmonic None", "0 10 None ShiftedHarmonic None",
+    ],
+    "r4-harmonic": [
+        "1 8 128 Harmonic2pow None", "0 None None ShiftedHarmonic ModelMismatchError",
+        "0 None None ShiftedHarmonic InconsistentSolutionError", "1 8 128 Harmonic2pow None",
+        "1 8 128 Harmonic2pow None", "0 None None ShiftedHarmonic InconsistentSolutionError",
+        "1 8 128 Harmonic2pow None", "0 None None ShiftedHarmonic InconsistentSolutionError",
+        "0 None None ShiftedHarmonic ModelMismatchError",
+        "0 None None ShiftedHarmonic ModelMismatchError",
+        "1 8 128 Harmonic2pow None", "0 None None ShiftedHarmonic ModelMismatchError",
+        "1 8 128 Harmonic2pow None", "1 8 128 Harmonic2pow None",
+        "1 8 128 Harmonic2pow None", "1 8 128 Harmonic2pow None",
+        "0 None None ShiftedHarmonic ModelMismatchError", "1 8 128 Harmonic2pow None",
+        "1 8 128 Harmonic2pow None", "1 8 128 Harmonic2pow None",
+    ],
+    "r5-arbitrary": [
+        "0 None None Arbitrary MatchingFailureError", "1 6 2 DualPair None",
+        "1 6 2 DualPair None", "0 None None Arbitrary ModelMismatchError",
+        "1 6 2 DualPair None", "0 None None Arbitrary NotASquareError",
+        "0 None None Arbitrary NotASquareError", "1 6 2 DualPair None",
+        "0 None None Arbitrary NotASquareError", "1 6 2 DualPair None",
+        "1 6 2 DualPair None", "1 6 2 DualPair None",
+        "1 6 2 DualPair None", "0 None None Arbitrary NotASquareError",
+        "1 6 2 DualPair None", "1 6 2 DualPair None",
+        "1 6 2 DualPair None", "1 6 2 DualPair None",
+        "0 None None Arbitrary ModelMismatchError", "1 6 2 DualPair None",
+    ],
+}
+
+
+@pytest.mark.parametrize("case", list(FROZEN_CAMPAIGNS))
+def test_first_campaign_outcomes_are_frozen(case, monkeypatch):
+    monkeypatch.delenv("VRECOVER_TOL_OVERRIDES", raising=False)
+    raw = config_dict(trials=20, master_seed=20261018, **FROZEN_CAMPAIGNS[case])
+    records, _ = run_campaign(ExperimentConfig.from_dict(raw))
+    got = []
+    for r in records:
+        error = re.search(r"(\w+Error): ", r.warnings)
+        got.append(f"{int(bool(r.success))} {r.S} {r.candidate_count} {r.branch} "
+                   f"{error.group(1) if error else None}")
+    assert got == FROZEN_OUTCOMES[case]
 
 
 def test_generate_trial_consistent_every_mode():

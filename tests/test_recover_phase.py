@@ -115,7 +115,7 @@ def test_recover_r1_arbitrary_samples():
 def test_recover_r1_zero_measurements():
     z = shifted_harmonics(4, 4, 0.0)
     res = recover_r1(PhaseInstance(4, 2, np.zeros(4), z))
-    assert res.S == 0 and len(res.theta) == 0
+    assert res.S == 0 and res.theta.shape == res.g.shape == (0,)
 
 
 def test_recover_r1_scaling_equivariance():

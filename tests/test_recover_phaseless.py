@@ -31,6 +31,7 @@ from vrecover.oracle import (
     draw_unit_vector,
     forward_phaseless,
 )
+from vrecover.recover_phase import PhaseInstance, recover_r1
 from vrecover.recover_phaseless import (
     BRANCH_DEGENERATE,
     BRANCH_DUAL,
@@ -229,7 +230,7 @@ def reference_enumerate(theta, pairs, row_weight, rows, y, tol):
     S = len(theta)
     t_polys = [t_polynomial(theta, l) for l in range(S)]
     kept = []
-    for selection in itertools.product(*pairs) if pairs else [()]:
+    for selection in itertools.product(*pairs) if len(pairs) else [()]:
         if S == 1:
             g = np.ones(1, dtype=complex)
         else:
@@ -275,7 +276,7 @@ def harmonic_enumeration_inputs(rng, s, gamma=0.7):
             got, q, S, _ = recover_support_harmonic(PhaselessInstance(n, s, y, z), TOL)
         except VRecoverError:
             continue
-        pairs = []
+        pairs = np.zeros((0, 2), dtype=complex)
         if S > 1:
             pairs = pair_conjugate_reciprocal(poly_roots(q, 1e-8), 1e-6)
         if len(pairs) == S - 1:
@@ -311,7 +312,7 @@ def test_enumeration_failures_match_reference_loop():
     rng = np.random.default_rng(4003)
     theta, pairs, weight, rows, y = next(harmonic_enumeration_inputs(rng, 4))
     # two equal picked roots: the first selection already has two equal rows
-    twin = [pairs[0], pairs[0]] + pairs[2:]
+    twin = pairs[[0, 0, *range(2, len(pairs))]]
     with pytest.raises(DegenerateInstanceError, match="rank-deficient"):
         reference_enumerate(theta, twin, weight, rows, y, tol)
     with pytest.raises(DegenerateInstanceError, match="rank-deficient"):
@@ -442,6 +443,13 @@ def test_general_measurement_floor():
     z = SampleSet(tuple(circle_points(rng, 12)))
     with pytest.raises(InvalidInputError):
         recover_general(PhaselessInstance(7, 2, np.ones(12), z), TOL)
+    # exact shifted-harmonic data at or above the general floor belongs to
+    # the harmonic stage; the general descent fails on it at any size
+    for n, m, s in ((7, 7, 2), (13, 13, 2), (21, 21, 3), (21, 13, 2)):
+        z = shifted_harmonics(n, m, 0.7)
+        y = forward_phaseless(draw_theta_dft(rng, n, s), draw_g(rng, s), z.z, n)
+        with pytest.raises(InvalidInputError, match="not shifted harmonics"):
+            recover_general(PhaselessInstance(n, s, y, z), TOL)
 
 
 def test_split_dual_pair():
@@ -526,7 +534,25 @@ def test_recover_r5_harmonic_full():
 def test_recover_r5_zero_measurements():
     z = shifted_harmonics(7, 7, 0.4)
     res = recover_r5(PhaselessInstance(7, 2, np.zeros(7), z))
-    assert res.S == 0 and len(res.candidates) == 0
+    assert res.S == 0 and res.theta.shape == res.magnitude_profile.shape == (0,)
+    assert res.candidates.shape == (0, 0)
+
+
+def test_result_arrays_are_read_only():
+    z = shifted_harmonics(2, 2, 0.0)
+    phase = recover_r1(PhaseInstance(2, 1, [9.0, -3.0], z))
+    rng = np.random.default_rng(509)
+    n, s = 11, 3
+    z = shifted_harmonics(n, n, 1.7)
+    y = forward_phaseless(draw_theta_dft(rng, n, s), draw_g(rng, s), z.z, n)
+    phaseless = recover_r5(PhaselessInstance(n, s, y, z))
+    assert phase.S == 1 and phaseless.candidates.shape == (4, 3)
+    arrays = [phase.theta, phase.g, phaseless.theta, phaseless.magnitude_profile,
+              phaseless.candidates]
+    for arr in arrays:
+        assert isinstance(arr, np.ndarray) and not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
 
 
 def test_recover_r5_selects_with_extra_row():
@@ -556,7 +582,7 @@ def test_disambiguate_single_candidate():
     g = draw_g(rng, 1)
     a = draw_unit_vector(rng, 3)
     # y_m need not even match: a single candidate wins unconditionally
-    assert disambiguate([g], a[:1], 123.4, theta, TOL) == 0
+    assert disambiguate([g], a[:1], 123.4, TOL) == 0
 
 
 def test_disambiguate_pair_forward_oracle():
@@ -567,9 +593,10 @@ def test_disambiguate_pair_forward_oracle():
         n = 7
         dual = dual_transform(g, theta, n)
         a = draw_unit_vector(rng, n)
-        y_m = float(abs((vandermonde(theta, n).T @ a) @ g) ** 2)
-        assert disambiguate([g, dual], a, y_m, theta, TOL) == 0
-        assert disambiguate([dual, g], a, y_m, theta, TOL) == 1
+        row = vandermonde(theta, n).T @ a
+        y_m = float(abs(row @ g) ** 2)
+        assert disambiguate([g, dual], row, y_m, TOL) == 0
+        assert disambiguate([dual, g], row, y_m, TOL) == 1
 
 
 def test_disambiguate_harmonic_four_way():
@@ -589,9 +616,10 @@ def test_disambiguate_harmonic_four_way():
         g_sorted = g[order]
         for attempt in range(3):
             a = draw_unit_vector(rng, n)
-            y_m = float(abs((vandermonde(np.array(res.theta), n).T @ a) @ g_sorted) ** 2)
+            row = vandermonde(res.theta, n).T @ a
+            y_m = float(abs(row @ g_sorted) ** 2)
             try:
-                k = disambiguate(res.candidates, a, y_m, np.array(res.theta), TOL)
+                k = disambiguate(res.candidates, row, y_m, TOL)
                 break
             except AmbiguousDisambiguationError:
                 # an unlucky row is allowed; redraw and retry
@@ -608,10 +636,11 @@ def test_disambiguate_flags_hopeless_rows():
     theta = draw_theta_circle(rng, 2)
     g = draw_g(rng, 2)
     a = draw_unit_vector(rng, 7)
-    y_m = float(abs((vandermonde(theta, 7).T @ a) @ g) ** 2)
+    row = vandermonde(theta, 7).T @ a
+    y_m = float(abs(row @ g) ** 2)
     # two copies of the true candidate cannot be separated
     with pytest.raises(AmbiguousDisambiguationError):
-        disambiguate([g, g.copy()], a, y_m, theta, TOL)
+        disambiguate([g, g.copy()], row, y_m, TOL)
 
 
 def test_recover_r3_worked_grid():
@@ -786,7 +815,7 @@ def test_gridded_phaseless_instance_checks_its_grid():
         "^grid points are not distinct$": (z, (a, 1.0), np.r_[grid[:6], grid[5] * np.exp(1e-10j)]),
         "^grid points must lie on the unit circle$": (z, (a, 1.0), 1.5 * grid),
         "^grid power condition": (shifted_harmonics(n, 3, 0.0), (a, 1.0), grid),
-        "^the extra row of a gridded instance has length n$": (z, (a[:5], 1.0), grid),
+        "^the extra row has length n$": (z, (a[:5], 1.0), grid),
     }
     for message, (samples, extra, points) in bad.items():
         with pytest.raises(InvalidInputError, match=message):
@@ -801,3 +830,7 @@ def test_phaseless_instance_validation():
         PhaselessInstance(7, 2, -np.ones(7), z)
     with pytest.raises(InvalidInputError):
         PhaselessInstance(7, 2, np.ones(7), SampleSet((0.5, 1.0, 1j, -1j, -1.0, 0.9, 0.8)))
+    # the extra row measures the n model coordinates, with or without a grid
+    for length in (2, 6):
+        with pytest.raises(InvalidInputError, match="^the extra row has length n$"):
+            PhaselessInstance(7, 2, np.ones(7), z, extra_row=(np.ones(length), 1.0))
