@@ -276,9 +276,15 @@ def pair_conjugate_reciprocal(roots, tol: float) -> np.ndarray:
 
     Cross pairs are taken by `greedy_pairs` on the gaps
     ``|roots[j] - 1/conj(roots[i])|``; the self-closed roots follow them in
-    index order.
+    index order. A zero or non-finite root has no partner and raises before
+    any division.
     """
     roots = np.asarray(roots, dtype=complex)
+    unpairable = ~np.isfinite(roots) | (roots == 0)
+    if unpairable.any():
+        raise PairingFailureError(
+            f"root {roots[unpairable][0]:.6g} has no conjugate-reciprocal partner"
+        )
     # gap[i, j] measures roots[j] against the partner target of roots[i]
     gap = relative_gaps(roots, 1.0 / np.conj(roots)).T
     self_gap = np.diagonal(gap).copy()

@@ -206,8 +206,8 @@ def _draw_disk_samples(rng: np.random.Generator, m: int) -> SampleSet:
     def one():
         return rng.uniform(0.5, 1.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
 
-    vals = [one() for _ in range(m)]
-    return SampleSet(oracle._redraw_duplicates(rng, one, vals))
+    radius, phase = oracle._uniform_columns(rng, m, (0.5, 1.0), (0, 2 * np.pi)).T
+    return SampleSet(oracle._redraw_duplicates(rng, one, radius * np.exp(1j * phase)))
 
 
 def _draw_circle_samples(rng: np.random.Generator, m: int) -> SampleSet:
@@ -721,6 +721,22 @@ def _selftest_checks(tol: Tolerances):
         assert np.allclose(res.theta, [2.0], atol=1e-9), res.theta
         assert np.allclose(res.g, [3.0], atol=1e-9), res.g
 
+    def check_phase_routes_agree():
+        # exact data at m > n (disk samples) and at m = n (shifted harmonics)
+        from .recover_phase import _latent_support, _paper_support, _recover_r1_via
+
+        rng = np.random.default_rng(23)
+        s, n = 3, 6
+        theta, g = draw_theta_disk(rng, s), draw_g(rng, s)
+        for z in (_draw_disk_samples(rng, 3 * s), shifted_harmonics(n, n, 0.9)):
+            inst = PhaseInstance(n, s, forward_phase(theta, g, z, n), z)
+            latent = _recover_r1_via(_latent_support, inst, tol)
+            paper = _recover_r1_via(_paper_support, inst, tol)
+            assert latent.S == paper.S == s, (latent.S, paper.S)
+            gap = max(np.abs(latent.theta - paper.theta).max(),
+                      np.abs(latent.g - paper.g).max())
+            assert gap <= 1e-8, gap
+
     def check_null_space_dims():
         one = null_space(np.array([[1.0, 1.0]]), tol.rank_rel_tol, tol.gap_ratio)
         full = null_space(np.eye(2), tol.rank_rel_tol, tol.gap_ratio)
@@ -812,6 +828,7 @@ def _selftest_checks(tol: Tolerances):
         ("build_A_frozen_row", check_build_a),
         ("build_B_frozen_matrix", check_build_b),
         ("phase_worked_example", check_phase_worked_example),
+        ("phase_routes_agree", check_phase_routes_agree),
         ("null_space_dimensions", check_null_space_dims),
         ("laurent_sqrt_constant", check_laurent_sqrt),
         ("forward_route_agreement", check_forward_routes),

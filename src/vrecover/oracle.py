@@ -129,7 +129,17 @@ def draw_g(rng: np.random.Generator, s: int) -> np.ndarray:
     raise NumericalFailureError("could not draw well-separated coefficients")
 
 
-def _redraw_duplicates(rng, draw_one, values, min_dist=1e-9):
+def _redraw_duplicates(rng, draw_one, values, min_dist=1e-9) -> np.ndarray:
+    """`values` with every entry closer than `min_dist` to an earlier one redrawn.
+
+    One array test finds out whether any pair collides: the table of all
+    gaps holds len(values) zeros on its diagonal, and any other gap below
+    `min_dist` is a collision. Only then does the loop run, which redraws
+    entry i with ``draw_one()`` until no pair j < i collides.
+    """
+    values = np.asarray(values, dtype=complex)
+    if np.count_nonzero(np.abs(values[:, None] - values) < min_dist) == len(values):
+        return values
     for _ in range(1000):
         collided = False
         for i in range(len(values)):
@@ -142,15 +152,27 @@ def _redraw_duplicates(rng, draw_one, values, min_dist=1e-9):
     raise NumericalFailureError("could not draw distinct pole locations")
 
 
+def _uniform_columns(rng: np.random.Generator, k: int, *bounds) -> np.ndarray:
+    """The (k, len(bounds)) table of draws ``rng.uniform(lo, hi)``, column c
+    taking the c-th (lo, hi) of `bounds`, from one array call.
+
+    ``rng.uniform(lo, hi)`` is ``lo + (hi - lo) * rng.random()``, so the table
+    equals bit for bit the k * len(bounds) scalar draws made row after row.
+    """
+    lo, hi = np.array(bounds, dtype=float).T
+    return lo + (hi - lo) * rng.random((k, len(bounds)))
+
+
 def draw_theta_disk(rng: np.random.Generator, s: int) -> np.ndarray:
     """Moduli log-uniform on [0.5, 2], phases uniform; entries distinct."""
+    log_r = (np.log(0.5), np.log(2.0))
 
     def one():
-        radius = np.exp(rng.uniform(np.log(0.5), np.log(2.0)))
+        radius = np.exp(rng.uniform(*log_r))
         return radius * np.exp(1j * rng.uniform(0, 2 * np.pi))
 
-    vals = [one() for _ in range(s)]
-    return np.array(_redraw_duplicates(rng, one, vals))
+    log_radius, phase = _uniform_columns(rng, s, log_r, (0, 2 * np.pi)).T
+    return _redraw_duplicates(rng, one, np.exp(log_radius) * np.exp(1j * phase))
 
 
 def draw_theta_circle(rng: np.random.Generator, s: int) -> np.ndarray:
@@ -159,8 +181,8 @@ def draw_theta_circle(rng: np.random.Generator, s: int) -> np.ndarray:
     def one():
         return np.exp(1j * rng.uniform(0, 2 * np.pi))
 
-    vals = [one() for _ in range(s)]
-    return np.array(_redraw_duplicates(rng, one, vals))
+    (phase,) = _uniform_columns(rng, s, (0, 2 * np.pi)).T
+    return _redraw_duplicates(rng, one, np.exp(1j * phase))
 
 
 def draw_theta_dft(rng: np.random.Generator, n: int, s: int) -> np.ndarray:

@@ -1,12 +1,23 @@
 """Phase-aware recovery: pole locations and weights from linear measurements.
 
-The measured vector is y = V(z)^T V(theta) g with unknown (theta, g). The
-pipeline reads the effective sparsity S from the widest singular-value gap
-of the structured system built at s_max, takes the null vector of the
-system at S, reads theta off the roots of the denominator block, and takes
-g from the least-squares solve of y = V(z)^T V(theta) g at those poles. A
-gridded variant snaps the recovered roots onto a known dictionary and
-returns the sparse coefficient vector itself.
+The measured vector is y = V(z)^T V(theta) g with unknown (theta, g). Two
+routes read the poles:
+
+- The paper's route reads the effective sparsity S from the widest
+  singular-value gap of the structured system built at s_max. It takes the
+  null vector of the system at S and reads theta off the roots of the
+  denominator block.
+- The latent route needs m >= n, where V(z)^T has a left inverse. It solves
+  for the latent signal x = V(theta) g, reads S from the rank of a Hankel
+  matrix of x by the same gap rule, and takes theta from the eigenvalues of
+  a Hankel pencil (the matrix pencil method for exponential sums).
+
+`recover_r1` runs the latent route when m >= n and falls back to the
+paper's route when the latent route raises. Below m = n it runs the paper's
+route alone. Both routes take g from the least-squares solve of
+y = V(z)^T V(theta) g at the poles. The gridded variant `recover_r2`
+always runs the paper's route. It snaps the recovered roots onto a known
+dictionary and returns the sparse coefficient vector itself.
 """
 
 from dataclasses import dataclass
@@ -22,6 +33,7 @@ from .errors import (
     InconsistentSolutionError,
     InvalidInputError,
     RecoveryFailureError,
+    VRecoverError,
 )
 from .structmat import (
     SampleSet,
@@ -32,6 +44,7 @@ from .structmat import (
     pinv_solve,
     readonly_array,
     refine_null_vector,
+    vandermonde,
     zero_bound,
 )
 
@@ -131,13 +144,17 @@ def _canonical_order(theta: np.ndarray) -> np.ndarray:
     return np.lexsort((np.abs(theta), np.angle(theta)))
 
 
-def _null_space_at(builder, s: int, allowed, tol: Tolerances, diagnostics: list):
-    """Build the system at sparsity s and read its null space; raise if there is none."""
+def _null_space_at(builder, s: int, allowed, tol: Tolerances, diagnostics: list, **labels):
+    """Build the system at sparsity s and read its null space; raise if there is none.
+
+    The diagnostics entry, appended before any raise, also holds `labels`.
+    """
     matrix = builder(s)
     ns = null_space(matrix, tol.rank_rel_tol, tol.gap_ratio, allowed)
     sv = ns.singular_values
     diagnostics.append({"s": s, "dimension": ns.dimension, "gap": ns.gap,
-                        "singular_values": sv.tolist(), "warnings": list(ns.warnings)})
+                        "singular_values": sv.tolist(), "warnings": list(ns.warnings),
+                        **labels})
     if ns.dimension == 0:
         raise RecoveryFailureError(
             f"null space dimension 0 at s={s}: smallest singular value {sv[-1]:.3e} "
@@ -187,6 +204,42 @@ def _extract_blocks(inst: PhaseInstance, tol: Tolerances):
     return S, roots, diagnostics
 
 
+def _paper_support(inst: PhaseInstance, tol: Tolerances, diagnostics: list):
+    """(S, theta) from the paper's structured system: theta is 1 / the roots of v."""
+    S, roots, entries = _extract_blocks(inst, tol)
+    for entry in entries:
+        entry["route"] = "paper"
+    diagnostics.extend(entries)
+    return S, 1.0 / roots
+
+
+def _hankel(x: np.ndarray, s: int) -> np.ndarray:
+    """The Hankel matrix x[i + j] with len(x) - s rows and s + 1 columns."""
+    return x[np.add.outer(np.arange(len(x) - s), np.arange(s + 1))]
+
+
+def _latent_support(inst: PhaseInstance, tol: Tolerances, diagnostics: list):
+    """(S, theta) from the latent signal x = V(theta) g; needs m >= n.
+
+    x solves V(z)^T x = y by column-equilibrated least squares. Its entries
+    are x_l = sum_k g_k theta_k^l, so the Hankel matrix x[i + j] with s_max + 1
+    columns has rank S, read with `null_space` as for the paper's system.
+    The poles are the eigenvalues of the pencil (H0, H1) = (x[i + j],
+    x[i + j + 1]) with n - S rows and S columns, taken as lstsq(H0, H1).
+    """
+    n = inst.n
+    VT = vandermonde(inst.samples.z, n).T
+    scale = 1.0 / np.linalg.norm(VT, axis=0)
+    x = np.linalg.lstsq(VT * scale, inst.y, rcond=None)[0] * scale
+    H, ns = _null_space_at(lambda s: _hankel(x, s), inst.s_max,
+                           range(1, inst.s_max + 1), tol, diagnostics, route="latent")
+    S = inst.s_max + 1 - ns.dimension
+    if S < inst.s_max:
+        H = _hankel(x, S)
+    pencil = np.linalg.lstsq(H[:, :-1], H[:, 1:], rcond=None)[0]
+    return S, np.linalg.eigvals(pencil)
+
+
 def recover_g(A: np.ndarray, y, tol: Tolerances) -> np.ndarray:
     """The weights at known poles: the least-squares solve of ``A @ g = y``.
 
@@ -199,22 +252,42 @@ def recover_g(A: np.ndarray, y, tol: Tolerances) -> np.ndarray:
     return pinv_solve(A, y, tol.rank_rel_tol)
 
 
-def recover_r1(inst: PhaseInstance, tol: Tolerances | None = None) -> PhaseResult:
-    """Full phase-aware recovery of (theta, g) with automatic sparsity search."""
-    if tol is None:
-        tol = load_tolerances()
-    y = inst.y
-    if not (np.abs(y) > 0).any():
-        return PhaseResult(np.zeros(0, complex), np.zeros(0, complex), 0, ())
-    S, roots, diagnostics = _extract_blocks(inst, tol)
-    theta = 1.0 / roots
-    order = _canonical_order(theta)
-    theta = theta[order]
+def _recover_r1_via(support, inst: PhaseInstance, tol: Tolerances,
+                    diagnostics: list | None = None) -> PhaseResult:
+    """r1 with the poles that `support` (`_latent_support` or `_paper_support`) reads.
+
+    The weights are the least-squares fit at those poles, which must pass the
+    forward check. Diagnostics entries of the route are appended to
+    `diagnostics`, so a caller that falls back keeps those of the first try.
+    """
+    diagnostics = [] if diagnostics is None else diagnostics
+    S, theta = support(inst, tol, diagnostics)
+    theta = theta[_canonical_order(theta)]
     _require_distinct(theta)
     A = measurement_matrix(inst.samples, theta, inst.n)
-    g = recover_g(A, y, tol)
-    _forward_check(A @ g, y, tol)
+    g = recover_g(A, inst.y, tol)
+    _forward_check(A @ g, inst.y, tol)
     return PhaseResult(theta, g, S, tuple(diagnostics))
+
+
+def recover_r1(inst: PhaseInstance, tol: Tolerances | None = None) -> PhaseResult:
+    """Full phase-aware recovery of (theta, g) with automatic sparsity search.
+
+    With m >= n the latent route runs first (`_latent_support`); when it
+    raises, the paper's system runs, and the latent diagnostics entry names
+    the error under "fallback". With m < n only the paper's system runs.
+    """
+    if tol is None:
+        tol = load_tolerances()
+    if not (np.abs(inst.y) > 0).any():
+        return PhaseResult(np.zeros(0, complex), np.zeros(0, complex), 0, ())
+    diagnostics: list = []
+    if inst.m >= inst.n:
+        try:
+            return _recover_r1_via(_latent_support, inst, tol, diagnostics)
+        except VRecoverError as exc:
+            diagnostics[0]["fallback"] = f"{type(exc).__name__}: {exc}"
+    return _recover_r1_via(_paper_support, inst, tol, diagnostics)
 
 
 def recover_r2(inst: PhaseInstance, tol: Tolerances | None = None) -> np.ndarray:

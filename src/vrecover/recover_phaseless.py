@@ -51,7 +51,7 @@ from .recover_phase import (
     _snap_to_grid,
 )
 from .structmat import (
-    SampleSet, build_G, build_Gtilde, measurement_matrix, readonly_array, vandermonde,
+    SampleSet, _system_G, _system_Gtilde, measurement_matrix, readonly_array, vandermonde,
 )
 
 BRANCH_HARMONIC = "Harmonic2pow"
@@ -198,11 +198,14 @@ def recover_support_harmonic(inst: PhaselessInstance, tol: Tolerances):
     Laurent array of length 2S-1 (z^-(S-1) .. z^(S-1)) that
     `magnitudes_harmonic` and `enumerate_candidates_harmonic` take.
     `diagnostics` holds one entry per system built by the null-space stage
-    (`_descend`). The samples must be shifted harmonics, or `build_Gtilde`
-    raises InvalidInputError.
+    (`_descend`). The samples must be shifted harmonics, or InvalidInputError
+    is raised, as `recover_general` does for the opposite case.
     """
-    y = inst.y
-    builder = lambda s: build_Gtilde(inst.samples, y, s)
+    if not inst.samples.is_harmonic:
+        raise InvalidInputError("recover_support_harmonic needs shifted-harmonic samples")
+    # the instance checked y and the samples, so the builds skip build_Gtilde's checks
+    zz, y = inst.samples.z, inst.y.astype(complex)
+    builder = lambda s: _system_Gtilde(zz, y, s)
     S, w, diagnostics = _descend(builder, inst.s_max, tol, step=2)
     w = _phase_normalize(w, S)
     lhat = _symmetrized(w[: 2 * S + 1][::-1], "|v|^2", tol)
@@ -424,12 +427,14 @@ def recover_general(inst: PhaselessInstance, tol: Tolerances):
     `diagnostics` holds one entry per system built by the null-space stage
     (`_descend`). It is the route for general samples, whose floor
     m >= 8s-3 the instance constructor checks; shifted-harmonic samples
-    raise InvalidInputError, as `build_Gtilde` does for the opposite case.
+    raise InvalidInputError, as `recover_support_harmonic` does for the
+    opposite case.
     """
     if inst.samples.is_harmonic:
         raise InvalidInputError("recover_general needs samples that are not shifted harmonics")
-    y = inst.y
-    builder = lambda s: build_G(inst.samples, y, inst.n, s)
+    # the instance checked y and the samples, so the builds skip build_G's checks
+    zz, y = inst.samples.z, inst.y.astype(complex)
+    builder = lambda s: _system_G(zz, y, inst.n, s)
     S, w, diagnostics = _descend(builder, inst.s_max, tol, step=2)
     w = _phase_normalize(w, S)
     # the blocks are stored from the top power down

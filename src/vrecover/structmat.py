@@ -203,6 +203,15 @@ def build_G(z, y, n: int, s: int) -> np.ndarray:
     y = _phaseless_measurements(zz, y)
     if n < 4 * s - 1:
         raise InvalidInputError("need n >= 4s-1")
+    return _system_G(zz, y, n, s)
+
+
+def _system_G(zz: np.ndarray, y: np.ndarray, n: int, s: int) -> np.ndarray:
+    """`build_G` without its checks, for the descent over s of one instance.
+
+    zz and y are complex arrays that a `PhaselessInstance` has checked (y
+    real and nonnegative, zz on the circle), and n >= 4s - 1.
+    """
     return _phaseless_system(zz, y, s, np.arange(n + s - 1, n - s, -1))
 
 
@@ -216,7 +225,12 @@ def build_Gtilde(z, y, s: int) -> np.ndarray:
     if not (isinstance(z, SampleSet) and z.is_harmonic):
         raise InvalidInputError("build_Gtilde needs shifted-harmonic samples")
     zz = z.z
-    return _phaseless_system(zz, _phaseless_measurements(zz, y), s, np.arange(0))
+    return _system_Gtilde(zz, _phaseless_measurements(zz, y), s)
+
+
+def _system_Gtilde(zz: np.ndarray, y: np.ndarray, s: int) -> np.ndarray:
+    """`build_Gtilde` without its checks, on data as `_system_G` takes it."""
+    return _phaseless_system(zz, y, s, np.arange(0))
 
 
 # ----------------------------------------------------------------------------

@@ -439,6 +439,16 @@ def test_pair_conjugate_reciprocal():
         pair_conjugate_reciprocal([2.0, 3.0], 1e-6)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("roots", [
+    [0, 2, 0.5], [2, 0.5, 0], [0], [np.inf, 2, 0.5], [np.nan, 1j], [complex(1, np.inf)],
+])
+def test_pair_conjugate_reciprocal_rejects_zero_and_non_finite_roots(roots):
+    """Such a root has no partner; it raises before any division can warn."""
+    with pytest.raises(PairingFailureError, match="no conjugate-reciprocal partner"):
+        pair_conjugate_reciprocal(roots, 1e-6)
+
+
 def test_pair_conjugate_reciprocal_random():
     rng = np.random.default_rng(47)
     for _ in range(10):

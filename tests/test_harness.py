@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from vrecover import harness, recover_phase
 from vrecover.config import load_tolerances
 from vrecover.errors import InvalidInputError
 from vrecover.harness import (
@@ -287,8 +288,11 @@ def test_first_trial_draws_are_frozen(case):
 # The first 20 trials of one campaign per recovery route at master_seed
 # 20261018, each as "success S candidate_count branch error-class": a
 # refactor that flips an outcome fails here, not only in the benchmark digest.
+# At n = m, "r1-harmonic" runs the paper's system alone (PAPER_CHAIN_CASES)
+# and "r1-harmonic-latent" runs recover_r1 as it is, latent route first.
 FROZEN_CAMPAIGNS = {
     "r1-harmonic": dict(mode="r1", s_list=[10], n_rule="2s", m_rule="2s", gamma=1.0),
+    "r1-harmonic-latent": dict(mode="r1", s_list=[10], n_rule="2s", m_rule="2s", gamma=1.0),
     "r4-harmonic": dict(mode="r4", s_list=[8], n_rule="4s-1", m_rule="4s-1", gamma=1.0),
     "r5-arbitrary": dict(mode="r5", s_list=[6], n_rule="4s-1", m_rule="8s-3",
                          sample_mode="arbitrary"),
@@ -305,6 +309,18 @@ FROZEN_OUTCOMES = {
         "1 10 None ShiftedHarmonic None", "0 9 None ShiftedHarmonic None",
         "0 9 None ShiftedHarmonic None", "0 9 None ShiftedHarmonic None",
         "0 9 None ShiftedHarmonic None", "0 10 None ShiftedHarmonic None",
+    ],
+    "r1-harmonic-latent": [
+        "0 9 None ShiftedHarmonic None", "1 10 None ShiftedHarmonic None",
+        "1 10 None ShiftedHarmonic None", "1 10 None ShiftedHarmonic None",
+        "1 10 None ShiftedHarmonic None", "1 10 None ShiftedHarmonic None",
+        "0 10 None ShiftedHarmonic None", "1 10 None ShiftedHarmonic None",
+        "0 10 None ShiftedHarmonic None", "1 10 None ShiftedHarmonic None",
+        "0 10 None ShiftedHarmonic None", "0 9 None ShiftedHarmonic None",
+        "1 10 None ShiftedHarmonic None", "1 10 None ShiftedHarmonic None",
+        "1 10 None ShiftedHarmonic None", "0 10 None ShiftedHarmonic None",
+        "0 10 None ShiftedHarmonic None", "0 10 None ShiftedHarmonic None",
+        "0 9 None ShiftedHarmonic None", "1 10 None ShiftedHarmonic None",
     ],
     "r4-harmonic": [
         "1 8 128 Harmonic2pow None", "0 None None ShiftedHarmonic ModelMismatchError",
@@ -334,9 +350,18 @@ FROZEN_OUTCOMES = {
 }
 
 
+PAPER_CHAIN_CASES = {"r1-harmonic"}
+
+
+def _paper_chain_r1(inst, tol):
+    return recover_phase._recover_r1_via(recover_phase._paper_support, inst, tol)
+
+
 @pytest.mark.parametrize("case", list(FROZEN_CAMPAIGNS))
 def test_first_campaign_outcomes_are_frozen(case, monkeypatch):
     monkeypatch.delenv("VRECOVER_TOL_OVERRIDES", raising=False)
+    if case in PAPER_CHAIN_CASES:
+        monkeypatch.setattr(harness, "recover_r1", _paper_chain_r1)
     raw = config_dict(trials=20, master_seed=20261018, **FROZEN_CAMPAIGNS[case])
     records, _ = run_campaign(ExperimentConfig.from_dict(raw))
     got = []
@@ -790,7 +815,7 @@ def test_cli_selftest_passes():
     elapsed = time.perf_counter() - t0
     assert res.returncode == 0, res.stdout + res.stderr
     assert "selftest passed" in res.stdout
-    assert res.stdout.count("ok ") == 10
+    assert res.stdout.count("ok ") == 11
     assert elapsed < 60.0
 
 

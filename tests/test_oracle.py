@@ -212,6 +212,65 @@ def test_draws_respect_constraints():
         assert np.all(np.abs(g) >= 0.1)
 
 
+def _scalar_redraw(draw_one, values, min_dist):
+    """The one-pair-at-a-time redraw loop, the reference for `_redraw_duplicates`."""
+    for _ in range(1000):
+        collided = False
+        for i in range(len(values)):
+            for j in range(i):
+                if abs(values[i] - values[j]) < min_dist:
+                    values[i] = draw_one()
+                    collided = True
+        if not collided:
+            return np.array(values)
+    raise AssertionError("no distinct draw")
+
+
+def _scalar_draws(rng, kind, k, min_dist=1e-9):
+    """Draw k points one scalar rng.uniform call at a time, as the reference."""
+    def one():
+        if kind == "disk":
+            radius = np.exp(rng.uniform(np.log(0.5), np.log(2.0)))
+            return radius * np.exp(1j * rng.uniform(0, 2 * np.pi))
+        if kind == "circle":
+            return np.exp(1j * rng.uniform(0, 2 * np.pi))
+        return rng.uniform(0.5, 1.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+
+    return _scalar_redraw(one, [one() for _ in range(k)], min_dist)
+
+
+def test_array_draws_equal_scalar_draws_bit_for_bit():
+    from vrecover.harness import _draw_disk_samples
+
+    draws = {
+        "disk": draw_theta_disk,
+        "circle": draw_theta_circle,
+        "samples": lambda rng, k: _draw_disk_samples(rng, k).z,
+    }
+    for seed in range(300):
+        for kind, draw in draws.items():
+            for k in (1, 2, 6, 18, 45):
+                got = draw(np.random.default_rng(seed), k)
+                want = _scalar_draws(np.random.default_rng(seed), kind, k)
+                assert got.tobytes() == want.tobytes(), (seed, kind, k)
+
+
+def test_redraw_duplicates_matches_the_scalar_loop_on_collisions():
+    # a separation of 0.3 makes the redraw loop run on most of these draws
+    redrawn = 0
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        one = lambda: np.exp(1j * rng.uniform(0, 2 * np.pi))
+        values = oracle._uniform_columns(rng, 6, (0, 2 * np.pi))[:, 0]
+        values = np.exp(1j * values)
+        got = oracle._redraw_duplicates(rng, one, values.copy(), 0.3)
+        rng = np.random.default_rng(seed)
+        want = _scalar_draws(rng, "circle", 6, 0.3)
+        assert got.tobytes() == want.tobytes(), seed
+        redrawn += not np.array_equal(got, values)
+    assert redrawn >= 100
+
+
 def test_brute_force_cs_worked_instance():
     grid = np.array([1.0, 2.0, 3.0, 4.0], dtype=complex)
     z = np.array([1.0, 1j, 0.7 * np.exp(0.9j)])

@@ -414,7 +414,7 @@ def _count_svds(monkeypatch):
 
 
 def test_weights_take_one_factorisation(monkeypatch):
-    """pinv_solve runs one SVD and no lstsq; r1 adds it to the descent's one."""
+    """pinv_solve runs one SVD and no lstsq; the paper chain of r1 adds it to the descent's one."""
     rng = np.random.default_rng(379)
     theta, g = draw_theta_disk(rng, 3), draw_g(rng, 3)
     z = SampleSet(disk_points(rng, 9))
@@ -424,9 +424,15 @@ def test_weights_take_one_factorisation(monkeypatch):
     got = pinv_solve(A, y, Tolerances().rank_rel_tol)
     assert calls == ["svd"]
     assert np.max(np.abs(got - g)) <= 1e-8 * np.max(np.abs(g))
+    inst = PhaseInstance(7, 3, y, z)
     calls.clear()
-    res = recover_r1(PhaseInstance(7, 3, y, z), Tolerances())
+    res = recover_phase._recover_r1_via(recover_phase._paper_support, inst, Tolerances())
     assert res.S == 3 and calls == ["svd", "svd"]
+    # at m > n recover_r1 takes the latent route: the solve for x, the Hankel
+    # rank read, the pencil and the weights
+    calls.clear()
+    res = recover_r1(inst, Tolerances())
+    assert res.S == 3 and calls == ["lstsq", "svd", "lstsq", "svd"]
 
 
 def _counting_builder(build):
@@ -525,3 +531,94 @@ def test_sparsity_below_s_max_at_scale(master_seed):
         payload["s"] = 6
         record = run_trial(payload, tol)
         assert record.success and record.S == S, (index, record.warnings)
+
+
+# ----------------------------------------------------------------------------
+# the latent route of r1 at m >= n
+# ----------------------------------------------------------------------------
+
+def _paper_r1(inst, tol=None):
+    tol = Tolerances() if tol is None else tol
+    return recover_phase._recover_r1_via(recover_phase._paper_support, inst, tol)
+
+
+def _latent_only(inst, tol=None):
+    tol = Tolerances() if tol is None else tol
+    return recover_phase._recover_r1_via(recover_phase._latent_support, inst, tol)
+
+
+@pytest.mark.parametrize("harmonic", [True, False])
+def test_latent_route_recovers_exact_data(harmonic):
+    """Exact data at m = n (shifted harmonics) and at m > n (disk samples),
+    at S = s_max and at S below it, all read on the latent route."""
+    rng = np.random.default_rng(401 if harmonic else 409)
+    for s_max, S in ((3, 3), (4, 4), (5, 3), (6, 4), (6, 5)):
+        n = 2 * s_max
+        theta, g = draw_theta_disk(rng, S), draw_g(rng, S)
+        if harmonic:
+            z = shifted_harmonics(n, n, float(rng.uniform(0.1, 6.0)))
+        else:
+            z = SampleSet(disk_points(rng, 3 * s_max))
+        res = recover_r1(PhaseInstance(n, s_max, forward_phase(theta, g, z.z, n), z))
+        order = np.lexsort((np.abs(theta), np.angle(theta)))
+        assert res.S == S
+        assert np.abs(res.theta - theta[order]).max() <= 1e-6
+        assert np.abs(res.g - g[order]).max() <= 1e-6 * max(1.0, np.abs(g).max())
+        (entry,) = res.diagnostics
+        assert entry["route"] == "latent" and "fallback" not in entry
+        assert entry["s"] == s_max and entry["dimension"] == s_max + 1 - S
+        assert entry["gap"] > 0 and len(entry["singular_values"]) == s_max + 1
+
+
+def test_latent_and_paper_routes_agree_on_exact_data():
+    rng = np.random.default_rng(419)
+    for _ in range(10):
+        s = int(rng.integers(2, 5))
+        n = int(rng.integers(2 * s, 2 * s + 3))
+        theta, g = draw_theta_disk(rng, s), draw_g(rng, s)
+        z = SampleSet(disk_points(rng, 3 * s))
+        inst = PhaseInstance(n, s, forward_phase(theta, g, z.z, n), z)
+        latent, paper = _latent_only(inst), _paper_r1(inst)
+        assert latent.S == paper.S == s
+        assert np.abs(latent.theta - paper.theta).max() <= 1e-8
+        assert np.abs(latent.g - paper.g).max() <= 1e-8 * np.abs(paper.g).max()
+        assert {d["route"] for d in paper.diagnostics} == {"paper"}
+
+
+def test_latent_gate_failure_falls_back_to_the_paper_system(monkeypatch):
+    """A Hankel matrix without a null space fails the latent rank gate; the
+    paper's system then solves the instance, and the diagnostics say so."""
+    rng = np.random.default_rng(421)
+    n, s = 8, 2  # the Hankel matrix at s_max is 6 x 3, so it can have full rank
+    theta, g = draw_theta_disk(rng, s), draw_g(rng, s)
+    z = SampleSet(disk_points(rng, 3 * s + 2))
+    inst = PhaseInstance(n, s, forward_phase(theta, g, z.z, n), z)
+    noise = rng.standard_normal((n - s, s + 1)) + 1j * rng.standard_normal((n - s, s + 1))
+    monkeypatch.setattr(recover_phase, "_hankel", lambda x, s: noise)
+    res = recover_r1(inst, Tolerances())
+    order = np.lexsort((np.abs(theta), np.angle(theta)))
+    assert np.abs(res.theta - theta[order]).max() <= 1e-6
+    first, *rest = res.diagnostics
+    assert first["route"] == "latent" and first["dimension"] == 0
+    assert first["fallback"].startswith("RecoveryFailureError: null space dimension 0 at s=2")
+    assert rest and all(d["route"] == "paper" and "fallback" not in d for d in rest)
+
+
+def test_latent_route_not_taken_below_n_samples_or_by_r2(monkeypatch):
+    def never(*args):
+        raise AssertionError("the latent route ran")
+
+    monkeypatch.setattr(recover_phase, "_latent_support", never)
+    rng = np.random.default_rng(431)
+    s, n = 2, 9
+    theta, g = draw_theta_disk(rng, s), draw_g(rng, s)
+    for z in (SampleSet(disk_points(rng, 3 * s)), shifted_harmonics(n, 2 * s, 0.5)):
+        assert len(z) < n
+        res = recover_r1(PhaseInstance(n, s, forward_phase(theta, g, z.z, n), z))
+        assert res.S == s and {d["route"] for d in res.diagnostics} == {"paper"}
+    # r2 at m >= n runs the paper's system too
+    grid = rng.uniform(0.5, 2.0, 4) * np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
+    z = SampleSet(disk_points(rng, 6))
+    y = forward_phase(grid[[0, 2]], g, z.z, 4)
+    x = recover_r2(PhaseInstance(4, s, y, z, grid))
+    assert np.flatnonzero(np.abs(x) > 1e-9).tolist() == [0, 2]

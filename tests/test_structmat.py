@@ -393,6 +393,31 @@ def test_phaseless_builders_reject_non_finite_input():
             build_Gtilde(h, y, 2)
 
 
+def test_descent_build_path_equals_the_public_builders():
+    """The unchecked builds the phaseless descent runs give the public builders'
+    matrices bit for bit, on the y that a PhaselessInstance holds."""
+    from vrecover.recover_phaseless import PhaselessInstance
+    from vrecover.structmat import _system_G, _system_Gtilde
+
+    rng = np.random.default_rng(389)
+    for s_max in (1, 2, 4, 6):
+        n = 4 * s_max - 1
+        theta = np.exp(1j * rng.uniform(0, 2 * np.pi, s_max))
+        g = rng.standard_normal(s_max) + 1j * rng.standard_normal(s_max)
+        h = shifted_harmonics(n, n, 0.7)
+        z = SampleSet(np.exp(1j * np.sort(rng.uniform(0, 2 * np.pi, 8 * s_max - 3))))
+        for samples in (h, z):
+            inst = PhaselessInstance(n, s_max, forward_phaseless(theta, g, samples, n), samples)
+            y = inst.y.astype(complex)
+            for s in range(1, s_max + 1):
+                if samples.is_harmonic:
+                    public, private = build_Gtilde(samples, inst.y, s), _system_Gtilde(h.z, y, s)
+                else:
+                    public, private = build_G(z, inst.y, n, s), _system_G(z.z, y, n, s)
+                assert public.dtype == private.dtype and public.shape == private.shape
+                assert public.tobytes() == private.tobytes()
+
+
 def test_null_space_frozen_cases():
     one = null_space(np.array([[1.0, 1.0]]), *NULL_BOUNDS)
     assert one.dimension == 1
