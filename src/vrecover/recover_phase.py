@@ -227,8 +227,7 @@ def _latent_support(inst: PhaseInstance, tol: Tolerances, diagnostics: list):
     The poles are the eigenvalues of the pencil (H0, H1) = (x[i + j],
     x[i + j + 1]) with n - S rows and S columns, taken as lstsq(H0, H1).
     """
-    n = inst.n
-    VT = vandermonde(inst.samples.z, n).T
+    VT = vandermonde(inst.samples.z, inst.n).T
     scale = 1.0 / np.linalg.norm(VT, axis=0)
     x = np.linalg.lstsq(VT * scale, inst.y, rcond=None)[0] * scale
     H, ns = _null_space_at(lambda s: _hankel(x, s), inst.s_max,
