@@ -2,9 +2,9 @@
 
 A polynomial is a numpy array of ascending complex coefficients
 (``p[k]`` multiplies ``z**k``); the zero polynomial is the empty array.
-Only root finding and the resultant need a degree. They trim trailing exact
-zeros and refuse the zero polynomial, so degenerate cases surface at the
-call site instead of propagating a fake -1.
+Only root finding needs a degree. It trims trailing exact zeros and refuses
+the zero polynomial, so degenerate cases surface at the call site instead of
+propagating a fake -1.
 
 A Laurent polynomial is an odd-length ascending complex array ``a`` centered
 on ``z**0``: ``a[k]`` multiplies ``z**(k - len(a)//2)``. Every one the
@@ -93,30 +93,6 @@ def poly_roots(p, tol_root: float) -> np.ndarray:
     return roots
 
 
-def resultant(p, q) -> complex:
-    """Sylvester-matrix resultant; zero exactly when `p` and `q` share a root.
-
-    >>> resultant([-1, 1], [-2, 1])   # z-1 vs z-2
-    (-1+0j)
-    """
-    message = "resultant of the zero polynomial is undefined"
-    p, q = _trimmed(p, message), _trimmed(q, message)
-    dp, dq = len(p) - 1, len(q) - 1
-    if dp == 0:
-        return complex(p[0]) ** dq
-    if dq == 0:
-        return complex(q[0]) ** dp
-    size = dp + dq
-    syl = np.zeros((size, size), dtype=complex)
-    pd = p[::-1]  # descending
-    qd = q[::-1]
-    for i in range(dq):
-        syl[i, i : i + dp + 1] = pd
-    for i in range(dp):
-        syl[dq + i, i : i + dq + 1] = qd
-    return complex(np.linalg.det(syl))
-
-
 def t_polynomial(theta, l: int) -> np.ndarray:
     """The product of ``(theta_i * z - 1)`` over all i except `l`."""
     theta = np.asarray(theta, dtype=complex)
@@ -183,6 +159,9 @@ def laurent_conj(a) -> np.ndarray:
     """Conjugate-Laurent: coefficient of z**k becomes conj(coeff) at z**-k.
 
     On the unit circle this is pointwise complex conjugation of the function.
+
+    >>> laurent_conj(np.array([1j, 2.0, 3.0]))   # i/z + 2 + 3z
+    array([3.-0.j, 2.-0.j, 0.-1.j])
     """
     return np.conj(a[::-1])
 

@@ -723,15 +723,15 @@ def _selftest_checks(tol: Tolerances):
 
     def check_phase_routes_agree():
         # exact data at m > n (disk samples) and at m = n (shifted harmonics)
-        from .recover_phase import _latent_support, _paper_support, _recover_r1_via
+        from .recover_phase import _latent_support, _paper_support, _recover_via
 
         rng = np.random.default_rng(23)
         s, n = 3, 6
         theta, g = draw_theta_disk(rng, s), draw_g(rng, s)
         for z in (_draw_disk_samples(rng, 3 * s), shifted_harmonics(n, n, 0.9)):
             inst = PhaseInstance(n, s, forward_phase(theta, g, z, n), z)
-            latent = _recover_r1_via(_latent_support, inst, tol)
-            paper = _recover_r1_via(_paper_support, inst, tol)
+            latent = _recover_via(inst, tol, routes=(_latent_support,))[0]
+            paper = _recover_via(inst, tol, routes=(_paper_support,))[0]
             assert latent.S == paper.S == s, (latent.S, paper.S)
             gap = max(np.abs(latent.theta - paper.theta).max(),
                       np.abs(latent.g - paper.g).max())

@@ -12,12 +12,12 @@ routes read the poles:
   matrix of x by the same gap rule, and takes theta from the eigenvalues of
   a Hankel pencil (the matrix pencil method for exponential sums).
 
-`recover_r1` runs the latent route when m >= n and falls back to the
-paper's route when the latent route raises. Below m = n it runs the paper's
-route alone. Both routes take g from the least-squares solve of
-y = V(z)^T V(theta) g at the poles. The gridded variant `recover_r2`
-always runs the paper's route. It snaps the recovered roots onto a known
-dictionary and returns the sparse coefficient vector itself.
+`recover_r1` and its gridded variant `recover_r2` pick the route the same
+way: the latent route when m >= n, falling back to the paper's route when
+the latent route raises, and the paper's route alone below m = n. `recover_r2`
+then snaps the poles onto its known dictionary grid. Both take g from the
+least-squares solve of y = V(z)^T V(theta) g at the poles, and `recover_r2`
+returns the sparse coefficient vector itself.
 """
 
 from dataclasses import dataclass
@@ -37,6 +37,8 @@ from .errors import (
 )
 from .structmat import (
     SampleSet,
+    _pairwise_moduli,
+    _require_distinct,
     build_A,
     build_B,
     measurement_matrix,
@@ -187,29 +189,22 @@ def _descend(builder, s_max: int, tol: Tolerances, step: int = 1):
     return S, refine_null_vector(matrix, ns.basis[:, 0], ns.factors), diagnostics
 
 
-def _extract_blocks(inst: PhaseInstance, tol: Tolerances):
-    """Shared null-space stage: returns (S, roots of the denominator block v, diags)."""
-    y = inst.y
+def _paper_support(inst: PhaseInstance, tol: Tolerances, diagnostics: list):
+    """(S, theta) from the paper's structured system: theta is 1 / the roots of v."""
     if inst.samples.is_harmonic:
-        builder = lambda s: build_B(inst.samples, y, s)
+        builder = lambda s: build_B(inst.samples, inst.y, s)
     else:
-        builder = lambda s: build_A(inst.samples, y, inst.n, s)
-    S, w, diagnostics = _descend(builder, inst.s_max, tol)
+        builder = lambda s: build_A(inst.samples, inst.y, inst.n, s)
+    S, w, entries = _descend(builder, inst.s_max, tol)
+    for entry in entries:
+        entry["route"] = "paper"
+    diagnostics.extend(entries)
     v_desc = w[: S + 1]
     if abs(v_desc[0]) <= 1e-12 * np.abs(v_desc).max():
         raise RecoveryFailureError("denominator block lost its leading coefficient")
     roots = poly_roots(v_desc[::-1], tol.tol_root)
     if (np.abs(roots) < 1e-12).any():
         raise DegenerateSupportError("denominator root at the origin")
-    return S, roots, diagnostics
-
-
-def _paper_support(inst: PhaseInstance, tol: Tolerances, diagnostics: list):
-    """(S, theta) from the paper's structured system: theta is 1 / the roots of v."""
-    S, roots, entries = _extract_blocks(inst, tol)
-    for entry in entries:
-        entry["route"] = "paper"
-    diagnostics.extend(entries)
     return S, 1.0 / roots
 
 
@@ -251,22 +246,40 @@ def recover_g(A: np.ndarray, y, tol: Tolerances) -> np.ndarray:
     return pinv_solve(A, y, tol.rank_rel_tol)
 
 
-def _recover_r1_via(support, inst: PhaseInstance, tol: Tolerances,
-                    diagnostics: list | None = None) -> PhaseResult:
-    """r1 with the poles that `support` (`_latent_support` or `_paper_support`) reads.
+def _recover_via(inst: PhaseInstance, tol: Tolerances, grid: np.ndarray | None = None,
+                 routes=None) -> tuple[PhaseResult, np.ndarray | None]:
+    """(result, grid index of its poles) from the first of `routes` that passes.
 
-    The weights are the least-squares fit at those poles, which must pass the
-    forward check. Diagnostics entries of the route are appended to
-    `diagnostics`, so a caller that falls back keeps those of the first try.
+    `routes` defaults to the latent route then the paper's system when
+    m >= n, and to the paper's system alone below. When a route raises, its
+    first diagnostics entry names the error under "fallback" and the next
+    route runs; the last route's error propagates. Without a grid the poles
+    come in canonical order and the index is None. With one they snap onto
+    its points (`_snap_to_grid`), taken in grid order. Either way the weights
+    are the least-squares fit at the poles and must pass the forward check.
     """
-    diagnostics = [] if diagnostics is None else diagnostics
-    S, theta = support(inst, tol, diagnostics)
-    theta = theta[_canonical_order(theta)]
-    _require_distinct(theta)
-    A = measurement_matrix(inst.samples, theta, inst.n)
-    g = recover_g(A, inst.y, tol)
-    _forward_check(A @ g, inst.y, tol)
-    return PhaseResult(theta, g, S, tuple(diagnostics))
+    if routes is None:
+        routes = (_latent_support, _paper_support) if inst.m >= inst.n else (_paper_support,)
+    diagnostics: list = []
+    for support in routes:
+        first = len(diagnostics)
+        try:
+            S, theta = support(inst, tol, diagnostics)
+            index = None
+            if grid is None:
+                theta = theta[_canonical_order(theta)]
+                _require_distinct(theta)
+            else:
+                index = np.sort(_snap_to_grid(theta, grid))
+                theta = grid[index]
+            A = measurement_matrix(inst.samples, theta, inst.n)
+            g = recover_g(A, inst.y, tol)
+            _forward_check(A @ g, inst.y, tol)
+            return PhaseResult(theta, g, S, tuple(diagnostics)), index
+        except VRecoverError as exc:
+            if support is routes[-1]:
+                raise
+            diagnostics[first]["fallback"] = f"{type(exc).__name__}: {exc}"
 
 
 def recover_r1(inst: PhaseInstance, tol: Tolerances | None = None) -> PhaseResult:
@@ -280,84 +293,49 @@ def recover_r1(inst: PhaseInstance, tol: Tolerances | None = None) -> PhaseResul
         tol = load_tolerances()
     if not (np.abs(inst.y) > 0).any():
         return PhaseResult(np.zeros(0, complex), np.zeros(0, complex), 0, ())
-    diagnostics: list = []
-    if inst.m >= inst.n:
-        try:
-            return _recover_r1_via(_latent_support, inst, tol, diagnostics)
-        except VRecoverError as exc:
-            diagnostics[0]["fallback"] = f"{type(exc).__name__}: {exc}"
-    return _recover_r1_via(_paper_support, inst, tol, diagnostics)
+    return _recover_via(inst, tol)[0]
 
 
 def recover_r2(inst: PhaseInstance, tol: Tolerances | None = None) -> np.ndarray:
     """Sparse vector recovery over a known dictionary grid.
 
-    Runs the same null-space stage, snaps the denominator roots onto the
-    reciprocals of the grid, and reads the values at the snapped (exact)
-    grid points. Returns the length-n coefficient vector.
+    Picks the route as `recover_r1` does, snaps the recovered poles onto the
+    grid, and fits the values at the snapped (exact) grid points. Returns the
+    length-n coefficient vector.
     """
     if tol is None:
         tol = load_tolerances()
     if inst.grid is None:
         raise InvalidInputError("recover_r2 needs the instance grid")
-    grid = inst.grid
-    y = inst.y
     x = np.zeros(inst.n, dtype=complex)
-    if not (np.abs(y) > 0).any():
+    if not (np.abs(inst.y) > 0).any():
         return x
-    S, roots, _ = _extract_blocks(inst, tol)
-    recips = 1.0 / grid
-    support = np.sort(_snap_to_grid(
-        roots, recips, 0.5 * _min_pairwise(recips),
-        what="root", near="grid reciprocal", slot="grid point",
-    ))
-    theta = grid[support]
-    A = measurement_matrix(inst.samples, theta, inst.n)
-    g = recover_g(A, y, tol)
-    _forward_check(A @ g, y, tol)
-    x[support] = g
+    res, support = _recover_via(inst, tol, inst.grid)
+    x[support] = res.g
     return x
 
 
-def _pairwise_moduli(values: np.ndarray) -> np.ndarray:
-    """``|values[i] - values[j]|`` at row i, column j for every j < i; inf elsewhere."""
-    values = np.asarray(values, dtype=complex)
-    index = np.arange(len(values))
-    return np.where(index[:, None] > index, _modulus(values[:, None] - values), np.inf)
+def _snap_to_grid(points, grid: np.ndarray) -> np.ndarray:
+    """Index of the nearest grid point for each point, in the order of `points`.
 
-
-def _require_distinct(values: np.ndarray, message: str = "recovered poles are not distinct",
-                      error=DegenerateSupportError):
-    """Raise `error` when two values lie closer than ``1e-9 * max(1, |values[i]|)``,
-    i the later one."""
-    bound = 1e-9 * np.maximum(1.0, _modulus(values))
-    if (_pairwise_moduli(values) < bound[:, None]).any():
-        raise error(message)
-
-
-def _snap_to_grid(points, targets: np.ndarray, snap_tol: float,
-                  what: str, near: str, slot: str) -> np.ndarray:
-    """Index of the nearest target for each point, in the order of `points`.
-
-    A point farther than `snap_tol` from every target, or two points on the
-    same target, means the support does not sit on the grid.
+    A point farther than half the grid's smallest spacing from every grid
+    point, or two points on the same grid point, means the support does not
+    sit on the grid.
     """
-    index = []
-    for p in points:
-        dists = np.abs(p - targets)
-        k = int(np.argmin(dists))
-        if dists[k] > snap_tol:
-            raise AmbiguousSupportError(
-                f"{what} {p:.6g} is {dists[k]:.3e} from the nearest {near}"
-            )
-        index.append(k)
-    if len(set(index)) != len(index):
-        raise GridCollisionError(f"two {what}s snapped to the same {slot}")
-    return np.array(index)
-
-
-def _min_pairwise(values: np.ndarray) -> float:
-    return float(_pairwise_moduli(values).min(initial=np.inf))
+    points = np.asarray(points, dtype=complex)
+    dists = _modulus(points[:, None] - grid)
+    index = dists.argmin(axis=1)
+    nearest = dists[np.arange(len(points)), index]
+    # a NaN point counts as far
+    far = np.flatnonzero(~(nearest <= 0.5 * _pairwise_moduli(grid).min(initial=np.inf)))
+    if far.size:
+        j = far[0]
+        raise AmbiguousSupportError(
+            f"support point {points[j]:.6g} is {nearest[j]:.3e} from the nearest grid point"
+        )
+    if len(np.unique(index)) != len(index):
+        raise GridCollisionError("two support points snapped to the same grid point")
+    return index
 
 
 def _forward_check(predicted: np.ndarray, y: np.ndarray, tol: Tolerances):

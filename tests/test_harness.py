@@ -35,6 +35,8 @@ from vrecover.recover_phase import PhaseInstance
 from vrecover.recover_phaseless import PhaselessInstance, recover_r3
 from vrecover.structmat import vandermonde
 
+from test_structmat import coincident_sample_cases
+
 
 def cli(*args, env_extra=None):
     env = dict(os.environ)
@@ -290,9 +292,12 @@ def test_first_trial_draws_are_frozen(case):
 # refactor that flips an outcome fails here, not only in the benchmark digest.
 # At n = m, "r1-harmonic" runs the paper's system alone (PAPER_CHAIN_CASES)
 # and "r1-harmonic-latent" runs recover_r1 as it is, latent route first.
+# "r2-arbitrary" (m > n) takes the latent route too.
 FROZEN_CAMPAIGNS = {
     "r1-harmonic": dict(mode="r1", s_list=[10], n_rule="2s", m_rule="2s", gamma=1.0),
     "r1-harmonic-latent": dict(mode="r1", s_list=[10], n_rule="2s", m_rule="2s", gamma=1.0),
+    "r2-arbitrary": dict(mode="r2", s_list=[6], n_rule="2s", m_rule="3s",
+                         sample_mode="arbitrary"),
     "r4-harmonic": dict(mode="r4", s_list=[8], n_rule="4s-1", m_rule="4s-1", gamma=1.0),
     "r5-arbitrary": dict(mode="r5", s_list=[6], n_rule="4s-1", m_rule="8s-3",
                          sample_mode="arbitrary"),
@@ -322,6 +327,7 @@ FROZEN_OUTCOMES = {
         "0 10 None ShiftedHarmonic None", "0 10 None ShiftedHarmonic None",
         "0 9 None ShiftedHarmonic None", "1 10 None ShiftedHarmonic None",
     ],
+    "r2-arbitrary": ["1 6 None Arbitrary None"] * 20,
     "r4-harmonic": [
         "1 8 128 Harmonic2pow None", "0 None None ShiftedHarmonic ModelMismatchError",
         "0 None None ShiftedHarmonic InconsistentSolutionError", "1 8 128 Harmonic2pow None",
@@ -354,7 +360,7 @@ PAPER_CHAIN_CASES = {"r1-harmonic"}
 
 
 def _paper_chain_r1(inst, tol):
-    return recover_phase._recover_r1_via(recover_phase._paper_support, inst, tol)
+    return recover_phase._recover_via(inst, tol, routes=(recover_phase._paper_support,))[0]
 
 
 @pytest.mark.parametrize("case", list(FROZEN_CAMPAIGNS))
@@ -753,6 +759,20 @@ def test_cli_recover_non_finite_measurement(tmp_path):
     res = cli("recover", "--mode", "r1", "--input", str(inst))
     assert res.returncode == 2
     assert "error:" in res.stderr and "finite" in res.stderr
+
+
+def test_cli_recover_coincident_samples(tmp_path):
+    """Coincident sample points exit 2 with an error line, not a LAPACK traceback
+    (z = [0, 0, 0]) or an answer the data cannot determine (three distinct of six)."""
+    for k, (n, s, z) in enumerate(coincident_sample_cases()):
+        payload = {"mode": "r1", "n": n, "s": s, "sample_mode": "arbitrary",
+                   "z": pairs(z), "y": pairs(np.ones(len(z)))}
+        inst = tmp_path / f"coincident{k}.json"
+        inst.write_text(json.dumps(payload))
+        res = cli("recover", "--mode", "r1", "--input", str(inst))
+        assert res.returncode == 2, (res.stdout, res.stderr)
+        assert res.stderr == "error: sample points are not distinct\n"
+        assert res.stdout == ""
 
 
 def nan_payloads():

@@ -19,8 +19,6 @@ from vrecover.oracle import brute_force_cs, draw_g, draw_theta_disk, forward_pha
 from vrecover.recover_phase import (
     PhaseInstance,
     _descend,
-    _min_pairwise,
-    _require_distinct,
     _snap_to_grid,
     recover_g,
     recover_r1,
@@ -28,6 +26,8 @@ from vrecover.recover_phase import (
 )
 from vrecover.structmat import (
     SampleSet,
+    _pairwise_moduli,
+    _require_distinct,
     build_A,
     build_B,
     measurement_matrix,
@@ -256,15 +256,43 @@ def test_recover_g_degenerate_support():
 
 
 def test_snap_to_grid_keeps_input_order():
+    # the snap radius is half the smallest grid spacing, here sqrt(2) / 2
     grid = np.array([1.0, 1j, -1.0, -1j])
-    names = dict(what="root", near="grid reciprocal", slot="grid point")
-    got = _snap_to_grid([-1.0 + 1e-3, 1j, 1.0], grid, 0.5, **names)
+    got = _snap_to_grid([-1.0 + 1e-3, 1j, 1.0], grid)
     assert got.tolist() == [2, 1, 0]
-    with pytest.raises(AmbiguousSupportError,
-                       match=r"^root 0\.7\+0\.7j is 7\.\d+e-01 from the nearest grid reciprocal$"):
-        _snap_to_grid([1.0, 0.7 + 0.7j], grid, 0.5, **names)
-    with pytest.raises(GridCollisionError, match="^two roots snapped to the same grid point$"):
-        _snap_to_grid([1.0, 1.1], grid, 0.5, **names)
+    with pytest.raises(AmbiguousSupportError, match=(
+            r"^support point 0\.7\+0\.7j is 7\.\d+e-01 from the nearest grid point$")):
+        _snap_to_grid([1.0, 0.7 + 0.7j], grid)
+    with pytest.raises(GridCollisionError,
+                       match="^two support points snapped to the same grid point$"):
+        _snap_to_grid([1.0, 1.1], grid)
+
+
+def test_snap_to_grid_matches_the_point_loop():
+    """The array snap gives the per-point loop's indices or error class."""
+    def loop(points, grid):
+        radius = min(abs(a - b) for i, a in enumerate(grid) for b in grid[:i]) / 2
+        index = []
+        for p in points:
+            dists = [abs(p - q) for q in grid]
+            k = int(np.argmin(dists))
+            if not dists[k] <= radius:
+                return AmbiguousSupportError
+            index.append(k)
+        return GridCollisionError if len(set(index)) < len(index) else index
+
+    rng = np.random.default_rng(383)
+    for _ in range(300):
+        grid = rng.uniform(0.5, 2.0, 6) * np.exp(1j * rng.uniform(0, 2 * np.pi, 6))
+        picks = rng.integers(0, 6, int(rng.integers(1, 5)))
+        points = grid[picks] + rng.uniform(0, 0.3, len(picks)) * np.exp(
+            1j * rng.uniform(0, 2 * np.pi, len(picks)))
+        want = loop(points, grid)
+        if isinstance(want, list):
+            assert _snap_to_grid(points, grid).tolist() == want
+        else:
+            with pytest.raises(want):
+                _snap_to_grid(points, grid)
 
 
 def test_pairwise_checks_match_the_double_loop():
@@ -288,7 +316,7 @@ def test_pairwise_checks_match_the_double_loop():
             step = 1e-9 * max(1.0, abs(values[j])) * (0.5, 1.0, 2.0)[trial % 3]
             values[j] = values[i] + step * np.exp(1j * rng.uniform(0, 2 * np.pi))
         collide, best = loop(values)
-        assert _min_pairwise(values) == best
+        assert _pairwise_moduli(values).min(initial=np.inf) == best
         if collide:
             with pytest.raises(DegenerateSupportError, match="^clash$"):
                 _require_distinct(values, "clash")
@@ -426,7 +454,7 @@ def test_weights_take_one_factorisation(monkeypatch):
     assert np.max(np.abs(got - g)) <= 1e-8 * np.max(np.abs(g))
     inst = PhaseInstance(7, 3, y, z)
     calls.clear()
-    res = recover_phase._recover_r1_via(recover_phase._paper_support, inst, Tolerances())
+    res = _paper_r1(inst)
     assert res.S == 3 and calls == ["svd", "svd"]
     # at m > n recover_r1 takes the latent route: the solve for x, the Hankel
     # rank read, the pencil and the weights
@@ -539,12 +567,12 @@ def test_sparsity_below_s_max_at_scale(master_seed):
 
 def _paper_r1(inst, tol=None):
     tol = Tolerances() if tol is None else tol
-    return recover_phase._recover_r1_via(recover_phase._paper_support, inst, tol)
+    return recover_phase._recover_via(inst, tol, routes=(recover_phase._paper_support,))[0]
 
 
 def _latent_only(inst, tol=None):
     tol = Tolerances() if tol is None else tol
-    return recover_phase._recover_r1_via(recover_phase._latent_support, inst, tol)
+    return recover_phase._recover_via(inst, tol, routes=(recover_phase._latent_support,))[0]
 
 
 @pytest.mark.parametrize("harmonic", [True, False])
@@ -604,7 +632,7 @@ def test_latent_gate_failure_falls_back_to_the_paper_system(monkeypatch):
     assert rest and all(d["route"] == "paper" and "fallback" not in d for d in rest)
 
 
-def test_latent_route_not_taken_below_n_samples_or_by_r2(monkeypatch):
+def test_latent_route_not_taken_below_n_samples(monkeypatch):
     def never(*args):
         raise AssertionError("the latent route ran")
 
@@ -612,13 +640,44 @@ def test_latent_route_not_taken_below_n_samples_or_by_r2(monkeypatch):
     rng = np.random.default_rng(431)
     s, n = 2, 9
     theta, g = draw_theta_disk(rng, s), draw_g(rng, s)
+    grid = np.concatenate([theta, rng.uniform(0.5, 2.0, n - s)
+                           * np.exp(1j * rng.uniform(0, 2 * np.pi, n - s))])
     for z in (SampleSet(disk_points(rng, 3 * s)), shifted_harmonics(n, 2 * s, 0.5)):
         assert len(z) < n
-        res = recover_r1(PhaseInstance(n, s, forward_phase(theta, g, z.z, n), z))
+        y = forward_phase(theta, g, z.z, n)
+        res = recover_r1(PhaseInstance(n, s, y, z))
         assert res.S == s and {d["route"] for d in res.diagnostics} == {"paper"}
-    # r2 at m >= n runs the paper's system too
-    grid = rng.uniform(0.5, 2.0, 4) * np.exp(1j * rng.uniform(0, 2 * np.pi, 4))
-    z = SampleSet(disk_points(rng, 6))
-    y = forward_phase(grid[[0, 2]], g, z.z, 4)
-    x = recover_r2(PhaseInstance(4, s, y, z, grid))
-    assert np.flatnonzero(np.abs(x) > 1e-9).tolist() == [0, 2]
+        x = recover_r2(PhaseInstance(n, s, y, z, grid))
+        assert np.flatnonzero(np.abs(x) > 1e-9).tolist() == [0, 1]
+
+
+def test_r2_takes_the_latent_route_first_and_falls_back(monkeypatch):
+    """At m >= n r2 reads its poles on the latent route; under the Hankel
+    failure of the r1 fallback test it falls back to the paper's system."""
+    routes = []
+
+    def tracing(support):
+        def traced(inst, tol, diagnostics):
+            routes.append(support.__name__)
+            return support(inst, tol, diagnostics)
+        return traced
+
+    for name in ("_latent_support", "_paper_support"):
+        monkeypatch.setattr(recover_phase, name, tracing(getattr(recover_phase, name)))
+    rng = np.random.default_rng(421)
+    n, s = 8, 2
+    grid = rng.uniform(0.5, 2.0, n) * np.exp(1j * rng.uniform(0, 2 * np.pi, n))
+    g = draw_g(rng, s)
+    z = SampleSet(disk_points(rng, 3 * s + 2))
+    inst = PhaseInstance(n, s, forward_phase(grid[[1, 5]], g, z.z, n), z, grid)
+    x = recover_r2(inst)
+    assert routes == ["_latent_support"]
+    assert np.flatnonzero(np.abs(x) > 1e-9).tolist() == [1, 5]
+    assert np.abs(x[[1, 5]] - g).max() <= 1e-8 * np.abs(g).max()
+    noise = rng.standard_normal((n - s, s + 1)) + 1j * rng.standard_normal((n - s, s + 1))
+    monkeypatch.setattr(recover_phase, "_hankel", lambda x, s: noise)
+    routes.clear()
+    x = recover_r2(inst)
+    assert routes == ["_latent_support", "_paper_support"]
+    assert np.flatnonzero(np.abs(x) > 1e-9).tolist() == [1, 5]
+    assert np.abs(x[[1, 5]] - g).max() <= 1e-8 * np.abs(g).max()

@@ -106,6 +106,23 @@ def test_sample_set_basics():
         with pytest.raises(InvalidInputError, match="finite"):
             SampleSet((1.0, bad, 3.0))
 
+    # a repeated point adds a row but no information; the rule is the grid
+    # check's: within 1e-9 * max(1, |later point|)
+    for _, _, z in coincident_sample_cases():
+        with pytest.raises(InvalidInputError, match="^sample points are not distinct$"):
+            SampleSet(z)
+    with pytest.raises(InvalidInputError, match="not distinct"):
+        SampleSet((0.5, 2.0, 2.0 + 1e-9))
+    SampleSet((0.5, 2.0, 2.0 + 3e-9))
+    with pytest.raises(InvalidInputError, match="not distinct"):
+        SampleSet(roots[[0, 1, 1]], gamma=0.5, n=4)
+
+
+def coincident_sample_cases():
+    """z = [0, 0, 0] at n=2, s=1, and six samples on three distinct points at n=4, s=2."""
+    three = np.array([0.9, 0.5j, -0.7 + 0.1j])
+    return [(2, 1, np.zeros(3, complex)), (4, 2, np.concatenate([three, three]))]
+
 
 def test_build_A_frozen_row():
     assert np.allclose(build_A([1.0], [9.0], 2, 1), [[9, 9, -1, -1]])
