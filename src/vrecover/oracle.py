@@ -4,6 +4,9 @@ Everything here certifies the recovery modules from the outside: only cpoly
 and structmat primitives are shared, never recovery code. Forward values are
 always computed along two independent routes (matrix product vs the rational
 or Laurent form) and compared, so a bug in either representation cannot hide.
+The phaseless brute force polishes its phase seeds with its own Gauss-Newton
+loop, so a Gauss-Newton step in the pipelines can never certify itself.
+Everything here needs numpy alone.
 """
 
 import itertools
@@ -22,6 +25,8 @@ from .structmat import measurement_matrix, readonly_array
 
 _PATH_TOL = 1e-10
 _NEAR_ONE = 1e-3  # switch to the direct geometric sum this close to ratio 1
+_GN_STEPS = 50  # Gauss-Newton steps per phase seed in the phaseless oracle
+_GN_STEP_TOL = 1e-15  # ... stopping early once no phase moves by more
 
 
 def forward_phase_matrix(theta, g, z, n: int) -> np.ndarray:
@@ -210,7 +215,9 @@ def brute_force_cs(y, A, s: int) -> np.ndarray:
     least-squares fit (residual <= 1e-8 ||y||) demands uniqueness.
     """
     A = np.asarray(A, dtype=complex)
-    y = np.asarray(y, dtype=complex)
+    y = readonly_array(y, complex, "measurements")
+    if A.ndim != 2 or not np.isfinite(A).all():
+        raise InvalidInputError("A must be a finite matrix")
     m, n = A.shape
     if n > 12 or s > 2:
         raise InvalidInputError("brute_force_cs guard: n <= 12 and s <= 2")
@@ -254,13 +261,15 @@ def _phaseless_magnitudes(y, rows) -> np.ndarray:
         cols.append(2 * c.real)
         cols.append(-2 * c.imag)
     M = np.column_stack(cols)
-    sol, *_ = np.linalg.lstsq(M, y, rcond=None)
-    _, sv, vh = np.linalg.svd(M)
-    thresh = 1e-8 * (sv[0] if len(sv) else 1.0) * max(M.shape)
-    rank = int(np.sum(sv > thresh))
+    u, sv, vh = np.linalg.svd(M)
+    smax = sv[0] if len(sv) else 1.0
+    rank = int(np.sum(sv > 1e-8 * smax * max(M.shape)))
     null = vh[rank:]
     if null.size and np.abs(null[:, :S]).max() > 1e-6:
         raise ResolutionError("magnitude profile not determined by the measurements")
+    # the solve keeps the directions lstsq's own cutoff would keep
+    k = int(np.sum(sv > np.finfo(float).eps * max(M.shape) * smax))
+    sol = vh[:k].T @ ((u[:, :k].T @ y) / sv[:k])
     return np.clip(sol[:S], 0.0, None)
 
 
@@ -268,32 +277,30 @@ def brute_force_phaseless_candidates(y, theta, z, n: int, grid_resolution: int =
     """All g with |V(z)^T V(theta) g|^2 = y, up to global phase, by search.
 
     Magnitudes come from the lifted linear system; the remaining S-1 relative
-    phases are grid-searched and polished with a local simplex minimizer.
-    Only this baseline needs scipy, so it is imported here: importing the
-    package and every recovery mode load numpy alone.
+    phases are grid-searched and each seed is polished by Gauss-Newton steps
+    on the phases, a separable least-squares fit (Golub & Pereyra 1973).
     """
-    import scipy.optimize
-
-    theta = np.asarray(theta, dtype=complex)
-    y = np.asarray(y, dtype=float)
+    theta = readonly_array(theta, complex, "theta")
+    zz = readonly_array(z, complex, "sample points")
+    y = readonly_array(y, float, "measurements")
     S = len(theta)
     if S < 1 or S > 3:
         raise InvalidInputError("brute_force_phaseless_candidates guard: 1 <= S <= 3")
     if grid_resolution < 8:
         raise InvalidInputError("grid_resolution too small")
-    zz = np.asarray(z, dtype=complex)
+    if len(y) != len(zz):
+        raise InvalidInputError("measurement length mismatch")
     rows = measurement_matrix(zz, theta, n)
     yscale = float(y.max()) if len(y) else 1.0
     mags = np.sqrt(_phaseless_magnitudes(y, rows))
     if mags[0] < 1e-6 * max(mags.max(), 1e-30):
         raise InvalidInputError("leading coefficient magnitude is numerically zero")
 
-    def model(phis):
-        g = mags * np.exp(1j * np.concatenate([[0.0], phis]))
-        return np.abs(rows @ g) ** 2
+    def coeffs(phis):
+        return mags * np.exp(1j * np.concatenate([[0.0], phis]))
 
     def residual(phis):
-        return float(np.abs(model(phis) - y).max())
+        return float(np.abs(np.abs(rows @ coeffs(phis)) ** 2 - y).max())
 
     if S == 1:
         g = mags.astype(complex)
@@ -326,14 +333,17 @@ def brute_force_phaseless_candidates(y, theta, z, n: int, grid_resolution: int =
             break
 
     solutions = []
-    for seed_pt in seeds:
-        res = scipy.optimize.minimize(
-            lambda p: float(np.sum((model(p) - y) ** 2)),
-            seed_pt,
-            method="Nelder-Mead",
-            options={"xatol": 1e-13, "fatol": 1e-26, "maxiter": 4000},
-        )
-        phis = np.mod(res.x, 2 * np.pi)
+    for phis in seeds:
+        for _ in range(_GN_STEPS):
+            g = coeffs(phis)
+            u = rows @ g
+            # d|u|^2/dphi_k = 2 Re(conj(u) * i * rows[:, k+1] * g[k+1])
+            jac = -2 * (np.conj(u)[:, None] * rows[:, 1:] * g[1:]).imag
+            step = np.linalg.lstsq(jac, y - np.abs(u) ** 2, rcond=None)[0]
+            phis = phis + step
+            if np.abs(step).max() <= _GN_STEP_TOL:
+                break
+        phis = np.mod(phis, 2 * np.pi)
         if residual(phis) <= 1e-7 * yscale:
             solutions.append(phis)
 
@@ -344,6 +354,6 @@ def brute_force_phaseless_candidates(y, theta, z, n: int, grid_resolution: int =
     for a, b in itertools.combinations(kept, 2):
         if phase_dist(a, b) < cell:
             raise ResolutionError("distinct solutions within one grid cell")
-    out = [mags * np.exp(1j * np.concatenate([[0.0], phis])) for phis in kept]
+    out = [coeffs(phis) for phis in kept]
     out.sort(key=lambda g: tuple((round(v.real, 9), round(v.imag, 9)) for v in g))
     return out

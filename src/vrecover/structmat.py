@@ -18,15 +18,18 @@ _HARMONIC_TOL = 1e-12
 
 
 def readonly_array(values, dtype, name: str) -> np.ndarray:
-    """`values` copied once into a read-only array of `dtype`.
+    """`values` copied once into a read-only 1-D array of `dtype`.
 
     Measurement data from outside (a JSON file accepts NaN and Infinity) is
-    checked here: a non-finite entry would stall or derail the SVD stages.
+    checked here: a non-finite entry would stall or derail the SVD stages,
+    and a scalar or nested list would fail later in a numpy broadcast.
     """
     try:
         arr = np.array(values, dtype=dtype)
     except (TypeError, ValueError) as exc:
         raise InvalidInputError(f"{name} must be numbers") from exc
+    if arr.ndim != 1:
+        raise InvalidInputError(f"{name} must be a flat list of numbers")
     if not np.isfinite(arr).all():
         raise InvalidInputError(f"{name} must be finite")
     arr.flags.writeable = False

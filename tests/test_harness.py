@@ -775,6 +775,30 @@ def test_cli_recover_coincident_samples(tmp_path):
         assert res.stdout == ""
 
 
+@pytest.mark.parametrize(
+    "y",
+    [
+        pytest.param(lambda y: [[v, 0.0] for v in y], id="pairs"),
+        pytest.param(lambda y: [y[:3], y[3:6]], id="nested"),
+        pytest.param(lambda y: y[0], id="scalar"),
+    ],
+)
+def test_cli_recover_measurements_not_flat(tmp_path, y):
+    """An r5 file without its truth whose y is not a flat list exits 2, not
+    with a numpy broadcast or len() traceback."""
+    config = ExperimentConfig.from_dict(config_dict(
+        mode="r5", s_list=[2], n_rule="4s-1", m_rule="8s-3", sample_mode="arbitrary"))
+    payload = generate_trial(config, 2, 0)
+    del payload["theta"], payload["g"]
+    payload["y"] = y(payload["y"])
+    inst = tmp_path / "r5.json"
+    inst.write_text(json.dumps(payload))
+    res = cli("recover", "--mode", "r5", "--input", str(inst))
+    assert res.returncode == 2, (res.stdout, res.stderr)
+    assert res.stderr == "error: measurements must be a flat list of numbers\n"
+    assert res.stdout == ""
+
+
 def nan_payloads():
     """An r1 and an r5 payload, each with one NaN put in y, theta or g."""
     configs = [
@@ -840,7 +864,8 @@ def test_cli_selftest_passes():
 
 
 def test_solver_path_never_imports_scipy():
-    """Only the brute-force phaseless baseline needs scipy; it imports it there."""
+    """No recovery mode and no selftest check loads scipy, which the package
+    does not depend on."""
     script = """
 import sys
 import vrecover

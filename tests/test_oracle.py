@@ -1,5 +1,8 @@
 """Forward models and the brute-force baselines that certify the solvers."""
 
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -14,6 +17,7 @@ from vrecover.errors import (
     NumericalFailureError,
 )
 from vrecover.oracle import (
+    _phaseless_magnitudes,
     brute_force_cs,
     brute_force_phaseless_candidates,
     draw_g,
@@ -25,7 +29,9 @@ from vrecover.oracle import (
     forward_phase_rational,
     forward_phaseless,
 )
-from vrecover.structmat import shifted_harmonics, vandermonde
+from vrecover.structmat import measurement_matrix, shifted_harmonics, vandermonde
+
+from test_recover_phase import _count_svds
 
 
 def disk_points(rng, m):
@@ -352,3 +358,84 @@ def test_phaseless_oracle_pair_counts():
         sols = brute_force_phaseless_candidates(y, theta, z, n)
         assert len(sols) == 2
         assert min(phase_aligned_gap(s, g) for s in sols) <= 1e-6
+
+
+def test_brute_force_cs_rejects_bad_input():
+    A = np.eye(3, dtype=complex)
+    for y in ([1.0, np.nan, 0.0], [np.inf, 0.0, 0.0]):
+        with pytest.raises(InvalidInputError, match="^measurements must be finite$"):
+            brute_force_cs(y, A, 1)
+    with pytest.raises(InvalidInputError, match="^measurements must be a flat list"):
+        brute_force_cs(np.ones((3, 1)), A, 1)
+    with pytest.raises(InvalidInputError, match="^A must be a finite matrix$"):
+        brute_force_cs(np.ones(3), np.where(np.eye(3) > 0, np.nan, 0.0), 1)
+    with pytest.raises(InvalidInputError, match="^measurement length mismatch$"):
+        brute_force_cs(np.ones(2), A, 1)
+
+
+def test_phaseless_oracle_rejects_bad_input(capfd):
+    """Garbage in raises InvalidInputError: no empty solution set for a
+    non-finite y, no LAPACK error or message for a NaN theta or a short y."""
+    rng = np.random.default_rng(263)
+    n = 7
+    theta, g = draw_theta_circle(rng, 2), draw_g(rng, 2)
+    z = np.exp(1j * rng.uniform(0, 2 * np.pi, 13))
+    y = forward_phaseless(theta, g, z, n)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(InvalidInputError, match="^measurements must be finite$"):
+            brute_force_phaseless_candidates(np.where(np.arange(13) == 4, bad, y), theta, z, n)
+    with pytest.raises(InvalidInputError, match="^theta must be finite$"):
+        brute_force_phaseless_candidates(y, [theta[0], np.nan], z, n)
+    with pytest.raises(InvalidInputError, match="^sample points must be finite$"):
+        brute_force_phaseless_candidates(y, theta, np.where(np.arange(13) == 0, np.nan, z), n)
+    with pytest.raises(InvalidInputError, match="^measurement length mismatch$"):
+        brute_force_phaseless_candidates(y[:-1], theta, z, n)
+    with pytest.raises(InvalidInputError, match="^measurements must be a flat list"):
+        brute_force_phaseless_candidates(y[:, None], theta, z, n)
+    assert capfd.readouterr().err == ""
+
+
+def test_phaseless_magnitudes_take_one_factorisation(monkeypatch):
+    """One SVD serves the null-space check and the solve, with lstsq's cutoff."""
+    rng = np.random.default_rng(269)
+    theta, g = draw_theta_circle(rng, 3), draw_g(rng, 3)
+    z = np.exp(1j * rng.uniform(0, 2 * np.pi, 21))
+    y = forward_phaseless(theta, g, z, 11)
+    rows = measurement_matrix(z, theta, 11)
+    calls = _count_svds(monkeypatch)
+    mags = _phaseless_magnitudes(y, rows)
+    assert calls == ["svd"]
+    assert np.max(np.abs(mags - np.abs(g) ** 2)) <= 1e-9 * np.max(np.abs(g) ** 2)
+
+
+def test_oracle_runs_without_scipy():
+    """The phaseless oracle needs numpy alone: with every scipy import made to
+    fail it still finds the two candidates of a general S=2 instance and the
+    four of an S=3 shifted-harmonic one, the truth among them."""
+    script = """
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+from vrecover.oracle import (brute_force_phaseless_candidates, draw_g, draw_theta_circle,
+                             forward_phaseless)
+from vrecover.structmat import shifted_harmonics
+rng = np.random.default_rng(271)
+cases = [(2, 7, np.exp(1j * rng.uniform(0, 2 * np.pi, 13))),
+         (3, 11, shifted_harmonics(11, 11, 0.9).z)]
+for S, n, z in cases:
+    theta, g = draw_theta_circle(rng, S), draw_g(rng, S)
+    sols = brute_force_phaseless_candidates(forward_phaseless(theta, g, z, n), theta, z, n)
+    gaps = []
+    for sol in sols:
+        rot = g[0] / sol[0]
+        gaps.append(np.max(np.abs(sol * rot / abs(rot) - g)))
+    print(len(sols), min(gaps) <= 1e-6)
+"""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src
+    res = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert res.stdout.split() == ["2", "True", "4", "True"]

@@ -182,6 +182,16 @@ def test_phase_instance_rejects_non_finite(bad):
         PhaseInstance(4, 2, y, z, np.where(np.arange(4) == 1, bad, grid))
 
 
+def test_phase_instance_rejects_measurements_that_are_not_flat():
+    rng = np.random.default_rng(331)
+    z = SampleSet(tuple(disk_points(rng, 6)))
+    for bad in (np.ones((6, 2)), 1.0, [[1.0, 0.0]] * 6):
+        with pytest.raises(InvalidInputError, match="^measurements must be a flat list"):
+            PhaseInstance(4, 2, bad, z)
+    with pytest.raises(InvalidInputError, match="^grid points must be a flat list"):
+        PhaseInstance(4, 1, np.ones(6), z, np.ones((4, 1)))
+
+
 def test_arbitrary_samples_need_three_s():
     rng = np.random.default_rng(331)
     z = SampleSet(tuple(disk_points(rng, 5)))

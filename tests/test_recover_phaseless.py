@@ -834,3 +834,9 @@ def test_phaseless_instance_validation():
     for length in (2, 6):
         with pytest.raises(InvalidInputError, match="^the extra row has length n$"):
             PhaselessInstance(7, 2, np.ones(7), z, extra_row=(np.ones(length), 1.0))
+    # measurements and the extra row are flat lists, never scalars or tables
+    for bad in (np.ones((7, 1)), 1.0, [[1.0, 0.0]] * 7, np.ones((7, 2), dtype=complex)):
+        with pytest.raises(InvalidInputError, match="^measurements must be a flat list"):
+            PhaselessInstance(7, 2, bad, z)
+    with pytest.raises(InvalidInputError, match="^extra row must be a flat list"):
+        PhaselessInstance(7, 2, np.ones(7), z, extra_row=(np.ones((7, 1)), 1.0))

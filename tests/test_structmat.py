@@ -16,6 +16,7 @@ from vrecover.structmat import (
     measurement_matrix,
     null_space,
     pinv_solve,
+    readonly_array,
     refine_null_vector,
     shifted_harmonics,
     svd_factors,
@@ -79,6 +80,17 @@ def test_shifted_harmonics_invariants():
         assert np.max(np.abs(z**n - np.exp(1j * gamma))) <= 1e-12
     with pytest.raises(InvalidInputError):
         shifted_harmonics(4, 5, 0.0)
+
+
+def test_readonly_array_takes_flat_lists_only():
+    arr = readonly_array([1.0, 2.0], complex, "grid points")
+    assert arr.dtype == complex and arr.shape == (2,) and not arr.flags.writeable
+    assert readonly_array([], float, "measurements").shape == (0,)
+    for bad in (3.0, [[1.0, 2.0], [3.0, 4.0]], np.ones((6, 2)), [[1.0, 2.0, 3.0]]):
+        with pytest.raises(InvalidInputError, match="^measurements must be a flat list of numbers$"):
+            readonly_array(bad, float, "measurements")
+    with pytest.raises(InvalidInputError, match="^sample points must be a flat list"):
+        SampleSet(np.ones((3, 1)))
 
 
 def test_sample_set_basics():
