@@ -42,7 +42,9 @@ from .structmat import SampleSet, readonly_array, shifted_harmonics, vandermonde
 MODES = ("r1", "r2", "r4", "r5", "r3")
 PHASE_MODES = ("r1", "r2")
 GRIDDED_MODES = ("r2", "r3")
-CSV_HEADER = "trial,s,S,n,m,mode,branch,success,theta_err,g_err,candidates,runtime_ms,warnings"
+CSV_HEADER = (
+    "trial,s,S,n,m,mode,branch,success,theta_err,g_err,candidates,runtime_ms,route,warnings"
+)
 SUCCESS_TOL = 1e-6
 # the CSV `branch` of a phase-aware trial names its sample layout
 HARMONIC = "ShiftedHarmonic"
@@ -72,8 +74,7 @@ def derive_seed(master_seed: int, index: int) -> int:
 
 def pairs(vec) -> list:
     """A complex vector as a list of [re, im] float pairs."""
-    vec = np.asarray(vec, dtype=complex)
-    return np.column_stack((vec.real, vec.imag)).tolist()
+    return np.ascontiguousarray(vec, dtype=complex).view(float).reshape(-1, 2).tolist()
 
 
 def unpairs(lst) -> np.ndarray:
@@ -401,18 +402,20 @@ def _greedy_match(truth: np.ndarray, found: np.ndarray):
     """Nearest matching of recovered values to the truth; (max rel err, perm).
 
     Each truth value in turn takes the nearest found value not yet taken,
-    the first one on ties.
+    the first one on ties. The loop runs over Python floats, without a
+    numpy call per row; ``abs`` of a Python complex rounds like `_modulus`.
     """
     if len(truth) != len(found):
         return np.inf, None
-    dist = _modulus(found[None, :] - truth[:, None])
-    perm = np.zeros(len(truth), dtype=int)
+    free = list(range(len(found)))
+    perm = []
     worst = 0.0
-    for k in range(len(truth)):
-        j = perm[k] = int(np.argmin(dist[k]))
-        worst = max(worst, dist[k, j] / max(1.0, abs(truth[k])))
-        dist[:, j] = np.inf
-    return worst, perm
+    for row, t in zip(_modulus(found[None, :] - truth[:, None]).tolist(), truth.tolist()):
+        j = min(free, key=row.__getitem__)
+        free.remove(j)
+        perm.append(j)
+        worst = max(worst, row[j] / max(1.0, abs(t)))
+    return worst, np.array(perm, dtype=int)
 
 
 def _phase_aligned_errs(candidates: np.ndarray, truth: np.ndarray) -> np.ndarray:
@@ -445,6 +448,10 @@ class TrialRecord:
     g_err: float
     candidate_count: object
     runtime_ms: float
+    # "latent" or "paper" for r1, the route whose result recover_r1 returned;
+    # empty for the other modes (recover_r2 returns a bare vector, without
+    # diagnostics), for summary rows and when recovery raised
+    route: str
     warnings: str
 
     def csv_row(self) -> str:
@@ -462,7 +469,7 @@ class TrialRecord:
             str(self.trial), str(self.s), num(self.S), str(self.n), str(self.m),
             self.mode, self.branch, num(success), num(self.theta_err),
             num(self.g_err), num(self.candidate_count), f"{self.runtime_ms:.3f}",
-            self.warnings.replace(",", ";"),
+            self.route, self.warnings.replace(",", ";"),
         ]
         return ",".join(cells)
 
@@ -504,6 +511,7 @@ def run_trial(payload: dict, tol: Tolerances | None = None) -> TrialRecord:
     g_err = np.inf
     count = None
     success = False
+    route = ""
     notes: list[str] = []
     try:
         if mode in GRIDDED_MODES:
@@ -526,6 +534,8 @@ def run_trial(payload: dict, tol: Tolerances | None = None) -> TrialRecord:
         elif mode == "r1":
             res = recover_r1(inst, tol)
             S = res.S
+            if res.diagnostics:
+                route = res.diagnostics[-1]["route"]
             theta_err, perm = _greedy_match(theta_true, res.theta)
             if perm is not None:
                 g_err = float(
@@ -557,7 +567,7 @@ def run_trial(payload: dict, tol: Tolerances | None = None) -> TrialRecord:
         trial=payload.get("trial", 0), s=payload["s"], S=S, n=payload["n"],
         m=payload["m"], mode=mode, branch=branch, success=success,
         theta_err=float(theta_err), g_err=float(g_err), candidate_count=count,
-        runtime_ms=runtime_ms, warnings="; ".join(notes)[:200],
+        runtime_ms=runtime_ms, route=route, warnings="; ".join(notes)[:200],
     )
 
 
@@ -589,7 +599,7 @@ def run_campaign(config: ExperimentConfig):
                 g_err=float(np.percentile(finite_g, 95)) if finite_g else np.inf,
                 candidate_count=None,
                 runtime_ms=float(sum(r.runtime_ms for r in group)),
-                warnings=f"failures={failures}",
+                route="", warnings=f"failures={failures}",
             )
         )
     return records, summaries

@@ -13,7 +13,7 @@ import itertools
 
 import numpy as np
 
-from .cpoly import forward_polys, laurent_eval, laurent_from_products
+from .cpoly import forward_polys, laurent_from_products
 from .errors import (
     InvalidInputError,
     ModelMismatchError,
@@ -51,6 +51,8 @@ def forward_phase_rational(theta, g, z, n: int) -> np.ndarray:
     g = np.asarray(g, dtype=complex)
     w = np.multiply.outer(np.asarray(z, dtype=complex), theta)  # (samples, poles)
     near = np.abs(w - 1.0) < _NEAR_ONE
+    if not near.any():
+        return ((w**n - 1.0) / (w - 1.0)) @ g
     safe = ~near
     terms = np.empty_like(w)
     terms[safe] = (w[safe] ** n - 1.0) / (w[safe] - 1.0)
@@ -70,9 +72,8 @@ def _finite_inputs(theta, g, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-def forward_phase(theta, g, z, n: int) -> np.ndarray:
-    """Phase-aware forward model, cross-checked along both routes."""
-    theta, g, z = _finite_inputs(theta, g, z)
+def _cross_checked(theta: np.ndarray, g: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
+    """`forward_phase` on inputs that `_finite_inputs` returned."""
     via_matrix = forward_phase_matrix(theta, g, z, n)
     via_rational = forward_phase_rational(theta, g, z, n)
     scale = max(1.0, float(np.abs(via_matrix).max()) if len(via_matrix) else 1.0)
@@ -84,27 +85,43 @@ def forward_phase(theta, g, z, n: int) -> np.ndarray:
     return via_matrix
 
 
+def forward_phase(theta, g, z, n: int) -> np.ndarray:
+    """Phase-aware forward model, cross-checked along both routes."""
+    return _cross_checked(*_finite_inputs(theta, g, z), n)
+
+
 def forward_phaseless(theta, g, z, n: int) -> np.ndarray:
-    """y = |V(z)^T V(theta) g|^2, cross-checked against the Laurent-ratio form."""
+    """y = |V(z)^T V(theta) g|^2, cross-checked against the Laurent-ratio form.
+
+    The three Laurent polynomials are evaluated at the samples from one
+    table of the powers z^k, |k| up to the half length of the longest.
+    """
     theta, g, zz = _finite_inputs(theta, g, z)
     if not (
         (np.abs(np.abs(zz) - 1.0) <= 1e-9).all()
         and (np.abs(np.abs(theta) - 1.0) <= 1e-9).all()
     ):
         raise InvalidInputError("phaseless model needs z and theta on the unit circle")
-    y = np.abs(forward_phase(theta, g, zz, n)) ** 2
+    y = np.abs(_cross_checked(theta, g, zz, n)) ** 2
     if len(theta) == 0:
         return y
     u_hat, u_tilde, v = forward_polys(theta, g, n)
     L, L_tilde, L_hat = laurent_from_products(u_hat, u_tilde, v)
+    half = max(len(L), len(L_tilde), len(L_hat)) // 2
+    table = zz ** np.arange(-half, half + 1)[:, None]
+
+    def at_samples(a):
+        k = half - len(a) // 2
+        return a @ table[k : len(table) - k]
+
     scale = max(1.0, float(y.max()))
-    denom_vals = laurent_eval(L_hat, zz)
+    denom_vals = at_samples(L_hat)
     mag = np.abs(denom_vals)
     # the division amplifies coefficient noise by max|L_hat|/|L_hat(z_j)|
     # when a sample sits near a pole, so the bound must scale with it
     amp = float(mag.max()) / np.maximum(mag, 1e-300)
-    num = laurent_eval(L, zz)
-    cross = laurent_eval(L_tilde, zz)
+    num = at_samples(L)
+    cross = at_samples(L_tilde)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = (num + zz**n * cross + zz ** (-n) * np.conj(cross)) / denom_vals
         gap = np.abs(ratio - y)
@@ -279,6 +296,8 @@ def brute_force_phaseless_candidates(y, theta, z, n: int, grid_resolution: int =
     Magnitudes come from the lifted linear system; the remaining S-1 relative
     phases are grid-searched and each seed is polished by Gauss-Newton steps
     on the phases, a separable least-squares fit (Golub & Pereyra 1973).
+    For S >= 2 a complete set holds 2 or 2^(S-1) solutions; any other count
+    means the search missed some and raises `ResolutionError`.
     """
     theta = readonly_array(theta, complex, "theta")
     zz = readonly_array(z, complex, "sample points")
@@ -354,6 +373,11 @@ def brute_force_phaseless_candidates(y, theta, z, n: int, grid_resolution: int =
     for a, b in itertools.combinations(kept, 2):
         if phase_dist(a, b) < cell:
             raise ResolutionError("distinct solutions within one grid cell")
+    if len(kept) not in (2, 2 ** (S - 1)):
+        raise ResolutionError(
+            f"{len(kept)} solutions found, neither 2 nor 2^(S-1) = {2 ** (S - 1)}: "
+            "the phase search missed some"
+        )
     out = [coeffs(phis) for phis in kept]
     out.sort(key=lambda g: tuple((round(v.real, 9), round(v.imag, 9)) for v in g))
     return out

@@ -8,9 +8,10 @@ routes read the poles:
   null vector of the system at S and reads theta off the roots of the
   denominator block.
 - The latent route needs m >= n, where V(z)^T has a left inverse. It solves
-  for the latent signal x = V(theta) g, reads S from the rank of a Hankel
-  matrix of x by the same gap rule, and takes theta from the eigenvalues of
-  a Hankel pencil (the matrix pencil method for exponential sums).
+  for the latent signal x = V(theta) g and reads S from the rank of a Hankel
+  matrix of x by the same gap rule. The same SVD gives theta: the eigenvalues
+  of a pencil of its top S right singular vectors (the matrix pencil method
+  for exponential sums).
 
 `recover_r1` and its gridded variant `recover_r2` pick the route the same
 way: the latent route when m >= n, falling back to the paper's route when
@@ -46,7 +47,6 @@ from .structmat import (
     pinv_solve,
     readonly_array,
     refine_null_vector,
-    vandermonde,
     zero_bound,
 )
 
@@ -219,18 +219,25 @@ def _latent_support(inst: PhaseInstance, tol: Tolerances, diagnostics: list):
     x solves V(z)^T x = y by column-equilibrated least squares. Its entries
     are x_l = sum_k g_k theta_k^l, so the Hankel matrix x[i + j] with s_max + 1
     columns has rank S, read with `null_space` as for the paper's system.
-    The poles are the eigenvalues of the pencil (H0, H1) = (x[i + j],
-    x[i + j + 1]) with n - S rows and S columns, taken as lstsq(H0, H1).
+    Its rows span the vectors (theta_k^j)_j, and so do the top S right
+    singular vectors of the same SVD. With V0 and V1 the matrices whose
+    columns are those vectors without their last and first entry, the poles
+    are the eigenvalues of the pencil X with V0 X = V1, solved exactly at
+    S = s_max, where V0 is square, and by least squares below (the matrix
+    pencil method).
     """
-    VT = vandermonde(inst.samples.z, inst.n).T
+    VT = inst.samples.powers(inst.n).T
     scale = 1.0 / np.linalg.norm(VT, axis=0)
     x = np.linalg.lstsq(VT * scale, inst.y, rcond=None)[0] * scale
-    H, ns = _null_space_at(lambda s: _hankel(x, s), inst.s_max,
+    _, ns = _null_space_at(lambda s: _hankel(x, s), inst.s_max,
                            range(1, inst.s_max + 1), tol, diagnostics, route="latent")
     S = inst.s_max + 1 - ns.dimension
-    if S < inst.s_max:
-        H = _hankel(x, S)
-    pencil = np.linalg.lstsq(H[:, :-1], H[:, 1:], rcond=None)[0]
+    top = ns.factors.vh[:S]
+    V0, V1 = top[:, :-1].T, top[:, 1:].T
+    if S == inst.s_max:
+        pencil = np.linalg.solve(V0, V1)
+    else:
+        pencil = np.linalg.lstsq(V0, V1, rcond=None)[0]
     return S, np.linalg.eigvals(pencil)
 
 

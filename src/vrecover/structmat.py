@@ -68,7 +68,8 @@ class SampleSet:
     roots of unity, all satisfying z_j**n == e^{i*gamma}, which is what makes
     the compact harmonic systems applicable. ``np.asarray(samples)`` is `z`.
     The points must be distinct by the rule of `_require_distinct`: a repeated
-    point adds a measurement row but no information.
+    point adds a measurement row but no information. A set builds its power
+    table V(z) once per row count (`powers`).
     """
 
     z: np.ndarray
@@ -79,6 +80,7 @@ class SampleSet:
         object.__setattr__(self, "z", readonly_array(z, complex, "sample points"))
         object.__setattr__(self, "gamma", None if gamma is None else float(gamma))
         object.__setattr__(self, "n", None if n is None else int(n))
+        object.__setattr__(self, "_powers", {})
         _require_distinct(self.z, "sample points are not distinct", InvalidInputError)
         if self.is_harmonic:
             if self.n is None:
@@ -100,6 +102,14 @@ class SampleSet:
     @property
     def is_harmonic(self) -> bool:
         return self.gamma is not None
+
+    def powers(self, n: int) -> np.ndarray:
+        """The read-only ``vandermonde(z, n)``, built on the first call for this n."""
+        table = self._powers.get(n)
+        if table is None:
+            table = self._powers[n] = vandermonde(self.z, n)
+            table.flags.writeable = False
+        return table
 
 
 def _power_table(pts: np.ndarray, exps) -> np.ndarray:
@@ -124,8 +134,12 @@ def vandermonde(z, n: int) -> np.ndarray:
 
 
 def measurement_matrix(z, theta, n: int) -> np.ndarray:
-    """The m x s measurement operator A = V(z)^T V(theta), so y = A @ g; exactly that product."""
-    return vandermonde(z, n).T @ vandermonde(theta, n)
+    """The m x s measurement operator A = V(z)^T V(theta), so y = A @ g; exactly that product.
+
+    A `SampleSet` z contributes its kept V(z) (`SampleSet.powers`).
+    """
+    Vz = z.powers(n) if isinstance(z, SampleSet) else vandermonde(z, n)
+    return Vz.T @ vandermonde(theta, n)
 
 
 def shifted_harmonics(n: int, m: int, gamma: float) -> SampleSet:
@@ -270,7 +284,7 @@ def _system_Gtilde(zz: np.ndarray, y: np.ndarray, s: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SVDFactors:
-    """One full SVD of a matrix M = u[:, :k] diag(s) vh[:k], k = len(s)."""
+    """One SVD of a matrix M = u[:, :k] diag(s) vh[:k], k = len(s), full or thin."""
 
     u: np.ndarray
     s: np.ndarray
@@ -383,14 +397,15 @@ def pinv_solve(M: np.ndarray, y, rank_rel_tol: float) -> np.ndarray:
     """Least-squares solve of ``M @ x = y`` requiring full column rank; returns x.
 
     Full rank means the smallest singular value exceeds
-    ``zero_bound(sigma_max, M.shape, rank_rel_tol)``. One SVD of M serves both
-    the rank test and the solve.
+    ``zero_bound(sigma_max, M.shape, rank_rel_tol)``. One thin SVD of M
+    serves both the rank test and the solve: the solve reads no column of U
+    past the column count.
     """
     M = np.asarray(M, dtype=complex)
     y = np.asarray(y, dtype=complex)
     if M.ndim != 2 or M.shape[0] != len(y):
         raise InvalidInputError("pinv_solve dimension mismatch")
-    factors = svd_factors(M)
+    factors = SVDFactors(*np.linalg.svd(M, full_matrices=False))
     sv = factors.s
     if len(sv) < M.shape[1] or sv[-1] <= zero_bound(sv[0], M.shape, rank_rel_tol):
         raise RankDeficiencyError("matrix does not have full column rank")

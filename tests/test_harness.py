@@ -476,8 +476,60 @@ def test_run_trial_success_and_csv_shape():
     assert record.S == 2
     assert record.theta_err <= 1e-6 and record.g_err <= 1e-6
     row = record.csv_row()
-    assert len(row.split(",")) == len(CSV_HEADER.split(",")) == 13
+    assert len(row.split(",")) == len(CSV_HEADER.split(",")) == 14
     assert record.runtime_ms >= 0.0
+
+
+def test_run_trial_records_the_route(monkeypatch):
+    """An r1 record names the route whose result recover_r1 returned; a
+    Hankel matrix forced to noise fails the latent rank gate, and the paper's
+    system then solves the trial. Other modes and summary rows leave it empty."""
+    # the Hankel matrix at s_max = 2 is 6 x 3, so noise gives it full rank
+    config = ExperimentConfig.from_dict(
+        config_dict(s_list=[2], sample_mode="arbitrary", n_rule="8", m_rule="8", trials=1)
+    )
+    payload = generate_trial(config, 2, 0)
+    record = run_trial(payload)
+    assert record.success and record.route == "latent"
+    cells = dict(zip(CSV_HEADER.split(","), record.csv_row().split(",")))
+    assert cells["route"] == "latent" and CSV_HEADER.endswith(",route,warnings")
+    rng = np.random.default_rng(5)
+    noise = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+    monkeypatch.setattr(recover_phase, "_hankel", lambda x, s: noise)
+    record = run_trial(payload)
+    assert record.success and record.route == "paper"
+    monkeypatch.undo()
+    r4 = ExperimentConfig.from_dict(
+        config_dict(mode="r4", s_list=[2], n_rule="4s-1", m_rule="4s-1", gamma=1.0, trials=1)
+    )
+    assert run_trial(generate_trial(r4, 2, 0)).route == ""
+    _, summaries = run_campaign(config)
+    assert [r.route for r in summaries] == [""]
+
+
+def test_greedy_match_matches_the_numpy_loop():
+    """The pure-Python match equals an argmin loop over a masked numpy table, ties too."""
+    def numpy_loop(truth, found):
+        diff = found[None, :] - truth[:, None]
+        dist = np.hypot(diff.real, diff.imag)
+        perm = np.zeros(len(truth), dtype=int)
+        worst = 0.0
+        for k in range(len(truth)):
+            j = perm[k] = int(np.argmin(dist[k]))
+            worst = max(worst, dist[k, j] / max(1.0, abs(truth[k])))
+            dist[:, j] = np.inf
+        return worst, perm
+
+    rng = np.random.default_rng(89)
+    for S in range(0, 9):
+        truth = 2 * (rng.standard_normal(S) + 1j * rng.standard_normal(S))
+        for found in (truth[rng.permutation(S)] + 1e-7 * rng.standard_normal(S),
+                      rng.standard_normal(S) + 1j * rng.standard_normal(S),
+                      np.full(S, 0.5 + 0.5j)):
+            worst, perm = harness._greedy_match(truth, found)
+            want_worst, want_perm = numpy_loop(truth, found)
+            assert worst == want_worst and np.array_equal(perm, want_perm)
+    assert harness._greedy_match(np.ones(2), np.ones(3)) == (np.inf, None)
 
 
 def test_run_trial_dual_branch_counts():

@@ -15,6 +15,7 @@ from vrecover.errors import (
     ModelMismatchError,
     NonIdentifiableError,
     NumericalFailureError,
+    ResolutionError,
 )
 from vrecover.oracle import (
     _phaseless_magnitudes,
@@ -358,6 +359,22 @@ def test_phaseless_oracle_pair_counts():
         sols = brute_force_phaseless_candidates(y, theta, z, n)
         assert len(sols) == 2
         assert min(phase_aligned_gap(s, g) for s in sols) <= 1e-6
+
+
+def test_phaseless_oracle_rejects_an_incomplete_set(monkeypatch):
+    """A search that cannot reach every solution raises and names the count.
+
+    Without Gauss-Newton steps no grid seed meets the residual gate, so the
+    S=3 search ends with none of the 2 or 4 solutions a complete set holds.
+    """
+    rng = np.random.default_rng(277)
+    theta, g = draw_theta_circle(rng, 3), draw_g(rng, 3)
+    z = shifted_harmonics(11, 11, 0.9).z
+    y = forward_phaseless(theta, g, z, 11)
+    assert len(brute_force_phaseless_candidates(y, theta, z, 11)) == 4
+    monkeypatch.setattr(oracle, "_GN_STEPS", 0)
+    with pytest.raises(ResolutionError, match=r"^0 solutions found, neither 2 nor 2\^\(S-1\) = 4:"):
+        brute_force_phaseless_candidates(y, theta, z, 11)
 
 
 def test_brute_force_cs_rejects_bad_input():

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.linalg._linalg as np_linalg_impl
 import pytest
 
-from vrecover import recover_phase
+from vrecover import recover_phase, structmat
 from vrecover.config import Tolerances
 from vrecover.errors import (
     AmbiguousSupportError,
@@ -467,10 +467,10 @@ def test_weights_take_one_factorisation(monkeypatch):
     res = _paper_r1(inst)
     assert res.S == 3 and calls == ["svd", "svd"]
     # at m > n recover_r1 takes the latent route: the solve for x, the Hankel
-    # rank read, the pencil and the weights
+    # rank read, whose SVD also gives the pencil, and the weights
     calls.clear()
     res = recover_r1(inst, Tolerances())
-    assert res.S == 3 and calls == ["lstsq", "svd", "lstsq", "svd"]
+    assert res.S == 3 and calls == ["lstsq", "svd", "svd"]
 
 
 def _counting_builder(build):
@@ -606,6 +606,54 @@ def test_latent_route_recovers_exact_data(harmonic):
         assert entry["route"] == "latent" and "fallback" not in entry
         assert entry["s"] == s_max and entry["dimension"] == s_max + 1 - S
         assert entry["gap"] > 0 and len(entry["singular_values"]) == s_max + 1
+
+
+@pytest.mark.parametrize("harmonic", [True, False])
+def test_latent_poles_from_the_svd_match_the_hankel_pencil(harmonic):
+    """On exact data the poles read from the Hankel SVD equal the eigenvalues
+    of the pencil lstsq(H0, H1) of the Hankel matrix built at S, at S = s_max
+    and below it."""
+    rng = np.random.default_rng(433 if harmonic else 439)
+    for s_max, S in ((3, 3), (4, 4), (4, 2), (5, 3)):
+        n = 2 * s_max
+        theta, g = draw_theta_disk(rng, S), draw_g(rng, S)
+        if harmonic:
+            z = shifted_harmonics(n, n, float(rng.uniform(0.1, 6.0)))
+        else:
+            z = SampleSet(disk_points(rng, 3 * s_max))
+        inst = PhaseInstance(n, s_max, forward_phase(theta, g, z.z, n), z)
+        got_S, got = recover_phase._latent_support(inst, Tolerances(), [])
+        VT = vandermonde(z.z, n).T
+        scale = 1.0 / np.linalg.norm(VT, axis=0)
+        x = np.linalg.lstsq(VT * scale, inst.y, rcond=None)[0] * scale
+        H = x[np.add.outer(np.arange(n - S), np.arange(S + 1))]
+        want = np.linalg.eigvals(np.linalg.lstsq(H[:, :-1], H[:, 1:], rcond=None)[0])
+        assert got_S == S
+        got, want = (p[np.lexsort((np.abs(p), np.angle(p)))] for p in (got, want))
+        assert np.abs(got - want).max() <= 1e-10
+
+
+def test_recover_r1_builds_the_sample_powers_once(monkeypatch):
+    """The latent solve and A = V(z)^T V(theta) share one V(z)."""
+    built = []
+
+    def counting(z, n, real=structmat.vandermonde):
+        built.append(len(z))
+        return real(z, n)
+
+    monkeypatch.setattr(structmat, "vandermonde", counting)
+    # the recovery module must not build V(z) through a binding of its own
+    monkeypatch.setattr(recover_phase, "vandermonde", counting, raising=False)
+    rng = np.random.default_rng(443)
+    n, s = 8, 3
+    theta, g = draw_theta_disk(rng, s), draw_g(rng, s)
+    for z in (shifted_harmonics(n, n, 0.7), SampleSet(disk_points(rng, 3 * s))):
+        y = forward_phase(theta, g, z.z, n)
+        built.clear()
+        res = recover_r1(PhaseInstance(n, s, y, z))
+        assert res.S == s and {d["route"] for d in res.diagnostics} == {"latent"}
+        # one table of the samples, one of the poles
+        assert sorted(built) == sorted([len(z), s])
 
 
 def test_latent_and_paper_routes_agree_on_exact_data():
