@@ -534,6 +534,7 @@ def run_trial(payload: dict, tol: Tolerances | None = None) -> TrialRecord:
         elif mode == "r1":
             res = recover_r1(inst, tol)
             S = res.S
+            # an all-zero y returns S = 0 without running a route
             if res.diagnostics:
                 route = res.diagnostics[-1]["route"]
             theta_err, perm = _greedy_match(theta_true, res.theta)

@@ -13,7 +13,7 @@ import itertools
 
 import numpy as np
 
-from .cpoly import forward_polys, laurent_from_products
+from .cpoly import forward_polys, laurent_eval, laurent_from_products
 from .errors import (
     InvalidInputError,
     ModelMismatchError,
@@ -50,13 +50,11 @@ def forward_phase_rational(theta, g, z, n: int) -> np.ndarray:
     theta = np.asarray(theta, dtype=complex)
     g = np.asarray(g, dtype=complex)
     w = np.multiply.outer(np.asarray(z, dtype=complex), theta)  # (samples, poles)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = (w**n - 1.0) / (w - 1.0)
     near = np.abs(w - 1.0) < _NEAR_ONE
-    if not near.any():
-        return ((w**n - 1.0) / (w - 1.0)) @ g
-    safe = ~near
-    terms = np.empty_like(w)
-    terms[safe] = (w[safe] ** n - 1.0) / (w[safe] - 1.0)
-    terms[near] = np.sum(w[near][:, None] ** np.arange(n), axis=1)
+    if near.any():
+        terms[near] = np.sum(w[near][:, None] ** np.arange(n), axis=1)
     return terms @ g
 
 
@@ -91,11 +89,7 @@ def forward_phase(theta, g, z, n: int) -> np.ndarray:
 
 
 def forward_phaseless(theta, g, z, n: int) -> np.ndarray:
-    """y = |V(z)^T V(theta) g|^2, cross-checked against the Laurent-ratio form.
-
-    The three Laurent polynomials are evaluated at the samples from one
-    table of the powers z^k, |k| up to the half length of the longest.
-    """
+    """y = |V(z)^T V(theta) g|^2, cross-checked against the Laurent-ratio form."""
     theta, g, zz = _finite_inputs(theta, g, z)
     if not (
         (np.abs(np.abs(zz) - 1.0) <= 1e-9).all()
@@ -107,21 +101,14 @@ def forward_phaseless(theta, g, z, n: int) -> np.ndarray:
         return y
     u_hat, u_tilde, v = forward_polys(theta, g, n)
     L, L_tilde, L_hat = laurent_from_products(u_hat, u_tilde, v)
-    half = max(len(L), len(L_tilde), len(L_hat)) // 2
-    table = zz ** np.arange(-half, half + 1)[:, None]
-
-    def at_samples(a):
-        k = half - len(a) // 2
-        return a @ table[k : len(table) - k]
-
     scale = max(1.0, float(y.max()))
-    denom_vals = at_samples(L_hat)
+    denom_vals = laurent_eval(L_hat, zz)
     mag = np.abs(denom_vals)
     # the division amplifies coefficient noise by max|L_hat|/|L_hat(z_j)|
     # when a sample sits near a pole, so the bound must scale with it
     amp = float(mag.max()) / np.maximum(mag, 1e-300)
-    num = at_samples(L)
-    cross = at_samples(L_tilde)
+    num = laurent_eval(L, zz)
+    cross = laurent_eval(L_tilde, zz)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = (num + zz**n * cross + zz ** (-n) * np.conj(cross)) / denom_vals
         gap = np.abs(ratio - y)
@@ -296,6 +283,7 @@ def brute_force_phaseless_candidates(y, theta, z, n: int, grid_resolution: int =
     Magnitudes come from the lifted linear system; the remaining S-1 relative
     phases are grid-searched and each seed is polished by Gauss-Newton steps
     on the phases, a separable least-squares fit (Golub & Pereyra 1973).
+    No solution at all means no g fits y (`ModelMismatchError`, as at S = 1).
     For S >= 2 a complete set holds 2 or 2^(S-1) solutions; any other count
     means the search missed some and raises `ResolutionError`.
     """
@@ -373,6 +361,8 @@ def brute_force_phaseless_candidates(y, theta, z, n: int, grid_resolution: int =
     for a, b in itertools.combinations(kept, 2):
         if phase_dist(a, b) < cell:
             raise ResolutionError("distinct solutions within one grid cell")
+    if not kept:
+        raise ModelMismatchError("no phase seed fits the measurements")
     if len(kept) not in (2, 2 ** (S - 1)):
         raise ResolutionError(
             f"{len(kept)} solutions found, neither 2 nor 2^(S-1) = {2 ** (S - 1)}: "

@@ -499,6 +499,10 @@ def test_run_trial_records_the_route(monkeypatch):
     record = run_trial(payload)
     assert record.success and record.route == "paper"
     monkeypatch.undo()
+    # an all-zero y returns S = 0 before any route runs
+    zero = dict(payload, y=[[0.0, 0.0]] * len(payload["y"]))
+    record = run_trial(zero)
+    assert record.S == 0 and record.route == ""
     r4 = ExperimentConfig.from_dict(
         config_dict(mode="r4", s_list=[2], n_rule="4s-1", m_rule="4s-1", gamma=1.0, trials=1)
     )

@@ -362,18 +362,29 @@ def test_phaseless_oracle_pair_counts():
 
 
 def test_phaseless_oracle_rejects_an_incomplete_set(monkeypatch):
-    """A search that cannot reach every solution raises and names the count.
+    """A search that reaches only some of the solutions raises and names the count.
 
-    Without Gauss-Newton steps no grid seed meets the residual gate, so the
-    S=3 search ends with none of the 2 or 4 solutions a complete set holds.
+    With two Gauss-Newton steps per seed, one seed of this S=3 instance
+    meets the residual gate, where a complete set holds 2 or 4 solutions.
     """
     rng = np.random.default_rng(277)
     theta, g = draw_theta_circle(rng, 3), draw_g(rng, 3)
     z = shifted_harmonics(11, 11, 0.9).z
     y = forward_phaseless(theta, g, z, 11)
     assert len(brute_force_phaseless_candidates(y, theta, z, 11)) == 4
-    monkeypatch.setattr(oracle, "_GN_STEPS", 0)
-    with pytest.raises(ResolutionError, match=r"^0 solutions found, neither 2 nor 2\^\(S-1\) = 4:"):
+    monkeypatch.setattr(oracle, "_GN_STEPS", 2)
+    with pytest.raises(ResolutionError, match=r"^1 solutions found, neither 2 nor 2\^\(S-1\) = 4:"):
+        brute_force_phaseless_candidates(y, theta, z, 11)
+
+
+def test_phaseless_oracle_reports_a_y_that_no_g_fits():
+    """No solution at all is a model mismatch at S >= 2, as at S = 1."""
+    rng = np.random.default_rng(277)
+    theta, g = draw_theta_circle(rng, 3), draw_g(rng, 3)
+    z = shifted_harmonics(11, 11, 0.9).z
+    y = forward_phaseless(theta, g, z, 11)
+    y[0] *= 3
+    with pytest.raises(ModelMismatchError, match="^no phase seed fits the measurements$"):
         brute_force_phaseless_candidates(y, theta, z, 11)
 
 
