@@ -16,7 +16,6 @@ from .cpoly import (
     laurent_sqrt,
     pair_conjugate_reciprocal,
     poly_roots,
-    t_polynomial,
 )
 from .errors import (
     InvalidInputError,

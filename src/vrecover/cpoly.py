@@ -107,20 +107,18 @@ def t_polynomial(theta, l: int) -> np.ndarray:
     return p
 
 
-def t_values(theta, points) -> np.ndarray:
-    """``t_l(q)`` for every point q and pole index l, shape (len(points), len(theta)).
+def t_at_conjugates(theta) -> np.ndarray:
+    """``t_l(conj(theta_l))`` for every pole index l, shape (len(theta),).
 
-    Evaluated as the product of the factors ``(theta_i * q - 1)``, i != l,
-    rather than by expanding each ``t_polynomial`` and running Horner.
+    Evaluated as the product of the factors ``(theta_i * conj(theta_l) - 1)``,
+    i != l, rather than by expanding each ``t_polynomial`` and running Horner.
     """
     theta = np.asarray(theta, dtype=complex)
     if (theta == 0).any():
         raise InvalidInputError("pole locations must be nonzero")
-    S = len(theta)
-    factors = np.multiply.outer(np.asarray(points, dtype=complex), theta) - 1.0
-    factors = np.repeat(factors[:, None, :], S, axis=1)
-    factors[:, np.arange(S), np.arange(S)] = 1.0
-    return factors.prod(axis=2)
+    factors = np.multiply.outer(np.conj(theta), theta) - 1.0
+    np.fill_diagonal(factors, 1.0)
+    return factors.prod(axis=1)
 
 
 def forward_polys(theta, g, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -28,7 +28,7 @@ from .cpoly import (
     poly_roots,
     relative_defect,
     relative_gaps,
-    t_values,
+    t_at_conjugates,
 )
 from .errors import (
     AmbiguousDisambiguationError,
@@ -49,8 +49,8 @@ from .recover_phase import (
     _snap_to_grid,
 )
 from .structmat import (
-    SampleSet, _require_distinct, _system_G, _system_Gtilde, measurement_matrix,
-    readonly_array, vandermonde,
+    SampleSet, _phaseless_measurements, _require_distinct, build_G, build_Gtilde,
+    measurement_matrix, readonly_array, vandermonde,
 )
 
 BRANCH_HARMONIC = "Harmonic2pow"
@@ -64,6 +64,8 @@ class PhaselessInstance:
 
     `y` is a read-only float array, `grid` a read-only complex one, and
     `extra_row` the pair (a, y_m) of a read-only complex row and a float.
+    y and the samples must pass the phaseless data rule that the builders
+    of G and G~ apply (`structmat._phaseless_measurements`).
     """
 
     n: int
@@ -76,14 +78,7 @@ class PhaselessInstance:
     def __init__(self, n, s_max, y, samples, extra_row=None, grid=None):
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "s_max", int(s_max))
-        yy = np.asarray(y)
-        if np.iscomplexobj(yy):
-            yy = readonly_array(yy, complex, "measurements")
-            scale = max(1.0, float(np.abs(yy).max()) if yy.size else 1.0)
-            if (np.abs(yy.imag) > 1e-12 * scale).any():
-                raise InvalidInputError("phaseless measurements must be real")
-            yy = yy.real
-        object.__setattr__(self, "y", readonly_array(yy, float, "measurements"))
+        object.__setattr__(self, "y", _phaseless_measurements(samples.z, y))
         object.__setattr__(self, "samples", samples)
         if extra_row is not None:
             a, y_m = extra_row
@@ -101,13 +96,7 @@ class PhaselessInstance:
         )
         if self.s_max < 1:
             raise InvalidInputError("s_max must be at least 1")
-        if len(samples) != self.m:
-            raise InvalidInputError("sample count does not match measurement count")
         _check_floors(PhaselessInstance, self.n, self.m, self.s_max, samples.is_harmonic)
-        if (self.y < 0).any():
-            raise InvalidInputError("phaseless measurements must be nonnegative")
-        if (np.abs(np.abs(samples.z) - 1.0) > 1e-9).any():
-            raise InvalidInputError("phaseless samples must lie on the unit circle")
         if samples.is_harmonic and samples.n != self.n:
             raise InvalidInputError("harmonic samples must share the model order n")
         if self.grid is not None:
@@ -196,15 +185,14 @@ def recover_support_harmonic(inst: PhaselessInstance, tol: Tolerances):
     `q_block` is the symmetrized combined numerator block, the centered
     Laurent array of length 2S-1 (z^-(S-1) .. z^(S-1)) that
     `magnitudes_harmonic` and `enumerate_candidates_harmonic` take.
-    `diagnostics` holds one entry per system built by the null-space stage
-    (`_descend`). The samples must be shifted harmonics, or InvalidInputError
-    is raised, as `recover_general` does for the opposite case.
+    `diagnostics` holds one entry per system that the null-space stage
+    (`_descend`) builds, each with `build_Gtilde` from the instance's samples
+    and y. The samples must be shifted harmonics, or InvalidInputError is
+    raised, as `recover_general` does for the opposite case.
     """
     if not inst.samples.is_harmonic:
         raise InvalidInputError("recover_support_harmonic needs shifted-harmonic samples")
-    # the instance checked y and the samples, so the builds skip build_Gtilde's checks
-    zz, y = inst.samples.z, inst.y.astype(complex)
-    builder = lambda s: _system_Gtilde(zz, y, s)
+    builder = lambda s: build_Gtilde(inst.samples, inst.y, s)
     S, w, diagnostics = _descend(builder, inst.s_max, tol, step=2)
     w = _phase_normalize(w, S)
     lhat = _symmetrized(w[: 2 * S + 1][::-1], "|v|^2", tol)
@@ -236,7 +224,7 @@ def magnitudes_harmonic(theta, q_block: np.ndarray, gamma: float, n: int,
     """
     theta = np.asarray(theta, dtype=complex)
     points = np.conj(theta)
-    denom = np.diagonal(t_values(theta, points)) * (np.exp(1j * gamma) * theta**n - 1.0)
+    denom = t_at_conjugates(theta) * (np.exp(1j * gamma) * theta**n - 1.0)
     if (np.abs(denom) < 1e-12).any():
         raise DegenerateSupportError("magnitude denominator vanished")
     return _positivity_check(laurent_eval(q_block, points).real / np.abs(denom) ** 2, tol)
@@ -246,7 +234,7 @@ def magnitudes_general(theta, L: np.ndarray, tol: Tolerances) -> np.ndarray:
     """Squared magnitudes from the |u_hat|^2 + |u_tilde|^2 block: L(conj th)/2|t_k|^2."""
     theta = np.asarray(theta, dtype=complex)
     points = np.conj(theta)
-    t_val = np.diagonal(t_values(theta, points))
+    t_val = t_at_conjugates(theta)
     if (np.abs(t_val) < 1e-12).any():
         raise DegenerateSupportError("magnitude denominator vanished")
     return _positivity_check(laurent_eval(L, points).real / (2.0 * np.abs(t_val) ** 2), tol)
@@ -423,17 +411,16 @@ def recover_general(inst: PhaselessInstance, tol: Tolerances):
 
     Returns (theta, L, L_tilde, L_hat, S, diagnostics): L and L_tilde are
     centered Laurent arrays of length 2S-1, L_hat one of length 2S+1, and
-    `diagnostics` holds one entry per system built by the null-space stage
-    (`_descend`). It is the route for general samples, whose floor
+    `diagnostics` holds one entry per system that the null-space stage
+    (`_descend`) builds, each with `build_G` from the instance's samples and
+    y. It is the route for general samples, whose floor
     m >= 8s-3 the instance constructor checks; shifted-harmonic samples
     raise InvalidInputError, as `recover_support_harmonic` does for the
     opposite case.
     """
     if inst.samples.is_harmonic:
         raise InvalidInputError("recover_general needs samples that are not shifted harmonics")
-    # the instance checked y and the samples, so the builds skip build_G's checks
-    zz, y = inst.samples.z, inst.y.astype(complex)
-    builder = lambda s: _system_G(zz, y, inst.n, s)
+    builder = lambda s: build_G(inst.samples, inst.y, inst.n, s)
     S, w, diagnostics = _descend(builder, inst.s_max, tol, step=2)
     w = _phase_normalize(w, S)
     # the blocks are stored from the top power down

@@ -201,24 +201,34 @@ def build_B(z, y, s: int) -> np.ndarray:
 
 
 def _phaseless_measurements(zz: np.ndarray, y) -> np.ndarray:
-    """y as a complex array of its real parts, once it fits circle samples zz."""
-    y = np.asarray(y, dtype=complex)
+    """y as a read-only float array, once it is valid phaseless data at samples zz.
+
+    The one rule for phaseless data, shared by `PhaselessInstance` and the
+    builders of G and G~: y is a flat list of finite, nonnegative numbers,
+    one per sample, whose imaginary parts stay within 1e-12 * max(1, max |y|),
+    and the samples lie on the unit circle within 1e-9.
+    """
+    y = readonly_array(y, complex, "measurements")
     _check_lengths(zz, y)
-    if not (np.isfinite(zz).all() and np.isfinite(y).all()):
-        raise InvalidInputError("phaseless samples and measurements must be finite")
+    if not np.isfinite(zz).all():
+        raise InvalidInputError("sample points must be finite")
     if not (np.abs(np.abs(zz) - 1.0) <= 1e-9).all():
         raise InvalidInputError("phaseless samples must lie on the unit circle")
     yscale = max(1.0, float(np.abs(y).max()) if len(y) else 1.0)
     if (y.real < 0).any() or (np.abs(y.imag) > 1e-12 * yscale).any():
         raise InvalidInputError("phaseless measurements must be nonnegative reals")
-    return y.real.astype(complex)
+    real = y.real.copy()
+    real.flags.writeable = False
+    return real
 
 
-def _phaseless_system(zz: np.ndarray, y: np.ndarray, s: int, high: np.ndarray) -> np.ndarray:
+def _phaseless_system(zz: np.ndarray, y, s: int, high: np.ndarray) -> np.ndarray:
     """The block layout [B | y | fliplr(conj(B)) | -C | -1 | -fliplr(conj(C))].
 
-    B_j = [y_j z_j^s ... y_j z_j] and C_j = [z_j^e for e in high, z_j^{s-1} ... z_j].
+    B_j = [y_j z_j^s ... y_j z_j] and C_j = [z_j^e for e in high, z_j^{s-1} ... z_j],
+    for y and the samples zz that `_phaseless_measurements` accepts.
     """
+    y = _phaseless_measurements(zz, y).astype(complex)
     m = len(zz)
     # rows: z^s ... z^1, then the high exponents
     P = _power_table(zz, np.r_[np.arange(s, 0, -1), high])
@@ -242,22 +252,13 @@ def build_G(z, y, n: int, s: int) -> np.ndarray:
     Block layout [B | y | fliplr(conj(B)) | -C | -1 | -fliplr(conj(C))] with
     B_j = [y_j z_j^s ... y_j z_j] and C_j = [z^{n+s-1} ... z^{n-s+1}, z^{s-1} ... z].
     The unknown stack is [l_hat; l_tilde; l; conj-Laurent(l_tilde)], blocks in
-    descending powers.
+    descending powers. y and z must pass the phaseless data rule
+    (`_phaseless_measurements`) and n >= 4s-1, or InvalidInputError is raised;
+    the descent of `recover_general` builds every G through here.
     """
-    zz = np.asarray(z, dtype=complex)
-    y = _phaseless_measurements(zz, y)
     if n < 4 * s - 1:
         raise InvalidInputError("need n >= 4s-1")
-    return _system_G(zz, y, n, s)
-
-
-def _system_G(zz: np.ndarray, y: np.ndarray, n: int, s: int) -> np.ndarray:
-    """`build_G` without its checks, for the descent over s of one instance.
-
-    zz and y are complex arrays that a `PhaselessInstance` has checked (y
-    real and nonnegative, zz on the circle), and n >= 4s - 1.
-    """
-    return _phaseless_system(zz, y, s, np.arange(n + s - 1, n - s, -1))
+    return _phaseless_system(np.asarray(z, dtype=complex), y, s, np.arange(n + s - 1, n - s, -1))
 
 
 def build_Gtilde(z, y, s: int) -> np.ndarray:
@@ -266,16 +267,13 @@ def build_Gtilde(z, y, s: int) -> np.ndarray:
     Block layout [B | y | fliplr(conj(B)) | -C~ | -1 | -fliplr(conj(C~))] with
     C~_j = [z^{s-1} ... z]. The unknown stack is [l_hat; p] where p combines
     the three numerator Laurent blocks through the common nth power of z.
+    z must be a shifted-harmonic `SampleSet` and y must pass the phaseless
+    data rule, or InvalidInputError is raised; the descent of
+    `recover_support_harmonic` builds every G~ through here.
     """
     if not (isinstance(z, SampleSet) and z.is_harmonic):
         raise InvalidInputError("build_Gtilde needs shifted-harmonic samples")
-    zz = z.z
-    return _system_Gtilde(zz, _phaseless_measurements(zz, y), s)
-
-
-def _system_Gtilde(zz: np.ndarray, y: np.ndarray, s: int) -> np.ndarray:
-    """`build_Gtilde` without its checks, on data as `_system_G` takes it."""
-    return _phaseless_system(zz, y, s, np.arange(0))
+    return _phaseless_system(z.z, y, s, np.arange(0))
 
 
 # ----------------------------------------------------------------------------

@@ -20,8 +20,8 @@ from vrecover.cpoly import (
     poly_eval,
     poly_from_roots,
     poly_roots,
+    t_at_conjugates,
     t_polynomial,
-    t_values,
 )
 from vrecover.errors import (
     InvalidInputError,
@@ -526,18 +526,16 @@ def test_pair_conjugate_reciprocal_matches_pairwise_scan():
 
 def test_t_values_match_horner():
     rng = np.random.default_rng(59)
-    theta = np.exp(1j * rng.uniform(0, 2 * np.pi, 6))
-    points = rng.uniform(0.2, 3.0, 9) * np.exp(1j * rng.uniform(0, 2 * np.pi, 9))
-    table = t_values(theta, points)
-    assert table.shape == (9, 6)
-    for p, q in enumerate(points):
-        for l in range(6):
-            want = poly_eval(t_polynomial(theta, l), q)
-            assert abs(table[p, l] - want) <= 1e-12 * max(1.0, abs(want))
-    assert t_values([2.0], points).shape == (9, 1)
-    assert np.all(t_values([2.0], points) == 1.0)
+    for theta in (np.exp(1j * rng.uniform(0, 2 * np.pi, 6)),
+                  rng.uniform(0.2, 3.0, 9) * np.exp(1j * rng.uniform(0, 2 * np.pi, 9))):
+        got = t_at_conjugates(theta)
+        assert got.shape == theta.shape
+        for l, th in enumerate(theta):
+            want = poly_eval(t_polynomial(theta, l), np.conj(th))
+            assert abs(got[l] - want) <= 1e-12 * max(1.0, abs(want))
+    assert np.all(t_at_conjugates([2.0]) == 1.0)
     with pytest.raises(InvalidInputError):
-        t_values([1.0, 0.0], points)
+        t_at_conjugates([1.0, 0.0])
 
 
 def test_laurent_sqrt_constant():

@@ -50,7 +50,9 @@ from vrecover.recover_phaseless import (
     recover_support_harmonic,
     split_and_enumerate_general,
 )
-from vrecover.structmat import SampleSet, shifted_harmonics, vandermonde
+from vrecover.structmat import (
+    SampleSet, build_G, build_Gtilde, shifted_harmonics, vandermonde,
+)
 
 from test_recover_phase import _count_svds
 
@@ -840,3 +842,39 @@ def test_phaseless_instance_validation():
             PhaselessInstance(7, 2, bad, z)
     with pytest.raises(InvalidInputError, match="^extra row must be a flat list"):
         PhaselessInstance(7, 2, np.ones(7), z, extra_row=(np.ones((7, 1)), 1.0))
+
+
+@pytest.mark.parametrize(
+    "defect, message",
+    [
+        ("off-circle sample", "^phaseless samples must lie on the unit circle$"),
+        ("negative y", "^phaseless measurements must be nonnegative reals$"),
+        ("complex y", "^phaseless measurements must be nonnegative reals$"),
+        ("NaN in y", "^measurements must be finite$"),
+    ],
+    ids=["off-circle-sample", "negative-y", "complex-y", "nan-y"],
+)
+def test_phaseless_data_has_one_rule(defect, message):
+    """PhaselessInstance and the builders of G and G~ reject malformed
+    phaseless data with the same error."""
+    n, s = 7, 2
+    general = np.exp(1j * np.linspace(0.1, 6.0, 8 * s - 3))
+    layouts = [(general, lambda z, y: build_G(z, y, n, s))]
+    if defect == "off-circle sample":
+        general[3] *= 1.5
+    else:
+        layouts.append((shifted_harmonics(n, n, 0.4), lambda z, y: build_Gtilde(z, y, s)))
+    for z, build in layouts:
+        y = np.ones(len(z), dtype=complex)
+        if defect == "negative y":
+            y[1] = -0.5
+        elif defect == "complex y":
+            y[2] = 1.0 + 1e-6j
+        elif defect == "NaN in y":
+            y[0] = np.nan
+        samples = z if isinstance(z, SampleSet) else SampleSet(z)
+        with pytest.raises(InvalidInputError, match=message) as from_instance:
+            PhaselessInstance(n, s, y, samples)
+        with pytest.raises(InvalidInputError, match=message) as from_builder:
+            build(z, y)
+        assert str(from_instance.value) == str(from_builder.value)
