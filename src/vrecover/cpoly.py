@@ -62,13 +62,6 @@ def poly_eval(p, x):
     return acc
 
 
-def poly_from_roots(roots, leading: complex = 1.0) -> np.ndarray:
-    p = np.array([complex(leading)])
-    for r in roots:
-        p = np.convolve(p, np.array([-complex(r), 1.0]))
-    return p
-
-
 def poly_roots(p, tol_root: float) -> np.ndarray:
     """All complex roots of `p` via eigenvalues of the companion matrix.
 
@@ -235,13 +228,19 @@ def greedy_pairs(gap: np.ndarray, tol: float):
     as inf, and the loop stops at the first gap above `tol`, or inf. `gap` is
     changed in place: before asking for the next pair, the caller sets to inf
     every entry the pair it was given rules out.
+
+    Entries only ever rise to inf, so the minima come in the order of one
+    stable sort of the table, walked once; an entry the caller has ruled
+    out since the sort is skipped.
     """
     gap[np.isnan(gap)] = np.inf
-    while gap.size:
-        i, j = (int(v) for v in np.unravel_index(np.argmin(gap), gap.shape))
-        if np.isinf(gap[i, j]) or gap[i, j] > tol:
-            return
-        yield i, j
+    flat = gap.ravel()
+    order = np.argsort(flat, kind="stable")
+    order = order[: np.searchsorted(flat[order], tol, side="right")]
+    rows, cols = np.divmod(order, gap.shape[1])
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        if gap[i, j] != np.inf:
+            yield i, j
 
 
 def pair_conjugate_reciprocal(roots, tol: float) -> np.ndarray:
@@ -310,16 +309,18 @@ def halve_doubled_roots(roots, radius: float, error: type[Exception],
     return halved
 
 
-def laurent_sqrt(D, tol: float, tol_root: float) -> np.ndarray:
+def laurent_sqrt(D, tol: float) -> np.ndarray:
     """A Laurent polynomial M with ``np.convolve(M, M) == D``, Hermitian on the circle.
 
-    Works by halving the multiplicity of every root cluster of D; clusters
-    that cannot be halved mean D is not a perfect square. `tol` bounds the
-    relative reconstruction defect and its square root is the clustering
-    radius; `tol_root` certifies the roots of D. A centered D of length
-    4d+1 gives a centered M of length 2d+1; any other length raises. Exact
-    zeros at the ends of D are allowed, and the roots are those of its
-    nonzero span, which must start and end at even positions.
+    Works on coefficients and finds no roots. Let P be the nonzero span of
+    D, of length 2h+1; it must start and end at even positions. The h+1
+    coefficients of R, with ``R * R = P``, come from the power-series
+    recurrence down from the top coefficient, then three Gauss–Newton steps
+    on ``||R * R - P||``, whose Jacobian is ``2 * conv(R, .)``. A centered D
+    of length 4d+1 gives a centered M of length 2d+1; any other length
+    raises, and exact zeros at the ends of D are kept as zeros of M. D is
+    not a perfect square when the relative reconstruction defect exceeds
+    `tol`.
     """
     D = np.asarray(D, dtype=complex)
     if len(D) % 4 != 1:
@@ -331,15 +332,26 @@ def laurent_sqrt(D, tol: float, tol_root: float) -> np.ndarray:
     lo, hi = int(nonzero[0]), int(nonzero[-1])
     if lo % 2 or hi % 2:
         raise NotASquareError("odd degree span cannot be a square")
-    lead = np.sqrt(D[hi])
-    if lo == hi:
-        m[lo // 2] = lead
-    else:
-        halved = halve_doubled_roots(
-            poly_roots(D[lo : hi + 1], tol_root), np.sqrt(tol), NotASquareError,
-            "odd-multiplicity root cluster", "odd-multiplicity root cluster",
-        )
-        m[lo // 2 : hi // 2 + 1] = poly_from_roots(halved, leading=lead)
+    P = D[lo : hi + 1]
+    h = len(P) // 2
+    # descending coefficients: r[k] multiplies z**(h - k) in R
+    top = P[::-1].tolist()
+    r = [complex(np.sqrt(top[0]))]
+    for k in range(1, h + 1):
+        acc = top[k]
+        for j in range(1, k):
+            acc -= r[j] * r[k - j]
+        r.append(acc / (2.0 * r[0]))
+    R = np.array(r[::-1])
+    # conv(R, x)[i] = sum_j R[i - j] x[j], read from R padded by h zeros a side
+    index = np.arange(2 * h + 1)[:, None] - np.arange(h + 1)[None, :] + h
+    padded = np.zeros(3 * h + 1, dtype=complex)
+    for _ in range(3):
+        padded[h : 2 * h + 1] = R
+        J = 2.0 * padded[index]
+        JH = J.conj().T
+        R = R - np.linalg.solve(JH @ J, JH @ (np.convolve(R, R) - P))
+    m[lo // 2 : hi // 2 + 1] = R
     # the true square root is Hermitian up to sign, so symmetrizing only
     # removes numerical noise
     m = hermitian_part(m)
@@ -348,6 +360,7 @@ def laurent_sqrt(D, tol: float, tol_root: float) -> np.ndarray:
     if np.real(laurent_eval(m, 1.0)) < 0:
         m = -m
     defect = relative_defect(np.convolve(m, m) - D, D)
-    if defect > tol:
-        raise NotASquareError(f"reconstruction defect {defect:.3e}")
+    # a non-finite defect fails too
+    if not defect <= tol:
+        raise NotASquareError(f"reconstruction defect {defect:.1e} exceeds {tol:.1e}")
     return m

@@ -756,7 +756,7 @@ def _selftest_checks(tol: Tolerances):
         assert np.allclose(np.abs(one.basis[:, 0]), np.sqrt(0.5))
 
     def check_laurent_sqrt():
-        m = laurent_sqrt(np.array([9.0]), tol.tol_root, tol.tol_root)
+        m = laurent_sqrt(np.array([9.0]), tol.pair_tol)
         assert np.allclose(m, [3.0]), m
 
     def check_forward_routes():

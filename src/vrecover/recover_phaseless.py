@@ -447,9 +447,12 @@ def split_and_enumerate_general(L: np.ndarray, L_tilde: np.ndarray, theta, n: in
     separate: the roots of Q = (L + sqrt(disc))/2 that also occur among the
     roots of conj-Laurent(L_tilde) pin the linear system for one candidate,
     whose null direction comes in the closed form of the harmonic
-    enumeration, and its dual is the only other solution. A vanishing
-    discriminant means all support powers coincide and the solution set is
-    the harmonic-style 2^(S-1) family built from root pairs of L.
+    enumeration, and its dual is the only other solution. `laurent_sqrt`
+    takes sqrt(disc) from the coefficients, finding no roots, and raises
+    `NotASquareError` when its square misses disc by more than pair_tol,
+    relative. A vanishing discriminant means all support powers coincide
+    and the solution set is the harmonic-style 2^(S-1) family built from
+    root pairs of L.
     """
     theta = np.asarray(theta, dtype=complex)
     y = np.asarray(y, dtype=float)
@@ -465,7 +468,7 @@ def split_and_enumerate_general(L: np.ndarray, L_tilde: np.ndarray, theta, n: in
         return cands, BRANCH_DEGENERATE
     if not L_tilde.any():
         raise MatchingFailureError("cross term vanished on a non-degenerate instance")
-    M_sqrt = laurent_sqrt(disc, tol.pair_tol, tol.tol_root)
+    M_sqrt = laurent_sqrt(disc, tol.pair_tol)
     q_roots = poly_roots((L + M_sqrt) * 0.5, tol.tol_root)
     pool = poly_roots(laurent_conj(L_tilde), tol.tol_root)
     matched = _match_roots(pool, q_roots, tol)

@@ -9,6 +9,7 @@ from vrecover import cpoly
 from vrecover.config import Tolerances
 from vrecover.cpoly import (
     forward_polys,
+    greedy_pairs,
     halve_doubled_roots,
     hermitian_defect,
     hermitian_part,
@@ -18,7 +19,6 @@ from vrecover.cpoly import (
     laurent_sqrt,
     pair_conjugate_reciprocal,
     poly_eval,
-    poly_from_roots,
     poly_roots,
     t_at_conjugates,
     t_polynomial,
@@ -32,6 +32,13 @@ from vrecover.errors import (
 )
 
 TOL_ROOT = Tolerances().tol_root
+
+
+def poly_from_roots(roots, leading: complex = 1.0) -> np.ndarray:
+    p = np.array([complex(leading)])
+    for r in roots:
+        p = np.convolve(p, np.array([-complex(r), 1.0]))
+    return p
 
 
 def test_docstring_examples():
@@ -524,6 +531,57 @@ def test_pair_conjugate_reciprocal_matches_pairwise_scan():
             assert np.array_equal(got, np.array(want, dtype=complex).reshape(-1, 2))
 
 
+def _greedy_pairs_rescan(gap, tol):
+    """greedy_pairs as an argmin over the whole table for every pair."""
+    gap[np.isnan(gap)] = np.inf
+    while gap.size:
+        i, j = (int(v) for v in np.unravel_index(np.argmin(gap), gap.shape))
+        if np.isinf(gap[i, j]) or gap[i, j] > tol:
+            return
+        yield i, j
+
+
+def _drain(pairs, gap, tol, rule):
+    """Every pair `pairs` yields, clearing what each rules out as `rule` says."""
+    taken = []
+    for i, j in pairs(gap, tol):
+        taken.append((i, j))
+        if rule == "pairing":  # pair_conjugate_reciprocal: both roots leave
+            gap[[i, j], :] = np.inf
+            gap[:, [i, j]] = np.inf
+        else:  # _match_roots: pool value i and target j leave
+            gap[i, :] = np.inf
+            gap[:, j] = np.inf
+    return taken
+
+
+def test_greedy_pairs_matches_rescan():
+    """One sorted walk gives the pairs, and their order, of a rescan per pair."""
+    rng = np.random.default_rng(61)
+    longest = 0
+    for trial in range(600):
+        rule = ("pairing", "matching")[trial % 2]
+        rows = int(rng.integers(0, 8))
+        cols = rows if rule == "pairing" else int(rng.integers(0, 8))
+        # few distinct values make ties; NaN and inf sit among them
+        gap = rng.integers(0, 6, (rows, cols)) * 1e-3
+        gap[rng.random((rows, cols)) < 0.1] = np.nan
+        gap[rng.random((rows, cols)) < 0.1] = np.inf
+        if rule == "pairing":
+            np.fill_diagonal(gap, np.inf)
+        if trial % 3 == 0:
+            gap = np.ascontiguousarray(gap.T).T  # a transposed view, as the pairing passes
+        tol = float(rng.choice([0.0, 1.5e-3, 3e-3, np.inf]))
+        want_gap = gap.copy()
+        want = _drain(_greedy_pairs_rescan, want_gap, tol, rule)
+        got = _drain(greedy_pairs, gap, tol, rule)
+        assert got == want
+        assert all(type(v) is int for pair in got for v in pair)
+        assert np.array_equal(gap, want_gap)
+        longest = max(longest, len(got))
+    assert longest >= 5
+
+
 def test_t_values_match_horner():
     rng = np.random.default_rng(59)
     for theta in (np.exp(1j * rng.uniform(0, 2 * np.pi, 6)),
@@ -539,14 +597,14 @@ def test_t_values_match_horner():
 
 
 def test_laurent_sqrt_constant():
-    m = laurent_sqrt(np.array([9.0]), 1e-8, TOL_ROOT)
+    m = laurent_sqrt(np.array([9.0]), 1e-8)
     assert m.shape == (1,)
     assert np.allclose(m, [3.0])
 
 
 def test_laurent_sqrt_zero():
     for length in (1, 5, 9):
-        m = laurent_sqrt(np.zeros(length), 1e-8, TOL_ROOT)
+        m = laurent_sqrt(np.zeros(length), 1e-8)
         assert np.array_equal(m, np.zeros(length // 2 + 1))
 
 
@@ -554,19 +612,19 @@ def test_laurent_sqrt_needs_length_one_mod_four():
     """A centered square of length 2d+1 has a root of length d+1, so d is even."""
     for length in (2, 3, 4, 6, 7):
         with pytest.raises(NotASquareError, match="^odd degree span cannot be a square$"):
-            laurent_sqrt(np.ones(length), 1e-8, TOL_ROOT)
+            laurent_sqrt(np.ones(length), 1e-8)
 
 
 def test_laurent_sqrt_keeps_end_zeros():
     """Zero padding of a square maps to half as much zero padding of its root."""
     m = np.array([1.0 - 2j, 5.0, 1.0 + 2j])  # Hermitian, positive at z = 1
     D = np.convolve(m, m)
-    got = laurent_sqrt(np.pad(D, 2), 1e-8, TOL_ROOT)
+    got = laurent_sqrt(np.pad(D, 2), 1e-8)
     assert got.shape == (5,) and got[0] == got[-1] == 0
     assert np.max(np.abs(got[1:-1] - m)) <= 1e-12 * np.max(np.abs(m))
     # a nonzero span starting at an odd position has no centered root
     with pytest.raises(NotASquareError, match="^odd degree span cannot be a square$"):
-        laurent_sqrt(np.concatenate([[0.0], D, [0.0, 0.0, 0.0]]), 1e-8, TOL_ROOT)
+        laurent_sqrt(np.concatenate([[0.0], D, [0.0, 0.0, 0.0]]), 1e-8)
 
 
 def test_laurent_sqrt_sign_convention():
@@ -580,7 +638,7 @@ def test_laurent_sqrt_sign_convention():
         u_hat, u_tilde, v = forward_polys(theta, g, 4 * s - 1)
         L, L_tilde, _ = laurent_from_products(u_hat, u_tilde, v)
         disc = np.convolve(L, L) - 4.0 * np.convolve(L_tilde, laurent_conj(L_tilde))
-        m = laurent_sqrt(disc, 1e-8, TOL_ROOT)
+        m = laurent_sqrt(disc, 1e-8)
         assert m.shape == (2 * s - 1,)
         at_one = laurent_eval(m, 1.0)
         assert abs(at_one.imag) <= 1e-7 * max(1.0, abs(at_one))
@@ -598,7 +656,7 @@ def test_laurent_sqrt_from_split_discriminant():
         u_hat, u_tilde, v = forward_polys(theta, g, n)
         L, L_tilde, _ = laurent_from_products(u_hat, u_tilde, v)
         disc = np.convolve(L, L) - 4.0 * np.convolve(L_tilde, laurent_conj(L_tilde))
-        m = laurent_sqrt(disc, 1e-8, TOL_ROOT)
+        m = laurent_sqrt(disc, 1e-8)
         err = np.convolve(m, m) - disc
         assert np.max(np.abs(err)) <= 1e-8 * np.max(np.abs(disc))
 
@@ -675,5 +733,40 @@ def test_halve_doubled_roots_matches_list_scan():
 def test_laurent_sqrt_rejects_odd_multiplicity():
     # (z - 2)(z - 1/2)(z - 3)(z - 1/3) has four isolated roots, not doubled ones
     D = poly_from_roots([2.0, 0.5, 3.0, 1.0 / 3.0])
-    with pytest.raises(NotASquareError, match="^odd-multiplicity root cluster$"):
-        laurent_sqrt(D, 1e-8, TOL_ROOT)
+    with pytest.raises(NotASquareError, match=r"^reconstruction defect \S+ exceeds 1\.0e-08$"):
+        laurent_sqrt(D, 1e-8)
+
+
+def test_laurent_sqrt_finds_no_roots(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("laurent_sqrt must not find roots")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    monkeypatch.setattr(np, "roots", refuse)
+    monkeypatch.setattr(cpoly, "poly_roots", refuse)
+    rng = np.random.default_rng(67)
+    for s in (2, 4, 6):
+        theta = np.exp(1j * rng.uniform(0, 2 * np.pi, s))
+        g = rng.normal(size=s) + 1j * rng.normal(size=s)
+        u_hat, u_tilde, v = forward_polys(theta, g, 4 * s - 1)
+        L, L_tilde, _ = laurent_from_products(u_hat, u_tilde, v)
+        disc = np.convolve(L, L) - 4.0 * np.convolve(L_tilde, laurent_conj(L_tilde))
+        m = laurent_sqrt(disc, 1e-6)
+        assert np.linalg.norm(np.convolve(m, m) - disc) <= 1e-10 * np.linalg.norm(disc)
+
+
+def test_laurent_sqrt_resolves_close_roots():
+    """Two roots 1e-4 apart, each with its conjugate-reciprocal partner.
+
+    Rounding splits each doubled root of M * M by about the square root of
+    the coefficient noise, which is where close roots of M sit.
+    """
+    r = 0.6 * np.exp(0.7j)
+    for others in ([], [1.3 * np.exp(2.0j)]):
+        M = np.array([1.0 + 0j])
+        for rho in (r, r + 1e-4 * np.exp(0.3j), *others):
+            # (z - rho)(1/z - conj(rho)) is Hermitian, with roots rho and 1/conj(rho)
+            M = np.convolve(M, [-np.conj(rho), 1.0 + abs(rho) ** 2, -rho])
+        got = laurent_sqrt(np.convolve(M, M), 1e-6)
+        miss = min(np.max(np.abs(got - M)), np.max(np.abs(got + M)))
+        assert miss <= 1e-12 * np.max(np.abs(M))

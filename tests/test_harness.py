@@ -343,12 +343,12 @@ FROZEN_OUTCOMES = {
     ],
     "r5-arbitrary": [
         "0 None None Arbitrary MatchingFailureError", "1 6 2 DualPair None",
-        "1 6 2 DualPair None", "0 None None Arbitrary ModelMismatchError",
-        "1 6 2 DualPair None", "0 None None Arbitrary NotASquareError",
-        "0 None None Arbitrary NotASquareError", "1 6 2 DualPair None",
-        "0 None None Arbitrary NotASquareError", "1 6 2 DualPair None",
+        "0 None None Arbitrary MatchingFailureError", "0 None None Arbitrary ModelMismatchError",
         "1 6 2 DualPair None", "1 6 2 DualPair None",
-        "1 6 2 DualPair None", "0 None None Arbitrary NotASquareError",
+        "0 None None Arbitrary MatchingFailureError", "1 6 2 DualPair None",
+        "0 6 2 DualPair None", "1 6 2 DualPair None",
+        "1 6 2 DualPair None", "1 6 2 DualPair None",
+        "1 6 2 DualPair None", "0 None None Arbitrary InconsistentSolutionError",
         "1 6 2 DualPair None", "1 6 2 DualPair None",
         "1 6 2 DualPair None", "1 6 2 DualPair None",
         "0 None None Arbitrary ModelMismatchError", "1 6 2 DualPair None",
@@ -575,8 +575,8 @@ CAMPAIGN_OVERRIDES = [
     (config_dict(s_list=[4], m_rule="4s", trials=5, master_seed=1,
                  sample_mode="arbitrary"),
      {"gap_ratio": 1e30}),
-    # the root bound inside laurent_sqrt; trials 6, 10 and 11 used to follow
-    # the environment instead
+    # the root bound of the general pipeline's root finding; trials 6, 10 and
+    # 11 once followed the environment instead
     (config_dict(mode="r5", s_list=[4], n_rule="4s-1", m_rule="8s-3", trials=12,
                  master_seed=1, sample_mode="arbitrary"),
      {"tol_root": 1e-15}),
