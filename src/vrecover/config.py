@@ -27,7 +27,9 @@ class Tolerances:
     rank_rel_tol: float = 1e-8
     # a widest singular-value gap narrower than this attaches a conditioning warning
     gap_ratio: float = 1e3
-    # conjugate-reciprocal pairing and root matching
+    # conjugate-reciprocal pairing and root matching; also the relative
+    # defect bound of the Hermitian and cross-term gates and of both square
+    # roots, the discriminant's and the |v|^2 block's
     pair_tol: float = 1e-6
     # candidate comparison up to global phase
     dedup_tol: float = 1e-8
@@ -41,10 +43,6 @@ class Tolerances:
     disambig_tol: float = 1e-4
     # negativity slack allowed for computed squared magnitudes
     mag_tol: float = 1e-8
-    # grouping radius for the doubled roots of the |v|^2 block; doubled
-    # roots split by about the square root of the coefficient noise, so
-    # this sits far above tol_root on purpose
-    cluster_tol: float = 1e-3
 
 
 _FIELD_NAMES = {f.name for f in dataclasses.fields(Tolerances)}

@@ -205,7 +205,7 @@ def laurent_from_products(u_hat, u_tilde, v):
 
 
 # ----------------------------------------------------------------------------
-# root pairing and Laurent square root
+# root pairing and square roots
 # ----------------------------------------------------------------------------
 
 def relative_gaps(values, targets) -> np.ndarray:
@@ -279,60 +279,19 @@ def pair_conjugate_reciprocal(roots, tol: float) -> np.ndarray:
     return roots[np.array(index, dtype=int).reshape(-1, 2)]
 
 
-def halve_doubled_roots(roots, radius: float, error: type[Exception],
-                        odd_message: str, gap_message: str) -> list:
-    """The midpoint of each pair of nearly equal `roots`.
+def poly_sqrt(P) -> np.ndarray:
+    """The R of length h+1 whose square ``R * R`` is closest to `P`, of length 2h+1.
 
-    Roots are taken from the end of the list, each with its nearest remaining
-    root; distances are relative to ``max(1, |r|)``. A partner counts when it
-    is within `radius`, or within 5% of the distance to the next-nearest
-    root. A root left alone raises ``error(odd_message)``, a partner too far
-    away ``error(gap_message.format(gap=...))``.
+    Finds no roots: the power-series recurrence down from the top
+    coefficient of `P`, which must be nonzero and fixes the sign of R by its
+    principal root, then three Gauss–Newton steps on ``||R * R - P||``,
+    whose Jacobian is ``2 * conv(R, .)``. The caller judges the fit; a
+    singular normal matrix raises `NotASquareError`.
+
+    >>> poly_sqrt(np.array([4.0, -4.0, 1.0]))   # (z - 2)^2
+    array([-2.+0.j,  1.+0.j])
     """
-    roots = np.asarray(roots, dtype=complex)
-    gaps = relative_gaps(roots, roots).T.tolist()  # gaps[j][i]: root i seen from root j
-    left = list(range(len(roots)))
-    halved = []
-    while left:
-        j = left.pop()
-        if not left:
-            raise error(odd_message)
-        dists = [gaps[j][i] for i in left]
-        k = min(range(len(dists)), key=dists.__getitem__)
-        # the partner of a noise-split double root is still far closer
-        # than any root from another cluster
-        rest = dists[:k] + dists[k + 1 :]
-        allow = max(radius, 0.05 * min(rest)) if rest else radius
-        if dists[k] > allow:
-            raise error(gap_message.format(gap=dists[k]))
-        halved.append((roots[j] + roots[left.pop(k)]) / 2.0)
-    return halved
-
-
-def laurent_sqrt(D, tol: float) -> np.ndarray:
-    """A Laurent polynomial M with ``np.convolve(M, M) == D``, Hermitian on the circle.
-
-    Works on coefficients and finds no roots. Let P be the nonzero span of
-    D, of length 2h+1; it must start and end at even positions. The h+1
-    coefficients of R, with ``R * R = P``, come from the power-series
-    recurrence down from the top coefficient, then three Gauss–Newton steps
-    on ``||R * R - P||``, whose Jacobian is ``2 * conv(R, .)``. A centered D
-    of length 4d+1 gives a centered M of length 2d+1; any other length
-    raises, and exact zeros at the ends of D are kept as zeros of M. D is
-    not a perfect square when the relative reconstruction defect exceeds
-    `tol`.
-    """
-    D = np.asarray(D, dtype=complex)
-    if len(D) % 4 != 1:
-        raise NotASquareError("odd degree span cannot be a square")
-    m = np.zeros(len(D) // 2 + 1, dtype=complex)
-    nonzero = np.flatnonzero(D)
-    if not nonzero.size:
-        return m
-    lo, hi = int(nonzero[0]), int(nonzero[-1])
-    if lo % 2 or hi % 2:
-        raise NotASquareError("odd degree span cannot be a square")
-    P = D[lo : hi + 1]
+    P = np.asarray(P, dtype=complex)
     h = len(P) // 2
     # descending coefficients: r[k] multiplies z**(h - k) in R
     top = P[::-1].tolist()
@@ -350,8 +309,34 @@ def laurent_sqrt(D, tol: float) -> np.ndarray:
         padded[h : 2 * h + 1] = R
         J = 2.0 * padded[index]
         JH = J.conj().T
-        R = R - np.linalg.solve(JH @ J, JH @ (np.convolve(R, R) - P))
-    m[lo // 2 : hi // 2 + 1] = R
+        try:
+            R = R - np.linalg.solve(JH @ J, JH @ (np.convolve(R, R) - P))
+        except np.linalg.LinAlgError as exc:
+            raise NotASquareError("square-root normal matrix is singular") from exc
+    return R
+
+
+def laurent_sqrt(D, tol: float) -> np.ndarray:
+    """A Laurent polynomial M with ``np.convolve(M, M) == D``, Hermitian on the circle.
+
+    Works on coefficients and finds no roots. Let P be the nonzero span of
+    D, of length 2h+1; it must start and end at even positions, and
+    `poly_sqrt` gives the h+1 coefficients of its root. A centered D of
+    length 4d+1 gives a centered M of length 2d+1; any other length raises,
+    and exact zeros at the ends of D are kept as zeros of M. D is not a
+    perfect square when the relative reconstruction defect exceeds `tol`.
+    """
+    D = np.asarray(D, dtype=complex)
+    if len(D) % 4 != 1:
+        raise NotASquareError("odd degree span cannot be a square")
+    m = np.zeros(len(D) // 2 + 1, dtype=complex)
+    nonzero = np.flatnonzero(D)
+    if not nonzero.size:
+        return m
+    lo, hi = int(nonzero[0]), int(nonzero[-1])
+    if lo % 2 or hi % 2:
+        raise NotASquareError("odd degree span cannot be a square")
+    m[lo // 2 : hi // 2 + 1] = poly_sqrt(D[lo : hi + 1])
     # the true square root is Hermitian up to sign, so symmetrizing only
     # removes numerical noise
     m = hermitian_part(m)

@@ -4,10 +4,11 @@ Measurements are y_j = |f(z_j)|^2 for the same rational f as in the
 phase-aware problem, so each candidate coefficient vector can only be
 identified up to a global phase, and generally not uniquely: shifted
 harmonic supports admit 2^(S-1) solutions, everything else exactly two,
-related by an explicit conjugation transform. The pipeline recovers the
-support from the null space of a structured system, splits the recovered
-squared-modulus data into the two numerator halves, enumerates the
-solution set, and optionally disambiguates with one extra measurement.
+related by an explicit conjugation transform. The pipeline takes the null
+space of a structured system, reads the support from the roots of the
+square root of its |v|^2 block, splits the recovered squared-modulus data
+into the two numerator halves, enumerates the solution set, and optionally
+disambiguates with one extra measurement.
 """
 
 import itertools
@@ -18,7 +19,6 @@ import numpy as np
 from .config import Tolerances, load_tolerances
 from .cpoly import (
     greedy_pairs,
-    halve_doubled_roots,
     hermitian_defect,
     hermitian_part,
     laurent_conj,
@@ -26,6 +26,7 @@ from .cpoly import (
     laurent_sqrt,
     pair_conjugate_reciprocal,
     poly_roots,
+    poly_sqrt,
     relative_defect,
     relative_gaps,
     t_at_conjugates,
@@ -38,6 +39,7 @@ from .errors import (
     InvalidInputError,
     MatchingFailureError,
     ModelMismatchError,
+    NotASquareError,
     NumericalFailureError,
     PairingFailureError,
 )
@@ -164,13 +166,24 @@ def _symmetrized(block: np.ndarray, name: str, tol: Tolerances) -> np.ndarray:
 
 
 def _theta_from_lhat(lhat: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Support from the |v|^2 block: roots come in doubled conjugate points."""
-    means = halve_doubled_roots(
-        poly_roots(lhat, tol.tol_root), tol.cluster_tol, ModelMismatchError,
-        "|v|^2 block has an odd root count",
-        "|v|^2 roots do not form doubled pairs (gap {gap:.3e})",
-    )
-    theta = np.conj(np.array(means))
+    """Support from the |v|^2 block, read from its square root.
+
+    On the circle z^S |v(z)|^2 is a constant times v(z)^2, so `poly_sqrt`
+    of the block gives R, proportional to v, whose S roots are the
+    conjugate support points. A block whose top coefficient vanishes raises
+    DegenerateSupportError, and one that R * R misses by more than
+    pair_tol, relative, raises NotASquareError.
+    """
+    if abs(lhat[-1]) <= 1e-12 * np.abs(lhat).max():
+        raise DegenerateSupportError("|v|^2 block lost its leading coefficient")
+    R = poly_sqrt(lhat)
+    defect = relative_defect(np.convolve(R, R) - lhat, lhat)
+    # a non-finite defect fails too
+    if not defect <= tol.pair_tol:
+        raise NotASquareError(
+            f"|v|^2 block is not a square: defect {defect:.1e} exceeds {tol.pair_tol:.1e}"
+        )
+    theta = np.conj(poly_roots(R, tol.tol_root))
     off = np.abs(np.abs(theta) - 1.0).max()
     if off > 1e-3:
         raise ModelMismatchError(f"recovered support leaves the unit circle by {off:.3e}")

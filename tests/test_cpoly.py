@@ -10,7 +10,6 @@ from vrecover.config import Tolerances
 from vrecover.cpoly import (
     forward_polys,
     greedy_pairs,
-    halve_doubled_roots,
     hermitian_defect,
     hermitian_part,
     laurent_conj,
@@ -25,7 +24,6 @@ from vrecover.cpoly import (
 )
 from vrecover.errors import (
     InvalidInputError,
-    ModelMismatchError,
     NotASquareError,
     NumericalFailureError,
     PairingFailureError,
@@ -661,80 +659,21 @@ def test_laurent_sqrt_from_split_discriminant():
         assert np.max(np.abs(err)) <= 1e-8 * np.max(np.abs(disc))
 
 
-def test_halve_doubled_roots():
-    split = 1e-5 * np.exp(1j * np.arange(2))
-    roots = [2.0 + split[0], 2.0 - split[0], 0.5j + split[1], 0.5j - split[1]]
-    halved = halve_doubled_roots(roots, 1e-3, NotASquareError, "odd", "gap {gap:.1e}")
-    assert np.allclose(sorted(halved, key=abs), [0.5j, 2.0], atol=1e-15)
-    with pytest.raises(ModelMismatchError, match="^odd$"):
-        halve_doubled_roots(roots[1:], 1e-3, ModelMismatchError, "odd", "gap {gap:.1e}")
-    # the last pair is split by 0.1 / 1.1 relative to its larger root, far
-    # beyond the radius, and no other root is left to widen the allowance
-    with pytest.raises(NotASquareError, match=r"^gap 9\.1e-02$"):
-        halve_doubled_roots([1.0, 1.1, 3.0, 3.0], 1e-3, NotASquareError, "odd", "gap {gap:.1e}")
-
-
-def _halve_doubled_roots_list(roots, radius, error, odd_message, gap_message):
-    """halve_doubled_roots as a Python list scan, popping from the end."""
-    roots = list(roots)
-    halved = []
-    while roots:
-        r = roots.pop()
-        if not roots:
-            raise error(odd_message)
-        dists = [abs(r - other) / max(1.0, abs(r)) for other in roots]
-        jmin = int(np.argmin(dists))
-        rest = [d for k, d in enumerate(dists) if k != jmin]
-        allow = max(radius, 0.05 * min(rest)) if rest else radius
-        if dists[jmin] > allow:
-            raise error(gap_message.format(gap=dists[jmin]))
-        halved.append((r + roots.pop(jmin)) / 2.0)
-    return halved
-
-
-def _clustered_roots(rng):
-    """Noise-split double roots; some sets odd, tied, or split too wide."""
-    k = int(rng.integers(1, 11))
-    centers = np.exp(rng.uniform(np.log(0.3), np.log(3.0), k)) * np.exp(
-        1j * rng.uniform(0, 2 * np.pi, k)
-    )
-    split = 10.0 ** rng.uniform(-10, -2, k) * np.exp(1j * rng.uniform(0, 2 * np.pi, k))
-    roots = np.concatenate([centers + split, centers - split])
-    kind = rng.integers(4)
-    if kind == 1:
-        roots = roots[1:]
-    elif kind == 2:
-        # exact repeats make ties between equal distances
-        roots = np.concatenate([roots, roots[: 2 * int(rng.integers(1, k + 1))]])
-    return roots[rng.permutation(len(roots))]
-
-
-def test_halve_doubled_roots_matches_list_scan():
-    rng = np.random.default_rng(593)
-    outcomes = set()
-    for _ in range(400):
-        roots = _clustered_roots(rng)
-        radius = float(10.0 ** rng.uniform(-8, -2))
-        args = (radius, NotASquareError, "odd", "gap {gap:.17e}")
-        try:
-            want = _halve_doubled_roots_list(roots, *args)
-        except NotASquareError as exc:
-            with pytest.raises(NotASquareError) as got:
-                halve_doubled_roots(roots, *args)
-            assert str(got.value) == str(exc)
-            outcomes.add("odd" if str(exc) == "odd" else "gap")
-            continue
-        got = halve_doubled_roots(roots, *args)
-        assert np.array(got, dtype=complex).tobytes() == np.array(want, dtype=complex).tobytes()
-        outcomes.add("halved")
-    assert outcomes == {"odd", "gap", "halved"}
-
-
 def test_laurent_sqrt_rejects_odd_multiplicity():
     # (z - 2)(z - 1/2)(z - 3)(z - 1/3) has four isolated roots, not doubled ones
     D = poly_from_roots([2.0, 0.5, 3.0, 1.0 / 3.0])
     with pytest.raises(NotASquareError, match=r"^reconstruction defect \S+ exceeds 1\.0e-08$"):
         laurent_sqrt(D, 1e-8)
+
+
+def test_square_root_with_a_singular_normal_matrix_raises(monkeypatch):
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    m = np.array([1.0, 3.0, 1.0])
+    with pytest.raises(NotASquareError, match="^square-root normal matrix is singular$"):
+        laurent_sqrt(np.convolve(m, m), 1e-8)
 
 
 def test_laurent_sqrt_finds_no_roots(monkeypatch):

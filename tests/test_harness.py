@@ -338,7 +338,7 @@ FROZEN_OUTCOMES = {
         "1 8 128 Harmonic2pow None", "0 None None ShiftedHarmonic ModelMismatchError",
         "1 8 128 Harmonic2pow None", "1 8 128 Harmonic2pow None",
         "1 8 128 Harmonic2pow None", "1 8 128 Harmonic2pow None",
-        "0 None None ShiftedHarmonic ModelMismatchError", "1 8 128 Harmonic2pow None",
+        "0 None None ShiftedHarmonic PairingFailureError", "1 8 128 Harmonic2pow None",
         "1 8 128 Harmonic2pow None", "1 8 128 Harmonic2pow None",
     ],
     "r5-arbitrary": [
@@ -965,11 +965,14 @@ def test_cli_tolerance_env_must_be_json(tmp_path):
         env_extra={"VRECOVER_TOL_OVERRIDES": "not json"},
     )
     assert res.returncode == 2
-    res = cli(
-        "recover", "--mode", "r1", "--input", str(inst),
-        env_extra={"VRECOVER_TOL_OVERRIDES": '{"no_such_knob": 0.5}'},
-    )
-    assert res.returncode == 2
+    # a removed tolerance is as unknown as one that never existed
+    for unknown in ('{"no_such_knob": 0.5}', '{"cluster_tol": 1e-3}'):
+        res = cli(
+            "recover", "--mode", "r1", "--input", str(inst),
+            env_extra={"VRECOVER_TOL_OVERRIDES": unknown},
+        )
+        assert res.returncode == 2
+        assert "unknown tolerance names" in res.stderr
 
 
 def test_cli_montecarlo_table(tmp_path):

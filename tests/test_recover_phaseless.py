@@ -5,10 +5,13 @@ import itertools
 import numpy as np
 import pytest
 
+from vrecover import recover_phaseless
 from vrecover.config import Tolerances, load_tolerances
 from vrecover.cpoly import (
+    forward_polys,
     laurent_conj,
     laurent_eval,
+    laurent_from_products,
     pair_conjugate_reciprocal,
     poly_eval,
     poly_roots,
@@ -17,8 +20,10 @@ from vrecover.cpoly import (
 from vrecover.errors import (
     AmbiguousDisambiguationError,
     DegenerateInstanceError,
+    DegenerateSupportError,
     InconsistentSolutionError,
     InvalidInputError,
+    NotASquareError,
     RecoveryFailureError,
     VRecoverError,
 )
@@ -39,6 +44,7 @@ from vrecover.recover_phaseless import (
     PhaselessInstance,
     _dedup_and_sort,
     _enumerate_from_pairs,
+    _theta_from_lhat,
     disambiguate,
     dual_transform,
     enumerate_candidates_harmonic,
@@ -130,6 +136,60 @@ def test_support_harmonic_random():
         got, _, S, _ = recover_support_harmonic(PhaselessInstance(n, s, y, z), TOL)
         assert S == s
         assert match_theta(got, theta) <= 1e-8
+
+
+def test_support_resolves_close_points():
+    """Two support points 1e-3 apart, read from an exact |v|^2 block.
+
+    Four roots of the block then lie within 1e-3 of each other, where
+    rounding moves them by about the fourth root of the coefficient noise;
+    its square root has two simple roots there.
+    """
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        phi = rng.uniform(0, 2 * np.pi, 3)
+        theta = np.exp(1j * np.concatenate([phi, [phi[0] + 1e-3]]))
+        g = rng.normal(size=4) + 1j * rng.normal(size=4)
+        _, _, lhat = laurent_from_products(*forward_polys(theta, g, 15))
+        assert match_theta(_theta_from_lhat(lhat, TOL), theta) <= 1e-8
+
+
+def test_support_roots_have_degree_s(monkeypatch):
+    degrees = []
+
+    def recording(p, tol_root):
+        degrees.append(len(p) - 1)
+        return poly_roots(p, tol_root)
+
+    monkeypatch.setattr(recover_phaseless, "poly_roots", recording)
+    rng = np.random.default_rng(457)
+    for s in (1, 2, 3):
+        n = 4 * s - 1
+        z = shifted_harmonics(n, n, 0.7)
+        y = forward_phaseless(draw_theta_dft(rng, n, s), draw_g(rng, s), z.z, n)
+        recover_support_harmonic(PhaselessInstance(n, s, y, z), TOL)
+        z = SampleSet(tuple(stratified_circle(rng, 8 * s - 3)))
+        y = forward_phaseless(draw_theta_circle(rng, s), draw_g(rng, s), z.z, n)
+        recover_general(PhaselessInstance(n, s, y, z), TOL)
+    assert degrees == [1, 1, 2, 2, 3, 3]
+
+
+def test_support_rejects_blocks_that_are_not_squares():
+    # (z - rho)(1/z - conj(rho)) is Hermitian, with the simple roots rho and 1/conj(rho)
+    lhat = np.array([1.0 + 0j])
+    for rho in (0.6 * np.exp(0.7j), 1.3 * np.exp(2.0j)):
+        lhat = np.convolve(lhat, [-np.conj(rho), 1.0 + abs(rho) ** 2, -rho])
+    with pytest.raises(NotASquareError,
+                       match=r"^\|v\|\^2 block is not a square: defect \S+ exceeds 1\.0e-06$"):
+        _theta_from_lhat(lhat, TOL)
+
+
+def test_support_block_without_leading_coefficient():
+    # Hermitian, positive on the circle, and of degree 2 where 4 is expected
+    lhat = np.array([0.0, 1.0, 3.0, 1.0, 0.0], dtype=complex)
+    with pytest.raises(DegenerateSupportError,
+                       match=r"^\|v\|\^2 block lost its leading coefficient$"):
+        _theta_from_lhat(lhat, TOL)
 
 
 def test_magnitudes_worked_singleton():
