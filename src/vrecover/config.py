@@ -27,8 +27,8 @@ class Tolerances:
     rank_rel_tol: float = 1e-8
     # a widest singular-value gap narrower than this attaches a conditioning warning
     gap_ratio: float = 1e3
-    # conjugate-reciprocal pairing and root matching; also the relative
-    # defect bound of the Hermitian and cross-term gates and of both square
+    # conjugate-reciprocal pairing, root matching and the rank check of the
+    # selection systems; also the relative defect bound of both square
     # roots, the discriminant's and the |v|^2 block's
     pair_tol: float = 1e-6
     # candidate comparison up to global phase

@@ -185,11 +185,6 @@ def relative_defect(diff, ref) -> float:
     return float(np.linalg.norm(diff) / np.linalg.norm(ref))
 
 
-def hermitian_defect(a) -> float:
-    """How far `a` is from satisfying coeff(-k) == conj(coeff(k)), relative."""
-    return relative_defect(a - laurent_conj(a), a)
-
-
 def laurent_from_products(u_hat, u_tilde, v):
     """The three squared-modulus Laurent polynomials of the rational form.
 

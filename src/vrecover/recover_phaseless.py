@@ -5,10 +5,11 @@ phase-aware problem, so each candidate coefficient vector can only be
 identified up to a global phase, and generally not uniquely: shifted
 harmonic supports admit 2^(S-1) solutions, everything else exactly two,
 related by an explicit conjugation transform. The pipeline takes the null
-space of a structured system, reads the support from the roots of the
-square root of its |v|^2 block, splits the recovered squared-modulus data
-into the two numerator halves, enumerates the solution set, and optionally
-disambiguates with one extra measurement.
+space of a structured system over stacks of Hermitian blocks, where it is
+real, reads the support from the roots of the square root of its |v|^2
+block, splits the recovered squared-modulus data into the two numerator
+halves, enumerates the solution set, and optionally disambiguates with one
+extra measurement.
 """
 
 import itertools
@@ -19,8 +20,6 @@ import numpy as np
 from .config import Tolerances, load_tolerances
 from .cpoly import (
     greedy_pairs,
-    hermitian_defect,
-    hermitian_part,
     laurent_conj,
     laurent_eval,
     laurent_sqrt,
@@ -142,27 +141,44 @@ class PhaselessResult:
 
 
 # ----------------------------------------------------------------------------
-# null-vector post-processing shared by both support stages
+# the null vector shared by both support stages
 # ----------------------------------------------------------------------------
 
-def _phase_normalize(w: np.ndarray, S: int) -> np.ndarray:
-    """Rotate the null vector so the central |v|^2 coefficient is real positive.
+def _hermitian_basis(s: int, ncols: int) -> np.ndarray:
+    """Orthonormal T whose real combinations T @ x are the stacks whose first
+    2s+1 entries (|v|^2) and the rest each read the same reversed and conjugated.
 
-    Any numerical null-space basis carries an arbitrary unit factor; the true
-    stack is real-scalar times the coefficient data, so fixing the phase of
-    the z^0 coefficient of the |v|^2 block (a sum of squared moduli) removes it.
+    The true null vector of G and G~ is such a stack, since every unknown
+    block is a squared-modulus Laurent polynomial, and their mirrored columns
+    are exact conjugates, so G @ T is real up to the rounding of the product.
     """
-    center = w[S]
-    if abs(center) <= 1e-12 * float(np.abs(w).max()):
+    T = np.zeros((ncols, ncols), dtype=complex)
+    for start, stop in ((0, 2 * s + 1), (2 * s + 1, ncols)):
+        half = (stop - start) // 2
+        a = np.arange(start, start + half)
+        b = stop - 1 - (a - start)
+        T[a, a] = T[b, a] = np.sqrt(0.5)
+        T[a, b], T[b, b] = 1j * np.sqrt(0.5), -1j * np.sqrt(0.5)
+        T[start + half, start + half] = 1.0
+    return T
+
+
+def _null_vector(build, s_max: int, tol: Tolerances):
+    """(S, null vector, diagnostics) of the phaseless system that build(s) returns.
+
+    `_descend` runs on (M @ T).real, M = build(s) and T its unitary
+    `_hermitian_basis`, which keeps the singular values of M. The vector T x
+    has Hermitian halves, and its central |v|^2 coefficient is made positive.
+    """
+    def real_system(s):
+        M = build(s)
+        return (M @ _hermitian_basis(s, M.shape[1])).real
+
+    S, x, diagnostics = _descend(real_system, s_max, tol, step=2)
+    w = _hermitian_basis(S, len(x)) @ x.real
+    if abs(w[S]) <= 1e-12 * float(np.abs(w).max()):
         raise ModelMismatchError("central coefficient of the |v|^2 block vanished")
-    return w * np.exp(-1j * np.angle(center))
-
-
-def _symmetrized(block: np.ndarray, name: str, tol: Tolerances) -> np.ndarray:
-    defect = hermitian_defect(block)
-    if defect > tol.pair_tol:
-        raise ModelMismatchError(f"{name} block breaks Hermitian structure ({defect:.3e})")
-    return hermitian_part(block)
+    return S, w * np.sign(w[S].real), diagnostics
 
 
 def _theta_from_lhat(lhat: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -195,23 +211,22 @@ def _theta_from_lhat(lhat: np.ndarray, tol: Tolerances) -> np.ndarray:
 def recover_support_harmonic(inst: PhaselessInstance, tol: Tolerances):
     """Support recovery for shifted-harmonic samples: (theta, q_block, S, diagnostics).
 
-    `q_block` is the symmetrized combined numerator block, the centered
+    `q_block` is the Hermitian combined numerator block, the centered
     Laurent array of length 2S-1 (z^-(S-1) .. z^(S-1)) that
     `magnitudes_harmonic` and `enumerate_candidates_harmonic` take.
     `diagnostics` holds one entry per system that the null-space stage
-    (`_descend`) builds, each with `build_Gtilde` from the instance's samples
-    and y. The samples must be shifted harmonics, or InvalidInputError is
-    raised, as `recover_general` does for the opposite case.
+    (`_null_vector`) builds, each from `build_Gtilde` with the instance's
+    samples and y; its singular values are those of the real system. The
+    samples must be shifted harmonics, or InvalidInputError is raised, as
+    `recover_general` does for the opposite case.
     """
     if not inst.samples.is_harmonic:
         raise InvalidInputError("recover_support_harmonic needs shifted-harmonic samples")
     builder = lambda s: build_Gtilde(inst.samples, inst.y, s)
-    S, w, diagnostics = _descend(builder, inst.s_max, tol, step=2)
-    w = _phase_normalize(w, S)
-    lhat = _symmetrized(w[: 2 * S + 1][::-1], "|v|^2", tol)
-    q_block = _symmetrized(w[2 * S + 1 : 4 * S][::-1], "numerator", tol)
-    theta = _theta_from_lhat(lhat, tol)
-    return theta, q_block, S, diagnostics
+    S, w, diagnostics = _null_vector(builder, inst.s_max, tol)
+    # the blocks are stored from the top power down
+    lhat, q_block = w[: 2 * S + 1][::-1], w[2 * S + 1 :][::-1]
+    return _theta_from_lhat(lhat, tol), q_block, S, diagnostics
 
 
 # ----------------------------------------------------------------------------
@@ -425,31 +440,21 @@ def recover_general(inst: PhaselessInstance, tol: Tolerances):
     Returns (theta, L, L_tilde, L_hat, S, diagnostics): L and L_tilde are
     centered Laurent arrays of length 2S-1, L_hat one of length 2S+1, and
     `diagnostics` holds one entry per system that the null-space stage
-    (`_descend`) builds, each with `build_G` from the instance's samples and
-    y. It is the route for general samples, whose floor
-    m >= 8s-3 the instance constructor checks; shifted-harmonic samples
-    raise InvalidInputError, as `recover_support_harmonic` does for the
-    opposite case.
+    (`_null_vector`) builds, each from `build_G` with the instance's samples
+    and y; its singular values are those of the real system. It is the
+    route for general samples, whose floor m >= 8s-3 the instance
+    constructor checks; shifted-harmonic samples raise InvalidInputError,
+    as `recover_support_harmonic` does for the opposite case.
     """
     if inst.samples.is_harmonic:
         raise InvalidInputError("recover_general needs samples that are not shifted harmonics")
     builder = lambda s: build_G(inst.samples, inst.y, inst.n, s)
-    S, w, diagnostics = _descend(builder, inst.s_max, tol, step=2)
-    w = _phase_normalize(w, S)
-    # the blocks are stored from the top power down
-    lhat = _symmetrized(w[: 2 * S + 1][::-1], "|v|^2", tol)
-    lt_raw = w[2 * S + 1 : 4 * S][::-1]
-    L = _symmetrized(w[4 * S : 6 * S - 1][::-1], "modulus-sum", tol)
-    lt_conj_raw = w[6 * S - 1 : 8 * S - 2][::-1]
-    if lt_raw.any():
-        cross_defect = relative_defect(lt_conj_raw - laurent_conj(lt_raw), lt_raw)
-        if cross_defect > tol.pair_tol:
-            raise ModelMismatchError(
-                f"cross-term blocks are not conjugate ({cross_defect:.3e})"
-            )
-    L_tilde = (lt_raw + laurent_conj(lt_conj_raw)) * 0.5
-    theta = _theta_from_lhat(lhat, tol)
-    return theta, L, L_tilde, lhat, S, diagnostics
+    S, w, diagnostics = _null_vector(builder, inst.s_max, tol)
+    # blocks run from the top power down; the last one is conj-Laurent(L_tilde)
+    lhat = w[: 2 * S + 1][::-1]
+    L_tilde = w[2 * S + 1 : 4 * S][::-1]
+    L = w[4 * S : 6 * S - 1][::-1]
+    return _theta_from_lhat(lhat, tol), L, L_tilde, lhat, S, diagnostics
 
 
 def split_and_enumerate_general(L: np.ndarray, L_tilde: np.ndarray, theta, n: int,

@@ -300,9 +300,8 @@ class SVDFactors:
 
 
 def svd_factors(M: np.ndarray) -> SVDFactors:
-    """Full SVD of M (u and vh square), kept for reuse."""
-    M = np.asarray(M, dtype=complex)
-    u, sv, vh = np.linalg.svd(M)
+    """Full SVD of M (u and vh square), kept for reuse; a real M gives real factors."""
+    u, sv, vh = np.linalg.svd(np.asarray(M))
     return SVDFactors(u, sv, vh)
 
 
@@ -336,9 +335,10 @@ def null_space(M: np.ndarray, rank_rel_tol: float, gap_ratio: float,
     1e-4 times the zero bound. The result holds the gap: one of 0 or less (no
     null space in the spectrum) is the caller's to judge, and one narrower
     than `gap_ratio` attaches a conditioning warning. It also holds the one
-    SVD of M, which ``refine_null_vector(M, w, factors)`` reuses.
+    SVD of M, which ``refine_null_vector(M, w, factors)`` reuses. A real M
+    is factorised in real arithmetic and gives a real basis.
     """
-    M = np.asarray(M, dtype=complex)
+    M = np.asarray(M)
     if M.size == 0:
         raise InvalidInputError("null_space of an empty matrix")
     factors = svd_factors(M)
@@ -346,7 +346,7 @@ def null_space(M: np.ndarray, rank_rel_tol: float, gap_ratio: float,
     sv = np.concatenate([factors.s, np.zeros(ncols - len(factors.s))])
     smax = sv[0]
     if sv[-1] > zero_bound(smax, M.shape, rank_rel_tol):
-        return NullSpaceResult(0, np.zeros((ncols, 0), dtype=complex), sv, (), factors)
+        return NullSpaceResult(0, np.zeros((ncols, 0), factors.vh.dtype), sv, (), factors)
     floor = np.where(sv > 0, sv, np.finfo(float).eps * smax)
     tight = zero_bound(smax, M.shape, 1e-4 * rank_rel_tol)
     counts = [1] + [d for d in (range(1, ncols) if allowed is None else allowed)
@@ -372,23 +372,23 @@ def refine_null_vector(M: np.ndarray, w: np.ndarray, factors: SVDFactors) -> np.
     Computing the residual in extended precision and projecting it back
     through the pseudo-inverse removes the dominant error term. The
     pseudo-inverse is applied from `factors`, the SVD of M that the null
-    space came from (``NullSpaceResult.factors``).
+    space came from (``NullSpaceResult.factors``). Real M and w stay real.
     """
-    M = np.asarray(M, dtype=complex)
-    w = np.asarray(w, dtype=complex)
-    Mq = M.astype(np.clongdouble)
-    wq = w.astype(np.clongdouble)
+    M, w = np.asarray(M), np.asarray(w)
+    work = np.result_type(M, w, float)
+    wide = np.clongdouble if work.kind == "c" else np.longdouble
+    Mq, wq = M.astype(wide), w.astype(wide)
     for _ in range(2):
-        residual = np.asarray(Mq @ wq, dtype=np.clongdouble)
+        residual = Mq @ wq
         # keep directions down to the tightened rank threshold; anything
         # below is treated as null and must not be "corrected"
-        delta = factors.pinv_apply(residual.astype(complex), rcond=1e-12)
-        wq = wq - delta.astype(np.clongdouble)
-        norm = np.linalg.norm(wq.astype(complex))
+        delta = factors.pinv_apply(residual.astype(work), rcond=1e-12)
+        wq = wq - delta.astype(wide)
+        norm = np.linalg.norm(wq.astype(work))
         if norm == 0:
-            return w
+            return w.astype(work)
         wq = wq / norm
-    return wq.astype(complex)
+    return wq.astype(work)
 
 
 def pinv_solve(M: np.ndarray, y, rank_rel_tol: float) -> np.ndarray:

@@ -10,7 +10,6 @@ from vrecover.config import Tolerances
 from vrecover.cpoly import (
     forward_polys,
     greedy_pairs,
-    hermitian_defect,
     hermitian_part,
     laurent_conj,
     laurent_eval,
@@ -19,6 +18,7 @@ from vrecover.cpoly import (
     pair_conjugate_reciprocal,
     poly_eval,
     poly_roots,
+    relative_defect,
     t_at_conjugates,
     t_polynomial,
 )
@@ -171,6 +171,11 @@ def test_roots_round_trip():
         p = poly_from_roots(roots, lead)
         q = poly_from_roots(sorted(poly_roots(p, TOL_ROOT), key=lambda v: (v.real, v.imag)), lead)
         assert np.max(np.abs(p - q)) <= 1e-8 * np.max(np.abs(p))
+
+
+def hermitian_defect(a) -> float:
+    """How far `a` is from satisfying coeff(-k) == conj(coeff(k)), relative."""
+    return relative_defect(a - laurent_conj(a), a)
 
 
 def resultant(p, q) -> complex:

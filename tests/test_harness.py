@@ -329,13 +329,13 @@ FROZEN_OUTCOMES = {
     ],
     "r2-arbitrary": ["1 6 None Arbitrary None"] * 20,
     "r4-harmonic": [
-        "1 8 128 Harmonic2pow None", "0 None None ShiftedHarmonic ModelMismatchError",
+        "1 8 128 Harmonic2pow None", "0 None None ShiftedHarmonic NotASquareError",
         "0 None None ShiftedHarmonic InconsistentSolutionError", "1 8 128 Harmonic2pow None",
         "1 8 128 Harmonic2pow None", "0 None None ShiftedHarmonic InconsistentSolutionError",
         "1 8 128 Harmonic2pow None", "0 None None ShiftedHarmonic InconsistentSolutionError",
-        "0 None None ShiftedHarmonic ModelMismatchError",
-        "0 None None ShiftedHarmonic ModelMismatchError",
-        "1 8 128 Harmonic2pow None", "0 None None ShiftedHarmonic ModelMismatchError",
+        "0 None None ShiftedHarmonic NotASquareError",
+        "0 None None ShiftedHarmonic NotASquareError",
+        "1 8 128 Harmonic2pow None", "0 None None ShiftedHarmonic NotASquareError",
         "1 8 128 Harmonic2pow None", "1 8 128 Harmonic2pow None",
         "1 8 128 Harmonic2pow None", "1 8 128 Harmonic2pow None",
         "0 None None ShiftedHarmonic PairingFailureError", "1 8 128 Harmonic2pow None",
@@ -351,7 +351,7 @@ FROZEN_OUTCOMES = {
         "1 6 2 DualPair None", "0 None None Arbitrary InconsistentSolutionError",
         "1 6 2 DualPair None", "1 6 2 DualPair None",
         "1 6 2 DualPair None", "1 6 2 DualPair None",
-        "0 None None Arbitrary ModelMismatchError", "1 6 2 DualPair None",
+        "0 None None Arbitrary MatchingFailureError", "1 6 2 DualPair None",
     ],
 }
 

@@ -44,6 +44,7 @@ from vrecover.recover_phaseless import (
     PhaselessInstance,
     _dedup_and_sort,
     _enumerate_from_pairs,
+    _hermitian_basis,
     _theta_from_lhat,
     disambiguate,
     dual_transform,
@@ -57,7 +58,7 @@ from vrecover.recover_phaseless import (
     split_and_enumerate_general,
 )
 from vrecover.structmat import (
-    SampleSet, build_G, build_Gtilde, shifted_harmonics, vandermonde,
+    SampleSet, build_G, build_Gtilde, null_space, shifted_harmonics, vandermonde,
 )
 
 from test_recover_phase import _count_svds
@@ -190,6 +191,71 @@ def test_support_block_without_leading_coefficient():
     with pytest.raises(DegenerateSupportError,
                        match=r"^\|v\|\^2 block lost its leading coefficient$"):
         _theta_from_lhat(lhat, TOL)
+
+
+def exact_phaseless_builders(rng, S, s_max):
+    """The builders s -> G~ and s -> G of one exact instance each, at sparsity S.
+
+    Both admit every s up to s_max: n = 4 s_max - 1, and the general
+    samples number m = 8 s_max - 3.
+    """
+    n = 4 * s_max - 1
+    z = shifted_harmonics(n, n, 0.7)
+    y = forward_phaseless(draw_theta_circle(rng, S), draw_g(rng, S), z.z, n)
+    zs = SampleSet(tuple(stratified_circle(rng, 8 * s_max - 3)))
+    ys = forward_phaseless(draw_theta_circle(rng, S), draw_g(rng, S), zs.z, n)
+    return (lambda s: build_Gtilde(z, y, s)), (lambda s: build_G(zs, ys, n, s))
+
+
+def test_hermitian_basis_makes_the_phaseless_systems_real():
+    """T is orthonormal, and G @ T and G~ @ T are real.
+
+    Each column of T has at most two nonzero entries, so the product is
+    taken as entrywise products summed per column: each mirrored pair then
+    cancels in the imaginary part exactly, whatever the summation order,
+    when the mirrored columns of the system are exact conjugates. A BLAS
+    product that fuses multiply and add leaves rounding there instead.
+    """
+    rng = np.random.default_rng(461)
+    for s in (1, 2, 3, 4, 5):
+        for build in exact_phaseless_builders(rng, 2, 5):
+            M = build(s)
+            T = _hermitian_basis(s, M.shape[1])
+            assert np.abs(T.conj().T @ T - np.eye(len(T))).max() <= 1e-15
+            product = (M[:, :, None] * T).sum(axis=1)
+            assert not product.imag.any()
+            assert np.allclose(product, M @ T, rtol=0, atol=1e-14 * np.abs(M).max())
+
+
+def test_real_phaseless_systems_keep_the_descent_rule():
+    """On exact data at sparsity S the real system at s = S + k has a null
+    space of dimension 2k + 1, the step-2 rule of `_descend`."""
+    rng = np.random.default_rng(463)
+    for S in (1, 2, 3):
+        for build in exact_phaseless_builders(rng, S, 5):
+            for s in range(S, 6):
+                M = build(s)
+                real = (M @ _hermitian_basis(s, M.shape[1])).real
+                allowed = [2 * k + 1 for k in range(s)]
+                ns = null_space(real, TOL.rank_rel_tol, TOL.gap_ratio, allowed)
+                assert ns.dimension == 2 * (s - S) + 1, (S, s, ns.dimension)
+
+
+def test_support_blocks_are_hermitian_by_construction():
+    """Both support stages return blocks that read the same reversed and
+    conjugated, bit for bit, with a positive central |v|^2 coefficient."""
+    rng = np.random.default_rng(467)
+    for s in (2, 3, 4):
+        n = 4 * s - 1
+        z = shifted_harmonics(n, n, 0.7)
+        y = forward_phaseless(draw_theta_circle(rng, s), draw_g(rng, s), z.z, n)
+        _, q, _, _ = recover_support_harmonic(PhaselessInstance(n, s, y, z), TOL)
+        z = SampleSet(tuple(stratified_circle(rng, 8 * s - 3)))
+        y = forward_phaseless(draw_theta_circle(rng, s), draw_g(rng, s), z.z, n)
+        _, L, _, L_hat, _, _ = recover_general(PhaselessInstance(n, s, y, z), TOL)
+        for block in (q, L, L_hat):
+            assert np.array_equal(block, laurent_conj(block))
+        assert L_hat[s].imag == 0 and L_hat[s].real > 0
 
 
 def test_magnitudes_worked_singleton():

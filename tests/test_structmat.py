@@ -445,6 +445,25 @@ def test_null_space_basis_residuals():
             assert np.linalg.norm(M @ res.basis[:, k]) <= 1e-8 * sigma_max * max(rows, cols) * 10
 
 
+def test_null_space_keeps_a_real_matrix_real():
+    """A real matrix gets a real SVD and basis, with the dimension and, within
+    rounding, the spectrum and gap of its complex cast; refinement stays real."""
+    rng = np.random.default_rng(109)
+    for small in ([1e-9], [1e-12, 2e-12], [3e-13, 1e-12, 2e-12]):
+        U = np.linalg.qr(rng.normal(size=(9, 9)))[0]
+        V = np.linalg.qr(rng.normal(size=(7, 7)))[0]
+        sv = np.concatenate([[1.0, 0.7, 0.4, 0.2, 0.1, 0.05][: 7 - len(small)], small])
+        M = U[:, :7] @ np.diag(sv) @ V.T
+        real = null_space(M, *NULL_BOUNDS)
+        cast = null_space(M.astype(complex), *NULL_BOUNDS)
+        assert real.basis.dtype == real.factors.vh.dtype == np.float64
+        assert real.dimension == cast.dimension == len(small)
+        assert np.abs(real.singular_values - cast.singular_values).max() <= 1e-14
+        assert abs(real.gap - cast.gap) <= 1e-3
+        w = refine_null_vector(M, real.basis[:, 0], real.factors)
+        assert w.dtype == np.float64 and np.linalg.norm(M @ w) <= 1e-8
+
+
 def test_null_space_wide_matrix_counts_shape_deficit():
     # a 2x4 full-rank matrix has two null directions even though the SVD
     # lists only two singular values
