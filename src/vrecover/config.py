@@ -12,6 +12,7 @@ is handed its bounds and never reads the environment.
 import dataclasses
 import json
 import os
+import sys
 
 from .errors import InvalidInputError
 
@@ -27,9 +28,9 @@ class Tolerances:
     rank_rel_tol: float = 1e-8
     # a widest singular-value gap narrower than this attaches a conditioning warning
     gap_ratio: float = 1e3
-    # conjugate-reciprocal pairing, root matching and the rank check of the
-    # selection systems; also the relative defect bound of both square
-    # roots, the discriminant's and the |v|^2 block's
+    # conjugate-reciprocal pairing and root matching; also the relative
+    # defect bound of both square roots, the discriminant's and the |v|^2
+    # block's
     pair_tol: float = 1e-6
     # candidate comparison up to global phase
     dedup_tol: float = 1e-8
@@ -41,8 +42,6 @@ class Tolerances:
     # runner-up must miss by 10x this, which holds with room, since a losing
     # candidate misses by an O(1) relative amount
     disambig_tol: float = 1e-4
-    # negativity slack allowed for computed squared magnitudes
-    mag_tol: float = 1e-8
 
 
 _FIELD_NAMES = {f.name for f in dataclasses.fields(Tolerances)}
@@ -66,6 +65,8 @@ def load_tolerances(overrides: dict | None = None) -> Tolerances:
     if unknown:
         raise InvalidInputError(f"unknown tolerance names: {sorted(unknown)}")
     for key, val in merged.items():
-        if not isinstance(val, (int, float)) or isinstance(val, bool) or val <= 0:
-            raise InvalidInputError(f"tolerance {key} must be a positive number")
+        # NaN fails both comparisons; an int too large for a float fails the second
+        if (not isinstance(val, (int, float)) or isinstance(val, bool)
+                or not 0 < val <= sys.float_info.max):
+            raise InvalidInputError(f"tolerance {key} must be a positive finite number")
     return Tolerances(**{k: float(v) for k, v in merged.items()})

@@ -69,7 +69,7 @@ class RankDeficiencyError(RecoveryFailureError):
 
 
 class NumericalFailureError(RecoveryFailureError):
-    """A numerical invariant (root residual, positivity, agreement) broke."""
+    """A numerical invariant (root residual, agreement of two routes) broke."""
 
 
 class ResolutionError(RecoveryFailureError):

@@ -37,9 +37,7 @@ from .errors import (
     InconsistentSolutionError,
     InvalidInputError,
     MatchingFailureError,
-    ModelMismatchError,
     NotASquareError,
-    NumericalFailureError,
     PairingFailureError,
 )
 from .recover_phase import (
@@ -168,7 +166,8 @@ def _null_vector(build, s_max: int, tol: Tolerances):
 
     `_descend` runs on (M @ T).real, M = build(s) and T its unitary
     `_hermitian_basis`, which keeps the singular values of M. The vector T x
-    has Hermitian halves, and its central |v|^2 coefficient is made positive.
+    has Hermitian halves and a nonnegative central |v|^2 coefficient (a zero
+    one belongs to no square, so it fails in `_theta_from_lhat`).
     """
     def real_system(s):
         M = build(s)
@@ -176,9 +175,7 @@ def _null_vector(build, s_max: int, tol: Tolerances):
 
     S, x, diagnostics = _descend(real_system, s_max, tol, step=2)
     w = _hermitian_basis(S, len(x)) @ x.real
-    if abs(w[S]) <= 1e-12 * float(np.abs(w).max()):
-        raise ModelMismatchError("central coefficient of the |v|^2 block vanished")
-    return S, w * np.sign(w[S].real), diagnostics
+    return S, w if w[S].real >= 0 else -w, diagnostics
 
 
 def _theta_from_lhat(lhat: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -188,7 +185,8 @@ def _theta_from_lhat(lhat: np.ndarray, tol: Tolerances) -> np.ndarray:
     of the block gives R, proportional to v, whose S roots are the
     conjugate support points. A block whose top coefficient vanishes raises
     DegenerateSupportError, and one that R * R misses by more than
-    pair_tol, relative, raises NotASquareError.
+    pair_tol, relative, raises NotASquareError. The roots are projected onto
+    the circle unchecked: the candidates' forward check judges them.
     """
     if abs(lhat[-1]) <= 1e-12 * np.abs(lhat).max():
         raise DegenerateSupportError("|v|^2 block lost its leading coefficient")
@@ -200,9 +198,6 @@ def _theta_from_lhat(lhat: np.ndarray, tol: Tolerances) -> np.ndarray:
             f"|v|^2 block is not a square: defect {defect:.1e} exceeds {tol.pair_tol:.1e}"
         )
     theta = np.conj(poly_roots(R, tol.tol_root))
-    off = np.abs(np.abs(theta) - 1.0).max()
-    if off > 1e-3:
-        raise ModelMismatchError(f"recovered support leaves the unit circle by {off:.3e}")
     theta = theta / np.abs(theta)
     _require_distinct(theta, "recovered support points collide")
     return theta[_canonical_order(theta)]
@@ -233,39 +228,29 @@ def recover_support_harmonic(inst: PhaselessInstance, tol: Tolerances):
 # magnitude profiles
 # ----------------------------------------------------------------------------
 
-def _positivity_check(values: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """`values` with small negatives clipped to 0; the first below -mag_tol * max|values| raises."""
-    low = values < -tol.mag_tol * np.abs(values).max(initial=0.0)
-    if low.any():
-        raise NumericalFailureError(
-            f"magnitude {values[low.argmax()]:.3e} negative beyond tolerance"
-        )
-    return np.maximum(values, 0.0)
-
-
-def magnitudes_harmonic(theta, q_block: np.ndarray, gamma: float, n: int,
-                        tol: Tolerances) -> np.ndarray:
+def magnitudes_harmonic(theta, q_block: np.ndarray, gamma: float, n: int) -> np.ndarray:
     """Squared magnitudes c*|g_k|^2, known up to one positive scalar c.
 
     Evaluates the combined numerator block at conj(theta_k) and divides by
-    |t_k(conj(theta_k)) * (e^{i*gamma} theta_k^n - 1)|^2.
+    |t_k(conj(theta_k)) * (e^{i*gamma} theta_k^n - 1)|^2. Negative values
+    are clipped to 0 unchecked: no later stage reads the profile.
     """
     theta = np.asarray(theta, dtype=complex)
     points = np.conj(theta)
     denom = t_at_conjugates(theta) * (np.exp(1j * gamma) * theta**n - 1.0)
     if (np.abs(denom) < 1e-12).any():
         raise DegenerateSupportError("magnitude denominator vanished")
-    return _positivity_check(laurent_eval(q_block, points).real / np.abs(denom) ** 2, tol)
+    return np.maximum(laurent_eval(q_block, points).real / np.abs(denom) ** 2, 0.0)
 
 
-def magnitudes_general(theta, L: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Squared magnitudes from the |u_hat|^2 + |u_tilde|^2 block: L(conj th)/2|t_k|^2."""
+def magnitudes_general(theta, L: np.ndarray) -> np.ndarray:
+    """Squared magnitudes L(conj th)/2|t_k|^2 from the |u_hat|^2 + |u_tilde|^2 block, clipped."""
     theta = np.asarray(theta, dtype=complex)
     points = np.conj(theta)
     t_val = t_at_conjugates(theta)
     if (np.abs(t_val) < 1e-12).any():
         raise DegenerateSupportError("magnitude denominator vanished")
-    return _positivity_check(laurent_eval(L, points).real / (2.0 * np.abs(t_val) ** 2), tol)
+    return np.maximum(laurent_eval(L, points).real / (2.0 * np.abs(t_val) ** 2), 0.0)
 
 
 # ----------------------------------------------------------------------------
@@ -273,8 +258,8 @@ def magnitudes_general(theta, L: np.ndarray, tol: Tolerances) -> np.ndarray:
 # ----------------------------------------------------------------------------
 
 def _lagrange_nulls(theta: np.ndarray, weight: np.ndarray, roots: np.ndarray,
-                    picks: np.ndarray, tol: Tolerances):
-    """Null directions and rank flags of selection systems, in closed form.
+                    picks: np.ndarray) -> np.ndarray:
+    """Null directions of selection systems, in closed form, one per row.
 
     Selection k picks the root ``roots[j, picks[k, j]]`` from each row j of
     the (S-1, P) root table, and its system asks that
@@ -283,10 +268,9 @@ def _lagrange_nulls(theta: np.ndarray, weight: np.ndarray, roots: np.ndarray,
     which gives g_l proportional to
     prod_j (1 - theta_l r_j) / (w_l prod_{i != l} (theta_i - theta_l))
     once theta_l^(S-1) is cancelled. Each direction is scaled to unit max
-    modulus. For distinct theta and nonzero w the rows w * t(r_j) are
-    independent exactly when the picked roots are distinct, so a selection
-    is flagged rank-deficient when two of its roots lie within pair_tol of
-    each other (``relative_gaps``, read in either direction).
+    modulus. The form holds for any picked roots, repeats included: the
+    direction is the g whose P has exactly those roots, so the selection
+    system is never solved and its rank never read.
     """
     S = len(theta)
     spread = theta[None, :] - theta[:, None]
@@ -295,23 +279,17 @@ def _lagrange_nulls(theta: np.ndarray, weight: np.ndarray, roots: np.ndarray,
     with np.errstate(divide="ignore", invalid="ignore"):
         factors = 1.0 - roots[..., None] * theta  # (S-1, P, S)
         G = factors[np.arange(S - 1), picks].prod(axis=1) / (weight * spread.prod(axis=1))
-        G = G / np.abs(G).max(axis=1, keepdims=True)
-    flat = picks + roots.shape[1] * np.arange(S - 1)
-    gaps = relative_gaps(roots.ravel(), roots.ravel())
-    close = np.minimum(gaps, gaps.T) <= tol.pair_tol
-    np.fill_diagonal(close, False)
-    deficient = close[flat[:, :, None], flat[:, None, :]].any(axis=(1, 2))
-    return G, deficient
+        return G / np.abs(G).max(axis=1, keepdims=True)
 
 
 def _normalize_candidates(G: np.ndarray, rows: np.ndarray, y: np.ndarray,
-                          tol: Tolerances, deficient: np.ndarray | None = None) -> np.ndarray:
+                          tol: Tolerances) -> np.ndarray:
     """Scale each row of G so |rows @ g|^2 fits y, then canonicalize its phase.
 
     The first nonnegligible entry of each candidate is made exactly real
     positive. When rows fail, the first failing row raises, with the error of
-    the first check it fails; a row flagged in `deficient` fails before its
-    own checks run.
+    the first check it fails: zero predicted measurements or a nonpositive
+    scale (DegenerateInstanceError), then the forward check.
     """
     with np.errstate(all="ignore"):
         pred = np.abs(G @ rows.T) ** 2
@@ -322,13 +300,9 @@ def _normalize_candidates(G: np.ndarray, rows: np.ndarray, y: np.ndarray,
     nonpositive = ~zero & (alpha2 <= 0)
     bound = tol.forward_tol * max(float(y.max()), 1e-300)
     inconsistent = ~zero & ~nonpositive & (defect > bound)
-    if deficient is None:
-        deficient = np.zeros(len(G), dtype=bool)
-    failed = deficient | zero | nonpositive | inconsistent
+    failed = zero | nonpositive | inconsistent
     if failed.any():
         k = int(np.argmax(failed))
-        if deficient[k]:
-            raise DegenerateInstanceError("selection system rank-deficient")
         if zero[k]:
             raise DegenerateInstanceError("candidate direction predicts zero measurements")
         if nonpositive[k]:
@@ -396,8 +370,8 @@ def _enumerate_from_pairs(theta: np.ndarray, pairs: np.ndarray, row_weight: np.n
     the pair axis. The first failing selection raises.
     """
     picks = np.array(list(itertools.product((0, 1), repeat=len(pairs))), dtype=int)
-    G, deficient = _lagrange_nulls(theta, row_weight, pairs, picks, tol)
-    return _dedup_and_sort(_normalize_candidates(G, rows, y, tol, deficient), tol)
+    G = _lagrange_nulls(theta, row_weight, pairs, picks)
+    return _dedup_and_sort(_normalize_candidates(G, rows, y, tol), tol)
 
 
 def enumerate_candidates_harmonic(theta, q_block: np.ndarray, gamma: float, n: int,
@@ -407,9 +381,9 @@ def enumerate_candidates_harmonic(theta, q_block: np.ndarray, gamma: float, n: i
     The roots of the combined numerator block pair as (r, 1/conj(r)); each
     choice of one representative per pair pins S-1 linear conditions on g,
     whose null direction (scaled and phase-canonicalized) is one candidate.
-    The null directions come in closed form, with no factorisation; a
-    selection whose picked roots coincide within pair_tol has no unique one
-    and raises DegenerateInstanceError("selection system rank-deficient").
+    The null directions come in closed form (`_lagrange_nulls`), with no
+    factorisation and no rank check, and every candidate must pass the
+    forward check of `_normalize_candidates`.
     """
     theta = np.asarray(theta, dtype=complex)
     y = np.asarray(y, dtype=float)
@@ -495,10 +469,10 @@ def split_and_enumerate_general(L: np.ndarray, L_tilde: np.ndarray, theta, n: in
             f"matched {len(matched)} roots between the split and the cross term, "
             f"expected {S - 1}"
         )
-    G, deficient = _lagrange_nulls(
-        theta, np.ones(S, dtype=complex), matched[:, None], np.zeros((1, S - 1), dtype=int), tol,
+    G = _lagrange_nulls(
+        theta, np.ones(S, dtype=complex), matched[:, None], np.zeros((1, S - 1), dtype=int)
     )
-    g_a = _normalize_candidates(G, rows, y, tol, deficient)[0]
+    g_a = _normalize_candidates(G, rows, y, tol)[0]
     g_b = _normalize_candidates(dual_transform(g_a, theta, n)[None], rows, y, tol)[0]
     cands = _dedup_and_sort(np.stack([g_a, g_b]), tol)
     return cands, BRANCH_DUAL
@@ -542,14 +516,14 @@ def recover_r5(inst: PhaselessInstance, tol: Tolerances | None = None) -> Phasel
     if inst.samples.is_harmonic:
         theta, q_block, S, diagnostics = recover_support_harmonic(inst, tol)
         gamma = float(inst.samples.gamma)
-        profile = magnitudes_harmonic(theta, q_block, gamma, inst.n, tol)
+        profile = magnitudes_harmonic(theta, q_block, gamma, inst.n)
         cands = enumerate_candidates_harmonic(
             theta, q_block, gamma, inst.n, inst.samples, y, tol
         )
         branch = BRANCH_HARMONIC
     else:
         theta, L, L_tilde, _, S, diagnostics = recover_general(inst, tol)
-        profile = magnitudes_general(theta, L, tol)
+        profile = magnitudes_general(theta, L)
         cands, branch = split_and_enumerate_general(
             L, L_tilde, theta, inst.n, inst.samples, y, tol
         )

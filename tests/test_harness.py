@@ -343,7 +343,8 @@ FROZEN_OUTCOMES = {
     ],
     "r5-arbitrary": [
         "0 None None Arbitrary MatchingFailureError", "1 6 2 DualPair None",
-        "0 None None Arbitrary MatchingFailureError", "0 None None Arbitrary ModelMismatchError",
+        "0 None None Arbitrary MatchingFailureError",
+        "0 None None Arbitrary DegenerateSupportError",
         "1 6 2 DualPair None", "1 6 2 DualPair None",
         "0 None None Arbitrary MatchingFailureError", "1 6 2 DualPair None",
         "0 6 2 DualPair None", "1 6 2 DualPair None",

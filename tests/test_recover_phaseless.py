@@ -45,6 +45,7 @@ from vrecover.recover_phaseless import (
     _dedup_and_sort,
     _enumerate_from_pairs,
     _hermitian_basis,
+    _lagrange_nulls,
     _theta_from_lhat,
     disambiguate,
     dual_transform,
@@ -58,7 +59,8 @@ from vrecover.recover_phaseless import (
     split_and_enumerate_general,
 )
 from vrecover.structmat import (
-    SampleSet, build_G, build_Gtilde, null_space, shifted_harmonics, vandermonde,
+    SampleSet, build_G, build_Gtilde, measurement_matrix, null_space, shifted_harmonics,
+    vandermonde,
 )
 
 from test_recover_phase import _count_svds
@@ -262,7 +264,7 @@ def test_magnitudes_worked_singleton():
     z = shifted_harmonics(4, 3, 0.7)
     y = forward_phaseless([1j], [2.0], z.z, 4)
     theta, q, S, _ = recover_support_harmonic(PhaselessInstance(4, 1, y, z), TOL)
-    profile = magnitudes_harmonic(theta, q, 0.7, 4, TOL)
+    profile = magnitudes_harmonic(theta, q, 0.7, 4)
     assert len(profile) == 1
     assert profile[0] > 0
     # one positive scalar links the profile to |g|^2 = 4
@@ -280,7 +282,7 @@ def test_magnitude_ratios_scale_free():
         z = shifted_harmonics(n, n, gamma)
         y = forward_phaseless(theta, g, z.z, n)
         got, q, S, _ = recover_support_harmonic(PhaselessInstance(n, s, y, z), TOL)
-        profile = np.array(magnitudes_harmonic(got, q, gamma, n, TOL))
+        profile = np.array(magnitudes_harmonic(got, q, gamma, n))
         order = np.lexsort((np.abs(theta), np.angle(theta)))
         g_sq = np.abs(g[order]) ** 2
         assert abs(profile[0] / profile[1] - g_sq[0] / g_sq[1]) <= 1e-6 * (
@@ -297,7 +299,7 @@ def test_magnitudes_uniform_weights():
     z = shifted_harmonics(n, n, gamma)
     y = forward_phaseless(theta, g, z.z, n)
     got, q, S, _ = recover_support_harmonic(PhaselessInstance(n, s, y, z), TOL)
-    profile = np.array(magnitudes_harmonic(got, q, gamma, n, TOL))
+    profile = np.array(magnitudes_harmonic(got, q, gamma, n))
     assert np.max(np.abs(profile - profile[0])) <= 1e-6 * profile[0]
 
 
@@ -318,9 +320,8 @@ def test_magnitudes_match_horner_form():
                  for th, t, w in zip(theta, t_horner, twist)]
         old_g = [laurent_eval(L, np.conj(th)).real / (2.0 * abs(t) ** 2)
                  for th, t in zip(theta, t_horner)]
-        tol = load_tolerances()
-        new_h = magnitudes_harmonic(theta, L, gamma, n, tol)
-        new_g = magnitudes_general(theta, L, tol)
+        new_h = magnitudes_harmonic(theta, L, gamma, n)
+        new_g = magnitudes_general(theta, L)
         assert np.max(np.abs(np.subtract(new_h, old_h))) <= 1e-12 * max(np.abs(old_h))
         assert np.max(np.abs(np.subtract(new_g, old_g))) <= 1e-12 * max(np.abs(old_g))
 
@@ -435,16 +436,36 @@ def test_enumeration_matches_reference_loop():
         assert solved, f"no solvable s={s} instance"
 
 
+def test_closed_form_holds_at_coincident_roots():
+    """Each row g of `_lagrange_nulls` makes sum_l g_l w_l t_l(q) a multiple
+    of prod_j (q - r_j), also when a selection picks one root twice."""
+    rng = np.random.default_rng(4005)
+    S = 4
+    theta = draw_theta_circle(rng, S)
+    weight = np.exp(1j * rng.uniform(0, 2 * np.pi, S)) * rng.uniform(0.5, 2.0, S)
+    roots = rng.normal(size=(S - 1, 2)) + 1j * rng.normal(size=(S - 1, 2))
+    roots[1] = roots[0]  # selections with equal picks from rows 0 and 1 repeat a root
+    picks = np.array(list(itertools.product((0, 1), repeat=S - 1)), dtype=int)
+    G = _lagrange_nulls(theta, weight, roots, picks)
+    t_polys = [t_polynomial(theta, l) for l in range(S)]
+    probes = rng.normal(size=5) + 1j * rng.normal(size=5)
+    double = 0
+    for g, pick in zip(G, picks):
+        picked = roots[np.arange(S - 1), pick]
+        double += picked[0] == picked[1]
+        P = sum(g[l] * weight[l] * t_polys[l] for l in range(S))
+        c = P[-1]
+        assert abs(c) > 1e-3 * np.abs(P).max()
+        for q in (*probes, *picked):
+            want = c * np.prod(q - picked)
+            assert abs(poly_eval(P, q) - want) <= 1e-12 * np.abs(P).max() * max(1, abs(q)) ** S
+    assert double == 4
+
+
 def test_enumeration_failures_match_reference_loop():
     tol = load_tolerances()
     rng = np.random.default_rng(4003)
     theta, pairs, weight, rows, y = next(harmonic_enumeration_inputs(rng, 4))
-    # two equal picked roots: the first selection already has two equal rows
-    twin = pairs[[0, 0, *range(2, len(pairs))]]
-    with pytest.raises(DegenerateInstanceError, match="rank-deficient"):
-        reference_enumerate(theta, twin, weight, rows, y, tol)
-    with pytest.raises(DegenerateInstanceError, match="rank-deficient"):
-        _enumerate_from_pairs(theta, twin, weight, rows, y, tol)
     # one perturbed measurement: no selection fits the data any more
     y_bad = y.copy()
     y_bad[3] *= 1.01
@@ -540,7 +561,7 @@ def test_recover_general_worked_pair():
     got, L, L_tilde, L_hat, S, _ = recover_general(PhaselessInstance(n, 2, y, z), TOL)
     assert S == 2
     assert match_theta(got, theta) <= 1e-6
-    profile = np.array(magnitudes_general(got, L, TOL))
+    profile = np.array(magnitudes_general(got, L))
     g_sq = np.abs(g) ** 2
     c = profile[0] / g_sq[0]
     assert c > 0
@@ -664,6 +685,26 @@ def test_recover_r5_zero_measurements():
     res = recover_r5(PhaselessInstance(7, 2, np.zeros(7), z))
     assert res.S == 0 and res.theta.shape == res.magnitude_profile.shape == (0,)
     assert res.candidates.shape == (0, 0)
+
+
+@pytest.mark.parametrize("layout", ["harmonic", "general"])
+def test_off_circle_support_ends_in_the_forward_check(layout):
+    """Data from poles at radius 1.0005 or its inverse: the support is
+    projected onto the circle, and each of these draws ends in the
+    candidates' forward check (exit 4), not in a result or an exit-3 class."""
+    rng = np.random.default_rng(2027)
+    s = 4
+    n = 4 * s - 1
+    for _ in range(12):
+        if layout == "harmonic":
+            z, theta = shifted_harmonics(n, n, 1.0), draw_theta_dft(rng, n, s)
+        else:
+            z, theta = SampleSet(tuple(stratified_circle(rng, 8 * s - 3))), draw_theta_circle(rng, s)
+        theta = theta * 1.0005 ** rng.choice([-1, 1], s)
+        y = np.abs(measurement_matrix(z, theta, n) @ draw_g(rng, s)) ** 2
+        with pytest.raises(InconsistentSolutionError) as err:
+            recover_r5(PhaselessInstance(n, s, y, z), TOL)
+        assert err.value.exit_code == 4
 
 
 def test_result_arrays_are_read_only():
