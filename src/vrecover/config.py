@@ -28,9 +28,9 @@ class Tolerances:
     rank_rel_tol: float = 1e-8
     # a widest singular-value gap narrower than this attaches a conditioning warning
     gap_ratio: float = 1e3
-    # conjugate-reciprocal pairing and root matching; also the relative
-    # defect bound of both square roots, the discriminant's and the |v|^2
-    # block's
+    # conjugate-reciprocal pairing; the relative defect bound of both
+    # square roots, the discriminant's and the |v|^2 block's; and the
+    # relative disagreement of the dual split's two cofactor candidates
     pair_tol: float = 1e-6
     # candidate comparison up to global phase
     dedup_tol: float = 1e-8

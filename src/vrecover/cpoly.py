@@ -62,6 +62,22 @@ def poly_eval(p, x):
     return acc
 
 
+def conv_matrix(p, k: int) -> np.ndarray:
+    """The (len(p)+k-1, k) matrix C with ``C @ x == np.convolve(p, x)`` for x of length k.
+
+    >>> conv_matrix(np.array([1, 2]), 2)
+    array([[1, 0],
+           [2, 1],
+           [0, 2]])
+    """
+    p = np.asarray(p)
+    C = np.zeros((len(p) + k - 1, k), p.dtype)
+    # column j holds p shifted down by j, so C[i, j] = p[i - j]
+    for j in range(k):
+        C[j : j + len(p), j] = p
+    return C
+
+
 def poly_roots(p, tol_root: float) -> np.ndarray:
     """All complex roots of `p` via eigenvalues of the companion matrix.
 
@@ -203,19 +219,6 @@ def laurent_from_products(u_hat, u_tilde, v):
 # root pairing and square roots
 # ----------------------------------------------------------------------------
 
-def relative_gaps(values, targets) -> np.ndarray:
-    """``gaps[i, j] = |values[i] - targets[j]| / max(1, |targets[j]|)``.
-
-    Moduli come from ``np.hypot``, which rounds exactly like ``abs`` of a
-    numpy complex scalar, so the gaps equal the per-element scalar form bit
-    for bit and greedy choices between near-ties do not move.
-    """
-    values = np.asarray(values, dtype=complex)
-    targets = np.asarray(targets, dtype=complex)
-    diff = values[:, None] - targets[None, :]
-    return _modulus(diff) / np.maximum(1.0, _modulus(targets))[None, :]
-
-
 def greedy_pairs(gap: np.ndarray, tol: float):
     """Index pairs ``(i, j)`` of the table `gap`, smallest remaining gap first.
 
@@ -256,8 +259,10 @@ def pair_conjugate_reciprocal(roots, tol: float) -> np.ndarray:
         raise PairingFailureError(
             f"root {roots[unpairable][0]:.6g} has no conjugate-reciprocal partner"
         )
-    # gap[i, j] measures roots[j] against the partner target of roots[i]
-    gap = relative_gaps(roots, 1.0 / np.conj(roots)).T
+    # gap[i, j] = |roots[j] - t_i| / max(1, |t_i|) for the partner target
+    # t_i = 1/conj(roots[i]); np.hypot rounds like abs of a complex scalar
+    target = 1.0 / np.conj(roots)
+    gap = _modulus(roots - target[:, None]) / np.maximum(1.0, _modulus(target))[:, None]
     self_gap = np.diagonal(gap).copy()
     np.fill_diagonal(gap, np.inf)
     index = []
@@ -280,8 +285,8 @@ def poly_sqrt(P) -> np.ndarray:
     Finds no roots: the power-series recurrence down from the top
     coefficient of `P`, which must be nonzero and fixes the sign of R by its
     principal root, then three Gauss–Newton steps on ``||R * R - P||``,
-    whose Jacobian is ``2 * conv(R, .)``. The caller judges the fit; a
-    singular normal matrix raises `NotASquareError`.
+    whose Jacobian is ``2 * conv_matrix(R, h + 1)``. The caller judges the
+    fit; a singular normal matrix raises `NotASquareError`.
 
     >>> poly_sqrt(np.array([4.0, -4.0, 1.0]))   # (z - 2)^2
     array([-2.+0.j,  1.+0.j])
@@ -297,12 +302,8 @@ def poly_sqrt(P) -> np.ndarray:
             acc -= r[j] * r[k - j]
         r.append(acc / (2.0 * r[0]))
     R = np.array(r[::-1])
-    # conv(R, x)[i] = sum_j R[i - j] x[j], read from R padded by h zeros a side
-    index = np.arange(2 * h + 1)[:, None] - np.arange(h + 1)[None, :] + h
-    padded = np.zeros(3 * h + 1, dtype=complex)
     for _ in range(3):
-        padded[h : 2 * h + 1] = R
-        J = 2.0 * padded[index]
+        J = 2.0 * conv_matrix(R, h + 1)
         JH = J.conj().T
         try:
             R = R - np.linalg.solve(JH @ J, JH @ (np.convolve(R, R) - P))

@@ -41,7 +41,7 @@ class NotASquareError(RecoveryFailureError):
 
 
 class MatchingFailureError(RecoveryFailureError):
-    """Root matching between the split factor and the cross term failed."""
+    """The dual split's cross term vanished, or its two cofactor candidates disagree."""
 
 
 class DegenerateSupportError(RecoveryFailureError):
@@ -49,7 +49,7 @@ class DegenerateSupportError(RecoveryFailureError):
 
 
 class DegenerateInstanceError(RecoveryFailureError):
-    """A linear system that should determine g up to scale is rank-deficient."""
+    """A candidate predicts zero y or a nonpositive scale, or theta^n hits the sample rotation."""
 
 
 class AmbiguousSupportError(RecoveryFailureError):

@@ -19,15 +19,15 @@ import numpy as np
 
 from .config import Tolerances, load_tolerances
 from .cpoly import (
-    greedy_pairs,
+    conv_matrix,
     laurent_conj,
     laurent_eval,
     laurent_sqrt,
     pair_conjugate_reciprocal,
+    poly_eval,
     poly_roots,
     poly_sqrt,
     relative_defect,
-    relative_gaps,
     t_at_conjugates,
 )
 from .errors import (
@@ -261,8 +261,10 @@ def _lagrange_nulls(theta: np.ndarray, weight: np.ndarray, roots: np.ndarray,
                     picks: np.ndarray) -> np.ndarray:
     """Null directions of selection systems, in closed form, one per row.
 
-    Selection k picks the root ``roots[j, picks[k, j]]`` from each row j of
-    the (S-1, P) root table, and its system asks that
+    It serves the harmonic and degenerate enumerations; the dual split reads
+    its candidate from cofactors instead. Selection k picks the root
+    ``roots[j, picks[k, j]]`` from each row j of the (S-1, 2) root-pair
+    table, and its system asks that
     P(q) = sum_l g_l w_l t_l(q) vanish at those S-1 roots r_j. P has degree
     S-1, so P = c * prod_j (q - r_j); at q = 1/theta_l only t_l is nonzero,
     which gives g_l proportional to
@@ -436,15 +438,21 @@ def split_and_enumerate_general(L: np.ndarray, L_tilde: np.ndarray, theta, n: in
     """Candidate set from the squared-modulus blocks of the general pipeline.
 
     When the discriminant L^2 - 4|L_tilde|^2 is nonzero the numerator halves
-    separate: the roots of Q = (L + sqrt(disc))/2 that also occur among the
-    roots of conj-Laurent(L_tilde) pin the linear system for one candidate,
-    whose null direction comes in the closed form of the harmonic
-    enumeration, and its dual is the only other solution. `laurent_sqrt`
-    takes sqrt(disc) from the coefficients, finding no roots, and raises
-    `NotASquareError` when its square misses disc by more than pair_tol,
-    relative. A vanishing discriminant means all support powers coincide
-    and the solution set is the harmonic-style 2^(S-1) family built from
-    root pairs of L.
+    separate. `laurent_sqrt` takes sqrt(disc) from the coefficients and
+    raises `NotASquareError` when its square misses disc by more than
+    pair_tol, relative. Q = (L + sqrt(disc))/2 is |u_hat|^2 or |u_tilde|^2,
+    and it shares one numerator factor of degree S-1 with
+    P = conj-Laurent(L_tilde). So Q * a = P * b has one solution (a, b),
+    each of length S: the null vector of [conv(Q) | -conv(P)], (3S-2) x 2S,
+    read from one SVD, with no roots found. With t_l = t_l(conj theta_l),
+    each cofactor gives the candidate at the support,
+    g_A = a(conj theta) / t and g_B = theta^-n b(conj theta) / t, and
+    g_A = -g_B. When max|g_A + g_B| exceeds pair_tol times max|g_B - g_A|
+    they disagree and `MatchingFailureError` is raised. The candidate
+    g_B - g_A (the dual of g when Q = |u_tilde|^2) and its dual are the
+    only solutions, and both must pass the forward check. A vanishing
+    discriminant means all support powers coincide and the solution set is
+    the harmonic-style 2^(S-1) family built from root pairs of L.
     """
     theta = np.asarray(theta, dtype=complex)
     y = np.asarray(y, dtype=float)
@@ -460,37 +468,24 @@ def split_and_enumerate_general(L: np.ndarray, L_tilde: np.ndarray, theta, n: in
         return cands, BRANCH_DEGENERATE
     if not L_tilde.any():
         raise MatchingFailureError("cross term vanished on a non-degenerate instance")
-    M_sqrt = laurent_sqrt(disc, tol.pair_tol)
-    q_roots = poly_roots((L + M_sqrt) * 0.5, tol.tol_root)
-    pool = poly_roots(laurent_conj(L_tilde), tol.tol_root)
-    matched = _match_roots(pool, q_roots, tol)
-    if len(matched) != S - 1:
+    Q = (L + laurent_sqrt(disc, tol.pair_tol)) * 0.5
+    K = np.hstack([conv_matrix(Q, S), -conv_matrix(laurent_conj(L_tilde), S)])
+    x = np.linalg.svd(K)[2][-1].conj()
+    points, t = np.conj(theta), t_at_conjugates(theta)
+    # coincident theta make t vanish, and the non-finite defect fails the gate
+    with np.errstate(all="ignore"):
+        g_a = poly_eval(x[:S], points) / t
+        g_b = theta ** (-n) * poly_eval(x[S:], points) / t
+        span = np.abs(g_b - g_a).max()
+        defect = np.abs(g_a + g_b).max() / span
+    if not defect <= tol.pair_tol:
         raise MatchingFailureError(
-            f"matched {len(matched)} roots between the split and the cross term, "
-            f"expected {S - 1}"
+            f"cofactor candidates disagree by {defect:.1e}, beyond {tol.pair_tol:.1e}"
         )
-    G = _lagrange_nulls(
-        theta, np.ones(S, dtype=complex), matched[:, None], np.zeros((1, S - 1), dtype=int)
-    )
-    g_a = _normalize_candidates(G, rows, y, tol)[0]
-    g_b = _normalize_candidates(dual_transform(g_a, theta, n)[None], rows, y, tol)[0]
-    cands = _dedup_and_sort(np.stack([g_a, g_b]), tol)
+    first = _normalize_candidates((g_b - g_a)[None] / span, rows, y, tol)[0]
+    dual = _normalize_candidates(dual_transform(first, theta, n)[None], rows, y, tol)[0]
+    cands = _dedup_and_sort(np.stack([first, dual]), tol)
     return cands, BRANCH_DUAL
-
-
-def _match_roots(pool: np.ndarray, targets: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Greedy mutual matching; returns the pool values of matched pairs.
-
-    `greedy_pairs` takes the gaps |pool_i - target_j| relative to
-    max(1, |target_j|), up to pair_tol; each pool value and target is used once.
-    """
-    gap = relative_gaps(pool, targets)
-    matched = []
-    for i, j in greedy_pairs(gap, tol.pair_tol):
-        matched.append(i)
-        gap[i, :] = np.inf
-        gap[:, j] = np.inf
-    return pool[np.array(matched, dtype=int)]
 
 
 # ----------------------------------------------------------------------------

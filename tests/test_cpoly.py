@@ -8,6 +8,7 @@ import pytest
 from vrecover import cpoly
 from vrecover.config import Tolerances
 from vrecover.cpoly import (
+    conv_matrix,
     forward_polys,
     greedy_pairs,
     hermitian_part,
@@ -58,6 +59,19 @@ def test_poly_eval_over_an_array():
     got = poly_eval(p, points)
     assert got.shape == (4,)
     assert np.allclose(got, [poly_eval(p, q) for q in points], rtol=1e-15, atol=0)
+
+
+def test_conv_matrix_is_convolution():
+    """C @ x equals np.convolve(p, x), and C[i, j] is exactly p[i - j] or 0."""
+    rng = np.random.default_rng(71)
+    for length, k in ((1, 1), (4, 1), (1, 5), (3, 3), (7, 4), (5, 9)):
+        p = rng.normal(size=length) + 1j * rng.normal(size=length)
+        x = rng.normal(size=k) + 1j * rng.normal(size=k)
+        C = conv_matrix(p, k)
+        assert C.shape == (length + k - 1, k) and C.dtype == complex
+        assert np.allclose(C @ x, np.convolve(p, x), rtol=0, atol=1e-14 * np.abs(p).max())
+        for i, j in np.ndindex(*C.shape):
+            assert C[i, j] == (p[i - j] if 0 <= i - j < length else 0)
 
 
 def test_laurent_eval_over_an_array():
@@ -552,7 +566,7 @@ def _drain(pairs, gap, tol, rule):
         if rule == "pairing":  # pair_conjugate_reciprocal: both roots leave
             gap[[i, j], :] = np.inf
             gap[:, [i, j]] = np.inf
-        else:  # _match_roots: pool value i and target j leave
+        else:  # row i and column j leave, each on its own
             gap[i, :] = np.inf
             gap[:, j] = np.inf
     return taken
@@ -573,7 +587,7 @@ def test_greedy_pairs_matches_rescan():
         if rule == "pairing":
             np.fill_diagonal(gap, np.inf)
         if trial % 3 == 0:
-            gap = np.ascontiguousarray(gap.T).T  # a transposed view, as the pairing passes
+            gap = np.ascontiguousarray(gap.T).T  # a transposed view walks the same
         tol = float(rng.choice([0.0, 1.5e-3, 3e-3, np.inf]))
         want_gap = gap.copy()
         want = _drain(_greedy_pairs_rescan, want_gap, tol, rule)

@@ -342,14 +342,14 @@ FROZEN_OUTCOMES = {
         "1 8 128 Harmonic2pow None", "1 8 128 Harmonic2pow None",
     ],
     "r5-arbitrary": [
-        "0 None None Arbitrary MatchingFailureError", "1 6 2 DualPair None",
-        "0 None None Arbitrary MatchingFailureError",
+        "1 6 2 DualPair None", "1 6 2 DualPair None",
+        "0 6 2 DualPair None",
         "0 None None Arbitrary DegenerateSupportError",
         "1 6 2 DualPair None", "1 6 2 DualPair None",
         "0 None None Arbitrary MatchingFailureError", "1 6 2 DualPair None",
-        "0 6 2 DualPair None", "1 6 2 DualPair None",
         "1 6 2 DualPair None", "1 6 2 DualPair None",
-        "1 6 2 DualPair None", "0 None None Arbitrary InconsistentSolutionError",
+        "1 6 2 DualPair None", "1 6 2 DualPair None",
+        "1 6 2 DualPair None", "0 None None Arbitrary MatchingFailureError",
         "1 6 2 DualPair None", "1 6 2 DualPair None",
         "1 6 2 DualPair None", "1 6 2 DualPair None",
         "0 None None Arbitrary MatchingFailureError", "1 6 2 DualPair None",

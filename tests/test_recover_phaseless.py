@@ -1,6 +1,7 @@
 """Phaseless recovery: support, magnitudes, candidate sets, disambiguation."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from vrecover.cpoly import (
     laurent_conj,
     laurent_eval,
     laurent_from_products,
+    laurent_sqrt,
     pair_conjugate_reciprocal,
     poly_eval,
     poly_roots,
@@ -23,6 +25,7 @@ from vrecover.errors import (
     DegenerateSupportError,
     InconsistentSolutionError,
     InvalidInputError,
+    MatchingFailureError,
     NotASquareError,
     RecoveryFailureError,
     VRecoverError,
@@ -502,7 +505,9 @@ def test_far_picked_root_is_no_rank_loss(mode, s, n_rule, m_rule, sample_mode, i
 
 
 def test_enumeration_runs_no_factorisation(monkeypatch):
-    """Candidates come in closed form on every branch: no SVD, no lstsq."""
+    """Harmonic and degenerate candidates come in closed form: no SVD, no
+    lstsq. The dual branch reads its cofactors from one SVD and finds no
+    roots."""
     rng = np.random.default_rng(4009)
     n, s, gamma = 15, 4, 0.7
     z = shifted_harmonics(n, n, gamma)
@@ -519,9 +524,16 @@ def test_enumeration_runs_no_factorisation(monkeypatch):
         y = forward_phaseless(draw_theta(rng, 2), draw_g(rng, 2), zs.z, n)
         got, L, L_tilde, _, _, _ = recover_general(PhaselessInstance(n, 2, y, zs), TOL)
         calls = _count_svds(monkeypatch)
+        roots = []
+        monkeypatch.setattr(recover_phaseless, "poly_roots",
+                            lambda p, tol_root: roots.append(p) or poly_roots(p, tol_root))
         cands, got_branch = split_and_enumerate_general(L, L_tilde, got, n, zs, y, TOL)
         monkeypatch.undo()
-        assert got_branch == branch and len(cands) == 2 and calls == []
+        assert got_branch == branch and len(cands) == 2
+        if branch == BRANCH_DUAL:
+            assert calls == ["svd"] and roots == []
+        else:
+            assert calls == []
 
 
 def test_candidate_order_ignores_rounding_noise():
@@ -620,6 +632,71 @@ def test_split_dual_pair():
         assert min(phase_aligned_gap(c, g[np.lexsort((np.abs(theta), np.angle(theta)))]) for c in cands) <= 1e-6
 
 
+def exact_general_blocks(rng, s, min_sep=0.0):
+    """(theta, g, n, z, y, L, L_tilde, u_hat) of one exact general instance,
+    its squared-modulus blocks built from the numerator halves themselves.
+
+    The support is redrawn until its points lie at least `min_sep` Rayleigh
+    units (2 pi / n) apart.
+    """
+    n = 4 * s - 1
+    while True:
+        theta = draw_theta_circle(rng, s)
+        gaps = np.diff(np.sort(np.angle(theta)), append=np.angle(theta).min() + 2 * np.pi)
+        if gaps.min() * n / (2 * np.pi) >= min_sep:
+            break
+    g = draw_g(rng, s)
+    z = SampleSet(tuple(stratified_circle(rng, 8 * s - 3)))
+    u_hat, u_tilde, v = forward_polys(theta, g, n)
+    L, L_tilde, _ = laurent_from_products(u_hat, u_tilde, v)
+    return theta, g, n, z, forward_phaseless(theta, g, z.z, n), L, L_tilde, u_hat
+
+
+def test_split_reads_g_and_its_dual_from_exact_blocks():
+    """On exact blocks the dual split returns g and its dual within 1e-8.
+
+    The split factor Q is |u_hat|^2 or |u_tilde|^2, whichever the sign of
+    the discriminant's root at z = 1 picks; the draws cover both. The
+    support points lie at least half a Rayleigh unit apart: closer ones
+    leave the cofactor null vector less accurate than 1e-8 on some draws.
+    """
+    rng = np.random.default_rng(4011)
+    picked = {True: 0, False: 0}
+    for s in (2, 3, 4, 5, 6):
+        for _ in range(6):
+            theta, g, n, z, y, L, L_tilde, u_hat = exact_general_blocks(rng, s, min_sep=0.5)
+            disc = np.convolve(L, L) - 4.0 * np.convolve(L_tilde, laurent_conj(L_tilde))
+            Q = (L + laurent_sqrt(disc, TOL.pair_tol)) * 0.5
+            u_hat_sq = np.convolve(u_hat, laurent_conj(u_hat))
+            picked[bool(np.abs(Q - u_hat_sq).max() <= 1e-8 * np.abs(L).max())] += 1
+            cands, branch = split_and_enumerate_general(L, L_tilde, theta, n, z, y, TOL)
+            assert branch == BRANCH_DUAL and len(cands) == 2
+            scale = np.abs(g).max()
+            for want in (g, dual_transform(g, theta, n)):
+                assert min(phase_aligned_gap(c, want) for c in cands) <= 1e-8 * scale
+    assert min(picked.values()) >= 5, picked
+
+
+def test_split_rejects_cofactors_that_disagree():
+    """L_tilde turned by e^{i phi} keeps the discriminant, and the two
+    cofactor candidates then differ by the factor e^{i phi}: the defect
+    |g_A + g_B| / |g_B - g_A| reads tan(phi / 2). Exactly coincident
+    support points give a non-finite defect, which fails without a
+    RuntimeWarning."""
+    rng = np.random.default_rng(4013)
+    theta, g, n, z, y, L, L_tilde, _ = exact_general_blocks(rng, 4)
+    message = r"^cofactor candidates disagree by (\S+), beyond 1\.0e-06$"
+    for phi in (0.01, 0.3):
+        with pytest.raises(MatchingFailureError, match=message) as err:
+            split_and_enumerate_general(L, np.exp(1j * phi) * L_tilde, theta, n, z, y, TOL)
+        defect = float(re.match(message, str(err.value)).group(1))
+        assert abs(defect - np.tan(phi / 2)) <= 0.05 * np.tan(phi / 2)
+    # theta_0 * conj(theta_1) - 1 is exactly 0, so t vanishes at both
+    twins = np.array([1.0, 1.0, 1j, -1j])
+    with pytest.raises(MatchingFailureError, match=r"^cofactor candidates disagree by nan,"):
+        split_and_enumerate_general(L, L_tilde, twins, n, z, y, TOL)
+
+
 def test_dual_transform_involution():
     rng = np.random.default_rng(457)
     for _ in range(10):
@@ -690,8 +767,13 @@ def test_recover_r5_zero_measurements():
 @pytest.mark.parametrize("layout", ["harmonic", "general"])
 def test_off_circle_support_ends_in_the_forward_check(layout):
     """Data from poles at radius 1.0005 or its inverse: the support is
-    projected onto the circle, and each of these draws ends in the
-    candidates' forward check (exit 4), not in a result or an exit-3 class."""
+    projected onto the circle, and no draw returns a result. Each harmonic
+    draw ends in the candidates' forward check (exit 4). Each general draw
+    ends one step earlier, where its two cofactor candidates disagree
+    (exit 3), as general draws at radius 1.002 and beyond mostly end in
+    `NotASquareError`."""
+    expected, exit_code = {"harmonic": (InconsistentSolutionError, 4),
+                           "general": (MatchingFailureError, 3)}[layout]
     rng = np.random.default_rng(2027)
     s = 4
     n = 4 * s - 1
@@ -702,9 +784,9 @@ def test_off_circle_support_ends_in_the_forward_check(layout):
             z, theta = SampleSet(tuple(stratified_circle(rng, 8 * s - 3))), draw_theta_circle(rng, s)
         theta = theta * 1.0005 ** rng.choice([-1, 1], s)
         y = np.abs(measurement_matrix(z, theta, n) @ draw_g(rng, s)) ** 2
-        with pytest.raises(InconsistentSolutionError) as err:
+        with pytest.raises(expected) as err:
             recover_r5(PhaselessInstance(n, s, y, z), TOL)
-        assert err.value.exit_code == 4
+        assert err.value.exit_code == exit_code
 
 
 def test_result_arrays_are_read_only():
