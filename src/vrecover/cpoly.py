@@ -146,14 +146,14 @@ def forward_polys(theta, g, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         raise InvalidInputError("pole locations must be nonzero")
     s = len(theta)
     # rows 0..s-1 hold the ascending coefficients of t_l, row s those of v;
-    # step i multiplies every row except row i by (theta_i z - 1)
+    # step i multiplies every row by (theta_i z - 1), then restores row i
     table = np.zeros((s + 1, s + 1), dtype=complex)
     table[:, 0] = 1.0
     for i, th in enumerate(theta):
-        rows = np.arange(s + 1) != i
-        step = -table[rows]
-        step[:, 1:] += th * table[rows, :-1]
-        table[rows] = step
+        step = -table
+        step[:, 1:] += th * table[:, :-1]
+        step[i] = table[i]
+        table = step
     t_rows = table[:s, :s]
     return (g * theta**n) @ t_rows, -g @ t_rows, table[s]
 

@@ -448,9 +448,10 @@ class TrialRecord:
     g_err: float
     candidate_count: object
     runtime_ms: float
-    # "latent" or "paper" for r1, the route whose result recover_r1 returned;
-    # empty for the other modes (recover_r2 returns a bare vector, without
-    # diagnostics), for summary rows and when recovery raised
+    # "latent" or "paper" for r1, the one route recover_r1 ran (latent at
+    # m >= n, paper below); empty for the other modes (recover_r2 returns a
+    # bare vector, without diagnostics), for summary rows and when recovery
+    # raised
     route: str
     warnings: str
 
@@ -741,8 +742,8 @@ def _selftest_checks(tol: Tolerances):
         theta, g = draw_theta_disk(rng, s), draw_g(rng, s)
         for z in (_draw_disk_samples(rng, 3 * s), shifted_harmonics(n, n, 0.9)):
             inst = PhaseInstance(n, s, forward_phase(theta, g, z, n), z)
-            latent = _recover_via(inst, tol, routes=(_latent_support,))[0]
-            paper = _recover_via(inst, tol, routes=(_paper_support,))[0]
+            latent = _recover_via(inst, tol, support=_latent_support)[0]
+            paper = _recover_via(inst, tol, support=_paper_support)[0]
             assert latent.S == paper.S == s, (latent.S, paper.S)
             gap = max(np.abs(latent.theta - paper.theta).max(),
                       np.abs(latent.g - paper.g).max())

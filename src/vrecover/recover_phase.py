@@ -14,11 +14,12 @@ routes read the poles:
   for exponential sums).
 
 `recover_r1` and its gridded variant `recover_r2` pick the route the same
-way: the latent route when m >= n, falling back to the paper's route when
-the latent route raises, and the paper's route alone below m = n. `recover_r2`
-then snaps the poles onto its known dictionary grid. Both take g from the
-least-squares solve of y = V(z)^T V(theta) g at the poles, and `recover_r2`
-returns the sparse coefficient vector itself.
+way, from the instance's shape alone: the latent route when m >= n and the
+paper's route below m = n. Each instance runs on that one route, and its
+error propagates. `recover_r2` then snaps the poles onto its known
+dictionary grid. Both take g from the least-squares solve of
+y = V(z)^T V(theta) g at the poles, and `recover_r2` returns the sparse
+coefficient vector itself.
 """
 
 from dataclasses import dataclass
@@ -34,7 +35,6 @@ from .errors import (
     InconsistentSolutionError,
     InvalidInputError,
     RecoveryFailureError,
-    VRecoverError,
 )
 from .structmat import (
     SampleSet,
@@ -254,47 +254,38 @@ def recover_g(A: np.ndarray, y, tol: Tolerances) -> np.ndarray:
 
 
 def _recover_via(inst: PhaseInstance, tol: Tolerances, grid: np.ndarray | None = None,
-                 routes=None) -> tuple[PhaseResult, np.ndarray | None]:
-    """(result, grid index of its poles) from the first of `routes` that passes.
+                 support=None) -> tuple[PhaseResult, np.ndarray | None]:
+    """(result, grid index of its poles) with the poles read by `support`.
 
-    `routes` defaults to the latent route then the paper's system when
-    m >= n, and to the paper's system alone below. When a route raises, its
-    first diagnostics entry names the error under "fallback" and the next
-    route runs; the last route's error propagates. Without a grid the poles
-    come in canonical order and the index is None. With one they snap onto
-    its points (`_snap_to_grid`), taken in grid order. Either way the weights
+    `support` defaults to the latent route when m >= n and to the paper's
+    system below; its error propagates. Without a grid the poles come in
+    canonical order and the index is None. With one they snap onto its
+    points (`_snap_to_grid`), taken in grid order. Either way the weights
     are the least-squares fit at the poles and must pass the forward check.
     """
-    if routes is None:
-        routes = (_latent_support, _paper_support) if inst.m >= inst.n else (_paper_support,)
+    if support is None:
+        support = _latent_support if inst.m >= inst.n else _paper_support
     diagnostics: list = []
-    for support in routes:
-        first = len(diagnostics)
-        try:
-            S, theta = support(inst, tol, diagnostics)
-            index = None
-            if grid is None:
-                theta = theta[_canonical_order(theta)]
-                _require_distinct(theta)
-            else:
-                index = np.sort(_snap_to_grid(theta, grid))
-                theta = grid[index]
-            A = measurement_matrix(inst.samples, theta, inst.n)
-            g = recover_g(A, inst.y, tol)
-            _forward_check(A @ g, inst.y, tol)
-            return PhaseResult(theta, g, S, tuple(diagnostics)), index
-        except VRecoverError as exc:
-            if support is routes[-1]:
-                raise
-            diagnostics[first]["fallback"] = f"{type(exc).__name__}: {exc}"
+    S, theta = support(inst, tol, diagnostics)
+    index = None
+    if grid is None:
+        theta = theta[_canonical_order(theta)]
+        _require_distinct(theta)
+    else:
+        index = np.sort(_snap_to_grid(theta, grid))
+        theta = grid[index]
+    A = measurement_matrix(inst.samples, theta, inst.n)
+    g = recover_g(A, inst.y, tol)
+    _forward_check(A @ g, inst.y, tol)
+    return PhaseResult(theta, g, S, tuple(diagnostics)), index
 
 
 def recover_r1(inst: PhaseInstance, tol: Tolerances | None = None) -> PhaseResult:
     """Full phase-aware recovery of (theta, g) with automatic sparsity search.
 
-    With m >= n the latent route runs first (`_latent_support`); when it
-    raises, the paper's system runs, and the latent diagnostics entry names
-    the error under "fallback". With m < n only the paper's system runs.
+    With m >= n the poles come from the latent route (`_latent_support`),
+    and with m < n from the paper's system (`_paper_support`). Whichever
+    runs, its error propagates; the other route is not tried.
     """
     if tol is None:
         tol = load_tolerances()
@@ -306,9 +297,9 @@ def recover_r1(inst: PhaseInstance, tol: Tolerances | None = None) -> PhaseResul
 def recover_r2(inst: PhaseInstance, tol: Tolerances | None = None) -> np.ndarray:
     """Sparse vector recovery over a known dictionary grid.
 
-    Picks the route as `recover_r1` does, snaps the recovered poles onto the
-    grid, and fits the values at the snapped (exact) grid points. Returns the
-    length-n coefficient vector.
+    Reads the poles on the route `recover_r1` would take, snaps them onto
+    the grid, and fits the values at the snapped (exact) grid points.
+    Returns the length-n coefficient vector.
     """
     if tol is None:
         tol = load_tolerances()

@@ -583,7 +583,8 @@ def recover_r3(inst: PhaselessInstance, tol: Tolerances | None = None) -> np.nda
     mags = np.abs(x[support])
     k0 = int(support[mags > 1e-12 * float(mags.max())].min())
     x = x * np.exp(-1j * np.angle(x[k0]))
-    predicted = np.abs(measurement_matrix(inst.samples, grid, inst.n) @ x) ** 2
+    # the support's columns alone: no n x n table of the whole grid
+    predicted = np.abs(measurement_matrix(inst.samples, grid[support], inst.n) @ x[support]) ** 2
     if np.abs(predicted - y).max() > tol.forward_tol * float(y.max()):
         raise InconsistentSolutionError("snapped solution fails the forward check")
     return x

@@ -7,14 +7,23 @@ convention by checking that forward-simulated coefficient stacks lie in the
 null spaces.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cpoly import _modulus
-from .errors import DegenerateSupportError, InvalidInputError, RankDeficiencyError
+from .errors import (
+    DegenerateSupportError,
+    InvalidInputError,
+    NumericalFailureError,
+    RankDeficiencyError,
+)
 
 _HARMONIC_TOL = 1e-12
+# the largest log-modulus a power table's entries may reach: one factor e
+# under the float maximum, which leaves room for the sums built from them
+_LOG_POWER_MAX = math.log(np.finfo(float).max) - 1.0
 
 
 def readonly_array(values, dtype, name: str) -> np.ndarray:
@@ -127,10 +136,21 @@ def _power_table(pts: np.ndarray, exps) -> np.ndarray:
 
 
 def vandermonde(z, n: int) -> np.ndarray:
-    """n x m matrix with entry (r, c) = z_c**r; row 0 is all ones."""
+    """n x m matrix with entry (r, c) = z_c**r; row 0 is all ones.
+
+    A point whose power z**(n-1) would near the float maximum raises
+    `NumericalFailureError` before any power is taken, so no table holds an
+    infinity or a NaN that a later product or SVD would spread.
+    """
     if n < 1:
         raise InvalidInputError("vandermonde needs at least one row")
-    return _power_table(np.asarray(z, dtype=complex), np.arange(n))
+    pts = np.asarray(z, dtype=complex)
+    top = float(np.abs(pts).max(initial=1.0))
+    if (n - 1) * math.log(top) > _LOG_POWER_MAX:
+        raise NumericalFailureError(
+            f"powers overflow: |z|^{n - 1} at |z| = {top:.6g} exceeds e^{_LOG_POWER_MAX:.1f}"
+        )
+    return _power_table(pts, np.arange(n))
 
 
 def measurement_matrix(z, theta, n: int) -> np.ndarray:

@@ -305,8 +305,24 @@ def test_forward_polys_identity():
             forward_polys(theta, g[:-1] if s > 1 else np.r_[g, g], n)
 
 
+def _forward_polys_masked(theta, g, n):
+    """forward_polys as it was first written: step i gathers every row but
+    row i, multiplies it by (theta_i z - 1) and scatters it back."""
+    s = len(theta)
+    table = np.zeros((s + 1, s + 1), dtype=complex)
+    table[:, 0] = 1.0
+    for i, th in enumerate(theta):
+        rows = np.arange(s + 1) != i
+        step = -table[rows]
+        step[:, 1:] += th * table[rows, :-1]
+        table[rows] = step
+    t_rows = table[:s, :s]
+    return (g * theta**n) @ t_rows, -g @ t_rows, table[s]
+
+
 def test_forward_polys_match_per_pole_expansion():
-    """The stacked t_l table gives the sums of the expanded t_polynomial rows."""
+    """The stacked t_l table gives the sums of the expanded t_polynomial rows,
+    and equals the masked gather-and-scatter loop bit for bit."""
     rng = np.random.default_rng(29)
     for S in range(1, 9):
         for _ in range(5):
@@ -321,9 +337,12 @@ def test_forward_polys_match_per_pole_expansion():
                 want_tilde = want_tilde - g[l] * t_l
                 want_v = np.convolve(want_v, [-1.0, theta[l]])
             wants = (want_hat, want_tilde, want_v)
-            for a, b in zip(forward_polys(theta, g, n), wants):
+            got = forward_polys(theta, g, n)
+            for a, b in zip(got, wants):
                 assert a.shape == b.shape
                 assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+            for a, b in zip(got, _forward_polys_masked(theta, g, n)):
+                assert a.tobytes() == b.tobytes()
     u_hat, u_tilde, v = forward_polys([], [], 3)
     assert u_hat.shape == u_tilde.shape == (0,)
     assert np.array_equal(v, [1.0])

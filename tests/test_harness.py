@@ -38,9 +38,14 @@ from vrecover.structmat import vandermonde
 from test_structmat import coincident_sample_cases
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
 def cli(*args, env_extra=None):
     env = dict(os.environ)
     env.pop("VRECOVER_TOL_OVERRIDES", None)
+    # the subprocess imports vrecover from src/, whatever pytest's own path is
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -291,7 +296,7 @@ def test_first_trial_draws_are_frozen(case):
 # 20261018, each as "success S candidate_count branch error-class": a
 # refactor that flips an outcome fails here, not only in the benchmark digest.
 # At n = m, "r1-harmonic" runs the paper's system alone (PAPER_CHAIN_CASES)
-# and "r1-harmonic-latent" runs recover_r1 as it is, latent route first.
+# and "r1-harmonic-latent" runs recover_r1 as it is, on the latent route.
 # "r2-arbitrary" (m > n) takes the latent route too.
 FROZEN_CAMPAIGNS = {
     "r1-harmonic": dict(mode="r1", s_list=[10], n_rule="2s", m_rule="2s", gamma=1.0),
@@ -316,16 +321,19 @@ FROZEN_OUTCOMES = {
         "0 9 None ShiftedHarmonic None", "0 10 None ShiftedHarmonic None",
     ],
     "r1-harmonic-latent": [
-        "0 9 None ShiftedHarmonic None", "1 10 None ShiftedHarmonic None",
+        "0 None None ShiftedHarmonic RankDeficiencyError",
+        "1 10 None ShiftedHarmonic None",
         "1 10 None ShiftedHarmonic None", "1 10 None ShiftedHarmonic None",
         "1 10 None ShiftedHarmonic None", "1 10 None ShiftedHarmonic None",
         "0 10 None ShiftedHarmonic None", "1 10 None ShiftedHarmonic None",
         "0 10 None ShiftedHarmonic None", "1 10 None ShiftedHarmonic None",
-        "0 10 None ShiftedHarmonic None", "0 9 None ShiftedHarmonic None",
+        "0 10 None ShiftedHarmonic None",
+        "0 None None ShiftedHarmonic RankDeficiencyError",
         "1 10 None ShiftedHarmonic None", "1 10 None ShiftedHarmonic None",
         "1 10 None ShiftedHarmonic None", "0 10 None ShiftedHarmonic None",
         "0 10 None ShiftedHarmonic None", "0 10 None ShiftedHarmonic None",
-        "0 9 None ShiftedHarmonic None", "1 10 None ShiftedHarmonic None",
+        "0 None None ShiftedHarmonic RankDeficiencyError",
+        "1 10 None ShiftedHarmonic None",
     ],
     "r2-arbitrary": ["1 6 None Arbitrary None"] * 20,
     "r4-harmonic": [
@@ -361,7 +369,7 @@ PAPER_CHAIN_CASES = {"r1-harmonic"}
 
 
 def _paper_chain_r1(inst, tol):
-    return recover_phase._recover_via(inst, tol, routes=(recover_phase._paper_support,))[0]
+    return recover_phase._recover_via(inst, tol, support=recover_phase._paper_support)[0]
 
 
 @pytest.mark.parametrize("case", list(FROZEN_CAMPAIGNS))
@@ -482,9 +490,9 @@ def test_run_trial_success_and_csv_shape():
 
 
 def test_run_trial_records_the_route(monkeypatch):
-    """An r1 record names the route whose result recover_r1 returned; a
-    Hankel matrix forced to noise fails the latent rank gate, and the paper's
-    system then solves the trial. Other modes and summary rows leave it empty."""
+    """An r1 record names the one route recover_r1 ran; a Hankel matrix
+    forced to noise fails the latent rank gate, and the trial fails with that
+    error and no route. Other modes and summary rows leave it empty."""
     # the Hankel matrix at s_max = 2 is 6 x 3, so noise gives it full rank
     config = ExperimentConfig.from_dict(
         config_dict(s_list=[2], sample_mode="arbitrary", n_rule="8", m_rule="8", trials=1)
@@ -498,7 +506,8 @@ def test_run_trial_records_the_route(monkeypatch):
     noise = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
     monkeypatch.setattr(recover_phase, "_hankel", lambda x, s: noise)
     record = run_trial(payload)
-    assert record.success and record.route == "paper"
+    assert record.success is False and record.route == ""
+    assert record.warnings.startswith("RecoveryFailureError: null space dimension 0 at s=2")
     monkeypatch.undo()
     # an all-zero y returns S = 0 before any route runs
     zero = dict(payload, y=[[0.0, 0.0]] * len(payload["y"]))

@@ -30,6 +30,7 @@ from vrecover.oracle import (
     forward_phase_rational,
     forward_phaseless,
 )
+from vrecover.harness import ExperimentConfig, generate_trial
 from vrecover.structmat import measurement_matrix, shifted_harmonics, vandermonde
 
 from test_recover_phase import _count_svds
@@ -95,6 +96,39 @@ def test_forward_models_reject_non_finite_input():
                     warnings.simplefilter("error")
                     with pytest.raises(InvalidInputError, match="finite"):
                         forward(*args, 4)
+
+
+def test_forward_phase_raises_where_the_model_overflows():
+    """At n = 2048 the disk dictionary's poles reach |theta|^(n-1) beyond the
+    float range: generation raises NumericalFailureError, with no
+    RuntimeWarning, where it used to write inf or NaN into y."""
+    config = ExperimentConfig.from_dict({
+        "mode": "r2", "s_list": [4], "n_rule": "2048", "m_rule": "3s",
+        "sample_mode": "arbitrary", "trials": 10, "master_seed": 16,
+    })
+    raised = []
+    for index in range(10):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                payload = generate_trial(config, 4, index)
+            except NumericalFailureError as exc:
+                assert str(exc).startswith("powers overflow: |z|^2047 at |z| = ")
+                raised.append(index)
+                continue
+        assert np.isfinite(payload["y"]).all()
+    assert raised == [1, 2, 4, 5, 6, 7]
+
+
+def test_forward_phase_rejects_a_non_finite_route(monkeypatch):
+    """A NaN on either route fails the cross-check, though NaN > bound is False."""
+    theta, g, z = [0.5, 1j], [1.0, 2.0], [1.0, 0.5j, -0.7]
+    nan_route = lambda *args: np.full(3, np.nan + 0j)
+    for name in ("forward_phase_matrix", "forward_phase_rational"):
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, name, nan_route)
+            with pytest.raises(NumericalFailureError, match="disagree by nan"):
+                forward_phase(theta, g, z, 4)
 
 
 def test_forward_phaseless_laurent_cross_check():

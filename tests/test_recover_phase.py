@@ -11,11 +11,18 @@ from vrecover.errors import (
     DegenerateSupportError,
     GridCollisionError,
     InvalidInputError,
+    NumericalFailureError,
     RankDeficiencyError,
     RecoveryFailureError,
 )
 from vrecover.harness import ExperimentConfig, generate_trial, run_trial
-from vrecover.oracle import brute_force_cs, draw_g, draw_theta_disk, forward_phase
+from vrecover.oracle import (
+    brute_force_cs,
+    draw_g,
+    draw_theta_circle,
+    draw_theta_disk,
+    forward_phase,
+)
 from vrecover.recover_phase import (
     PhaseInstance,
     _descend,
@@ -571,18 +578,33 @@ def test_sparsity_below_s_max_at_scale(master_seed):
         assert record.success and record.S == S, (index, record.warnings)
 
 
+@pytest.mark.parametrize("seed", [128, 137, 146])
+def test_poles_off_the_circle_at_large_n_raise_numerical_failure(seed):
+    """At n = 1024 the paper's route reads poles with |theta| above 2 from
+    circle-pole data on 12 harmonic samples; their powers theta^(n-1)
+    overflow. That raises NumericalFailureError (exit 3) with no
+    RuntimeWarning, where the SVD of an infinite matrix raised LinAlgError."""
+    rng = np.random.default_rng(seed)
+    n, s = 1024, 6
+    z = shifted_harmonics(n, 2 * s, 1.0)
+    theta, g = draw_theta_circle(rng, s), draw_g(rng, s)
+    inst = PhaseInstance(n, s, forward_phase(theta, g, z.z, n), z)
+    with pytest.raises(NumericalFailureError, match=r"powers overflow: \|z\|\^1023 at"):
+        recover_r1(inst)
+
+
 # ----------------------------------------------------------------------------
 # the latent route of r1 at m >= n
 # ----------------------------------------------------------------------------
 
 def _paper_r1(inst, tol=None):
     tol = Tolerances() if tol is None else tol
-    return recover_phase._recover_via(inst, tol, routes=(recover_phase._paper_support,))[0]
+    return recover_phase._recover_via(inst, tol, support=recover_phase._paper_support)[0]
 
 
 def _latent_only(inst, tol=None):
     tol = Tolerances() if tol is None else tol
-    return recover_phase._recover_via(inst, tol, routes=(recover_phase._latent_support,))[0]
+    return recover_phase._recover_via(inst, tol, support=recover_phase._latent_support)[0]
 
 
 @pytest.mark.parametrize("harmonic", [True, False])
@@ -672,8 +694,11 @@ def test_latent_and_paper_routes_agree_on_exact_data():
 
 
 def test_latent_gate_failure_falls_back_to_the_paper_system(monkeypatch):
-    """A Hankel matrix without a null space fails the latent rank gate; the
-    paper's system then solves the instance, and the diagnostics say so."""
+    """A Hankel matrix without a null space fails the latent rank gate, and
+    that error propagates: at m >= n the paper's system never runs."""
+    def never(*args):
+        raise AssertionError("the paper's system ran")
+
     rng = np.random.default_rng(421)
     n, s = 8, 2  # the Hankel matrix at s_max is 6 x 3, so it can have full rank
     theta, g = draw_theta_disk(rng, s), draw_g(rng, s)
@@ -681,13 +706,9 @@ def test_latent_gate_failure_falls_back_to_the_paper_system(monkeypatch):
     inst = PhaseInstance(n, s, forward_phase(theta, g, z.z, n), z)
     noise = rng.standard_normal((n - s, s + 1)) + 1j * rng.standard_normal((n - s, s + 1))
     monkeypatch.setattr(recover_phase, "_hankel", lambda x, s: noise)
-    res = recover_r1(inst, Tolerances())
-    order = np.lexsort((np.abs(theta), np.angle(theta)))
-    assert np.abs(res.theta - theta[order]).max() <= 1e-6
-    first, *rest = res.diagnostics
-    assert first["route"] == "latent" and first["dimension"] == 0
-    assert first["fallback"].startswith("RecoveryFailureError: null space dimension 0 at s=2")
-    assert rest and all(d["route"] == "paper" and "fallback" not in d for d in rest)
+    monkeypatch.setattr(recover_phase, "_paper_support", never)
+    with pytest.raises(RecoveryFailureError, match="null space dimension 0 at s=2"):
+        recover_r1(inst, Tolerances())
 
 
 def test_latent_route_not_taken_below_n_samples(monkeypatch):
@@ -710,8 +731,9 @@ def test_latent_route_not_taken_below_n_samples(monkeypatch):
 
 
 def test_r2_takes_the_latent_route_first_and_falls_back(monkeypatch):
-    """At m >= n r2 reads its poles on the latent route; under the Hankel
-    failure of the r1 fallback test it falls back to the paper's system."""
+    """At m >= n r2 reads its poles on the latent route alone; under the
+    Hankel failure of the r1 test above it raises, without trying the
+    paper's system."""
     routes = []
 
     def tracing(support):
@@ -735,7 +757,8 @@ def test_r2_takes_the_latent_route_first_and_falls_back(monkeypatch):
     noise = rng.standard_normal((n - s, s + 1)) + 1j * rng.standard_normal((n - s, s + 1))
     monkeypatch.setattr(recover_phase, "_hankel", lambda x, s: noise)
     routes.clear()
-    x = recover_r2(inst)
-    assert routes == ["_latent_support", "_paper_support"]
-    assert np.flatnonzero(np.abs(x) > 1e-9).tolist() == [1, 5]
-    assert np.abs(x[[1, 5]] - g).max() <= 1e-8 * np.abs(g).max()
+    with pytest.raises(RecoveryFailureError, match="null space dimension 0 at s=2"):
+        recover_r2(inst)
+    assert routes == ["_latent_support"]
+    # the single-pole case below reads a real Hankel matrix
+    monkeypatch.undo()

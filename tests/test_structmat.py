@@ -5,7 +5,7 @@ import pytest
 
 from vrecover.config import Tolerances
 from vrecover.cpoly import forward_polys, laurent_from_products
-from vrecover.errors import InvalidInputError, RankDeficiencyError
+from vrecover.errors import InvalidInputError, NumericalFailureError, RankDeficiencyError
 from vrecover.oracle import forward_phase, forward_phaseless
 from vrecover.structmat import (
     SampleSet,
@@ -33,6 +33,15 @@ def test_vandermonde_columns():
     assert np.allclose(vandermonde([2.0], 3), [[1.0], [2.0], [4.0]])
     assert np.allclose(vandermonde([1j, -1j], 2), [[1, 1], [1j, -1j]])
     assert vandermonde(np.ones(5), 4).shape == (4, 5)
+
+
+def test_vandermonde_raises_before_its_powers_overflow():
+    """A point with |z|^(n-1) past e^(log(float max) - 1) raises before any
+    power is taken, so no RuntimeWarning and no inf reach the table."""
+    assert np.isfinite(vandermonde([1.99, 0.5j], 1024)).all()
+    for z, n in (([0.5, 2.0], 1024), ([1.0, 1.5j], 2048), ([np.inf], 2)):
+        with pytest.raises(NumericalFailureError, match=r"powers overflow: \|z\|\^"):
+            vandermonde(z, n)
 
 
 def test_measurement_matrix_is_the_vandermonde_product():
