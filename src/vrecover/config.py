@@ -32,8 +32,6 @@ class Tolerances:
     # square roots, the discriminant's and the |v|^2 block's; and the
     # relative disagreement of the dual split's two cofactor candidates
     pair_tol: float = 1e-6
-    # candidate comparison up to global phase
-    dedup_tol: float = 1e-8
     # relative residual for forward checks and candidate completeness
     forward_tol: float = 1e-6
     # ||L^2 - 4K|| <= degeneracy_tol * ||L^2|| routes to the harmonic fallback

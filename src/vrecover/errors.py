@@ -41,7 +41,7 @@ class NotASquareError(RecoveryFailureError):
 
 
 class MatchingFailureError(RecoveryFailureError):
-    """The dual split's cross term vanished, or its two cofactor candidates disagree."""
+    """The dual split's two cofactor candidates disagree."""
 
 
 class DegenerateSupportError(RecoveryFailureError):

@@ -337,8 +337,16 @@ def _snap_to_grid(points, grid: np.ndarray) -> np.ndarray:
 
 
 def _forward_check(predicted: np.ndarray, y: np.ndarray, tol: Tolerances):
-    defect = np.linalg.norm(predicted - y)
-    if defect > tol.forward_tol * np.linalg.norm(y):
+    """Raise unless ||predicted - y|| <= forward_tol * ||y||.
+
+    Both norms are taken in units of max|y|, so data near the float range
+    cannot overflow them into inf and switch the check off; a non-finite
+    defect fails.
+    """
+    scale = np.abs(y).max()
+    defect = np.linalg.norm((predicted - y) / scale)
+    bound = tol.forward_tol * np.linalg.norm(y / scale)
+    if not defect <= bound:
         raise InconsistentSolutionError(
-            f"forward residual {defect:.3e} exceeds tolerance"
+            f"forward residual {defect:.3e} of max|y| exceeds {bound:.3e}"
         )

@@ -320,36 +320,16 @@ def _normalize_candidates(G: np.ndarray, rows: np.ndarray, y: np.ndarray,
     return G
 
 
-def _dedup_and_sort(cands: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Distinct rows of a (K, S) candidate stack, in canonical order.
+def _sorted_candidates(cands: np.ndarray) -> np.ndarray:
+    """The rows of a (K, S) candidate stack in canonical order.
 
-    A candidate is dropped when every entry lies within
-    eps = dedup_tol * max(1, max|c|) of an earlier kept one. Since
-    |re sum_l d_l| <= S * max_l |d_l|, only pairs whose coefficient sums have
-    real parts within S * eps (plus the sums' rounding) can be that close;
-    the entrywise check and the keep-first rule run on those pairs alone.
-    The kept ones are sorted lexicographically on (re c_0, im c_0, re c_1,
-    ...) rounded to a grid of dedup_tol times their largest modulus, so
-    rounding noise far below the dedup tolerance cannot reorder them.
+    They are sorted lexicographically on (re c_0, im c_0, re c_1, ...)
+    rounded to a grid of 1e-8 * max(1, max|c|), so rounding noise far below
+    that grid cannot reorder them.
     """
-    K, S = cands.shape
-    scale = np.maximum(1.0, np.abs(cands).max(axis=1))
-    eps = tol.dedup_tol * scale
-    sums = cands.sum(axis=1).real
-    bound = S * (tol.dedup_tol + 4 * S * np.finfo(float).eps) * scale
-    # row-major order: each later candidate k, then its earlier partners j
-    later, earlier = np.nonzero(np.abs(sums[:, None] - sums) <= bound[:, None])
-    pair = later > earlier
-    later, earlier = later[pair], earlier[pair]
-    close = np.abs(cands[earlier] - cands[later]).max(axis=1) <= eps[later]
-    keep = np.ones(K, dtype=bool)
-    for k, j in zip(later[close].tolist(), earlier[close].tolist()):
-        if keep[j]:
-            keep[k] = False
-    kept = cands[keep]
-    grid = np.round(kept / (tol.dedup_tol * float(scale[keep].max())))
+    grid = np.round(cands / (1e-8 * max(1.0, float(np.abs(cands).max()))))
     keys = [part for col in grid.T for part in (col.real, col.imag)]
-    return kept[np.lexsort(keys[::-1])]
+    return cands[np.lexsort(keys[::-1])]
 
 
 def _root_pairs(block: np.ndarray, S: int, tol: Tolerances) -> np.ndarray:
@@ -373,7 +353,7 @@ def _enumerate_from_pairs(theta: np.ndarray, pairs: np.ndarray, row_weight: np.n
     """
     picks = np.array(list(itertools.product((0, 1), repeat=len(pairs))), dtype=int)
     G = _lagrange_nulls(theta, row_weight, pairs, picks)
-    return _dedup_and_sort(_normalize_candidates(G, rows, y, tol), tol)
+    return _sorted_candidates(_normalize_candidates(G, rows, y, tol))
 
 
 def enumerate_candidates_harmonic(theta, q_block: np.ndarray, gamma: float, n: int,
@@ -466,8 +446,6 @@ def split_and_enumerate_general(L: np.ndarray, L_tilde: np.ndarray, theta, n: in
         pairs = _root_pairs(L, S, tol)
         cands = _enumerate_from_pairs(theta, pairs, np.ones(S, dtype=complex), rows, y, tol)
         return cands, BRANCH_DEGENERATE
-    if not L_tilde.any():
-        raise MatchingFailureError("cross term vanished on a non-degenerate instance")
     Q = (L + laurent_sqrt(disc, tol.pair_tol)) * 0.5
     K = np.hstack([conv_matrix(Q, S), -conv_matrix(laurent_conj(L_tilde), S)])
     x = np.linalg.svd(K)[2][-1].conj()
@@ -484,7 +462,7 @@ def split_and_enumerate_general(L: np.ndarray, L_tilde: np.ndarray, theta, n: in
         )
     first = _normalize_candidates((g_b - g_a)[None] / span, rows, y, tol)[0]
     dual = _normalize_candidates(dual_transform(first, theta, n)[None], rows, y, tol)[0]
-    cands = _dedup_and_sort(np.stack([first, dual]), tol)
+    cands = _sorted_candidates(np.stack([first, dual]))
     return cands, BRANCH_DUAL
 
 

@@ -371,17 +371,19 @@ def null_space(M: np.ndarray, rank_rel_tol: float, gap_ratio: float,
     tight = zero_bound(smax, M.shape, 1e-4 * rank_rel_tol)
     counts = [1] + [d for d in (range(1, ncols) if allowed is None else allowed)
                     if 1 < d < ncols and sv[ncols - d] <= tight]
-    ratios = [floor[ncols - d - 1] / floor[ncols - d] for d in counts]
-    best = int(np.argmax(ratios))
-    dimension, ratio = counts[best], ratios[best]
+    # differences of logs: a ratio of a huge to a tiny value can overflow
+    logs = np.log10(floor)
+    gaps = [logs[ncols - d - 1] - logs[ncols - d] for d in counts]
+    best = int(np.argmax(gaps))
+    dimension, gap = counts[best], float(gaps[best])
     warnings = ()
-    if ratio < gap_ratio:
+    if gap < np.log10(gap_ratio):
         warnings = (
-            f"conditioning-warning: singular value gap {ratio:.2e} "
+            f"conditioning-warning: singular value gap {10.0**gap:.2e} "
             f"below {gap_ratio:.0e} at rank {ncols - dimension}",
         )
     basis = factors.vh[ncols - dimension:].conj().T
-    return NullSpaceResult(dimension, basis, sv, warnings, factors, float(np.log10(ratio)))
+    return NullSpaceResult(dimension, basis, sv, warnings, factors, gap)
 
 
 def refine_null_vector(M: np.ndarray, w: np.ndarray, factors: SVDFactors) -> np.ndarray:

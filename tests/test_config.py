@@ -49,8 +49,8 @@ def test_tolerances_must_be_positive_finite_numbers(value, monkeypatch):
 
 def test_positive_finite_tolerances_are_accepted(monkeypatch):
     monkeypatch.setenv(ENV_VAR, json.dumps({"pair_tol": 1e-300}))
-    tol = load_tolerances({"forward_tol": 3, "dedup_tol": 1e300})
-    assert (tol.pair_tol, tol.forward_tol, tol.dedup_tol) == (1e-300, 3.0, 1e300)
+    tol = load_tolerances({"forward_tol": 3, "degeneracy_tol": 1e300})
+    assert (tol.pair_tol, tol.forward_tol, tol.degeneracy_tol) == (1e-300, 3.0, 1e300)
     assert type(tol.forward_tol) is float
 
 
@@ -58,7 +58,8 @@ def test_positive_finite_tolerances_are_accepted(monkeypatch):
     ('{"pair_tol": NaN}', "tolerance pair_tol must be a positive finite number"),
     # a removed knob is rejected, not ignored
     ('{"mag_tol": 1e-8}', "unknown tolerance names: ['mag_tol']"),
-], ids=["nan", "removed"])
+    ('{"dedup_tol": 1e-8}', "unknown tolerance names: ['dedup_tol']"),
+], ids=["nan", "removed", "removed-dedup"])
 def test_bad_tolerance_in_the_environment_exits_2(raw, message, monkeypatch, capsys):
     monkeypatch.setenv(ENV_VAR, raw)
     assert main(["selftest"]) == 2

@@ -10,6 +10,7 @@ from vrecover.errors import (
     AmbiguousSupportError,
     DegenerateSupportError,
     GridCollisionError,
+    InconsistentSolutionError,
     InvalidInputError,
     NumericalFailureError,
     RankDeficiencyError,
@@ -591,6 +592,30 @@ def test_poles_off_the_circle_at_large_n_raise_numerical_failure(seed):
     inst = PhaseInstance(n, s, forward_phase(theta, g, z.z, n), z)
     with pytest.raises(NumericalFailureError, match=r"powers overflow: \|z\|\^1023 at"):
         recover_r1(inst)
+
+
+# disk-pole trials at n = 1024 whose data reach about 1e200: the forward
+# check's norms overflowed on the first three, and the null space's gap
+# ratio on the rest
+HUGE_DATA_SEEDS = [0, 62, 170, 6, 25, 50, 53, 61, 64, 82, 102, 106, 109, 132, 147, 165, 190, 197]
+
+
+@pytest.mark.parametrize("seed", HUGE_DATA_SEEDS)
+def test_huge_data_leave_the_checks_finite(seed):
+    """With no RuntimeWarning: the forward check and the gaps are read in
+    units that cannot overflow. The first three seeds' S = 1 fits miss y by
+    1e-4 to 1e-3, relative, and fail the forward check, where the two norms
+    both overflowed to inf and passed it."""
+    rng = np.random.default_rng(seed)
+    n, s = 1024, 6
+    z = shifted_harmonics(n, 2 * s, 1.0)
+    theta, g = draw_theta_disk(rng, s), draw_g(rng, s)
+    inst = PhaseInstance(n, s, forward_phase(theta, g, z.z, n), z)
+    if seed in (0, 62, 170):
+        with pytest.raises(InconsistentSolutionError, match=r"^forward residual .* of max\|y\|"):
+            recover_r1(inst)
+    else:
+        assert recover_r1(inst).S == 1
 
 
 # ----------------------------------------------------------------------------

@@ -45,10 +45,10 @@ from vrecover.recover_phaseless import (
     BRANCH_DUAL,
     BRANCH_HARMONIC,
     PhaselessInstance,
-    _dedup_and_sort,
     _enumerate_from_pairs,
     _hermitian_basis,
     _lagrange_nulls,
+    _sorted_candidates,
     _theta_from_lhat,
     disambiguate,
     dual_transform,
@@ -352,7 +352,7 @@ def test_enumerate_harmonic_counts():
 
 
 def reference_enumerate(theta, pairs, row_weight, rows, y, tol):
-    """One selection at a time: Horner-evaluated t_l, one SVD, scale, dedup.
+    """One selection at a time: Horner-evaluated t_l, one SVD, scale.
 
     Each row of a selection system is scaled to unit max modulus before its
     SVD. That leaves the null space as it is, but keeps a picked root of
@@ -361,7 +361,7 @@ def reference_enumerate(theta, pairs, row_weight, rows, y, tol):
     """
     S = len(theta)
     t_polys = [t_polynomial(theta, l) for l in range(S)]
-    kept = []
+    cands = []
     for selection in itertools.product(*pairs) if len(pairs) else [()]:
         if S == 1:
             g = np.ones(1, dtype=complex)
@@ -390,10 +390,8 @@ def reference_enumerate(theta, pairs, row_weight, rows, y, tol):
         mags = np.abs(g)
         k0 = int(np.argmax(mags > 1e-12 * float(np.max(mags))))
         g = g * np.exp(-1j * np.angle(g[k0]))
-        scale = max(1.0, float(np.max(np.abs(g))))
-        if not any(np.max(np.abs(g - d)) <= tol.dedup_tol * scale for d in kept):
-            kept.append(g)
-    return kept
+        cands.append(g)
+    return cands
 
 
 def harmonic_enumeration_inputs(rng, s, gamma=0.7):
@@ -479,6 +477,26 @@ def test_enumeration_failures_match_reference_loop():
     assert str(got_err.value) == str(ref_err.value)
 
 
+def test_near_coincident_pair_keeps_every_selection():
+    """A root pair on the unit circle has two picks that agree to 1e-13:
+    both selections come back, one row each, 2^(S-1) in all."""
+    rng = np.random.default_rng(4009)
+    S = 4
+    theta, pairs, weight, rows, _ = next(harmonic_enumeration_inputs(rng, S))
+    u = pairs[1, 0] / abs(pairs[1, 0])
+    pairs = pairs.copy()
+    pairs[1] = (u, u * (1 + 1e-13))
+    g = _lagrange_nulls(theta, weight, pairs, np.zeros((1, S - 1), dtype=int))[0]
+    y = np.abs(rows @ g) ** 2
+    cands = _enumerate_from_pairs(theta, pairs, weight, rows, y, TOL)
+    assert cands.shape == (2 ** (S - 1), S)
+    # sorted, the twins sit next to each other, and the twin pairs differ
+    twins = cands[::2]
+    assert np.abs(twins - cands[1::2]).max() <= 1e-12 * np.abs(cands).max()
+    spread = np.abs(twins[:, None] - twins).max(axis=2)
+    assert spread[np.triu_indices(len(twins), 1)].min() > 1e-3
+
+
 # exact trials with one picked root of modulus 14 to 34: its row of the
 # selection system is about |r|^(S-1) longer than the others, which an SVD
 # rank test on the unscaled rows read as a rank loss; (mode, s, n_rule,
@@ -547,7 +565,7 @@ def test_candidate_order_ignores_rounding_noise():
     for _ in range(5):
         noise = rng.standard_normal(cands.shape) + 1j * rng.standard_normal(cands.shape)
         shuffled = rng.permutation(len(cands))
-        moved = np.array(_dedup_and_sort(cands[shuffled] + 1e-13 * noise[shuffled], tol))
+        moved = np.array(_sorted_candidates(cands[shuffled] + 1e-13 * noise[shuffled]))
         assert np.max(np.abs(moved - cands)) <= 1e-12
 
 
@@ -680,9 +698,9 @@ def test_split_reads_g_and_its_dual_from_exact_blocks():
 def test_split_rejects_cofactors_that_disagree():
     """L_tilde turned by e^{i phi} keeps the discriminant, and the two
     cofactor candidates then differ by the factor e^{i phi}: the defect
-    |g_A + g_B| / |g_B - g_A| reads tan(phi / 2). Exactly coincident
-    support points give a non-finite defect, which fails without a
-    RuntimeWarning."""
+    |g_A + g_B| / |g_B - g_A| reads tan(phi / 2). An all-zero L_tilde
+    reads 1. Exactly coincident support points give a non-finite defect,
+    which fails without a RuntimeWarning."""
     rng = np.random.default_rng(4013)
     theta, g, n, z, y, L, L_tilde, _ = exact_general_blocks(rng, 4)
     message = r"^cofactor candidates disagree by (\S+), beyond 1\.0e-06$"
@@ -691,6 +709,9 @@ def test_split_rejects_cofactors_that_disagree():
             split_and_enumerate_general(L, np.exp(1j * phi) * L_tilde, theta, n, z, y, TOL)
         defect = float(re.match(message, str(err.value)).group(1))
         assert abs(defect - np.tan(phi / 2)) <= 0.05 * np.tan(phi / 2)
+    # an all-zero cross term leaves one cofactor free
+    with pytest.raises(MatchingFailureError, match=r"^cofactor candidates disagree by 1\.0e\+00,"):
+        split_and_enumerate_general(L, np.zeros_like(L_tilde), theta, n, z, y, TOL)
     # theta_0 * conj(theta_1) - 1 is exactly 0, so t vanishes at both
     twins = np.array([1.0, 1.0, 1j, -1j])
     with pytest.raises(MatchingFailureError, match=r"^cofactor candidates disagree by nan,"):
