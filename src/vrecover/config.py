@@ -26,8 +26,6 @@ class Tolerances:
     # singular values <= rank_rel_tol * sigma_max * max(rows, cols) count as zero;
     # a null space of two or more directions needs them under 1e-4 times that
     rank_rel_tol: float = 1e-8
-    # a widest singular-value gap narrower than this attaches a conditioning warning
-    gap_ratio: float = 1e3
     # conjugate-reciprocal pairing; the relative defect bound of both
     # square roots, the discriminant's and the |v|^2 block's; and the
     # relative disagreement of the dual split's two cofactor candidates

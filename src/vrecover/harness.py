@@ -750,8 +750,8 @@ def _selftest_checks(tol: Tolerances):
             assert gap <= 1e-8, gap
 
     def check_null_space_dims():
-        one = null_space(np.array([[1.0, 1.0]]), tol.rank_rel_tol, tol.gap_ratio)
-        full = null_space(np.eye(2), tol.rank_rel_tol, tol.gap_ratio)
+        one = null_space(np.array([[1.0, 1.0]]), tol.rank_rel_tol)
+        full = null_space(np.eye(2), tol.rank_rel_tol)
         assert one.dimension == 1, one.dimension
         assert full.dimension == 0, full.dimension
         assert np.allclose(np.abs(one.basis[:, 0]), np.sqrt(0.5))

@@ -146,13 +146,14 @@ def _canonical_order(theta: np.ndarray) -> np.ndarray:
     return np.lexsort((np.abs(theta), np.angle(theta)))
 
 
-def _null_space_at(builder, s: int, allowed, tol: Tolerances, diagnostics: list, **labels):
+def _null_space_at(builder, s: int, tol: Tolerances, diagnostics: list, allowed=None,
+                   **labels):
     """Build the system at sparsity s and read its null space; raise if there is none.
 
     The diagnostics entry, appended before any raise, also holds `labels`.
     """
     matrix = builder(s)
-    ns = null_space(matrix, tol.rank_rel_tol, tol.gap_ratio, allowed)
+    ns = null_space(matrix, tol.rank_rel_tol, allowed)
     sv = ns.singular_values
     diagnostics.append({"s": s, "dimension": ns.dimension, "gap": ns.gap,
                         "singular_values": sv.tolist(), "warnings": list(ns.warnings),
@@ -182,10 +183,10 @@ def _descend(builder, s_max: int, tol: Tolerances, step: int = 1):
     """
     diagnostics: list = []
     allowed = [step * k + 1 for k in range(s_max)]
-    matrix, ns = _null_space_at(builder, s_max, allowed, tol, diagnostics)
+    matrix, ns = _null_space_at(builder, s_max, tol, diagnostics, allowed)
     S = s_max - (ns.dimension - 1) // step
     if S < s_max:
-        matrix, ns = _null_space_at(builder, S, [1], tol, diagnostics)
+        matrix, ns = _null_space_at(builder, S, tol, diagnostics, [1])
     return S, refine_null_vector(matrix, ns.basis[:, 0], ns.factors), diagnostics
 
 
@@ -229,8 +230,8 @@ def _latent_support(inst: PhaseInstance, tol: Tolerances, diagnostics: list):
     VT = inst.samples.powers(inst.n).T
     scale = 1.0 / np.linalg.norm(VT, axis=0)
     x = np.linalg.lstsq(VT * scale, inst.y, rcond=None)[0] * scale
-    _, ns = _null_space_at(lambda s: _hankel(x, s), inst.s_max,
-                           range(1, inst.s_max + 1), tol, diagnostics, route="latent")
+    _, ns = _null_space_at(lambda s: _hankel(x, s), inst.s_max, tol, diagnostics,
+                           route="latent")
     S = inst.s_max + 1 - ns.dimension
     top = ns.factors.vh[:S]
     V0, V1 = top[:, :-1].T, top[:, 1:].T

@@ -12,7 +12,6 @@ halves, enumerates the solution set, and optionally disambiguates with one
 extra measurement.
 """
 
-import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -142,40 +141,41 @@ class PhaselessResult:
 # the null vector shared by both support stages
 # ----------------------------------------------------------------------------
 
-def _hermitian_basis(s: int, ncols: int) -> np.ndarray:
-    """Orthonormal T whose real combinations T @ x are the stacks whose first
-    2s+1 entries (|v|^2) and the rest each read the same reversed and conjugated.
-
-    The true null vector of G and G~ is such a stack, since every unknown
-    block is a squared-modulus Laurent polynomial, and their mirrored columns
-    are exact conjugates, so G @ T is real up to the rounding of the product.
-    """
-    T = np.zeros((ncols, ncols), dtype=complex)
+def _mirrors(s: int, ncols: int):
+    """Per block of a phaseless system at sparsity s (|v|^2 in columns 0..2s, the
+    numerators after it), the slices of the columns before its centre and of their mirrors."""
     for start, stop in ((0, 2 * s + 1), (2 * s + 1, ncols)):
-        half = (stop - start) // 2
-        a = np.arange(start, start + half)
-        b = stop - 1 - (a - start)
-        T[a, a] = T[b, a] = np.sqrt(0.5)
-        T[a, b], T[b, b] = 1j * np.sqrt(0.5), -1j * np.sqrt(0.5)
-        T[start + half, start + half] = 1.0
-    return T
+        centre = (start + stop) // 2
+        yield slice(start, centre), slice(stop - 1, centre, -1)
 
 
 def _null_vector(build, s_max: int, tol: Tolerances):
     """(S, null vector, diagnostics) of the phaseless system that build(s) returns.
 
-    `_descend` runs on (M @ T).real, M = build(s) and T its unitary
-    `_hermitian_basis`, which keeps the singular values of M. The vector T x
-    has Hermitian halves and a nonnegative central |v|^2 coefficient (a zero
-    one belongs to no square, so it fails in `_theta_from_lhat`).
+    Every unknown block is a squared-modulus Laurent polynomial, so the true
+    null vector w reads conj(w_k) at the mirror k' of each column k, and the
+    mirrored columns of M = build(s) are exact conjugates. `_descend` runs on
+    the real fold of M, which keeps its singular values: sqrt(2) Re M before
+    each block's centre, sqrt(2) Im M after it and Re M at it. Its null vector
+    x unfolds to w_k = (x_k + i x_k') / sqrt(2) before the centre, conj(w_k) at
+    k' and x at the centre, with a nonnegative central |v|^2 coefficient (a
+    zero one belongs to no square, so it fails in `_theta_from_lhat`).
     """
     def real_system(s):
         M = build(s)
-        return (M @ _hermitian_basis(s, M.shape[1])).real
+        folded = M.real.copy()
+        for before, after in _mirrors(s, M.shape[1]):
+            folded[:, before] *= np.sqrt(2.0)
+            folded[:, after] = np.sqrt(2.0) * M.imag[:, after]
+        return folded
 
     S, x, diagnostics = _descend(real_system, s_max, tol, step=2)
-    w = _hermitian_basis(S, len(x)) @ x.real
-    return S, w if w[S].real >= 0 else -w, diagnostics
+    x = x if x[S] >= 0 else -x
+    w = x.astype(complex)
+    for before, after in _mirrors(S, len(x)):
+        w[before] = np.sqrt(0.5) * (x[before] + 1j * x[after])
+        w[after] = np.conj(w[before])
+    return S, w, diagnostics
 
 
 def _theta_from_lhat(lhat: np.ndarray, tol: Tolerances) -> np.ndarray:
@@ -346,12 +346,13 @@ def _enumerate_from_pairs(theta: np.ndarray, pairs: np.ndarray, row_weight: np.n
                           rows: np.ndarray, y: np.ndarray, tol: Tolerances) -> np.ndarray:
     """One candidate per selection of a representative from each root pair.
 
-    Selections from the (S-1, 2) pair table run in itertools.product order,
-    and each candidate comes from the closed form of `_lagrange_nulls`: one
-    (S-1, 2, S) factor table, indexed by the selections and multiplied along
-    the pair axis. The first failing selection raises.
+    Selections from the (S-1, 2) pair table run in binary counting order, the
+    first pair's pick being the leading bit, and each candidate comes from the
+    closed form of `_lagrange_nulls`: one (S-1, 2, S) factor table, indexed by
+    the selections and multiplied along the pair axis. The first failing selection raises.
     """
-    picks = np.array(list(itertools.product((0, 1), repeat=len(pairs))), dtype=int)
+    k = len(pairs)
+    picks = (np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
     G = _lagrange_nulls(theta, row_weight, pairs, picks)
     return _sorted_candidates(_normalize_candidates(G, rows, y, tol))
 
@@ -460,10 +461,9 @@ def split_and_enumerate_general(L: np.ndarray, L_tilde: np.ndarray, theta, n: in
         raise MatchingFailureError(
             f"cofactor candidates disagree by {defect:.1e}, beyond {tol.pair_tol:.1e}"
         )
-    first = _normalize_candidates((g_b - g_a)[None] / span, rows, y, tol)[0]
-    dual = _normalize_candidates(dual_transform(first, theta, n)[None], rows, y, tol)[0]
-    cands = _sorted_candidates(np.stack([first, dual]))
-    return cands, BRANCH_DUAL
+    first = (g_b - g_a) / span
+    pair = np.stack([first, dual_transform(first, theta, n)])
+    return _sorted_candidates(_normalize_candidates(pair, rows, y, tol)), BRANCH_DUAL
 
 
 # ----------------------------------------------------------------------------

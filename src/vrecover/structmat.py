@@ -24,6 +24,7 @@ _HARMONIC_TOL = 1e-12
 # the largest log-modulus a power table's entries may reach: one factor e
 # under the float maximum, which leaves room for the sums built from them
 _LOG_POWER_MAX = math.log(np.finfo(float).max) - 1.0
+_GAP_RATIO = 1e3
 
 
 def readonly_array(values, dtype, name: str) -> np.ndarray:
@@ -343,8 +344,7 @@ class NullSpaceResult:
     gap: float | None = None
 
 
-def null_space(M: np.ndarray, rank_rel_tol: float, gap_ratio: float,
-               allowed=None) -> NullSpaceResult:
+def null_space(M: np.ndarray, rank_rel_tol: float, allowed=None) -> NullSpaceResult:
     """Right null space of M, its dimension read from the widest singular-value gap.
 
     With sigma padded by zeros to the column count c, the dimension is 0 when
@@ -354,7 +354,7 @@ def null_space(M: np.ndarray, rank_rel_tol: float, gap_ratio: float,
     and ties going to the smaller d. A d above 1 needs sigma_{c-d+1} under
     1e-4 times the zero bound. The result holds the gap: one of 0 or less (no
     null space in the spectrum) is the caller's to judge, and one narrower
-    than `gap_ratio` attaches a conditioning warning. It also holds the one
+    than `_GAP_RATIO` (1e3) attaches a conditioning warning. It also holds the one
     SVD of M, which ``refine_null_vector(M, w, factors)`` reuses. A real M
     is factorised in real arithmetic and gives a real basis.
     """
@@ -377,10 +377,10 @@ def null_space(M: np.ndarray, rank_rel_tol: float, gap_ratio: float,
     best = int(np.argmax(gaps))
     dimension, gap = counts[best], float(gaps[best])
     warnings = ()
-    if gap < np.log10(gap_ratio):
+    if gap < np.log10(_GAP_RATIO):
         warnings = (
             f"conditioning-warning: singular value gap {10.0**gap:.2e} "
-            f"below {gap_ratio:.0e} at rank {ncols - dimension}",
+            f"below {_GAP_RATIO:.0e} at rank {ncols - dimension}",
         )
     basis = factors.vh[ncols - dimension:].conj().T
     return NullSpaceResult(dimension, basis, sv, warnings, factors, gap)

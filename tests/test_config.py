@@ -59,7 +59,8 @@ def test_positive_finite_tolerances_are_accepted(monkeypatch):
     # a removed knob is rejected, not ignored
     ('{"mag_tol": 1e-8}', "unknown tolerance names: ['mag_tol']"),
     ('{"dedup_tol": 1e-8}', "unknown tolerance names: ['dedup_tol']"),
-], ids=["nan", "removed", "removed-dedup"])
+    ('{"gap_ratio": 1e3}', "unknown tolerance names: ['gap_ratio']"),
+], ids=["nan", "removed", "removed-dedup", "removed-gap"])
 def test_bad_tolerance_in_the_environment_exits_2(raw, message, monkeypatch, capsys):
     monkeypatch.setenv(ENV_VAR, raw)
     assert main(["selftest"]) == 2

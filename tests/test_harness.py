@@ -581,10 +581,10 @@ def _outcome(record: TrialRecord) -> tuple:
 
 # (campaign, tolerance overrides): each override changes some outcomes
 CAMPAIGN_OVERRIDES = [
-    # the gap warning of the rank decision
+    # the rank threshold: trial 3 then fails the full-rank test of its weight solve
     (config_dict(s_list=[4], m_rule="4s", trials=5, master_seed=1,
                  sample_mode="arbitrary"),
-     {"gap_ratio": 1e30}),
+     {"rank_rel_tol": 1e-3}),
     # the root bound of the general pipeline's root finding; trials 6, 10 and
     # 11 once followed the environment instead
     (config_dict(mode="r5", s_list=[4], n_rule="4s-1", m_rule="8s-3", trials=12,
@@ -602,9 +602,6 @@ def test_campaign_tolerances_reach_the_rank_decision(monkeypatch):
         config = ExperimentConfig.from_dict(dict(base, tolerances=overrides))
         records, _ = run_campaign(config)
         assert [_outcome(r) for r in records] != [_outcome(r) for r in plain]
-        if "gap_ratio" in overrides:
-            assert not any("singular value gap" in r.warnings for r in plain)
-            assert all("singular value gap" in r.warnings for r in records)
         monkeypatch.setenv("VRECOVER_TOL_OVERRIDES", json.dumps(overrides))
         from_env, _ = run_campaign(ExperimentConfig.from_dict(base))
         assert [_outcome(r) for r in from_env] == [_outcome(r) for r in records]

@@ -528,17 +528,6 @@ def test_descend_failures_report_value_and_bound():
         _descend(lambda s: build_B(zh, np.zeros(4), s), 1, Tolerances())
 
 
-def test_descend_reads_gap_ratio_from_tolerances(monkeypatch):
-    monkeypatch.delenv("VRECOVER_TOL_OVERRIDES", raising=False)
-    z = SampleSet(tuple(disk_points(np.random.default_rng(373), 9)))
-    y = forward_phase([0.8j, 1.3], [1.0, -2.0], z.z, 4)
-    builder = lambda s: build_A(z, y, 4, s)
-    _, _, quiet = _descend(builder, 2, Tolerances())
-    _, _, loud = _descend(builder, 2, Tolerances(gap_ratio=1e30))
-    assert not any("singular value gap" in w for w in quiet[-1]["warnings"])
-    assert any("singular value gap" in w for w in loud[-1]["warnings"])
-
-
 # exact trials at the minimal sample counts where two to four nonzero singular
 # values of the system at s_max fall under the zero bound, yet the widest gap
 # still reads S = s_max: (mode, s, n_rule, m_rule, sample_mode, index), all

@@ -39,14 +39,13 @@ from vrecover.oracle import (
     draw_unit_vector,
     forward_phaseless,
 )
-from vrecover.recover_phase import PhaseInstance, recover_r1
+from vrecover.recover_phase import PhaseInstance, _descend, recover_r1
 from vrecover.recover_phaseless import (
     BRANCH_DEGENERATE,
     BRANCH_DUAL,
     BRANCH_HARMONIC,
     PhaselessInstance,
     _enumerate_from_pairs,
-    _hermitian_basis,
     _lagrange_nulls,
     _sorted_candidates,
     _theta_from_lhat,
@@ -212,6 +211,52 @@ def exact_phaseless_builders(rng, S, s_max):
     return (lambda s: build_Gtilde(z, y, s)), (lambda s: build_G(zs, ys, n, s))
 
 
+def _hermitian_basis(s: int, ncols: int) -> np.ndarray:
+    """Dense reference for the fold of `_null_vector`: the orthonormal T whose
+    real combinations T @ x are the stacks whose first 2s+1 entries (|v|^2)
+    and the rest each read the same reversed and conjugated."""
+    T = np.zeros((ncols, ncols), dtype=complex)
+    for start, stop in ((0, 2 * s + 1), (2 * s + 1, ncols)):
+        half = (stop - start) // 2
+        a = np.arange(start, start + half)
+        b = stop - 1 - (a - start)
+        T[a, a] = T[b, a] = np.sqrt(0.5)
+        T[a, b], T[b, b] = 1j * np.sqrt(0.5), -1j * np.sqrt(0.5)
+        T[start + half, start + half] = 1.0
+    return T
+
+
+def test_fold_matches_the_dense_hermitian_basis(monkeypatch):
+    """The real system `_null_vector` descends on is (M @ T).real, and the
+    vector it returns is T @ x with a nonnegative central |v|^2 coefficient,
+    bit for bit, whichever sign the descent's x comes with."""
+    seen = {}
+
+    def spy(builder, s_max, tol, step):
+        S, x, diagnostics = _descend(builder, s_max, tol, step=step)
+        seen.update(builder=builder, x=x)
+        return S, -x if seen["flip"] else x, diagnostics
+
+    monkeypatch.setattr(recover_phaseless, "_descend", spy)
+    rng = np.random.default_rng(479)
+    for S in range(1, 8):
+        for build in exact_phaseless_builders(rng, S, 7):
+            returned = []
+            for flip in (False, True):
+                seen["flip"] = flip
+                got_S, w, _ = recover_phaseless._null_vector(build, 7, TOL)
+                returned.append(w)
+            assert got_S == S
+            for s in range(1, 8):
+                M = build(s)
+                T = _hermitian_basis(s, M.shape[1])
+                assert np.array_equal(seen["builder"](s), (M @ T).real)
+            ref = _hermitian_basis(S, len(seen["x"])) @ seen["x"]
+            ref = ref if ref[S].real >= 0 else -ref
+            for w in returned:
+                assert np.array_equal(w, ref)
+
+
 def test_hermitian_basis_makes_the_phaseless_systems_real():
     """T is orthonormal, and G @ T and G~ @ T are real.
 
@@ -242,7 +287,7 @@ def test_real_phaseless_systems_keep_the_descent_rule():
                 M = build(s)
                 real = (M @ _hermitian_basis(s, M.shape[1])).real
                 allowed = [2 * k + 1 for k in range(s)]
-                ns = null_space(real, TOL.rank_rel_tol, TOL.gap_ratio, allowed)
+                ns = null_space(real, TOL.rank_rel_tol, allowed)
                 assert ns.dimension == 2 * (s - S) + 1, (S, s, ns.dimension)
 
 
@@ -435,6 +480,25 @@ def test_enumeration_matches_reference_loop():
                 assert gap <= 1e-12 * max(1.0, np.max(np.abs(c)))
             solved += 1
         assert solved, f"no solvable s={s} instance"
+
+
+def test_selections_run_in_binary_counting_order(monkeypatch):
+    """The selection table is itertools.product((0, 1), repeat=k): the same
+    shape, dtype and row order, also for no pairs at all."""
+    class Picks(Exception):
+        pass
+
+    def spy(theta, weight, roots, picks):
+        raise Picks(picks)
+
+    monkeypatch.setattr(recover_phaseless, "_lagrange_nulls", spy)
+    for k in range(9):
+        with pytest.raises(Picks) as got:
+            _enumerate_from_pairs(None, np.zeros((k, 2), dtype=complex), None, None, None, TOL)
+        picks = got.value.args[0]
+        ref = np.array(list(itertools.product((0, 1), repeat=k)), dtype=int)
+        assert picks.shape == ref.shape and picks.dtype == ref.dtype
+        assert np.array_equal(picks, ref)
 
 
 def test_closed_form_holds_at_coincident_roots():

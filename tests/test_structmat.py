@@ -24,8 +24,8 @@ from vrecover.structmat import (
 )
 
 TOL = Tolerances()
-# the default rank threshold and gap ratio, in null_space's argument order
-NULL_BOUNDS = (TOL.rank_rel_tol, TOL.gap_ratio)
+# the default rank threshold, in null_space's argument order
+NULL_BOUNDS = (TOL.rank_rel_tol,)
 
 
 def test_vandermonde_columns():
@@ -500,7 +500,7 @@ def test_refine_null_vector_improves_accuracy():
     basis = np.linalg.qr(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))[0]
     sv = np.array([1.0, 0.5, 0.1, 1e-2, 3e-7, 0.0])
     M = (basis * sv) @ np.conj(basis.T)
-    ns = null_space(M, 1e-6, TOL.gap_ratio)
+    ns = null_space(M, 1e-6)
     w0 = ns.basis[:, 0]
     w = refine_null_vector(M, w0, ns.factors)
     assert np.linalg.norm(M @ w) <= np.linalg.norm(M @ w0) + 1e-15
@@ -528,10 +528,14 @@ def _graded(rng, rows, cols, decades, null=True):
     return _with_singular_values(rng, rows, cols, sv)
 
 
-def test_null_space_gap_ratio_argument():
-    M = np.diag([1.0, 1e-5, 1e-12])
-    assert not null_space(M, 1e-8, TOL.gap_ratio).warnings
-    assert any("singular value gap" in w for w in null_space(M, 1e-8, 1e30).warnings)
+def test_null_space_warns_below_a_gap_of_1e3():
+    quiet = null_space(np.diag([1.0, 1e-5, 1e-12]), 1e-8)
+    loud = null_space(np.diag([1.0, 1e-2, 1e-4]), 1e-3)
+    assert quiet.dimension == 1 and quiet.gap == pytest.approx(7.0) and not quiet.warnings
+    assert loud.dimension == 1 and loud.gap == pytest.approx(2.0)
+    assert loud.warnings == (
+        "conditioning-warning: singular value gap 1.00e+02 below 1e+03 at rank 2",
+    )
 
 
 def _refine_with_pinv(M, w, steps=2):
@@ -556,7 +560,7 @@ def test_refine_from_factors_matches_pinv_reference():
         for decades in (4, 6, 8):
             for _ in range(5):
                 M = _graded(rng, rows, cols, decades)
-                ns = null_space(M, 10.0 ** (-decades - 3), TOL.gap_ratio)
+                ns = null_space(M, 10.0 ** (-decades - 3))
                 w0 = ns.basis[:, 0]
                 got = refine_null_vector(M, w0, ns.factors)
                 assert np.max(np.abs(got - _refine_with_pinv(M, w0))) <= 1e-14
