@@ -21,6 +21,9 @@ ENV_VAR = "VRECOVER_TOL_OVERRIDES"
 
 @dataclasses.dataclass(frozen=True)
 class Tolerances:
+    """The overridable bounds; `structmat._GAP_RATIO` and
+    `recover_phaseless._DEGENERACY_TOL` are fixed and are not fields."""
+
     # relative residual bound certified for every reported polynomial root
     tol_root: float = 1e-8
     # singular values <= rank_rel_tol * sigma_max * max(rows, cols) count as zero;
@@ -32,8 +35,6 @@ class Tolerances:
     pair_tol: float = 1e-6
     # relative residual for forward checks and candidate completeness
     forward_tol: float = 1e-6
-    # ||L^2 - 4K|| <= degeneracy_tol * ||L^2|| routes to the harmonic fallback
-    degeneracy_tol: float = 1e-8
     # winner gate for the extra-measurement residual in disambiguate(); the
     # runner-up must miss by 10x this, which holds with room, since a losing
     # candidate misses by an O(1) relative amount

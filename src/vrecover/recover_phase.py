@@ -233,7 +233,7 @@ def _latent_support(inst: PhaseInstance, tol: Tolerances, diagnostics: list):
     _, ns = _null_space_at(lambda s: _hankel(x, s), inst.s_max, tol, diagnostics,
                            route="latent")
     S = inst.s_max + 1 - ns.dimension
-    top = ns.factors.vh[:S]
+    top = ns.factors.Vh[:S]
     V0, V1 = top[:, :-1].T, top[:, 1:].T
     if S == inst.s_max:
         pencil = np.linalg.solve(V0, V1)

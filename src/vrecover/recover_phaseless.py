@@ -54,6 +54,9 @@ from .structmat import (
 BRANCH_HARMONIC = "Harmonic2pow"
 BRANCH_DUAL = "DualPair"
 BRANCH_DEGENERATE = "DegenerateHarmonicTheta"
+# a discriminant within this fraction of ||L^2|| takes the degenerate branch; the
+# fraction reads under 2e-11 on r3 grids and over 2e-4 on general circle samples
+_DEGENERACY_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -432,8 +435,8 @@ def split_and_enumerate_general(L: np.ndarray, L_tilde: np.ndarray, theta, n: in
     they disagree and `MatchingFailureError` is raised. The candidate
     g_B - g_A (the dual of g when Q = |u_tilde|^2) and its dual are the
     only solutions, and both must pass the forward check. A vanishing
-    discriminant means all support powers coincide and the solution set is
-    the harmonic-style 2^(S-1) family built from root pairs of L.
+    discriminant (`_DEGENERACY_TOL`) means all support powers coincide and
+    the solution set is the harmonic-style 2^(S-1) family from root pairs of L.
     """
     theta = np.asarray(theta, dtype=complex)
     y = np.asarray(y, dtype=float)
@@ -443,7 +446,7 @@ def split_and_enumerate_general(L: np.ndarray, L_tilde: np.ndarray, theta, n: in
     disc = L2 - 4.0 * np.convolve(L_tilde, laurent_conj(L_tilde))
     l2_norm = float(np.linalg.norm(L2))
     disc_norm = float(np.linalg.norm(disc))
-    if disc_norm <= tol.degeneracy_tol * l2_norm:
+    if disc_norm <= _DEGENERACY_TOL * l2_norm:
         pairs = _root_pairs(L, S, tol)
         cands = _enumerate_from_pairs(theta, pairs, np.ones(S, dtype=complex), rows, y, tol)
         return cands, BRANCH_DEGENERATE

@@ -25,6 +25,8 @@ _HARMONIC_TOL = 1e-12
 # under the float maximum, which leaves room for the sums built from them
 _LOG_POWER_MAX = math.log(np.finfo(float).max) - 1.0
 _GAP_RATIO = 1e3
+_LOG_GAP_RATIO = math.log10(_GAP_RATIO)
+_EPS = np.finfo(float).eps
 
 
 def readonly_array(values, dtype, name: str) -> np.ndarray:
@@ -301,29 +303,17 @@ def build_Gtilde(z, y, s: int) -> np.ndarray:
 # rank tools
 # ----------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SVDFactors:
-    """One SVD of a matrix M = u[:, :k] diag(s) vh[:k], k = len(s), full or thin."""
+def _pinv_apply(factors, r: np.ndarray, rcond: float) -> np.ndarray:
+    """pinv(M) @ r as V_r diag(1/S_r) U_r^H r over the S_r > rcond * S_max.
 
-    u: np.ndarray
-    s: np.ndarray
-    vh: np.ndarray
-
-    def pinv_apply(self, r: np.ndarray, rcond: float) -> np.ndarray:
-        """pinv(M) @ r as V_r diag(1/s_r) U_r^H r over the s_r > rcond * s_max.
-
-        Keeps the same directions as ``np.linalg.pinv(M, rcond)`` without
-        forming the pseudo-inverse or factorising M again.
-        """
-        # s is sorted descending, so the kept directions are a prefix
-        k = int(np.count_nonzero(self.s > rcond * self.s[0]))
-        return self.vh[:k].conj().T @ ((self.u[:, :k].conj().T @ r) / self.s[:k])
-
-
-def svd_factors(M: np.ndarray) -> SVDFactors:
-    """Full SVD of M (u and vh square), kept for reuse; a real M gives real factors."""
-    u, sv, vh = np.linalg.svd(np.asarray(M))
-    return SVDFactors(u, sv, vh)
+    `factors` is an SVD of M as ``np.linalg.svd`` returns it, full or thin.
+    Keeps the same directions as ``np.linalg.pinv(M, rcond)`` without
+    forming the pseudo-inverse or factorising M again.
+    """
+    U, S, Vh = factors
+    # S is sorted descending, so the kept directions are a prefix
+    k = int(np.count_nonzero(S > rcond * S[0]))
+    return Vh[:k].conj().T @ ((U[:, :k].conj().T @ r) / S[:k])
 
 
 def zero_bound(sigma_max, shape, rank_rel_tol: float):
@@ -337,9 +327,9 @@ class NullSpaceResult:
     basis: np.ndarray  # columns are orthonormal null vectors, shape (cols, dimension)
     singular_values: np.ndarray
     warnings: tuple[str, ...] = field(default=())
-    # the factorisation the decision was read from; refine_null_vector()
-    # reuses it instead of running another SVD
-    factors: SVDFactors | None = field(default=None, repr=False)
+    # the full SVD (U, S, Vh) that np.linalg.svd returned and the decision was
+    # read from; refine_null_vector() reuses it instead of running another SVD
+    factors: tuple | None = field(default=None, repr=False)
     # log10 of the singular-value gap above the null space; None at dimension 0
     gap: float | None = None
 
@@ -354,39 +344,42 @@ def null_space(M: np.ndarray, rank_rel_tol: float, allowed=None) -> NullSpaceRes
     and ties going to the smaller d. A d above 1 needs sigma_{c-d+1} under
     1e-4 times the zero bound. The result holds the gap: one of 0 or less (no
     null space in the spectrum) is the caller's to judge, and one narrower
-    than `_GAP_RATIO` (1e3) attaches a conditioning warning. It also holds the one
-    SVD of M, which ``refine_null_vector(M, w, factors)`` reuses. A real M
-    is factorised in real arithmetic and gives a real basis.
+    than `_GAP_RATIO` (1e3) attaches a conditioning warning. It also holds the
+    SVD of M as ``np.linalg.svd`` returns it, which ``refine_null_vector(M, w,
+    factors)`` reuses. A real M is factorised in real arithmetic and gives a
+    real basis. An all-zero M, like an empty one, raises `InvalidInputError`.
     """
     M = np.asarray(M)
     if M.size == 0:
         raise InvalidInputError("null_space of an empty matrix")
-    factors = svd_factors(M)
+    factors = np.linalg.svd(M)
     ncols = M.shape[1]
-    sv = np.concatenate([factors.s, np.zeros(ncols - len(factors.s))])
-    smax = sv[0]
-    if sv[-1] > zero_bound(smax, M.shape, rank_rel_tol):
-        return NullSpaceResult(0, np.zeros((ncols, 0), factors.vh.dtype), sv, (), factors)
-    floor = np.where(sv > 0, sv, np.finfo(float).eps * smax)
+    sigma = factors.S.tolist() + [0.0] * (ncols - len(factors.S))
+    smax = sigma[0]
+    if smax == 0:
+        raise InvalidInputError("null_space of an all-zero matrix")
+    if sigma[-1] > zero_bound(smax, M.shape, rank_rel_tol):
+        return NullSpaceResult(0, factors.Vh[ncols:].T, np.array(sigma), (), factors)
     tight = zero_bound(smax, M.shape, 1e-4 * rank_rel_tol)
     counts = [1] + [d for d in (range(1, ncols) if allowed is None else allowed)
-                    if 1 < d < ncols and sv[ncols - d] <= tight]
+                    if 1 < d < ncols and sigma[ncols - d] <= tight]
     # differences of logs: a ratio of a huge to a tiny value can overflow
-    logs = np.log10(floor)
+    tiny = _EPS * smax
+    logs = np.log10([v if v > 0 else tiny for v in sigma]).tolist()
     gaps = [logs[ncols - d - 1] - logs[ncols - d] for d in counts]
-    best = int(np.argmax(gaps))
-    dimension, gap = counts[best], float(gaps[best])
+    gap = max(gaps)
+    dimension = counts[gaps.index(gap)]
     warnings = ()
-    if gap < np.log10(_GAP_RATIO):
+    if gap < _LOG_GAP_RATIO:
         warnings = (
             f"conditioning-warning: singular value gap {10.0**gap:.2e} "
             f"below {_GAP_RATIO:.0e} at rank {ncols - dimension}",
         )
-    basis = factors.vh[ncols - dimension:].conj().T
-    return NullSpaceResult(dimension, basis, sv, warnings, factors, gap)
+    basis = factors.Vh[ncols - dimension:].conj().T
+    return NullSpaceResult(dimension, basis, np.array(sigma), warnings, factors, gap)
 
 
-def refine_null_vector(M: np.ndarray, w: np.ndarray, factors: SVDFactors) -> np.ndarray:
+def refine_null_vector(M: np.ndarray, w: np.ndarray, factors) -> np.ndarray:
     """Iteratively refine an approximate null vector of M, in two steps.
 
     The SVD delivers the null vector with error about eps * smax / snext,
@@ -404,7 +397,7 @@ def refine_null_vector(M: np.ndarray, w: np.ndarray, factors: SVDFactors) -> np.
         residual = Mq @ wq
         # keep directions down to the tightened rank threshold; anything
         # below is treated as null and must not be "corrected"
-        delta = factors.pinv_apply(residual.astype(work), rcond=1e-12)
+        delta = _pinv_apply(factors, residual.astype(work), rcond=1e-12)
         wq = wq - delta.astype(wide)
         norm = np.linalg.norm(wq.astype(work))
         if norm == 0:
@@ -425,9 +418,9 @@ def pinv_solve(M: np.ndarray, y, rank_rel_tol: float) -> np.ndarray:
     y = np.asarray(y, dtype=complex)
     if M.ndim != 2 or M.shape[0] != len(y):
         raise InvalidInputError("pinv_solve dimension mismatch")
-    factors = SVDFactors(*np.linalg.svd(M, full_matrices=False))
-    sv = factors.s
+    factors = np.linalg.svd(M, full_matrices=False)
+    sv = factors.S
     if len(sv) < M.shape[1] or sv[-1] <= zero_bound(sv[0], M.shape, rank_rel_tol):
         raise RankDeficiencyError("matrix does not have full column rank")
     # every singular value passed the rank test, so every direction is kept
-    return factors.pinv_apply(y, rcond=0.0)
+    return _pinv_apply(factors, y, rcond=0.0)

@@ -49,8 +49,8 @@ def test_tolerances_must_be_positive_finite_numbers(value, monkeypatch):
 
 def test_positive_finite_tolerances_are_accepted(monkeypatch):
     monkeypatch.setenv(ENV_VAR, json.dumps({"pair_tol": 1e-300}))
-    tol = load_tolerances({"forward_tol": 3, "degeneracy_tol": 1e300})
-    assert (tol.pair_tol, tol.forward_tol, tol.degeneracy_tol) == (1e-300, 3.0, 1e300)
+    tol = load_tolerances({"forward_tol": 3, "disambig_tol": 1e300})
+    assert (tol.pair_tol, tol.forward_tol, tol.disambig_tol) == (1e-300, 3.0, 1e300)
     assert type(tol.forward_tol) is float
 
 
@@ -60,7 +60,8 @@ def test_positive_finite_tolerances_are_accepted(monkeypatch):
     ('{"mag_tol": 1e-8}', "unknown tolerance names: ['mag_tol']"),
     ('{"dedup_tol": 1e-8}', "unknown tolerance names: ['dedup_tol']"),
     ('{"gap_ratio": 1e3}', "unknown tolerance names: ['gap_ratio']"),
-], ids=["nan", "removed", "removed-dedup", "removed-gap"])
+    ('{"degeneracy_tol": 1e-8}', "unknown tolerance names: ['degeneracy_tol']"),
+], ids=["nan", "removed", "removed-dedup", "removed-gap", "removed-degeneracy"])
 def test_bad_tolerance_in_the_environment_exits_2(raw, message, monkeypatch, capsys):
     monkeypatch.setenv(ENV_VAR, raw)
     assert main(["selftest"]) == 2

@@ -8,7 +8,9 @@ from vrecover.cpoly import forward_polys, laurent_from_products
 from vrecover.errors import InvalidInputError, NumericalFailureError, RankDeficiencyError
 from vrecover.oracle import forward_phase, forward_phaseless
 from vrecover.structmat import (
+    NullSpaceResult,
     SampleSet,
+    _pinv_apply,
     build_A,
     build_B,
     build_G,
@@ -19,8 +21,8 @@ from vrecover.structmat import (
     readonly_array,
     refine_null_vector,
     shifted_harmonics,
-    svd_factors,
     vandermonde,
+    zero_bound,
 )
 
 TOL = Tolerances()
@@ -465,7 +467,7 @@ def test_null_space_keeps_a_real_matrix_real():
         M = U[:, :7] @ np.diag(sv) @ V.T
         real = null_space(M, *NULL_BOUNDS)
         cast = null_space(M.astype(complex), *NULL_BOUNDS)
-        assert real.basis.dtype == real.factors.vh.dtype == np.float64
+        assert real.basis.dtype == real.factors.Vh.dtype == np.float64
         assert real.dimension == cast.dimension == len(small)
         assert np.abs(real.singular_values - cast.singular_values).max() <= 1e-14
         assert abs(real.gap - cast.gap) <= 1e-3
@@ -538,6 +540,100 @@ def test_null_space_warns_below_a_gap_of_1e3():
     )
 
 
+@pytest.mark.parametrize("shape", [(3, 4), (4, 3), (1, 1)])
+def test_null_space_rejects_an_all_zero_matrix(shape):
+    """An all-zero matrix has no spectrum to read a gap from; it is refused
+    before any log is taken, as an empty one is."""
+    for dtype in (float, complex):
+        with pytest.raises(InvalidInputError, match="all-zero"):
+            null_space(np.zeros(shape, dtype), *NULL_BOUNDS)
+
+
+def _reference_null_space(M, rank_rel_tol, allowed=None):
+    """The decision code of `null_space` as it read sigma through a zero-padded
+    numpy copy, an `np.where` floor and `np.argmax`, kept as the reference."""
+    M = np.asarray(M)
+    factors = np.linalg.svd(M)
+    ncols = M.shape[1]
+    sv = np.concatenate([factors.S, np.zeros(ncols - len(factors.S))])
+    smax = sv[0]
+    if sv[-1] > zero_bound(smax, M.shape, rank_rel_tol):
+        return NullSpaceResult(0, np.zeros((ncols, 0), factors.Vh.dtype), sv, (), factors)
+    floor = np.where(sv > 0, sv, np.finfo(float).eps * smax)
+    tight = zero_bound(smax, M.shape, 1e-4 * rank_rel_tol)
+    counts = [1] + [d for d in (range(1, ncols) if allowed is None else allowed)
+                    if 1 < d < ncols and sv[ncols - d] <= tight]
+    logs = np.log10(floor)
+    gaps = [logs[ncols - d - 1] - logs[ncols - d] for d in counts]
+    best = int(np.argmax(gaps))
+    dimension, gap = counts[best], float(gaps[best])
+    warnings = ()
+    if gap < np.log10(1e3):
+        warnings = (
+            f"conditioning-warning: singular value gap {10.0**gap:.2e} "
+            f"below 1e+03 at rank {ncols - dimension}",
+        )
+    basis = factors.Vh[ncols - dimension:].conj().T
+    return NullSpaceResult(dimension, basis, sv, warnings, factors, gap)
+
+
+def _sparse_diagonal(rows, cols, sv):
+    """A rows x cols matrix with one entry per row and column, scattered, whose
+    SVD returns `sv` exactly."""
+    M = np.zeros((rows, cols))
+    M[np.arange(len(sv)), np.roll(np.arange(cols), 2)[: len(sv)]] = sv
+    return M
+
+
+def _rank_deficient(rng, rows, cols, deficit, complex_):
+    """A random rows x cols product of rank min(rows, cols) - deficit."""
+    r = min(rows, cols) - deficit
+    left, right = rng.normal(size=(rows, r)), rng.normal(size=(r, cols))
+    if complex_:
+        left = left + 1j * rng.normal(size=(rows, r))
+        right = right + 1j * rng.normal(size=(r, cols))
+    return left @ right
+
+
+def test_null_space_decision_matches_the_reference_bit_for_bit():
+    """Dimension, gap, basis, padded spectrum and warnings are those of the
+    padded-array decision code, bit for bit."""
+    rng = np.random.default_rng(137)
+    cases = []
+    for complex_ in (False, True):
+        for rows, cols in [(9, 7), (8, 8), (6, 9), (45, 46)]:
+            for deficit in (1, 2, 3):
+                cases.append((_rank_deficient(rng, rows, cols, deficit, complex_), None))
+            cases.append((_rank_deficient(rng, rows, cols, 0, complex_), None))
+            cases.append((_rank_deficient(rng, rows, cols, 2, complex_), [1, 3, 5]))
+    for rows, cols in _SHAPES:
+        cases.append((_graded(rng, rows, cols, 10), None))
+        cases.append((_graded(rng, rows, cols, 10), [1]))
+    # wide: a computed sigma below eps * sigma_max beside the padded zero,
+    # which the floor must leave as it is, read with and without `allowed`
+    tiny = _sparse_diagonal(5, 6, [1.0, 0.7, 0.3, 1e-7, 1e-19])
+    sv = np.linalg.svd(tiny).S
+    assert 0 < sv[-1] < np.finfo(float).eps * sv[0]
+    cases += [(tiny, None), (tiny, [1, 3, 5]), (tiny.astype(complex) * 1j, None)]
+    # a two-way tie: gaps of exactly 13 decades at d = 1 and d = 2
+    tie = np.diag([1.0, 1e-13, 1e-26])
+    logs = np.log10(np.linalg.svd(tie).S)
+    assert logs[0] - logs[1] == logs[1] - logs[2]
+    cases += [(tie, None), (tie, [1, 2])]
+    dimensions = set()
+    for M, allowed in cases:
+        got = null_space(M, TOL.rank_rel_tol, allowed)
+        want = _reference_null_space(M, TOL.rank_rel_tol, allowed)
+        dimensions.add(got.dimension)
+        assert got.dimension == want.dimension
+        assert np.array(got.gap).tobytes() == np.array(want.gap).tobytes()
+        assert got.basis.dtype == want.basis.dtype
+        assert got.basis.tobytes() == want.basis.tobytes()
+        assert got.singular_values.tobytes() == want.singular_values.tobytes()
+        assert got.warnings == want.warnings
+    assert {0, 1, 2, 3} <= dimensions
+
+
 def _refine_with_pinv(M, w, steps=2):
     """Reference refinement through an explicit np.linalg.pinv."""
     pinv = np.linalg.pinv(M, rcond=1e-12)
@@ -577,7 +673,7 @@ def test_pinv_apply_matches_numpy_pinv():
                   _with_singular_values(rng, rows, cols, sv)):
             r = rng.normal(size=rows) + 1j * rng.normal(size=rows)
             want = np.linalg.pinv(M, rcond=1e-12) @ r
-            got = svd_factors(M).pinv_apply(r, rcond=1e-12)
+            got = _pinv_apply(np.linalg.svd(M), r, rcond=1e-12)
             assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
