@@ -219,39 +219,18 @@ def laurent_from_products(u_hat, u_tilde, v):
 # root pairing and square roots
 # ----------------------------------------------------------------------------
 
-def greedy_pairs(gap: np.ndarray, tol: float):
-    """Index pairs ``(i, j)`` of the table `gap`, smallest remaining gap first.
-
-    Each step takes the first minimum in (i, j) row-major order, reading NaN
-    as inf, and the loop stops at the first gap above `tol`, or inf. `gap` is
-    changed in place: before asking for the next pair, the caller sets to inf
-    every entry the pair it was given rules out.
-
-    Entries only ever rise to inf, so the minima come in the order of one
-    stable sort of the table, walked once; an entry the caller has ruled
-    out since the sort is skipped.
-    """
-    gap[np.isnan(gap)] = np.inf
-    flat = gap.ravel()
-    order = np.argsort(flat, kind="stable")
-    order = order[: np.searchsorted(flat[order], tol, side="right")]
-    rows, cols = np.divmod(order, gap.shape[1])
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        if gap[i, j] != np.inf:
-            yield i, j
-
-
 def pair_conjugate_reciprocal(roots, tol: float) -> np.ndarray:
     """Partition `roots` into conjugate-reciprocal pairs ``(r, 1/conj(r))``.
 
-    Cross pairs are preferred; a root within `tol` of the unit circle may
-    close itself. Returns a (P, 2) complex array whose rows ``(a, b)`` have
-    ``b`` approximately ``1/conj(a)``; unpairable leftovers raise.
+    Returns a (P, 2) complex array of rows ``(roots[i], roots[j])`` with
+    ``roots[j]`` near ``t_i = 1/conj(roots[i])``. Pairs are taken smallest
+    gap ``|roots[j] - t_i| / max(1, |t_i|)`` first, ties in row-major (i, j)
+    order, up to `tol`: one stable sort of the gap table, walked once. A root
+    is never its own partner; one left over raises, as does a zero or
+    non-finite root, before any division.
 
-    Cross pairs are taken by `greedy_pairs` on the gaps
-    ``|roots[j] - 1/conj(roots[i])|``; the self-closed roots follow them in
-    index order. A zero or non-finite root has no partner and raises before
-    any division.
+    >>> pair_conjugate_reciprocal(np.array([2, 0.5]), 1e-9)
+    array([[2. +0.j, 0.5+0.j]])
     """
     roots = np.asarray(roots, dtype=complex)
     unpairable = ~np.isfinite(roots) | (roots == 0)
@@ -259,23 +238,27 @@ def pair_conjugate_reciprocal(roots, tol: float) -> np.ndarray:
         raise PairingFailureError(
             f"root {roots[unpairable][0]:.6g} has no conjugate-reciprocal partner"
         )
-    # gap[i, j] = |roots[j] - t_i| / max(1, |t_i|) for the partner target
-    # t_i = 1/conj(roots[i]); np.hypot rounds like abs of a complex scalar
+    # gap[i, j] for j != i; np.hypot rounds like abs of a complex scalar
     target = 1.0 / np.conj(roots)
     gap = _modulus(roots - target[:, None]) / np.maximum(1.0, _modulus(target))[:, None]
-    self_gap = np.diagonal(gap).copy()
+    gap[np.isnan(gap)] = np.inf
     np.fill_diagonal(gap, np.inf)
-    index = []
-    for i, j in greedy_pairs(gap, tol):
-        index.append((i, j))
-        gap[[i, j], :] = np.inf
-        gap[:, [i, j]] = np.inf
-    for i in sorted(set(range(len(roots))).difference(*index)):
-        if self_gap[i] > tol:
-            raise PairingFailureError(
-                f"root {roots[i]:.6g} has no conjugate-reciprocal partner"
-            )
-        index.append((i, i))
+    flat = gap.ravel()
+    order = np.argsort(flat, kind="stable")
+    # the gaps within tol; an inf tol admits no inf gap
+    order = order[: np.count_nonzero(flat <= min(tol, np.finfo(float).max))]
+    rows, cols = np.divmod(order, len(roots))
+    taken, index = set(), []
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        if i not in taken and j not in taken:
+            taken.update((i, j))
+            index.append((i, j))
+    left = [k for k in range(len(roots)) if k not in taken]
+    if left:
+        raise PairingFailureError(
+            f"root {roots[left[0]]:.6g} has no conjugate-reciprocal partner: its smallest "
+            f"gap to an unpaired root, {gap[left[0], left].min():.1e}, exceeds {tol:.1e}"
+        )
     return roots[np.array(index, dtype=int).reshape(-1, 2)]
 
 

@@ -8,6 +8,7 @@ results travel as JSON with complex numbers encoded as [re, im] pairs;
 campaign tables are CSV with a fixed header.
 """
 
+import contextlib
 import json
 import numbers
 import os
@@ -629,13 +630,23 @@ def _load_json(path: str) -> dict:
         raise InvalidInputError(f"{path} is not valid JSON: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _writing(path: str):
+    """Raise an OSError of the block as InvalidInputError, "cannot write `path`"."""
+    try:
+        yield
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {path}: {exc}") from exc
+
+
 def cmd_gen(config_path: str, out_dir: str) -> int:
     config = ExperimentConfig.from_dict(_load_json(config_path))
-    os.makedirs(out_dir, exist_ok=True)
+    with _writing(out_dir):
+        os.makedirs(out_dir, exist_ok=True)
     for t, payload in _campaign_trials(config):
         check_payload_consistency(payload)
         name = f"{config.mode}_s{payload['s']}_{t:04d}.json"
-        with open(os.path.join(out_dir, name), "w") as fh:
+        with _writing(out_dir), open(os.path.join(out_dir, name), "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
     print(f"wrote {len(config.s_list) * config.trials} instance files to {out_dir}")
@@ -689,7 +700,7 @@ def cmd_recover(mode: str, input_path: str, output_path: str | None) -> int:
     out = _outcome_dict(mode, payload, tol)
     text = json.dumps(out, indent=2, sort_keys=True)
     if output_path:
-        with open(output_path, "w") as fh:
+        with _writing(output_path), open(output_path, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -698,8 +709,10 @@ def cmd_recover(mode: str, input_path: str, output_path: str | None) -> int:
 
 def cmd_montecarlo(config_path: str, out_path: str) -> int:
     config = ExperimentConfig.from_dict(_load_json(config_path))
-    records, summaries = run_campaign(config)
-    write_csv(out_path, records, summaries)
+    with _writing(out_path):
+        open(out_path, "a").close()  # fails before the campaign, truncating nothing
+        records, summaries = run_campaign(config)
+        write_csv(out_path, records, summaries)
     for summ in summaries:
         print(
             f"mode={config.mode} s={summ.s} trials={config.trials} "

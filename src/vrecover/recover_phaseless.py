@@ -340,6 +340,8 @@ def _root_pairs(block: np.ndarray, S: int, tol: Tolerances) -> np.ndarray:
     if S == 1:
         return np.zeros((0, 2), dtype=complex)
     pairs = pair_conjugate_reciprocal(poly_roots(block, tol.tol_root), tol.pair_tol)
+    # unreachable while the block is exactly Hermitian (2S-2 roots, each paired
+    # or raised on); kept so `_lagrange_nulls` never indexes a short pair table
     if len(pairs) != S - 1:
         raise PairingFailureError(f"expected {S - 1} root pairs, found {len(pairs)}")
     return pairs

@@ -1004,6 +1004,39 @@ def test_cli_montecarlo_table(tmp_path):
     assert strip_runtime(out_a) == strip_runtime(out_b)
 
 
+def _cannot_write(res, path):
+    """The CLI stopped with exit 2 and one error line naming `path`."""
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith(f"error: cannot write {path}: ")
+    assert "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
+def test_cli_montecarlo_unwritable_out_exits_2(tmp_path):
+    """The path is checked before the campaign runs, so nothing is printed."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config_dict(s_list=[1], trials=2)))
+    out = tmp_path / "missing" / "t.csv"
+    _cannot_write(cli("montecarlo", "--config", str(cfg), "--out", str(out)), out)
+
+
+def test_cli_recover_unwritable_output_exits_2(tmp_path):
+    inst = tmp_path / "worked.json"
+    inst.write_text(json.dumps(worked_r1_payload()))
+    out = tmp_path / "missing" / "x.json"
+    res = cli("recover", "--mode", "r1", "--input", str(inst), "--output", str(out))
+    _cannot_write(res, out)
+
+
+def test_cli_gen_unwritable_out_exits_2(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config_dict(s_list=[1], trials=1)))
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    out = afile / "sub"
+    _cannot_write(cli("gen", "--config", str(cfg), "--out", str(out)), out)
+
+
 def test_phase_aligned_errs_match_one_at_a_time():
     def one(candidate, truth):
         ip = np.vdot(candidate, truth)

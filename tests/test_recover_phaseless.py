@@ -27,6 +27,7 @@ from vrecover.errors import (
     InvalidInputError,
     MatchingFailureError,
     NotASquareError,
+    PairingFailureError,
     RecoveryFailureError,
     VRecoverError,
 )
@@ -47,6 +48,7 @@ from vrecover.recover_phaseless import (
     PhaselessInstance,
     _enumerate_from_pairs,
     _lagrange_nulls,
+    _root_pairs,
     _sorted_candidates,
     _theta_from_lhat,
     disambiguate,
@@ -308,6 +310,39 @@ def test_support_blocks_are_hermitian_by_construction():
         assert L_hat[s].imag == 0 and L_hat[s].real > 0
 
 
+def test_numerator_blocks_are_hermitian_at_every_descent():
+    """The numerator blocks that `_root_pairs` takes, q on shifted harmonics
+    and L on general samples, read the same reversed and conjugated, exactly,
+    also where the descent stops at S < s_max. So each has 2S-2 roots, and
+    the pairing gives S-1 pairs or raises on a root without a partner."""
+    rng = np.random.default_rng(471)
+    below = 0
+    for s_max in range(1, 7):
+        n = 4 * s_max - 1
+        for s in sorted({1, (s_max + 1) // 2, s_max}):
+            z = shifted_harmonics(n, n, 0.7)
+            y = forward_phaseless(draw_theta_dft(rng, n, s), draw_g(rng, s), z.z, n)
+            _, q, S, _ = recover_support_harmonic(PhaselessInstance(n, s_max, y, z), TOL)
+            z = SampleSet(tuple(stratified_circle(rng, 8 * s_max - 3)))
+            y = forward_phaseless(draw_theta_circle(rng, s), draw_g(rng, s), z.z, n)
+            _, L, _, _, S_general, _ = recover_general(PhaselessInstance(n, s_max, y, z), TOL)
+            below += (S < s_max) + (S_general < s_max)
+            for block, S_block in ((q, S), (L, S_general)):
+                assert np.array_equal(block, laurent_conj(block))
+                try:
+                    assert len(_root_pairs(block, S_block, TOL)) == S_block - 1
+                except PairingFailureError as exc:
+                    assert "no conjugate-reciprocal partner" in str(exc)
+    assert below >= 10
+
+
+def test_root_pairs_rejects_roots_on_the_circle():
+    """1 - z + z^2 has its roots e^(+-i pi/3) on the circle, each its own
+    target and far from the other: no pair, so no S-1 = 1 pairs."""
+    with pytest.raises(PairingFailureError):
+        _root_pairs(np.array([1, -1, 1], dtype=complex), 2, TOL)
+
+
 def test_magnitudes_worked_singleton():
     z = shifted_harmonics(4, 3, 0.7)
     y = forward_phaseless([1j], [2.0], z.z, 4)
@@ -453,10 +488,12 @@ def harmonic_enumeration_inputs(rng, s, gamma=0.7):
             continue
         pairs = np.zeros((0, 2), dtype=complex)
         if S > 1:
-            pairs = pair_conjugate_reciprocal(poly_roots(q, 1e-8), 1e-6)
-        if len(pairs) == S - 1:
-            rows = vandermonde(z, n).T @ vandermonde(got, n)
-            yield got, pairs, np.exp(1j * gamma) * got**n - 1.0, rows, y
+            try:
+                pairs = pair_conjugate_reciprocal(poly_roots(q, 1e-8), 1e-6)
+            except PairingFailureError:
+                continue
+        rows = vandermonde(z, n).T @ vandermonde(got, n)
+        yield got, pairs, np.exp(1j * gamma) * got**n - 1.0, rows, y
 
 
 def test_enumeration_matches_reference_loop():
