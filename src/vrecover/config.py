@@ -21,8 +21,9 @@ ENV_VAR = "VRECOVER_TOL_OVERRIDES"
 
 @dataclasses.dataclass(frozen=True)
 class Tolerances:
-    """The overridable bounds; `structmat._GAP_RATIO` and
-    `recover_phaseless._DEGENERACY_TOL` are fixed and are not fields."""
+    """The overridable bounds; `structmat._GAP_RATIO`,
+    `recover_phaseless._DEGENERACY_TOL` and `recover_phaseless._DISAMBIG_TOL`
+    are fixed and are not fields."""
 
     # relative residual bound certified for every reported polynomial root
     tol_root: float = 1e-8
@@ -35,10 +36,6 @@ class Tolerances:
     pair_tol: float = 1e-6
     # relative residual for forward checks and candidate completeness
     forward_tol: float = 1e-6
-    # winner gate for the extra-measurement residual in disambiguate(); the
-    # runner-up must miss by 10x this, which holds with room, since a losing
-    # candidate misses by an O(1) relative amount
-    disambig_tol: float = 1e-4
 
 
 _FIELD_NAMES = {f.name for f in dataclasses.fields(Tolerances)}

@@ -203,13 +203,13 @@ def parse_rule(rule: str, s: int) -> int:
 # ----------------------------------------------------------------------------
 
 def _draw_disk_samples(rng: np.random.Generator, m: int) -> SampleSet:
-    """Distinct points with moduli uniform on [0.5, 1], phases uniform."""
+    """Points with moduli uniform on [0.5, 1], phases uniform.
 
-    def one():
-        return rng.uniform(0.5, 1.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-
+    `SampleSet` rejects a repeated point (`InvalidInputError`); a continuous
+    draw repeats one with probability zero.
+    """
     radius, phase = oracle._uniform_columns(rng, m, (0.5, 1.0), (0, 2 * np.pi)).T
-    return SampleSet(oracle._redraw_duplicates(rng, one, radius * np.exp(1j * phase)))
+    return SampleSet(radius * np.exp(1j * phase))
 
 
 def _draw_circle_samples(rng: np.random.Generator, m: int) -> SampleSet:
@@ -224,26 +224,6 @@ def _draw_circle_samples(rng: np.random.Generator, m: int) -> SampleSet:
     """
     base = 2 * np.pi * (np.arange(m) + 0.5 + rng.uniform(-0.45, 0.45, size=m)) / m
     return SampleSet(np.exp(1j * (base + rng.uniform(0, 2 * np.pi))))
-
-
-def _draw_grid_disk(rng: np.random.Generator, n: int, power_avoid=None) -> np.ndarray:
-    """Distinct dictionary points on the disk annulus, away from a forbidden power.
-
-    Each point is tested on its own: the numpy-scalar power ``v**nth`` can
-    round differently from the array power.
-    """
-    grid = draw_theta_disk(rng, n)
-    if power_avoid is not None:
-        nth, target = power_avoid
-        for _ in range(100):
-            bad = [k for k, v in enumerate(grid) if abs(v**nth - target) < 1e-6]
-            if not bad:
-                break
-            for k in bad:
-                grid[k] = draw_theta_disk(rng, 1)[0]
-        else:
-            raise InvalidInputError("could not draw a grid clear of the rotation power")
-    return grid
 
 
 def _draw_extra_row(rng: np.random.Generator, mode: str, n: int, theta, g, x):
@@ -261,6 +241,12 @@ def generate_trial(config: ExperimentConfig, s: int, index: int) -> dict:
 
     Every draw comes from one RNG stream, in this order: the samples, the
     grid and support or the poles, the weights, and last the extra row.
+    Nothing is redrawn but small weights: repeated points or poles, which
+    continuous draws make with probability zero, fail their distinctness
+    checks; on shifted harmonics, an r2 grid point whose nth power meets the
+    rotation fails `_check_grid` when the instance is built; and circle
+    poles whose nth powers all coincide go to the degenerate-harmonic branch
+    of recovery.
     """
     seed = derive_seed(config.master_seed, index)
     rng = np.random.default_rng(seed)
@@ -276,7 +262,7 @@ def generate_trial(config: ExperimentConfig, s: int, index: int) -> dict:
 
     grid = x = None
     if mode == "r2":
-        grid = _draw_grid_disk(rng, n, (n, np.exp(-1j * config.gamma)) if harmonic else None)
+        grid = draw_theta_disk(rng, n)
     elif mode == "r3":
         grid = np.exp(2j * np.pi * np.arange(n) / n)
     if grid is not None:
@@ -288,14 +274,6 @@ def generate_trial(config: ExperimentConfig, s: int, index: int) -> dict:
         theta = draw_theta_dft(rng, n, s)
     else:
         theta = draw_theta_circle(rng, s)
-        if s > 1:
-            # the dual-pair branch needs support powers that do not all
-            # coincide; redraws never trigger in practice
-            for _ in range(100):
-                powers = theta**n
-                if np.abs(powers - powers[0]).max() > 1e-6:
-                    break
-                theta = draw_theta_circle(rng, s)
     g = draw_g(rng, s)
     if grid is not None:
         x = np.zeros(n, dtype=complex)
@@ -838,7 +816,7 @@ def _selftest_checks(tol: Tolerances):
         rng = np.random.default_rng(19)
         n, s = 4, 1
         gamma = 0.0
-        grid = _draw_grid_disk(rng, n, power_avoid=(n, np.exp(-1j * gamma)))
+        grid = draw_theta_disk(rng, n)
         support = [1]
         g = np.array([3.0 + 0j])
         z = shifted_harmonics(n, 3, gamma)

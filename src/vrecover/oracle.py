@@ -21,12 +21,13 @@ from .errors import (
     NumericalFailureError,
     ResolutionError,
 )
-from .structmat import measurement_matrix, readonly_array
+from .structmat import _require_distinct, measurement_matrix, readonly_array
 
 _PATH_TOL = 1e-10
 _NEAR_ONE = 1e-3  # switch to the direct geometric sum this close to ratio 1
 _GN_STEPS = 50  # Gauss-Newton steps per phase seed in the phaseless oracle
 _GN_STEP_TOL = 1e-15  # ... stopping early once no phase moves by more
+_GRID_RESOLUTION = 10000  # phase seeds searched: one axis at S = 2, 100 x 100 at S = 3
 
 
 def forward_phase_matrix(theta, g, z, n: int) -> np.ndarray:
@@ -139,29 +140,6 @@ def draw_g(rng: np.random.Generator, s: int) -> np.ndarray:
     raise NumericalFailureError("could not draw well-separated coefficients")
 
 
-def _redraw_duplicates(rng, draw_one, values, min_dist=1e-9) -> np.ndarray:
-    """`values` with every entry closer than `min_dist` to an earlier one redrawn.
-
-    One array test finds out whether any pair collides: the table of all
-    gaps holds len(values) zeros on its diagonal, and any other gap below
-    `min_dist` is a collision. Only then does the loop run, which redraws
-    entry i with ``draw_one()`` until no pair j < i collides.
-    """
-    values = np.asarray(values, dtype=complex)
-    if np.count_nonzero(np.abs(values[:, None] - values) < min_dist) == len(values):
-        return values
-    for _ in range(1000):
-        collided = False
-        for i in range(len(values)):
-            for j in range(i):
-                if abs(values[i] - values[j]) < min_dist:
-                    values[i] = draw_one()
-                    collided = True
-        if not collided:
-            return values
-    raise NumericalFailureError("could not draw distinct pole locations")
-
-
 def _uniform_columns(rng: np.random.Generator, k: int, *bounds) -> np.ndarray:
     """The (k, len(bounds)) table of draws ``rng.uniform(lo, hi)``, column c
     taking the c-th (lo, hi) of `bounds`, from one array call.
@@ -174,25 +152,24 @@ def _uniform_columns(rng: np.random.Generator, k: int, *bounds) -> np.ndarray:
 
 
 def draw_theta_disk(rng: np.random.Generator, s: int) -> np.ndarray:
-    """Moduli log-uniform on [0.5, 2], phases uniform; entries distinct."""
-    log_r = (np.log(0.5), np.log(2.0))
+    """Moduli log-uniform on [0.5, 2], phases uniform.
 
-    def one():
-        radius = np.exp(rng.uniform(*log_r))
-        return radius * np.exp(1j * rng.uniform(0, 2 * np.pi))
-
-    log_radius, phase = _uniform_columns(rng, s, log_r, (0, 2 * np.pi)).T
-    return _redraw_duplicates(rng, one, np.exp(log_radius) * np.exp(1j * phase))
+    Continuous draws repeat a pole with probability zero, so two poles that
+    `_require_distinct` cannot tell apart are not redrawn: they raise
+    `NumericalFailureError`. The same holds for `draw_theta_circle`.
+    """
+    log_radius, phase = _uniform_columns(rng, s, (np.log(0.5), np.log(2.0)), (0, 2 * np.pi)).T
+    theta = np.exp(log_radius) * np.exp(1j * phase)
+    _require_distinct(theta, "drawn poles are not distinct", NumericalFailureError)
+    return theta
 
 
 def draw_theta_circle(rng: np.random.Generator, s: int) -> np.ndarray:
-    """Unit-modulus poles with uniform phases; entries distinct."""
-
-    def one():
-        return np.exp(1j * rng.uniform(0, 2 * np.pi))
-
+    """Unit-modulus poles with uniform phases, checked distinct."""
     (phase,) = _uniform_columns(rng, s, (0, 2 * np.pi)).T
-    return _redraw_duplicates(rng, one, np.exp(1j * phase))
+    theta = np.exp(1j * phase)
+    _require_distinct(theta, "drawn poles are not distinct", NumericalFailureError)
+    return theta
 
 
 def draw_theta_dft(rng: np.random.Generator, n: int, s: int) -> np.ndarray:
@@ -278,7 +255,7 @@ def _phaseless_magnitudes(y, rows) -> np.ndarray:
     return np.clip(sol[:S], 0.0, None)
 
 
-def brute_force_phaseless_candidates(y, theta, z, n: int, grid_resolution: int = 10000):
+def brute_force_phaseless_candidates(y, theta, z, n: int):
     """All g with |V(z)^T V(theta) g|^2 = y, up to global phase, by search.
 
     Magnitudes come from the lifted linear system; the remaining S-1 relative
@@ -294,8 +271,6 @@ def brute_force_phaseless_candidates(y, theta, z, n: int, grid_resolution: int =
     S = len(theta)
     if S < 1 or S > 3:
         raise InvalidInputError("brute_force_phaseless_candidates guard: 1 <= S <= 3")
-    if grid_resolution < 8:
-        raise InvalidInputError("grid_resolution too small")
     if len(y) != len(zz):
         raise InvalidInputError("measurement length mismatch")
     rows = measurement_matrix(zz, theta, n)
@@ -316,7 +291,7 @@ def brute_force_phaseless_candidates(y, theta, z, n: int, grid_resolution: int =
             raise ModelMismatchError("single-coefficient fit fails the measurements")
         return [g]
 
-    per_dim = grid_resolution if S == 2 else max(int(grid_resolution ** 0.5), 32)
+    per_dim = _GRID_RESOLUTION if S == 2 else int(_GRID_RESOLUTION ** 0.5)
     axes = [np.linspace(0, 2 * np.pi, per_dim, endpoint=False)] * (S - 1)
     mesh = np.meshgrid(*axes, indexing="ij")
     flat = np.stack([m.ravel() for m in mesh], axis=1)

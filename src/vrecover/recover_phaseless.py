@@ -57,6 +57,10 @@ BRANCH_DEGENERATE = "DegenerateHarmonicTheta"
 # a discriminant within this fraction of ||L^2|| takes the degenerate branch; the
 # fraction reads under 2e-11 on r3 grids and over 2e-4 on general circle samples
 _DEGENERACY_TOL = 1e-8
+# winner gate for the extra-measurement residual in disambiguate(); the
+# runner-up must miss by 10x this, which holds with room, since a losing
+# candidate misses by an O(1) relative amount
+_DISAMBIG_TOL = 1e-4
 
 
 @dataclass(frozen=True, eq=False)
@@ -508,17 +512,18 @@ def recover_r5(inst: PhaselessInstance, tol: Tolerances | None = None) -> Phasel
     selected = None
     if inst.extra_row is not None:
         a, y_m = inst.extra_row
-        selected = disambiguate(cands, vandermonde(theta, inst.n).T @ a, y_m, tol)
+        selected = disambiguate(cands, vandermonde(theta, inst.n).T @ a, y_m)
     return PhaselessResult(theta, S, profile, cands, selected, branch, tuple(diagnostics))
 
 
-def disambiguate(candidates, row, y_m: float, tol: Tolerances) -> int:
+def disambiguate(candidates, row, y_m: float) -> int:
     """Index of the candidate matching one extra squared-modulus measurement.
 
     `row` of length S applies to the coefficients: a measurement vector a
     over the n model coordinates contracts to ``vandermonde(theta, n).T @ a``
-    through the support. The winner must fit within tol and the runner-up
-    must miss by at least 10x tol, otherwise the measurement was unlucky.
+    through the support. The winner must fit within `_DISAMBIG_TOL` and the
+    runner-up must miss by at least 10x that, otherwise the measurement was
+    unlucky.
     """
     if not len(candidates):
         raise InvalidInputError("no candidates to disambiguate")
@@ -528,11 +533,11 @@ def disambiguate(candidates, row, y_m: float, tol: Tolerances) -> int:
     scale = max(float(y_m), float(preds.max()), 1e-300)
     resid = np.abs(preds - float(y_m)) / scale
     order = np.argsort(resid)
-    if resid[order[0]] > tol.disambig_tol:
+    if resid[order[0]] > _DISAMBIG_TOL:
         raise AmbiguousDisambiguationError(
             f"best candidate misses the extra measurement by {resid[order[0]]:.3e}"
         )
-    if resid[order[1]] < 10.0 * tol.disambig_tol:
+    if resid[order[1]] < 10.0 * _DISAMBIG_TOL:
         raise AmbiguousDisambiguationError(
             f"runner-up candidate is too close ({resid[order[1]]:.3e}); redraw the row"
         )
@@ -561,7 +566,7 @@ def recover_r3(inst: PhaselessInstance, tol: Tolerances | None = None) -> np.nda
         return x
     res = recover_r5(replace(inst, extra_row=None, grid=None), tol)
     support = _snap_to_grid(res.theta, grid)
-    selected = disambiguate(res.candidates, a[support], y_m, tol)
+    selected = disambiguate(res.candidates, a[support], y_m)
     x[support] = res.candidates[selected]
     mags = np.abs(x[support])
     k0 = int(support[mags > 1e-12 * float(mags.max())].min())

@@ -16,7 +16,6 @@ from vrecover.harness import (
     ExperimentConfig,
     _draw_circle_samples,
     _draw_disk_samples,
-    _draw_grid_disk,
     _greedy_match,
     _phase_aligned_errs,
     _recover_with_redraw,
@@ -196,10 +195,9 @@ def test_criterion_03_gridded_cs_matches_oracle():
         gamma = float(rng.uniform(0.3, 2 * np.pi - 0.3))
         if harmonic:
             z = shifted_harmonics(n, 2 * s, gamma)
-            grid = _draw_grid_disk(rng, n, power_avoid=(n, np.exp(-1j * gamma)))
         else:
             z = _draw_disk_samples(rng, 3 * s)
-            grid = _draw_grid_disk(rng, n)
+        grid = draw_theta_disk(rng, n)
         support = np.sort(rng.choice(n, size=s, replace=False))
         g = draw_g(rng, s)
         y = forward_phase(grid[support], g, z, n)

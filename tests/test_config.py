@@ -49,8 +49,8 @@ def test_tolerances_must_be_positive_finite_numbers(value, monkeypatch):
 
 def test_positive_finite_tolerances_are_accepted(monkeypatch):
     monkeypatch.setenv(ENV_VAR, json.dumps({"pair_tol": 1e-300}))
-    tol = load_tolerances({"forward_tol": 3, "disambig_tol": 1e300})
-    assert (tol.pair_tol, tol.forward_tol, tol.disambig_tol) == (1e-300, 3.0, 1e300)
+    tol = load_tolerances({"forward_tol": 3, "tol_root": 1e300})
+    assert (tol.pair_tol, tol.forward_tol, tol.tol_root) == (1e-300, 3.0, 1e300)
     assert type(tol.forward_tol) is float
 
 
@@ -61,7 +61,9 @@ def test_positive_finite_tolerances_are_accepted(monkeypatch):
     ('{"dedup_tol": 1e-8}', "unknown tolerance names: ['dedup_tol']"),
     ('{"gap_ratio": 1e3}', "unknown tolerance names: ['gap_ratio']"),
     ('{"degeneracy_tol": 1e-8}', "unknown tolerance names: ['degeneracy_tol']"),
-], ids=["nan", "removed", "removed-dedup", "removed-gap", "removed-degeneracy"])
+    ('{"disambig_tol": 1e-4}', "unknown tolerance names: ['disambig_tol']"),
+], ids=["nan", "removed", "removed-dedup", "removed-gap", "removed-degeneracy",
+        "removed-disambig"])
 def test_bad_tolerance_in_the_environment_exits_2(raw, message, monkeypatch, capsys):
     monkeypatch.setenv(ENV_VAR, raw)
     assert main(["selftest"]) == 2

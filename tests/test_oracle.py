@@ -253,21 +253,7 @@ def test_draws_respect_constraints():
         assert np.all(np.abs(g) >= 0.1)
 
 
-def _scalar_redraw(draw_one, values, min_dist):
-    """The one-pair-at-a-time redraw loop, the reference for `_redraw_duplicates`."""
-    for _ in range(1000):
-        collided = False
-        for i in range(len(values)):
-            for j in range(i):
-                if abs(values[i] - values[j]) < min_dist:
-                    values[i] = draw_one()
-                    collided = True
-        if not collided:
-            return np.array(values)
-    raise AssertionError("no distinct draw")
-
-
-def _scalar_draws(rng, kind, k, min_dist=1e-9):
+def _scalar_draws(rng, kind, k):
     """Draw k points one scalar rng.uniform call at a time, as the reference."""
     def one():
         if kind == "disk":
@@ -277,7 +263,7 @@ def _scalar_draws(rng, kind, k, min_dist=1e-9):
             return np.exp(1j * rng.uniform(0, 2 * np.pi))
         return rng.uniform(0.5, 1.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
 
-    return _scalar_redraw(one, [one() for _ in range(k)], min_dist)
+    return np.array([one() for _ in range(k)])
 
 
 def test_array_draws_equal_scalar_draws_bit_for_bit():
@@ -296,20 +282,25 @@ def test_array_draws_equal_scalar_draws_bit_for_bit():
                 assert got.tobytes() == want.tobytes(), (seed, kind, k)
 
 
-def test_redraw_duplicates_matches_the_scalar_loop_on_collisions():
-    # a separation of 0.3 makes the redraw loop run on most of these draws
-    redrawn = 0
-    for seed in range(200):
-        rng = np.random.default_rng(seed)
-        one = lambda: np.exp(1j * rng.uniform(0, 2 * np.pi))
-        values = oracle._uniform_columns(rng, 6, (0, 2 * np.pi))[:, 0]
-        values = np.exp(1j * values)
-        got = oracle._redraw_duplicates(rng, one, values.copy(), 0.3)
-        rng = np.random.default_rng(seed)
-        want = _scalar_draws(rng, "circle", 6, 0.3)
-        assert got.tobytes() == want.tobytes(), seed
-        redrawn += not np.array_equal(got, values)
-    assert redrawn >= 100
+def test_repeated_draws_fail_loudly(monkeypatch):
+    """A repeated uniform draw is not redrawn: poles raise NumericalFailureError
+    and disk samples InvalidInputError, by the rule of `_require_distinct`."""
+    from vrecover.harness import _draw_disk_samples
+
+    uniform_columns = oracle._uniform_columns
+
+    def repeating(rng, k, *bounds):
+        table = uniform_columns(rng, k, *bounds)
+        table[-1] = table[0]
+        return table
+
+    monkeypatch.setattr(oracle, "_uniform_columns", repeating)
+    for k in (2, 6):
+        for draw in (draw_theta_disk, draw_theta_circle):
+            with pytest.raises(NumericalFailureError, match="^drawn poles are not distinct$"):
+                draw(np.random.default_rng(k), k)
+        with pytest.raises(InvalidInputError, match="^sample points are not distinct$"):
+            _draw_disk_samples(np.random.default_rng(k), k)
 
 
 def test_brute_force_cs_worked_instance():

@@ -955,7 +955,7 @@ def test_disambiguate_single_candidate():
     g = draw_g(rng, 1)
     a = draw_unit_vector(rng, 3)
     # y_m need not even match: a single candidate wins unconditionally
-    assert disambiguate([g], a[:1], 123.4, TOL) == 0
+    assert disambiguate([g], a[:1], 123.4) == 0
 
 
 def test_disambiguate_pair_forward_oracle():
@@ -968,8 +968,8 @@ def test_disambiguate_pair_forward_oracle():
         a = draw_unit_vector(rng, n)
         row = vandermonde(theta, n).T @ a
         y_m = float(abs(row @ g) ** 2)
-        assert disambiguate([g, dual], row, y_m, TOL) == 0
-        assert disambiguate([dual, g], row, y_m, TOL) == 1
+        assert disambiguate([g, dual], row, y_m) == 0
+        assert disambiguate([dual, g], row, y_m) == 1
 
 
 def test_disambiguate_harmonic_four_way():
@@ -992,7 +992,7 @@ def test_disambiguate_harmonic_four_way():
             row = vandermonde(res.theta, n).T @ a
             y_m = float(abs(row @ g_sorted) ** 2)
             try:
-                k = disambiguate(res.candidates, row, y_m, TOL)
+                k = disambiguate(res.candidates, row, y_m)
                 break
             except AmbiguousDisambiguationError:
                 # an unlucky row is allowed; redraw and retry
@@ -1013,7 +1013,7 @@ def test_disambiguate_flags_hopeless_rows():
     y_m = float(abs(row @ g) ** 2)
     # two copies of the true candidate cannot be separated
     with pytest.raises(AmbiguousDisambiguationError):
-        disambiguate([g, g.copy()], row, y_m, TOL)
+        disambiguate([g, g.copy()], row, y_m)
 
 
 def test_recover_r3_worked_grid():
