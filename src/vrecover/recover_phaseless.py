@@ -573,6 +573,7 @@ def recover_r3(inst: PhaselessInstance, tol: Tolerances | None = None) -> np.nda
     x = x * np.exp(-1j * np.angle(x[k0]))
     # the support's columns alone: no n x n table of the whole grid
     predicted = np.abs(measurement_matrix(inst.samples, grid[support], inst.n) @ x[support]) ** 2
-    if np.abs(predicted - y).max() > tol.forward_tol * float(y.max()):
+    # written so that a NaN defect fails too
+    if not np.abs(predicted - y).max() <= tol.forward_tol * float(y.max()):
         raise InconsistentSolutionError("snapped solution fails the forward check")
     return x

@@ -1,10 +1,12 @@
 """Measurement sample sets, structured coefficient matrices, and rank tools.
 
-The four system matrices share one convention: every unknown block is stored
-in descending powers of z, so a matrix row times the stacked coefficient
-vector reproduces the defining identity at that sample point. Tests pin this
-convention by checking that forward-simulated coefficient stacks lie in the
-null spaces.
+Two builders make every system matrix, `build_A` (phase-aware) and `build_G`
+(phaseless). On shifted-harmonic samples their aliased columns merge, which
+gives the compact systems `build_B` and `build_Gtilde` return. Every unknown
+block is stored in descending powers of z, so a matrix row times the stacked
+coefficient vector reproduces the defining identity at that sample point. Tests
+pin this convention by checking that forward-simulated coefficient stacks lie
+in the null spaces.
 """
 
 import math
@@ -192,35 +194,47 @@ def _columns(row_blocks) -> np.ndarray:
     return np.ascontiguousarray(np.concatenate(row_blocks).T)
 
 
+def _merged_exponents(z, n: int, exps) -> list:
+    """The numerator exponents `exps` of general samples, distinct and descending.
+
+    On a shifted-harmonic `SampleSet`, whose n must be the system's,
+    z**n == e^{i*gamma}: each e reduces to e - n*round(e/n), and the columns
+    whose exponents reduce alike merge into one built from the reduced
+    exponent; their unknowns add.
+    """
+    if isinstance(z, SampleSet) and z.is_harmonic:
+        if z.n != n:
+            raise InvalidInputError(f"shifted-harmonic samples of n={z.n} given n={n}")
+        exps = [e - n * round(e / n) for e in exps]
+    return sorted(set(exps), reverse=True)
+
+
 def build_A(z, y, n: int, s: int) -> np.ndarray:
-    """Phase-aware system for arbitrary samples, m x (3s+1).
+    """Phase-aware system, m x (3s+1); on shifted harmonics merged to m x (2s+1).
 
     Row j is [y_j z_j^s ... y_j, -z_j^{n+s-1} ... -z_j^n, -z_j^{s-1} ... -1];
-    the unknown stack is [v; u_hat; u_tilde], each block descending.
+    the unknown stack is [v; u_hat; u_tilde], each block descending. On a
+    shifted-harmonic `SampleSet` (`_merged_exponents`) row j is
+    [y_j z_j^s ... y_j, -z_j^{s-1} ... -1], the stack [v; e^{i*gamma} u_hat + u_tilde].
     """
     zz = np.asarray(z, dtype=complex)
     y = np.asarray(y, dtype=complex)
     _check_lengths(zz, y)
     if n < 2 * s:
         raise InvalidInputError("need n >= 2s")
-    # rows: z^s ... z^0, then z^{n+s-1} ... z^n
-    P = _power_table(zz, np.r_[np.arange(s, -1, -1), np.arange(n + s - 1, n - 1, -1)])
-    return _columns([y * P[: s + 1], -P[s + 1 :], -P[1 : s + 1]])
+    num = _merged_exponents(z, n, [*range(n + s - 1, n - 1, -1), *range(s - 1, -1, -1)])
+    P = _power_table(zz, [*range(s, -1, -1), *num])
+    return _columns([y * P[: s + 1], -P[s + 1 :]])
 
 
 def build_B(z, y, s: int) -> np.ndarray:
-    """Phase-aware system for shifted-harmonic samples, m x (2s+1).
+    """`build_A` at the samples' own n: the merged m x (2s+1) system.
 
-    Row j is [y_j z_j^s ... y_j, -z_j^{s-1} ... -1]; the unknown stack is
-    [v; q] with q the combined numerator block, both descending.
+    z must be a shifted-harmonic `SampleSet`, or InvalidInputError is raised.
     """
     if not (isinstance(z, SampleSet) and z.is_harmonic):
         raise InvalidInputError("build_B needs shifted-harmonic samples")
-    zz = z.z
-    y = np.asarray(y, dtype=complex)
-    _check_lengths(zz, y)
-    P = _power_table(zz, np.arange(s, -1, -1))
-    return _columns([y * P, -P[1:]])
+    return build_A(z, y, z.n, s)
 
 
 def _phaseless_measurements(zz: np.ndarray, y) -> np.ndarray:
@@ -245,58 +259,40 @@ def _phaseless_measurements(zz: np.ndarray, y) -> np.ndarray:
     return real
 
 
-def _phaseless_system(zz: np.ndarray, y, s: int, high: np.ndarray) -> np.ndarray:
-    """The block layout [B | y | fliplr(conj(B)) | -C | -1 | -fliplr(conj(C))].
-
-    B_j = [y_j z_j^s ... y_j z_j] and C_j = [z_j^e for e in high, z_j^{s-1} ... z_j],
-    for y and the samples zz that `_phaseless_measurements` accepts.
-    """
-    y = _phaseless_measurements(zz, y).astype(complex)
-    m = len(zz)
-    # rows: z^s ... z^1, then the high exponents
-    P = _power_table(zz, np.r_[np.arange(s, 0, -1), high])
-    B = y * P[:s]
-    C = np.concatenate([P[s:], P[1:s]])
-    return _columns(
-        [
-            B,
-            y[None, :],
-            np.conj(B[::-1]),
-            -C,
-            -np.ones((1, m), dtype=complex),
-            -np.conj(C[::-1]),
-        ]
-    )
-
-
 def build_G(z, y, n: int, s: int) -> np.ndarray:
-    """Phaseless system for general circle samples, m x (8s-2).
+    """Phaseless system, m x (8s-2); on shifted harmonics merged to m x 4s.
 
     Block layout [B | y | fliplr(conj(B)) | -C | -1 | -fliplr(conj(C))] with
     B_j = [y_j z_j^s ... y_j z_j] and C_j = [z^{n+s-1} ... z^{n-s+1}, z^{s-1} ... z].
     The unknown stack is [l_hat; l_tilde; l; conj-Laurent(l_tilde)], blocks in
-    descending powers. y and z must pass the phaseless data rule
-    (`_phaseless_measurements`) and n >= 4s-1, or InvalidInputError is raised;
-    the descent of `recover_general` builds every G through here.
+    descending powers. On a shifted-harmonic `SampleSet` (`_merged_exponents`)
+    C_j = [z^{s-1} ... z], three numerator columns to each, and the stack is
+    [l_hat; l + e^{i*gamma} l_tilde + e^{-i*gamma} conj-Laurent(l_tilde)].
+    y and z must pass the phaseless data rule (`_phaseless_measurements`) and
+    n >= 4s-1, or InvalidInputError is raised.
     """
     if n < 4 * s - 1:
         raise InvalidInputError("need n >= 4s-1")
-    return _phaseless_system(np.asarray(z, dtype=complex), y, s, np.arange(n + s - 1, n - s, -1))
+    zz = np.asarray(z, dtype=complex)
+    y = _phaseless_measurements(zz, y).astype(complex)
+    half = [*range(n + s - 1, n - s, -1), *range(s - 1, 0, -1)]
+    num = _merged_exponents(z, n, [*half, 0, *(-e for e in reversed(half))])
+    # the merged exponents stay symmetric about 0: the positive ones give C,
+    # and on the circle z^{-e} = conj(z^e) gives their mirror
+    P = _power_table(zz, [*range(s, 0, -1), *(e for e in num if e > 0)])
+    B, C = y * P[:s], P[s:]
+    ones = np.ones((1, len(zz)), dtype=complex)
+    return _columns([B, y[None, :], np.conj(B[::-1]), -C, -ones, -np.conj(C[::-1])])
 
 
 def build_Gtilde(z, y, s: int) -> np.ndarray:
-    """Phaseless system for shifted-harmonic samples, m x 4s.
+    """`build_G` at the samples' own n: the merged m x 4s system.
 
-    Block layout [B | y | fliplr(conj(B)) | -C~ | -1 | -fliplr(conj(C~))] with
-    C~_j = [z^{s-1} ... z]. The unknown stack is [l_hat; p] where p combines
-    the three numerator Laurent blocks through the common nth power of z.
-    z must be a shifted-harmonic `SampleSet` and y must pass the phaseless
-    data rule, or InvalidInputError is raised; the descent of
-    `recover_support_harmonic` builds every G~ through here.
+    z must be a shifted-harmonic `SampleSet`, or InvalidInputError is raised.
     """
     if not (isinstance(z, SampleSet) and z.is_harmonic):
         raise InvalidInputError("build_Gtilde needs shifted-harmonic samples")
-    return _phaseless_system(z.z, y, s, np.arange(0))
+    return build_G(z, y, z.n, s)
 
 
 # ----------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from vrecover.cpoly import forward_polys, laurent_conj, laurent_eval, laurent_from_products
+from vrecover.cpoly import forward_polys, laurent_eval, laurent_from_products
 from vrecover.errors import InvalidInputError, VRecoverError
 from vrecover.harness import (
     ExperimentConfig,
@@ -45,7 +45,7 @@ from vrecover.recover_phaseless import (
     dual_transform,
     recover_r5,
 )
-from vrecover.structmat import SampleSet, shifted_harmonics, vandermonde
+from vrecover.structmat import shifted_harmonics, vandermonde
 
 SUCCESS = 1e-6
 

@@ -1033,6 +1033,27 @@ def test_recover_r3_worked_grid():
     assert abs(got[3].imag) <= 1e-9 and got[3].real > 0
 
 
+def test_recover_r3_forward_check_fails_a_nan_defect(monkeypatch):
+    # the selftest's n = 7 worked example, with the pipeline's result fixed
+    # to the truth and a measurement operator that predicts only NaNs
+    n = 7
+    grid = np.exp(2j * np.pi * np.arange(n) / n)
+    x = np.zeros(n, dtype=complex)
+    x[3] = 2.0
+    z = shifted_harmonics(n, 3, float(np.pi / 3))
+    y = forward_phaseless([grid[3]], [2.0], z.z, n)
+    a = draw_unit_vector(np.random.default_rng(17), n)
+    inst = PhaselessInstance(n, 1, y, z, extra_row=(a, float(abs(np.dot(a, x)) ** 2)), grid=grid)
+    truth = recover_phaseless.PhaselessResult(
+        grid[[3]], 1, np.array([2.0]), np.array([[2.0 + 0j]]), None, BRANCH_HARMONIC
+    )
+    monkeypatch.setattr(recover_phaseless, "recover_r5", lambda inst, tol: truth)
+    nans = lambda z, theta, n: np.full((len(z), len(theta)), np.nan)
+    monkeypatch.setattr(recover_phaseless, "measurement_matrix", nans)
+    with pytest.raises(InconsistentSolutionError, match="snapped solution fails the forward check"):
+        recover_r3(inst)
+
+
 def test_recover_r3_zero_vector():
     n = 7
     grid = np.exp(2j * np.pi * np.arange(n) / n)

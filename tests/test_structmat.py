@@ -403,19 +403,58 @@ def test_builders_match_per_column_reference_bit_for_bit():
             assert_same_bits(vandermonde(z, n), reference_vandermonde(z, n))
             assert_same_bits(build_G(z, y, n, s), reference_G(z, y, n, s))
 
-            # shifted harmonics: build_B and build_Gtilde
+            # shifted harmonics: build_B and build_Gtilde, and build_A and
+            # build_G at the set's n, which merge to the same systems
             n = 4 * s - 1
             h = shifted_harmonics(n, n, float(rng.uniform(0, 2 * np.pi)))
             yc = rng.normal(size=n) + 1j * rng.normal(size=n)
             assert_same_bits(build_B(h, yc, s), reference_B(h.z, yc, s))
+            assert_same_bits(build_A(h, yc, n, s), reference_B(h.z, yc, s))
             y = rng.uniform(0.0, 3.0, n)
-            assert_same_bits(
-                build_Gtilde(h, y, s), reference_phaseless(h.z, y.astype(complex), s)
-            )
+            expect = reference_phaseless(h.z, y.astype(complex), s)
+            assert_same_bits(build_Gtilde(h, y, s), expect)
+            assert_same_bits(build_G(h, y, n, s), expect)
     # s=1, n=2: the numerator column of build_A is exactly -z^2
     z = np.exp(1j * rng.uniform(0, 2 * np.pi, 3))
     y = rng.normal(size=3) + 1j * rng.normal(size=3)
     assert_same_bits(build_A(z, y, 2, 1), reference_A(z, y, 2, 1))
+
+
+def test_harmonic_columns_alias_as_the_merge_assumes():
+    """On shifted harmonics given as plain points, the unmerged systems carry
+    the aliases that `build_A` and `build_G` merge on a harmonic `SampleSet`."""
+    rng = np.random.default_rng(103)
+    gamma = 0.8
+    for s in range(1, 8):
+        for n in (2 * s, 3 * s + 1, 8 * s):
+            h = shifted_harmonics(n, n, gamma)
+            yc = rng.normal(size=n) + 1j * rng.normal(size=n)
+            A = build_A(h.z, yc, n, s)
+            assert A.shape == (n, 3 * s + 1)
+            u_hat, u_tilde = A[:, s + 1 : 2 * s + 1], A[:, 2 * s + 1 :]
+            gap = np.abs(u_hat - np.exp(1j * gamma) * u_tilde).max()
+            assert gap <= 1e-12 * np.abs(u_tilde).max()
+        for n in (4 * s - 1, 4 * s + 2, 8 * s):
+            h = shifted_harmonics(n, n, gamma)
+            y = rng.uniform(0.0, 3.0, n)
+            G, Gt = build_G(h.z, y, n, s), build_G(h, y, n, s)
+            assert G.shape == (n, 8 * s - 2) and Gt.shape == (n, 4 * s)
+            # the |v|^2 block maps one to one
+            assert np.array_equal(G[:, : 2 * s + 1], Gt[:, : 2 * s + 1])
+            # each merged numerator column is a unit-phase multiple of exactly
+            # three general ones, and every general one belongs to one of them
+            merged, general = Gt[:, 2 * s + 1 :], G[:, 2 * s + 1 :]
+            phase = general[0][:, None] / merged[0]  # entries all lie on the circle
+            gap = np.abs(general.T[:, None, :] - phase[:, :, None] * merged.T[None]).max(axis=2)
+            matches = gap <= 1e-12
+            assert (matches.sum(axis=1) == 1).all()
+            assert (matches.sum(axis=0) == 3).all()
+    # a harmonic set builds only at its own n
+    h = shifted_harmonics(8, 8, gamma)
+    with pytest.raises(InvalidInputError, match="n=8"):
+        build_A(h, np.ones(8), 9, 2)
+    with pytest.raises(InvalidInputError, match="n=8"):
+        build_G(h, np.ones(8), 7, 2)
 
 
 def test_phaseless_builders_reject_non_finite_input():
