@@ -34,7 +34,7 @@ class Tolerances:
     # square roots, the discriminant's and the |v|^2 block's; and the
     # relative disagreement of the dual split's two cofactor candidates
     pair_tol: float = 1e-6
-    # relative residual for forward checks and candidate completeness
+    # bound on max|residual| / max|y| in every forward check
     forward_tol: float = 1e-6
 
 

@@ -32,7 +32,6 @@ from .errors import (
     DegenerateSupportError,
     AmbiguousSupportError,
     GridCollisionError,
-    InconsistentSolutionError,
     InvalidInputError,
     RecoveryFailureError,
 )
@@ -42,6 +41,7 @@ from .structmat import (
     _require_distinct,
     build_A,
     build_B,
+    forward_check,
     measurement_matrix,
     null_space,
     pinv_solve,
@@ -262,7 +262,7 @@ def _recover_via(inst: PhaseInstance, tol: Tolerances, grid: np.ndarray | None =
     system below; its error propagates. Without a grid the poles come in
     canonical order and the index is None. With one they snap onto its
     points (`_snap_to_grid`), taken in grid order. Either way the weights
-    are the least-squares fit at the poles and must pass the forward check.
+    are the least-squares fit at the poles, and A g must pass `forward_check`.
     """
     if support is None:
         support = _latent_support if inst.m >= inst.n else _paper_support
@@ -277,7 +277,7 @@ def _recover_via(inst: PhaseInstance, tol: Tolerances, grid: np.ndarray | None =
         theta = grid[index]
     A = measurement_matrix(inst.samples, theta, inst.n)
     g = recover_g(A, inst.y, tol)
-    _forward_check(A @ g, inst.y, tol)
+    forward_check(A @ g, inst.y, tol.forward_tol, "the fit at the poles")
     return PhaseResult(theta, g, S, tuple(diagnostics)), index
 
 
@@ -336,18 +336,3 @@ def _snap_to_grid(points, grid: np.ndarray) -> np.ndarray:
         raise GridCollisionError("two support points snapped to the same grid point")
     return index
 
-
-def _forward_check(predicted: np.ndarray, y: np.ndarray, tol: Tolerances):
-    """Raise unless ||predicted - y|| <= forward_tol * ||y||.
-
-    Both norms are taken in units of max|y|, so data near the float range
-    cannot overflow them into inf and switch the check off; a non-finite
-    defect fails.
-    """
-    scale = np.abs(y).max()
-    defect = np.linalg.norm((predicted - y) / scale)
-    bound = tol.forward_tol * np.linalg.norm(y / scale)
-    if not defect <= bound:
-        raise InconsistentSolutionError(
-            f"forward residual {defect:.3e} of max|y| exceeds {bound:.3e}"
-        )

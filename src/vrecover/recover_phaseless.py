@@ -33,13 +33,13 @@ from .errors import (
     AmbiguousDisambiguationError,
     DegenerateInstanceError,
     DegenerateSupportError,
-    InconsistentSolutionError,
     InvalidInputError,
     MatchingFailureError,
     NotASquareError,
     PairingFailureError,
 )
 from .recover_phase import (
+    PhaseResult,
     _canonical_order,
     _check_floors,
     _check_grid,
@@ -48,7 +48,7 @@ from .recover_phase import (
 )
 from .structmat import (
     SampleSet, _phaseless_measurements, _require_distinct, build_G, build_Gtilde,
-    measurement_matrix, readonly_array, vandermonde,
+    forward_check, measurement_matrix, readonly_array, vandermonde,
 )
 
 BRANCH_HARMONIC = "Harmonic2pow"
@@ -136,12 +136,7 @@ class PhaselessResult:
         for arr in (self.theta, self.magnitude_profile, self.candidates):
             arr.flags.writeable = False
 
-    @property
-    def warnings(self) -> tuple[str, ...]:
-        out = []
-        for entry in self.diagnostics:
-            out.extend(entry.get("warnings", ()))
-        return tuple(out)
+    warnings = PhaseResult.warnings
 
 
 # ----------------------------------------------------------------------------
@@ -298,25 +293,22 @@ def _normalize_candidates(G: np.ndarray, rows: np.ndarray, y: np.ndarray,
     The first nonnegligible entry of each candidate is made exactly real
     positive. When rows fail, the first failing row raises, with the error of
     the first check it fails: zero predicted measurements or a nonpositive
-    scale (DegenerateInstanceError), then the forward check.
+    scale (DegenerateInstanceError), then `forward_check` of the scaled fit.
     """
     with np.errstate(all="ignore"):
         pred = np.abs(G @ rows.T) ** 2
         denom = np.sum(pred * pred, axis=1)
         alpha2 = (pred @ y) / denom
-        defect = np.abs(alpha2[:, None] * pred - y).max(axis=1)
+        fitted = alpha2[:, None] * pred
     zero = ~np.isfinite(denom) | (denom <= 0)
-    nonpositive = ~zero & (alpha2 <= 0)
-    bound = tol.forward_tol * max(float(y.max()), 1e-300)
-    inconsistent = ~zero & ~nonpositive & (defect > bound)
-    failed = zero | nonpositive | inconsistent
-    if failed.any():
-        k = int(np.argmax(failed))
+    degenerate = zero | (alpha2 <= 0)
+    k = int(np.argmax(degenerate)) if degenerate.any() else len(G)
+    # the rows before the first degenerate one take the forward check first
+    forward_check(fitted[:k], y, tol.forward_tol, "candidate")
+    if k < len(G):
         if zero[k]:
             raise DegenerateInstanceError("candidate direction predicts zero measurements")
-        if nonpositive[k]:
-            raise DegenerateInstanceError("candidate scale came out nonpositive")
-        raise InconsistentSolutionError(f"candidate fails the forward check by {defect[k]:.3e}")
+        raise DegenerateInstanceError("candidate scale came out nonpositive")
     G = G * np.sqrt(alpha2)[:, None]
     mags = np.abs(G)
     floor = 1e-12 * np.maximum(mags.max(axis=1, keepdims=True), 1e-300)
@@ -573,7 +565,5 @@ def recover_r3(inst: PhaselessInstance, tol: Tolerances | None = None) -> np.nda
     x = x * np.exp(-1j * np.angle(x[k0]))
     # the support's columns alone: no n x n table of the whole grid
     predicted = np.abs(measurement_matrix(inst.samples, grid[support], inst.n) @ x[support]) ** 2
-    # written so that a NaN defect fails too
-    if not np.abs(predicted - y).max() <= tol.forward_tol * float(y.max()):
-        raise InconsistentSolutionError("snapped solution fails the forward check")
+    forward_check(predicted, y, tol.forward_tol, "snapped solution")
     return x

@@ -607,6 +607,24 @@ def test_huge_data_leave_the_checks_finite(seed):
         assert recover_r1(inst).S == 1
 
 
+def test_forward_check_counts_a_residual_on_one_sample_in_full():
+    """y moved by 2e-6 max|y| at one sample: the fit at the true poles
+    misses it there by 1.7e-6 max|y| and fails the forward check, though the
+    residual's 2-norm is only 0.7e-6 of ||y||."""
+    rng = np.random.default_rng(4)
+    n, s = 16, 4
+    z = SampleSet(tuple(disk_points(rng, 3 * s)))
+    theta, g = draw_theta_disk(rng, s), draw_g(rng, s)
+    y = forward_phase(theta, g, z.z, n)
+    y[5] += 2e-6 * np.abs(y).max()
+    A = measurement_matrix(z, theta, n)
+    residual = A @ recover_g(A, y, Tolerances()) - y
+    assert np.linalg.norm(residual) < 1e-6 * np.linalg.norm(y)
+    inst = PhaseInstance(n, s, y, z)
+    with pytest.raises(InconsistentSolutionError, match=r"^forward residual 1\.66.e-06 of max\|y\|"):
+        recover_phase._recover_via(inst, Tolerances(), support=lambda *_: (s, theta))
+
+
 # ----------------------------------------------------------------------------
 # the latent route of r1 at m >= n
 # ----------------------------------------------------------------------------

@@ -464,9 +464,12 @@ def reference_enumerate(theta, pairs, row_weight, rows, y, tol):
         if alpha2 <= 0:
             raise DegenerateInstanceError("candidate scale came out nonpositive")
         g = g * np.sqrt(alpha2)
-        defect = float(np.max(np.abs(alpha2 * pred - y)))
-        if defect > tol.forward_tol * max(float(np.max(y)), 1e-300):
-            raise InconsistentSolutionError(f"candidate fails the forward check by {defect:.3e}")
+        defect = float(np.max(np.abs(alpha2 * pred - y))) / float(np.max(y))
+        if not defect <= tol.forward_tol:
+            raise InconsistentSolutionError(
+                f"forward residual {defect:.3e} of max|y| exceeds {tol.forward_tol:.1e}: "
+                "candidate fails the forward check"
+            )
         mags = np.abs(g)
         k0 = int(np.argmax(mags > 1e-12 * float(np.max(mags))))
         g = g * np.exp(-1j * np.angle(g[k0]))
